@@ -15,6 +15,7 @@ import sys
 from datetime import datetime, timezone
 from typing import List, Optional
 
+from . import __version__
 from .atlas import (
     DEFAULT_FACET_CAP,
     DEFAULT_NEURON_CAP,
@@ -31,8 +32,6 @@ from .realize import (
 )
 from .topology import classify_small_complex, is_contractible_small, nerve
 from .wheels import DEFAULT_BUDGET
-
-__version__ = "0.1.0"
 
 EXIT_CONVEX = 0
 EXIT_NONCONVEX = 1
@@ -63,7 +62,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("code", help="code text, e.g. '123,1246,145,356,12,14,3,5,6'")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="sprocket search budget (condition evaluations)")
+                       help="sprocket search budget (search steps)")
         p.add_argument("--meta", action="store_true", help="prepend a commented header")
         return p
 

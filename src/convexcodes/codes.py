@@ -218,36 +218,6 @@ def max_intersection_faces(facets: Iterable[Codeword]) -> frozenset:
     return frozenset(found)
 
 
-@dataclass(frozen=True)
-class FacetIntersectionTable:
-    """Map from sets of facet positions (1-based, size >= 2) to intersections.
-
-    Entries cover every subset of positions; the nonempty values are exactly
-    the max-intersection faces of the code.
-    """
-
-    entries: tuple  # ((frozenset positions, Codeword), ...) sorted
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
-    def nonempty_faces(self) -> frozenset:
-        return frozenset(v for _, v in self.entries if v)
-
-
-def facet_intersection_table(facets: Iterable[Codeword]) -> FacetIntersectionTable:
-    fl = [frozenset(f) for f in facets]
-    entries = []
-    for r in range(2, len(fl) + 1):
-        for positions in itertools.combinations(range(1, len(fl) + 1), r):
-            inter = fl[positions[0] - 1]
-            for p in positions[1:]:
-                inter = inter & fl[p - 1]
-            entries.append((frozenset(positions), inter))
-    entries.sort(key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))))
-    return FacetIntersectionTable(tuple(entries))
-
-
 def is_max_intersection_complete(code: NeuralCode) -> tuple:
     """(True, empty set) iff every max-intersection face is a codeword."""
     faces = max_intersection_faces(maximal_codewords(code))

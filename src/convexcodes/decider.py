@@ -72,7 +72,6 @@ class Certificate:
     candidate: Optional[SprocketCandidate] = None
     class_id: Optional[str] = None
     components: Optional[tuple] = None  # ((sorted neuron tuple, status), ...)
-    base: Optional[tuple] = None  # codewords of the minimal code
     faces: Optional[tuple] = None  # undecided faces
 
     def to_json(self) -> dict:
@@ -88,8 +87,6 @@ class Certificate:
                 {"neurons": list(neurons), "status": status}
                 for neurons, status in self.components
             ]
-        if self.base is not None:
-            out["base"] = [sorted(w) for w in self.base]
         if self.faces is not None:
             out["faces"] = [sorted(f) for f in self.faces]
         return out
@@ -263,9 +260,9 @@ def analyze(
 ) -> Report:
     """Aggregate view: structure, verdict, certificates, realization.
 
-    The realization field is filled only when the verdict is CONVEX and the
-    code falls in a constructive family; it is re-verified before being
-    reported.
+    The realization field is filled only when the verdict is CONVEX, every
+    declared neuron appears in some codeword, and the code falls in a
+    constructive family; it is re-verified before being reported.
     """
     facets = maximal_codewords(code)
     m = len(facets)
@@ -310,7 +307,10 @@ def analyze(
         sprocket_json = {"found": False, "budget": budget}
 
     realization_json = None
-    if with_realization and verdict is Verdict.CONVEX:
+    # an unused declared neuron would need an empty region, which
+    # build_realization refuses; such codes get no realization
+    all_neurons_used = code.n == max(code.support(), default=0)
+    if with_realization and verdict is Verdict.CONVEX and all_neurons_used:
         from .realize import build_realization, verify_realization
 
         built = build_realization(code, budget=budget)

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .codes import (
     Codeword,
     NeuralCode,
     format_word,
+    is_face,
     max_intersection_faces,
     maximal_codewords,
     sort_words,
-    word_sort_key,
+    trunk,
 )
 from .topology import classify_small_complex, nerve, path_of_facets
 
@@ -56,58 +57,34 @@ class SprocketCandidate:
         }
 
 
-class _TrunkOracle:
-    """Cached face and trunk queries against one fixed code."""
-
-    def __init__(self, code: NeuralCode):
-        self.words = code.codewords
-        self.facets = maximal_codewords(code)
-        self._faces: Dict[Codeword, bool] = {}
-        self._trunks: Dict[Codeword, frozenset] = {}
-
-    def is_face(self, sigma: Codeword) -> bool:
-        hit = self._faces.get(sigma)
-        if hit is None:
-            hit = any(sigma <= f for f in self.facets)
-            self._faces[sigma] = hit
-        return hit
-
-    def trunk(self, sigma: Codeword) -> frozenset:
-        hit = self._trunks.get(sigma)
-        if hit is None:
-            hit = frozenset(w for w in self.words if sigma <= w)
-            self._trunks[sigma] = hit
-        return hit
-
-
-def _check_wheel(o: _TrunkOracle, s1, s2, s3, tau) -> Optional[str]:
+def _check_wheel(code: NeuralCode, facets, s1, s2, s3, tau) -> Optional[str]:
     u = s1 | s2 | s3
-    if not o.is_face(u):
+    if not is_face(facets, u):
         return "P(i)"
-    tu = o.trunk(u)
-    if o.trunk(s1 | s2) != tu or o.trunk(s1 | s3) != tu or o.trunk(s2 | s3) != tu:
+    tu = trunk(code, u)
+    if trunk(code, s1 | s2) != tu or trunk(code, s1 | s3) != tu or trunk(code, s2 | s3) != tu:
         return "P(i)"
-    if o.is_face(u | tau):
+    if is_face(facets, u | tau):
         return "P(ii)"
-    if not (o.is_face(s1 | tau) and o.is_face(s2 | tau) and o.is_face(s3 | tau)):
+    if not (is_face(facets, s1 | tau) and is_face(facets, s2 | tau) and is_face(facets, s3 | tau)):
         return "P(iii)"
     return None
 
 
-def _check_witnesses(o: _TrunkOracle, cand: SprocketCandidate) -> Optional[str]:
+def _check_witnesses(code: NeuralCode, cand: SprocketCandidate) -> Optional[str]:
     if not (
-        o.trunk(cand.sigma1 | cand.tau) <= o.trunk(cand.rho1)
-        and o.trunk(cand.sigma3 | cand.tau) <= o.trunk(cand.rho3)
+        trunk(code, cand.sigma1 | cand.tau) <= trunk(code, cand.rho1)
+        and trunk(code, cand.sigma3 | cand.tau) <= trunk(code, cand.rho3)
     ):
         return "S(1)"
-    if not o.trunk(cand.tau) <= o.trunk(cand.rho1) | o.trunk(cand.rho3):
+    if not trunk(code, cand.tau) <= trunk(code, cand.rho1) | trunk(code, cand.rho3):
         return "S(2)"
-    if not o.trunk(cand.rho1 | cand.rho3 | cand.tau) <= o.trunk(cand.sigma2):
+    if not trunk(code, cand.rho1 | cand.rho3 | cand.tau) <= trunk(code, cand.sigma2):
         return "S(3)"
     return None
 
 
-def _witnesses_cover_exactly(o: _TrunkOracle, cand: SprocketCandidate) -> bool:
+def _witnesses_cover_exactly(code: NeuralCode, cand: SprocketCandidate) -> bool:
     """Both witness trunks sit inside Tk(tau), so S(2) is an equality.
 
     The search refuses to emit candidates without this property.  The bare
@@ -118,32 +95,8 @@ def _witnesses_cover_exactly(o: _TrunkOracle, cand: SprocketCandidate) -> bool:
     nonconvexity argument needs the witness trunks to split Tk(tau) into
     exactly two parts.
     """
-    tk_tau = o.trunk(cand.tau)
-    return o.trunk(cand.rho1) <= tk_tau and o.trunk(cand.rho3) <= tk_tau
-
-
-def _hub_spoke_pattern(o: _TrunkOracle, s1, s2, s3, tau) -> bool:
-    """Hub facets meet two distinct spoke facets nowhere.
-
-    The closed-form construction lives in a nerve where the facet carrying
-    sigma1|sigma2|sigma3 intersects any two of the three facets carrying
-    the sigma_j|tau spokes in the empty set.  Candidates violating this
-    exist with identical trunk signatures in convex and non-convex codes
-    alike (the remaining conditions cannot see the difference), so the
-    search only emits candidates matching the pattern the construction is
-    actually proven for.
-    """
-    hub = s1 | s2 | s3
-    hub_facets = [f for f in o.facets if hub <= f]
-    spokes = [[f for f in o.facets if (sigma | tau) <= f] for sigma in (s1, s2, s3)]
-    for g in hub_facets:
-        for j in range(3):
-            for k in range(j + 1, 3):
-                for fj in spokes[j]:
-                    for fk in spokes[k]:
-                        if g & fj & fk:
-                            return False
-    return True
+    tk_tau = trunk(code, cand.tau)
+    return trunk(code, cand.rho1) <= tk_tau and trunk(code, cand.rho3) <= tk_tau
 
 
 def is_partial_wheel(
@@ -155,9 +108,13 @@ def is_partial_wheel(
     the same trunk as u.  P(ii): u with tau is not a face.  P(iii): each
     sigma with tau is a face.  Non-faces are not errors, they just fail.
     """
-    o = _TrunkOracle(code)
     failed = _check_wheel(
-        o, frozenset(sigma1), frozenset(sigma2), frozenset(sigma3), frozenset(tau)
+        code,
+        maximal_codewords(code),
+        frozenset(sigma1),
+        frozenset(sigma2),
+        frozenset(sigma3),
+        frozenset(tau),
     )
     return (failed is None, failed)
 
@@ -168,10 +125,11 @@ def is_sprocket(code: NeuralCode, cand: SprocketCandidate) -> Tuple[bool, Option
     Failure reports the first broken condition in the order P(i), P(ii),
     P(iii), S(1), S(2), S(3).
     """
-    o = _TrunkOracle(code)
-    failed = _check_wheel(o, cand.sigma1, cand.sigma2, cand.sigma3, cand.tau)
+    failed = _check_wheel(
+        code, maximal_codewords(code), cand.sigma1, cand.sigma2, cand.sigma3, cand.tau
+    )
     if failed is None:
-        failed = _check_witnesses(o, cand)
+        failed = _check_witnesses(code, cand)
     return (failed is None, failed)
 
 
@@ -266,22 +224,28 @@ def _search_relabeling(code: NeuralCode) -> Tuple[NeuralCode, Dict[int, int]]:
     else:
         pools = [list(itertools.permutations(g)) for g in groups]
 
+    # An assignment's key is the relabeled code's word_sort_key tuple in
+    # sort_words order, with each word encoded as one int that sorts the
+    # same way: size first, then, among words of one size, lex order of the
+    # sorted labels, which is descending order of sum(2 ** (s - label)).
+    s = len(support)
+    sized = [(len(w) << (s + 1), tuple(w)) for w in code.codewords]
+    bits = dict.fromkeys(support, 0)
+    weight = bits.__getitem__
     best_key = None
-    best_words = None
-    best_mapping = None
+    best_combo = None
     for combo in itertools.product(*pools):
-        mapping = {}
-        next_label = 1
+        bit = 1 << s
         for g in combo:
             for i in g:
-                mapping[i] = next_label
-                next_label += 1
-        relabeled = sort_words(frozenset(mapping[i] for i in w) for w in code.codewords)
-        key = tuple(word_sort_key(w) for w in relabeled)
+                bit >>= 1
+                bits[i] = bit
+        key = sorted([size - sum(map(weight, w)) for size, w in sized])
         if best_key is None or key < best_key:
-            best_key, best_words, best_mapping = key, relabeled, mapping
-    inverse = {new: old for old, new in best_mapping.items()}
-    return NeuralCode(best_words), inverse
+            best_key, best_combo = key, combo
+    mapping = dict(zip(itertools.chain.from_iterable(best_combo), itertools.count(1)))
+    inverse = {new: old for old, new in mapping.items()}
+    return NeuralCode(frozenset(mapping[i] for i in w) for w in code.codewords), inverse
 
 
 def _remap_candidate(cand: SprocketCandidate, inverse: Dict[int, int]) -> SprocketCandidate:
@@ -306,6 +270,76 @@ def _candidate_pool(facets) -> list:
     return sort_words(pool)
 
 
+def _mask(word) -> int:
+    out = 0
+    for i in word:
+        out |= 1 << i
+    return out
+
+
+class _Faces(dict):
+    """is_face on neuron masks (bit i for neuron i), filled on lookup."""
+
+    def __init__(self, facets: List[int]):
+        super().__init__()
+        self.facets = facets
+
+    def __missing__(self, m: int) -> bool:
+        hit = self[m] = any(m & f == m for f in self.facets)
+        return hit
+
+
+class _Trunks(dict):
+    """Trunks on neuron masks, filled on lookup.
+
+    A trunk is the mask of codeword positions in sort_words order, so the
+    trunk of a word is the AND of its neurons' columns and trunk
+    containment is a & ~b == 0.
+    """
+
+    def __init__(self, code: NeuralCode):
+        super().__init__()
+        self.all_words = (1 << len(code.codewords)) - 1
+        self.columns: Dict[int, int] = {}
+        for j, w in enumerate(sort_words(code.codewords)):
+            for i in w:
+                bit = 1 << i
+                self.columns[bit] = self.columns.get(bit, 0) | (1 << j)
+
+    def __missing__(self, m: int) -> int:
+        hit, rest = self.all_words, m
+        while rest:
+            bit = rest & -rest
+            hit &= self.columns.get(bit, 0)
+            rest ^= bit
+        self[m] = hit
+        return hit
+
+
+def _hub_spoke_pattern(facets, s1: int, s2: int, s3: int, tau: int) -> bool:
+    """Hub facets meet two distinct spoke facets nowhere.
+
+    The closed-form construction lives in a nerve where the facet carrying
+    sigma1|sigma2|sigma3 intersects any two of the three facets carrying
+    the sigma_j|tau spokes in the empty set.  Candidates violating this
+    exist with identical trunk signatures in convex and non-convex codes
+    alike (the remaining conditions cannot see the difference), so the
+    search only emits candidates matching the pattern the construction is
+    actually proven for.  Words and facets are neuron masks.
+    """
+    hub = s1 | s2 | s3
+    spokes = [[f for f in facets if (sigma | tau) & ~f == 0] for sigma in (s1, s2, s3)]
+    for g in facets:
+        if hub & ~g:
+            continue
+        for j, k in ((0, 1), (0, 2), (1, 2)):
+            for fj in spokes[j]:
+                for fk in spokes[k]:
+                    if g & fj & fk:
+                        return False
+    return True
+
+
 def find_sprocket(
     code: NeuralCode, budget: int = DEFAULT_BUDGET
 ) -> Optional[SprocketCandidate]:
@@ -316,8 +350,15 @@ def find_sprocket(
     searched, and any hit revalidated against the original code), then a
     generic enumeration: tau over max-intersection faces missing from the
     code, sigmas and rhos over subsets of facet intersections, in canonical
-    order on (tau, sigma1, sigma2, sigma3, rho1, rho3).  The budget caps
-    the number of candidate condition evaluations.
+    order on (tau, sigma1, sigma2, sigma3, rho1, rho3).
+
+    The budget counts search steps: one per (sigma1, sigma2, sigma3)
+    triple that passes the mirror filter (sigma3 not before sigma1 in the
+    canonical order) and one per (rho1, rho3) pair tried for a partial
+    wheel.  Cone peeling spends from the same budget.  The candidate or
+    None returned at each budget, and the budget left, are pinned to a
+    step-by-step frozenset reference search by the oracle tests in
+    tests/test_wheels.py.
 
     Emitted candidates satisfy a condition beyond is_sprocket: both
     witness trunks must lie inside Tk(tau) (see _witnesses_cover_exactly).
@@ -347,51 +388,98 @@ def _find_sprocket(code: NeuralCode, box: list) -> Optional[SprocketCandidate]:
             if (
                 cand is not None
                 and is_sprocket(code, cand)[0]
-                and _witnesses_cover_exactly(_TrunkOracle(code), cand)
+                and _witnesses_cover_exactly(code, cand)
             ):
                 return cand
 
     canon, inverse = _search_relabeling(code)
     canon_facets = maximal_codewords(canon)
-    o = _TrunkOracle(canon)
-    pool = _candidate_pool(canon_facets)
-    taus = [
-        f
-        for f in sort_words(max_intersection_faces(canon_facets))
-        if f not in canon.codewords
-    ]
-    for tau in taus:
-        tk_tau = o.trunk(tau)
-        rho_pool = [r for r in pool if o.trunk(r) <= tk_tau]
-        if not rho_pool:
+    facet_masks = [_mask(f) for f in canon_facets]
+    faces, trunks = _Faces(facet_masks), _Trunks(canon)  # caches for this call
+    words = _candidate_pool(canon_facets)
+    pool = [_mask(w) for w in words]
+    pool_trunks = [trunks[m] for m in pool]
+    size = len(pool)
+    # One budget step per (sigma1, sigma2, sigma3) with sigma3 in
+    # pool[i1:] (the mirror filter) and one per (rho1, rho3).  A block
+    # whose every step fails on a shared condition is charged at once; if
+    # the budget cannot cover it, the search stops with the budget at 0,
+    # where the step-by-step loop would have stopped.
+    left = box[0]
+    for tau_word in sort_words(max_intersection_faces(canon_facets)):
+        if tau_word in canon.codewords:
             continue
-        for s1 in pool:
-            k1 = word_sort_key(s1)
-            for s2 in pool:
-                for s3 in pool:
-                    if word_sort_key(s3) < k1:
-                        continue  # mirror symmetry (s1,rho1) <-> (s3,rho3)
-                    if box[0] <= 0:
+        tau = _mask(tau_word)
+        tk_tau = trunks[tau]
+        rhos = [r for r in range(size) if pool_trunks[r] & ~tk_tau == 0]
+        if not rhos:
+            continue
+        spoke = [faces[m | tau] for m in pool]  # P(iii), per sigma
+        for i1, s1 in enumerate(pool):
+            row = size - i1
+            if not spoke[i1]:
+                if left < size * row:
+                    box[0] = min(left, 0)
+                    return None
+                left -= size * row
+                continue
+            for i2, s2 in enumerate(pool):
+                s12 = s1 | s2
+                if not (spoke[i2] and faces[s12]):
+                    if left < row:
+                        box[0] = min(left, 0)
                         return None
-                    box[0] -= 1
-                    if _check_wheel(o, s1, s2, s3, tau) is not None:
+                    left -= row
+                    continue
+                t12 = trunks[s12]
+                for i3 in range(i1, size):
+                    if left <= 0:
+                        box[0] = left
+                        return None
+                    left -= 1
+                    if not spoke[i3]:
                         continue
-                    if not _hub_spoke_pattern(o, s1, s2, s3, tau):
+                    s3 = pool[i3]
+                    u = s12 | s3
+                    if not faces[u] or faces[u | tau]:
                         continue
-                    for r1 in rho_pool:
-                        for r3 in rho_pool:
-                            if box[0] <= 0:
+                    tu = trunks[u]
+                    if t12 != tu or trunks[s1 | s3] != tu or trunks[s2 | s3] != tu:
+                        continue
+                    if not _hub_spoke_pattern(facet_masks, s1, s2, s3, tau):
+                        continue
+                    t1, t3, t2 = trunks[s1 | tau], trunks[s3 | tau], pool_trunks[i2]
+                    for r1 in rhos:
+                        tr1 = pool_trunks[r1]
+                        if t1 & ~tr1:  # S(1) fails for every rho3
+                            if left < len(rhos):
+                                box[0] = min(left, 0)
                                 return None
-                            box[0] -= 1
-                            cand = SprocketCandidate(s1, s2, s3, tau, r1, r3)
-                            if _check_witnesses(o, cand) is None:
-                                mapped = _remap_candidate(cand, inverse)
-                                ok, _tag = is_sprocket(code, mapped)
-                                if not ok or not _witnesses_cover_exactly(
-                                    _TrunkOracle(code), mapped
-                                ):
-                                    raise AssertionError(
-                                        "relabeled sprocket failed replay on the original code"
-                                    )
-                                return mapped
+                            left -= len(rhos)
+                            continue
+                        for r3 in rhos:
+                            if left <= 0:
+                                box[0] = left
+                                return None
+                            left -= 1
+                            tr3 = pool_trunks[r3]
+                            if (
+                                t3 & ~tr3
+                                or tk_tau & ~(tr1 | tr3)
+                                or trunks[pool[r1] | pool[r3] | tau] & ~t2
+                            ):
+                                continue
+                            box[0] = left
+                            cand = SprocketCandidate(
+                                words[i1], words[i2], words[i3], tau_word, words[r1], words[r3]
+                            )
+                            mapped = _remap_candidate(cand, inverse)
+                            if not is_sprocket(code, mapped)[0] or not _witnesses_cover_exactly(
+                                code, mapped
+                            ):
+                                raise AssertionError(
+                                    "relabeled sprocket failed replay on the original code"
+                                )
+                            return mapped
+    box[0] = left
     return None

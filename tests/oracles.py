@@ -3,11 +3,14 @@
 Everything here recomputes from first principles: full face posets,
 exhaustive elementary-collapse search, and pointwise membership sampling
 with exact rationals.  Nothing imports the classification table or the
-arrangement code under test.
+arrangement code under test, except the reference sprocket search at the
+end, which reuses the package's predicates (nerve classification, the
+canonical L24 construction and is_sprocket) around the search loop it
+checks.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 
 def face_poset(facets):
@@ -143,3 +146,224 @@ def rectangle_code_oracle(rects):
                 )
             )
     return words
+
+
+# ---------------------------------------------------------------------------
+# Reference sprocket search: the frozenset loop the bitmask kernel in
+# convexcodes.wheels replaced, kept step for step so the kernel can be
+# checked against it at every budget.  Face and trunk queries are plain
+# frozenset comprehensions over the code, cached per call.
+
+
+def reference_search_relabeling(code):
+    """Profile-respecting lex-least relabeling onto 1..s, plus its inverse."""
+    from convexcodes.codes import NeuralCode, sort_words, word_sort_key
+    from convexcodes.wheels import _RELABEL_CAP
+
+    support = sorted(code.support())
+    if not support:
+        return code, {}
+    words = [w for w in code.codewords if w]
+    prof1 = {
+        i: tuple(sorted(len(w) for w in words if i in w)) for i in support
+    }
+    rank1 = {p: r for r, p in enumerate(sorted(set(prof1.values())))}
+    prof2 = {
+        i: (
+            prof1[i],
+            tuple(sorted(tuple(sorted(rank1[prof1[j]] for j in w)) for w in words if i in w)),
+        )
+        for i in support
+    }
+    ordered = sorted(support, key=lambda i: (prof2[i], i))
+    groups = []
+    for i in ordered:
+        if groups and prof2[groups[-1][0]] == prof2[i]:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+
+    total = 1
+    for g in groups:
+        for size in range(2, len(g) + 1):
+            total *= size
+    if total > _RELABEL_CAP:
+        pools = [[tuple(g)] for g in groups]
+    else:
+        pools = [list(permutations(g)) for g in groups]
+
+    best_key = None
+    best_words = None
+    best_mapping = None
+    for combo in product(*pools):
+        mapping = {}
+        next_label = 1
+        for g in combo:
+            for i in g:
+                mapping[i] = next_label
+                next_label += 1
+        relabeled = sort_words(frozenset(mapping[i] for i in w) for w in code.codewords)
+        key = tuple(word_sort_key(w) for w in relabeled)
+        if best_key is None or key < best_key:
+            best_key, best_words, best_mapping = key, relabeled, mapping
+    inverse = {new: old for old, new in best_mapping.items()}
+    return NeuralCode(best_words), inverse
+
+
+def reference_find_sprocket(code, box):
+    """Bounded sprocket search, one budget step per condition evaluation.
+
+    Same contract as convexcodes.wheels._find_sprocket: box is a one-item
+    list holding the remaining budget and is decremented in place.
+    """
+    from convexcodes.codes import (
+        NeuralCode,
+        max_intersection_faces,
+        maximal_codewords,
+        sort_words,
+        word_sort_key,
+    )
+    from convexcodes.topology import classify_small_complex, nerve
+    from convexcodes.wheels import (
+        _POOL_SUBSET_BOUND,
+        SprocketCandidate,
+        canonical_l24_sprocket,
+        is_sprocket,
+    )
+
+    def queries(c):
+        words = c.codewords
+        fl = maximal_codewords(c)
+        faces, trunks = {}, {}
+
+        def is_face(sigma):
+            hit = faces.get(sigma)
+            if hit is None:
+                hit = any(sigma <= f for f in fl)
+                faces[sigma] = hit
+            return hit
+
+        def trunk(sigma):
+            hit = trunks.get(sigma)
+            if hit is None:
+                hit = frozenset(w for w in words if sigma <= w)
+                trunks[sigma] = hit
+            return hit
+
+        return fl, is_face, trunk
+
+    def covers_exactly(c, cand):
+        _fl, _is_face, trunk = queries(c)
+        tk_tau = trunk(cand.tau)
+        return trunk(cand.rho1) <= tk_tau and trunk(cand.rho3) <= tk_tau
+
+    facets = maximal_codewords(code)
+
+    if len(facets) == 4:
+        cls = classify_small_complex(nerve(facets))
+        if cls.class_id == "L24":
+            cand = canonical_l24_sprocket(code)
+            if cand is not None:
+                return cand
+
+    nonempty = [w for w in code.codewords if w]
+    if nonempty:
+        common = frozenset.intersection(*nonempty)
+        if common:
+            stripped = NeuralCode(w - common for w in code.codewords)
+            cand = reference_find_sprocket(stripped, box)
+            if (
+                cand is not None
+                and is_sprocket(code, cand)[0]
+                and covers_exactly(code, cand)
+            ):
+                return cand
+
+    canon, inverse = reference_search_relabeling(code)
+    canon_facets, is_face, trunk = queries(canon)
+
+    def check_wheel(s1, s2, s3, tau):
+        u = s1 | s2 | s3
+        if not is_face(u):
+            return "P(i)"
+        tu = trunk(u)
+        if trunk(s1 | s2) != tu or trunk(s1 | s3) != tu or trunk(s2 | s3) != tu:
+            return "P(i)"
+        if is_face(u | tau):
+            return "P(ii)"
+        if not (is_face(s1 | tau) and is_face(s2 | tau) and is_face(s3 | tau)):
+            return "P(iii)"
+        return None
+
+    def check_witnesses(cand):
+        if not (
+            trunk(cand.sigma1 | cand.tau) <= trunk(cand.rho1)
+            and trunk(cand.sigma3 | cand.tau) <= trunk(cand.rho3)
+        ):
+            return "S(1)"
+        if not trunk(cand.tau) <= trunk(cand.rho1) | trunk(cand.rho3):
+            return "S(2)"
+        if not trunk(cand.rho1 | cand.rho3 | cand.tau) <= trunk(cand.sigma2):
+            return "S(3)"
+        return None
+
+    def hub_spoke_pattern(s1, s2, s3, tau):
+        hub = s1 | s2 | s3
+        hub_facets = [f for f in canon_facets if hub <= f]
+        spokes = [[f for f in canon_facets if (sigma | tau) <= f] for sigma in (s1, s2, s3)]
+        for g in hub_facets:
+            for j in range(3):
+                for k in range(j + 1, 3):
+                    for fj in spokes[j]:
+                        for fk in spokes[k]:
+                            if g & fj & fk:
+                                return False
+        return True
+
+    pool = set()
+    for face in max_intersection_faces(canon_facets):
+        pool.add(face)
+        members = sorted(face)
+        for r in range(1, min(len(members), _POOL_SUBSET_BOUND) + 1):
+            pool.update(frozenset(c) for c in combinations(members, r))
+    pool = sort_words(pool)
+    taus = [
+        f
+        for f in sort_words(max_intersection_faces(canon_facets))
+        if f not in canon.codewords
+    ]
+    for tau in taus:
+        tk_tau = trunk(tau)
+        rho_pool = [r for r in pool if trunk(r) <= tk_tau]
+        if not rho_pool:
+            continue
+        for s1 in pool:
+            k1 = word_sort_key(s1)
+            for s2 in pool:
+                for s3 in pool:
+                    if word_sort_key(s3) < k1:
+                        continue  # mirror symmetry (s1,rho1) <-> (s3,rho3)
+                    if box[0] <= 0:
+                        return None
+                    box[0] -= 1
+                    if check_wheel(s1, s2, s3, tau) is not None:
+                        continue
+                    if not hub_spoke_pattern(s1, s2, s3, tau):
+                        continue
+                    for r1 in rho_pool:
+                        for r3 in rho_pool:
+                            if box[0] <= 0:
+                                return None
+                            box[0] -= 1
+                            cand = SprocketCandidate(s1, s2, s3, tau, r1, r3)
+                            if check_witnesses(cand) is None:
+                                mapped = SprocketCandidate(
+                                    *(frozenset(inverse[i] for i in w) for w in cand.words())
+                                )
+                                ok, _tag = is_sprocket(code, mapped)
+                                if not ok or not covers_exactly(code, mapped):
+                                    raise AssertionError(
+                                        "relabeled sprocket failed replay on the original code"
+                                    )
+                                return mapped
+    return None

@@ -184,4 +184,4 @@ class TestAtlasCommand:
 def test_version_flag(capsys):
     status, out, _ = run(capsys, "--version")
     assert status == 0
-    assert "convexcodes" in out
+    assert out == "convexcodes 0.1.0\n"

@@ -243,6 +243,15 @@ class TestAnalyze:
             "realization",
         }
 
+    def test_unused_declared_neuron_gets_no_realization(self):
+        # neurons 4 and 5 are declared but appear in no codeword, so no
+        # region can realize them; analyze reports that instead of raising
+        code = NeuralCode([{1, 2}, {2, 3}, {2}], n=5)
+        doc = analyze(code).to_json()
+        assert doc["verdict"] == "CONVEX"
+        assert doc["realization"] is None
+        assert analyze(NeuralCode(code.codewords)).to_json()["realization"] is not None
+
     def test_realization_attached_when_buildable(self, c22):
         doc = analyze(c22).to_json()
         assert doc["realization"] is not None

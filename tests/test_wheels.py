@@ -12,9 +12,11 @@ from convexcodes import (
     parse_code,
     relabel,
 )
-from convexcodes.codes import relabel_word
+from convexcodes.codes import max_intersection_faces, relabel_word, sort_words
+from convexcodes.wheels import _find_sprocket, _search_relabeling
 
 from conftest import fs
+from oracles import reference_find_sprocket, reference_search_relabeling
 
 
 def cand(s1, s2, s3, tau, r1, r3):
@@ -162,3 +164,76 @@ class TestSprocketEquivariance:
     def test_canonical_collapse(self, c24, w3):
         # C24 and W3 are the same code up to relabeling
         assert canonicalize(c24).code == canonicalize(w3).code
+
+
+def _seeded_search_codes(seed, count):
+    """Minimal codes of random 4-6-facet families on <= 7 neurons.
+
+    Every other family also gets a random subset of its max-intersection
+    faces, so both minimal and larger codes reach the search.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(5, 7)
+        facets = set()
+        for _ in range(rng.randint(4, 6)):
+            f = frozenset(i for i in range(1, n + 1) if rng.random() < 0.5)
+            if len(f) >= 2:
+                facets.add(f)
+        facets = [f for f in facets if not any(f < g for g in facets)]
+        if not 4 <= len(facets) <= 6:
+            continue
+        try:
+            code = minimal_code(facets)
+        except ValueError:  # contractibility unresolved beyond four facets
+            continue
+        if len(out) % 2:
+            extra = [f for f in sort_words(max_intersection_faces(facets)) if rng.random() < 0.5]
+            code = NeuralCode(code.codewords | frozenset(extra))
+        out.append(code)
+    return out
+
+
+def _run(search, code, budget):
+    box = [budget]
+    got = search(code, box)
+    return (None if got is None else got.words()), box[0]
+
+
+class TestSearchAgainstReference:
+    """The bitmask search returns what the frozenset loop returns, and
+    leaves the same budget, at every budget."""
+
+    FULL = 10_000
+
+    def _check(self, code, rng):
+        words, left = _run(reference_find_sprocket, code, self.FULL)
+        used = self.FULL - left
+        budgets = {0, 1, used - 1, used, used + 1, self.FULL}
+        budgets.update(rng.randint(0, max(used, 1)) for _ in range(3))
+        for budget in sorted(b for b in budgets if b >= 0):
+            assert _run(_find_sprocket, code, budget) == _run(
+                reference_find_sprocket, code, budget
+            ), (sorted(map(sorted, code.codewords)), budget)
+        return words is not None, used
+
+    def test_golden_codes(self, c22, c24, c26_corrected, d28, w3):
+        rng = random.Random(11)
+        for code in (c22, c24, c26_corrected, d28, w3):
+            self._check(code, rng)
+
+    def test_seeded_four_to_six_facet_codes(self):
+        rng = random.Random(12)
+        found = searched = 0
+        for code in _seeded_search_codes(2026, 40):
+            hit, used = self._check(code, rng)
+            found += hit
+            searched += used > 0
+        # the sample reaches both outcomes of a search that spends budget
+        assert found and searched > found
+
+    def test_relabeling_matches_reference(self, c22, c24, d28, w3):
+        codes = [c22, c24, d28, w3] + _seeded_search_codes(7, 20)
+        for code in codes:
+            assert _search_relabeling(code) == reference_search_relabeling(code)
