@@ -103,7 +103,6 @@ def atlas_rows(
     max_neurons: int,
     num_facets: int,
     budget: int = DEFAULT_BUDGET,
-    minimal_only: bool = False,
 ) -> Tuple[List[AtlasRow], int]:
     """All atlas rows plus the count of skipped configurations.
 
@@ -112,9 +111,7 @@ def atlas_rows(
     same labels.  A configuration is skipped only when its minimal code is
     undecidable (a link too large to classify), which cannot happen within
     the default caps.  Rows are unique by code text and deterministically
-    ordered.  minimal_only filters to rows whose code equals its minimal
-    code; the atlas builds minimal codes, so today the filter keeps every
-    row.
+    ordered.
     """
     rows: List[AtlasRow] = []
     seen = set()
@@ -151,8 +148,6 @@ def atlas_rows(
             certificate=certificate,
             sprocket=sprocket,
         )
-        if minimal_only and not row.minimal:
-            continue
         rows.append(row)
     return rows, skipped
 

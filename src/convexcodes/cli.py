@@ -89,8 +89,6 @@ def _build_parser() -> _Parser:
                    help=f"max neurons (default {DEFAULT_NEURON_CAP})")
     p.add_argument("--facets", type=int, default=DEFAULT_FACET_CAP,
                    help=f"number of maximal codewords (default {DEFAULT_FACET_CAP})")
-    p.add_argument("--minimal-only", action="store_true",
-                   help="keep only codes equal to their minimal code")
     p.add_argument("--unsafe", action="store_true",
                    help=f"allow caps beyond {DEFAULT_NEURON_CAP} neurons / "
                         f"{DEFAULT_FACET_CAP} facets")
@@ -280,9 +278,7 @@ def _cmd_atlas(args) -> int:
     if args.neurons < 1 or args.facets < 1:
         print("convexcodes: --neurons and --facets must be positive", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    rows, skipped = atlas_rows(
-        args.neurons, args.facets, budget=args.budget, minimal_only=args.minimal_only
-    )
+    rows, skipped = atlas_rows(args.neurons, args.facets, budget=args.budget)
     meta = _meta_line(args)[2:] if args.meta else None
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -50,9 +50,7 @@ class Verdict(Enum):
     UNKNOWN = "UNKNOWN"
 
 
-# certificate kinds; Monotonicity is part of the vocabulary for replay
-# tooling but the pipeline never emits it (nothing is concluded from
-# supercodes here)
+# certificate kinds
 KIND_MAX_INTERSECTION_COMPLETE = "MaxIntersectionComplete"
 KIND_LOCAL_OBSTRUCTION = "LocalObstruction"
 KIND_SPROCKET = "Sprocket"
@@ -61,7 +59,6 @@ KIND_L24_MINIMAL_POF_CONVEX = "L24MinimalPoFConvex"
 KIND_L24_MINIMAL_POF_SPROCKET = "L24MinimalPoFSprocket"
 KIND_NO_TWO_SIMPLEX_NERVE = "NoTwoSimplexNerve"
 KIND_DISCONNECTED_DECOMPOSITION = "DisconnectedDecomposition"
-KIND_MONOTONICITY = "Monotonicity"
 KIND_INDETERMINATE_CONTRACTIBILITY = "IndeterminateContractibility"
 
 
@@ -114,8 +111,6 @@ class Certificate:
         if k == KIND_INDETERMINATE_CONTRACTIBILITY:
             faces = ", ".join(format_word(f, braced=True) for f in self.faces)
             return f"{k}: contractibility unresolved for {faces}"
-        if k == KIND_MONOTONICITY:
-            return f"{k}: convex sub-code on the same simplicial complex"
         return k
 
 

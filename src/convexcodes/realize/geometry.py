@@ -18,6 +18,7 @@ arrangement receives at least one sample by construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -256,8 +257,19 @@ def _patterns_2d(polygons: List[Polygon]) -> frozenset:
 
 
 # Membership patterns depend only on the distinct regions, so they are
-# memoized; neurons sharing a region are reattached afterwards.
-_PATTERN_CACHE: Dict[tuple, frozenset] = {}
+# memoized by region signatures; neurons sharing a region are reattached
+# afterwards.  The bound keeps a long-running process from growing without
+# limit while holding the few dozen arrangements a batch of realizations
+# typically revisits.
+_PATTERN_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_PATTERN_CACHE_SIZE)
+def _patterns(dimension: int, signatures: tuple) -> frozenset:
+    """Membership patterns of the distinct regions named by signatures."""
+    if dimension == 1:
+        return _patterns_1d([Interval(lo, hi) for _tag, lo, hi in signatures])
+    return _patterns_2d([Polygon(vs) for _tag, vs in signatures])
 
 
 def code_of_realization(r: Realization) -> NeuralCode:
@@ -280,18 +292,9 @@ def code_of_realization(r: Realization) -> NeuralCode:
     for neuron in neurons:
         groups.setdefault(_region_signature(r.regions[neuron]), []).append(neuron)
     signatures = sorted(groups)
-    key = (r.dimension, tuple(signatures))
-    patterns = _PATTERN_CACHE.get(key)
-    if patterns is None:
-        regions = [r.regions[groups[sig][0]] for sig in signatures]
-        if r.dimension == 1:
-            patterns = _patterns_1d(regions)
-        else:
-            patterns = _patterns_2d(regions)
-        _PATTERN_CACHE[key] = patterns
 
     words = {frozenset()}
-    for pattern in patterns:
+    for pattern in _patterns(r.dimension, tuple(signatures)):
         word = set()
         for idx in pattern:
             word.update(groups[signatures[idx]])

@@ -4,6 +4,11 @@ Links, nerves, the 28-class catalog of complexes on up to four vertices,
 contractibility by elementary-collapse search, mandatory faces, minimal
 codes, local obstructions, and the Path-of-Facets test.
 
+Classification on at most four vertices is one dictionary lookup: at import
+every relabeling of every reference class is expanded into a table of all
+126 labeled complexes on 1..k vertices, each entry holding its class, the
+lexicographically least witness relabeling and the contractibility bit.
+
 Contractibility of a complex on at most four vertices is exact: the class
 catalog is closed under vertex permutation, and per class the collapse
 oracle is cross-checked against the necessary condition (connected and
@@ -239,47 +244,24 @@ class ClassifiedNerve:
         return dict(self.relabeling)
 
 
-def classify_small_complex(sc: SimplicialComplex) -> ClassifiedNerve:
-    """Identify the L1..L28 class of a complex on 1..4 vertices.
+def _build_class_table() -> Dict[frozenset, tuple]:
+    """Every labeled complex on vertices 1..k (k <= 4), keyed by facet bitmasks.
 
-    The witness relabeling is the lexicographically least valid one (as the
-    tuple of reference labels assigned to the sorted input vertices).
+    Bit i-1 of a mask stands for vertex i.  Each value is (class_id, images,
+    contractible), where images[i] is the reference label of vertex i+1.
+    Classes are walked in _CLASSES_BY_SIZE order and permutations in lex
+    order, and setdefault keeps the first hit, so every entry holds the
+    lexicographically least witness.
+
+    Contractibility per class comes from the collapse oracle, cross-checked
+    against the necessary condition (connected, Euler characteristic 1); any
+    disagreement means the oracle pipeline is broken and raises instead of
+    guessing.
     """
-    verts = sorted(sc.vertices)
-    k = len(verts)
-    if not 1 <= k <= 4:
-        raise ValueError(f"classification requires 1..4 vertices, got {k}")
-    input_facets = frozenset(sc.facets)
-    for class_id in _CLASSES_BY_SIZE[k]:
-        ref = frozenset(REFERENCE_COMPLEXES[class_id].facets)
-        for images in itertools.permutations(range(1, k + 1)):
-            mapping = dict(zip(verts, images))
-            mapped = frozenset(frozenset(mapping[v] for v in f) for f in input_facets)
-            if mapped == ref:
-                # permutations() yields images in lex order, so the first
-                # valid assignment is the least witness
-                return ClassifiedNerve(
-                    class_id,
-                    tuple(sorted(mapping.items())),
-                    _contractibility_table()[class_id],
-                )
-    raise AssertionError("complex matched no reference class; catalog is broken")
-
-
-_TABLE_CACHE: Optional[Dict[str, bool]] = None
-
-
-def _contractibility_table() -> Dict[str, bool]:
-    """Contractibility per class, generated by the collapse oracle.
-
-    Cross-checked against the necessary condition (connected, Euler
-    characteristic 1); any disagreement means the oracle pipeline is broken
-    and raises instead of guessing.
-    """
-    global _TABLE_CACHE
-    if _TABLE_CACHE is None:
-        table = {}
-        for class_id, sc in REFERENCE_COMPLEXES.items():
+    table: Dict[frozenset, tuple] = {}
+    for k, class_ids in _CLASSES_BY_SIZE.items():
+        for class_id in class_ids:
+            sc = REFERENCE_COMPLEXES[class_id]
             coll = is_collapsible(sc.all_faces())
             necessary = sc.is_connected() and sc.euler_characteristic() == 1
             if coll is None or coll != necessary:
@@ -287,13 +269,44 @@ def _contractibility_table() -> Dict[str, bool]:
                     f"contractibility oracle disagreement on {class_id}: "
                     f"collapsible={coll}, connected+chi1={necessary}"
                 )
-            table[class_id] = coll
-        _TABLE_CACHE = table
-    return _TABLE_CACHE
+            for images in itertools.permutations(range(1, k + 1)):
+                # the input vertex that images sends onto reference label r
+                bit = {r: 1 << v for v, r in enumerate(images)}
+                key = frozenset(sum(bit[r] for r in f) for f in sc.facets)
+                table.setdefault(key, (class_id, images, coll))
+    return table
+
+
+_CLASS_TABLE = _build_class_table()
+
+
+def classify_small_complex(sc: SimplicialComplex) -> ClassifiedNerve:
+    """Identify the L1..L28 class of a complex on 1..4 vertices.
+
+    A lookup in a table of all labeled complexes on 1..4 vertices, built once
+    at import: the sorted input vertices are relabeled 1..k and the facet set
+    is the key.  The witness relabeling is the lexicographically least valid
+    one (as the tuple of reference labels assigned to the sorted input
+    vertices).
+    """
+    verts = sorted(sc.vertices)
+    k = len(verts)
+    if not 1 <= k <= 4:
+        raise ValueError(f"classification requires 1..4 vertices, got {k}")
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    key = frozenset(sum(bit[v] for v in f) for f in sc.facets)
+    hit = _CLASS_TABLE.get(key)
+    if hit is None:
+        raise AssertionError("complex matched no reference class; catalog is broken")
+    class_id, images, contractible = hit
+    return ClassifiedNerve(class_id, tuple(zip(verts, images)), contractible)
 
 
 def is_contractible_small(sc: SimplicialComplex) -> bool:
-    """Exact contractibility for complexes on at most four vertices."""
+    """Exact contractibility for complexes on at most four vertices.
+
+    Read from the same import-time table as classify_small_complex.
+    """
     return classify_small_complex(sc).contractible
 
 

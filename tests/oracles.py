@@ -2,11 +2,12 @@
 
 Everything here recomputes from first principles: full face posets,
 exhaustive elementary-collapse search, and pointwise membership sampling
-with exact rationals.  Nothing imports the classification table or the
-arrangement code under test, except the reference sprocket search at the
-end, which reuses the package's predicates (nerve classification, the
-canonical L24 construction and is_sprocket) around the search loop it
-checks.
+with exact rationals.  Nothing imports the package's classification table
+or the arrangement code under test.  Two reference searches reuse package
+data: the classification scan reads the L1..L28 reference catalog (not the
+lookup table built from it), and the sprocket search reuses the package's
+predicates (nerve classification, the canonical L24 construction and
+is_sprocket) around the search loop it checks.
 """
 
 from fractions import Fraction
@@ -97,6 +98,41 @@ def contractible_small(facets):
             f"connected chi=1 complex failed to collapse: {sorted(map(sorted, facets))}"
         )
     return collapsible
+
+
+def reference_classify_small_complex(sc):
+    """Permutation-scan classification of a complex on 1..4 vertices.
+
+    The loop convexcodes.topology.classify_small_complex replaced with a
+    table lookup: every reference class of the right size times every
+    relabeling in lex order, so the first hit is the least witness.
+    Contractibility comes from contractible_small on the reference facets.
+    """
+    from convexcodes.topology import (
+        _CLASSES_BY_SIZE,
+        REFERENCE_COMPLEXES,
+        ClassifiedNerve,
+    )
+
+    verts = sorted(sc.vertices)
+    k = len(verts)
+    if not 1 <= k <= 4:
+        raise ValueError(f"classification requires 1..4 vertices, got {k}")
+    input_facets = frozenset(sc.facets)
+    for class_id in _CLASSES_BY_SIZE[k]:
+        ref = frozenset(REFERENCE_COMPLEXES[class_id].facets)
+        for images in permutations(range(1, k + 1)):
+            mapping = dict(zip(verts, images))
+            mapped = frozenset(frozenset(mapping[v] for v in f) for f in input_facets)
+            if mapped == ref:
+                # permutations() yields images in lex order, so the first
+                # valid assignment is the least witness
+                return ClassifiedNerve(
+                    class_id,
+                    tuple(sorted(mapping.items())),
+                    contractible_small(ref),
+                )
+    raise AssertionError("complex matched no reference class; catalog is broken")
 
 
 def interval_code_oracle(regions):

@@ -93,11 +93,6 @@ class TestAtlasRows:
             code = parse_code(r.code)
             assert code.n == r.neurons or not code.support()
 
-    def test_minimal_only_keeps_everything(self):
-        plain, _ = atlas_rows(5, 3)
-        filtered, _ = atlas_rows(5, 3, minimal_only=True)
-        assert plain == filtered
-
     def test_single_nonconvex_row_is_the_literature_code(self):
         rows, skipped = atlas_rows(6, 4)
         assert skipped == 0

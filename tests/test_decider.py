@@ -207,7 +207,6 @@ class TestCertificateText:
         _, certs = decide(c26_printed)
         assert "{3}" in certs[0].text()
         assert "NoTwoSimplexNerve" in Certificate("NoTwoSimplexNerve").text()
-        assert "Monotonicity" in Certificate("Monotonicity").text()
 
 
 class TestAnalyze:

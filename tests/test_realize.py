@@ -157,6 +157,18 @@ class TestCodeOfRealization:
             frozenset(), fs("1"), fs("2"),
         }
 
+    def test_pattern_cache_stays_bounded(self):
+        from convexcodes.realize.geometry import _PATTERN_CACHE_SIZE, _patterns
+
+        for i in range(1, _PATTERN_CACHE_SIZE + 50):
+            # the labels make each code distinct, the widths each arrangement
+            r = Realization(1, {i: Interval(0, 2), i + 1: Interval(1, 2 + i)})
+            assert code_of_realization(r).codewords == {
+                frozenset(), frozenset({i}), frozenset({i, i + 1}), frozenset({i + 1}),
+            }
+            assert _patterns.cache_info().currsize <= _PATTERN_CACHE_SIZE
+        assert _patterns.cache_info().currsize == _PATTERN_CACHE_SIZE
+
 
 class TestVerify:
     def test_c22_round_trip(self, c22):

@@ -325,6 +325,24 @@ class TestClassificationExhaustive:
                 got = classify_small_complex(SimplicialComplex(mapped)).class_id
                 assert got == base
 
+    def test_table_matches_permutation_scan_under_random_labels(self):
+        """All 126 labeled complexes, relabeled at random, agree with the scan."""
+        rng = random.Random(2024)
+        families = [f for k in (1, 2, 3, 4) for f in all_complexes_on(k)]
+        assert len(families) == 126
+        for family in families:
+            k = len(frozenset().union(*family))
+            for _ in range(4):
+                labels = rng.sample(range(1, 60), k)
+                sc = SimplicialComplex(
+                    frozenset(labels[v - 1] for v in f) for f in family
+                )
+                got = classify_small_complex(sc)
+                want = oracles.reference_classify_small_complex(sc)
+                assert got.class_id == want.class_id, family
+                assert got.relabeling == want.relabeling, family
+                assert got.contractible == want.contractible, family
+
 
 def test_indeterminate_refuses_truth_coercion():
     with pytest.raises(TypeError):
