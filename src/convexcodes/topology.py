@@ -21,8 +21,9 @@ checks and may report INDETERMINATE.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Dict, Iterable, Optional
 
 from .codes import (
     EMPTY,
@@ -75,10 +76,6 @@ class SimplicialComplex:
         for f in self.facets:
             out |= f
         return frozenset(out)
-
-    def has_face(self, sigma: Iterable[int]) -> bool:
-        s = frozenset(sigma)
-        return any(s <= f for f in self.facets)
 
     def all_faces(self) -> frozenset:
         """Every nonempty face."""
@@ -178,8 +175,6 @@ _REF = {
 }
 
 REFERENCE_COMPLEXES = {name: SimplicialComplex(f) for name, f in _REF.items()}
-
-_CLASS_IDS = tuple(f"L{i}" for i in range(1, 29))
 
 _CLASSES_BY_SIZE = {
     1: ("L1",),
@@ -373,24 +368,108 @@ class MandatoryFaces(frozenset):
         return self
 
 
+@dataclass(frozen=True, eq=False)
+class CodeStructure:
+    """The facts the pipeline reads about one code, each derived once.
+
+    Built at the top of each public entry point and passed down for that
+    call only; it is never stored on the code or in a module-level cache.
+    Every field is computed on first read, so an early exit pays only for
+    what it read.  Link contractibility is memoized per face and shared by
+    the obstruction scan and the mandatory faces.
+    """
+
+    code: NeuralCode
+    _links: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def facets(self) -> list:
+        return maximal_codewords(self.code)
+
+    @cached_property
+    def max_intersections(self) -> list:
+        return sort_words(max_intersection_faces(self.facets))
+
+    @cached_property
+    def missing(self) -> list:
+        """Max-intersection faces that are not codewords, in canonical order."""
+        return [f for f in self.max_intersections if f not in self.code.codewords]
+
+    @cached_property
+    def nerve_complex(self) -> SimplicialComplex:
+        return nerve(self.facets)
+
+    @cached_property
+    def classified(self) -> Optional[ClassifiedNerve]:
+        """The nerve's class for one to four facets, else None."""
+        if not 1 <= len(self.facets) <= 4:
+            return None
+        return classify_small_complex(self.nerve_complex)
+
+    @cached_property
+    def by_ref(self) -> dict:
+        """Reference vertex label -> facet, for a classified nerve."""
+        return {ref: self.facets[pos - 1] for pos, ref in self.classified.relabeling}
+
+    def link_contractible(self, face: Codeword):
+        if face not in self._links:
+            self._links[face] = is_link_contractible(self.facets, face)
+        return self._links[face]
+
+    @cached_property
+    def mandatory(self) -> MandatoryFaces:
+        """Facets plus every max-intersection face with non-contractible link."""
+        out, undecided = set(self.facets), set()
+        for face in self.max_intersections:
+            res = self.link_contractible(face)
+            if res is INDETERMINATE:
+                undecided.add(face)
+            elif not res:
+                out.add(face)
+        return MandatoryFaces(out, undecided)
+
+    @cached_property
+    def obstruction(self):
+        """See has_local_obstruction."""
+        saw_undecided = False
+        for face in self.missing:
+            res = self.link_contractible(face)
+            if res is INDETERMINATE:
+                saw_undecided = True
+            elif not res:
+                return face
+        return INDETERMINATE if saw_undecided else None
+
+    @cached_property
+    def is_minimal(self) -> bool:
+        """Whether the code is exactly its mandatory faces plus the empty word."""
+        mand = self.mandatory
+        return not mand.undecided and self.code.codewords == mand | {EMPTY}
+
+    @cached_property
+    def components(self) -> list:
+        """Per nerve component, the structure of the codewords below its facets.
+
+        Neuron labels are kept; [self] when the nerve is connected.
+        """
+        parts = self.nerve_complex.components()
+        if len(parts) <= 1:
+            return [self]
+        out = []
+        for part in parts:
+            below = [self.facets[p - 1] for p in part]
+            words = [w for w in self.code.codewords if w and any(w <= f for f in below)]
+            out.append(CodeStructure(NeuralCode(words)))
+        return out
+
+
 def mandatory_faces(facets: Iterable[Codeword]) -> MandatoryFaces:
-    """All faces with non-contractible link.
+    """All faces with non-contractible link of the complex with these facets.
 
     Only facets and max-intersection faces can qualify, so only those are
     scanned.  Facets are always mandatory.
     """
-    fl = [frozenset(f) for f in facets]
-    out = set(fl)
-    undecided = set()
-    for cand in sort_words(max_intersection_faces(fl)):
-        if cand in out:
-            continue
-        res = is_link_contractible(fl, cand)
-        if res is INDETERMINATE:
-            undecided.add(cand)
-        elif not res:
-            out.add(cand)
-    return MandatoryFaces(out, undecided)
+    return CodeStructure(NeuralCode(facets)).mandatory
 
 
 def minimal_code(facets: Iterable[Codeword]) -> NeuralCode:
@@ -412,18 +491,7 @@ def has_local_obstruction(code: NeuralCode):
     four facets).  Only candidates absent from the code are examined, so
     max-intersection-complete codes short-circuit without link computations.
     """
-    facets = maximal_codewords(code)
-    missing = [
-        f for f in sort_words(max_intersection_faces(facets)) if f not in code.codewords
-    ]
-    saw_undecided = False
-    for cand in missing:
-        res = is_link_contractible(facets, cand)
-        if res is INDETERMINATE:
-            saw_undecided = True
-        elif not res:
-            return cand
-    return INDETERMINATE if saw_undecided else None
+    return CodeStructure(code).obstruction
 
 
 @dataclass(frozen=True)

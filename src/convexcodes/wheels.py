@@ -23,7 +23,10 @@ from .codes import (
     sort_words,
     trunk,
 )
-from .topology import classify_small_complex, nerve, path_of_facets
+from .topology import CodeStructure, path_of_facets
+
+# not called here: kept importable because the benchmark tracer patches these names
+from .topology import classify_small_complex, nerve
 
 
 @dataclass(frozen=True)
@@ -144,13 +147,16 @@ def canonical_l24_sprocket(code: NeuralCode) -> Optional[SprocketCandidate]:
     or when the assembled candidate does not validate against the code
     (possible for codes larger than the minimal one).
     """
-    facets = maximal_codewords(code)
-    if len(facets) != 4:
-        raise ValueError(f"code has {len(facets)} maximal codewords, need 4")
-    cls = classify_small_complex(nerve(facets))
-    if cls.class_id != "L24":
-        raise ValueError(f"nerve class is {cls.class_id}, need L24")
-    by_ref = {ref: facets[pos - 1] for pos, ref in cls.relabeling}
+    s = CodeStructure(code)
+    if len(s.facets) != 4:
+        raise ValueError(f"code has {len(s.facets)} maximal codewords, need 4")
+    if s.classified.class_id != "L24":
+        raise ValueError(f"nerve class is {s.classified.class_id}, need L24")
+    return _l24_sprocket(s)
+
+
+def _l24_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
+    by_ref = s.by_ref
     triangle = (by_ref[1], by_ref[2], by_ref[3])
     f4 = by_ref[4]
     pof = path_of_facets(*triangle)
@@ -165,7 +171,7 @@ def canonical_l24_sprocket(code: NeuralCode) -> Optional[SprocketCandidate]:
         rho1=f1 & f2,
         rho3=f3 & f2,
     )
-    ok, _ = is_sprocket(code, cand)
+    ok, _ = is_sprocket(s.code, cand)
     return cand if ok else None
 
 
@@ -365,26 +371,23 @@ def find_sprocket(
     Candidates passing the bare S conditions but reaching outside Tk(tau)
     occur even in convex codes, so the search treats them as noise.
     """
-    box = [budget]
-    return _find_sprocket(code, box)
+    return _find_sprocket(CodeStructure(code), [budget])
 
 
-def _find_sprocket(code: NeuralCode, box: list) -> Optional[SprocketCandidate]:
-    facets = maximal_codewords(code)
-
-    if len(facets) == 4:
-        cls = classify_small_complex(nerve(facets))
-        if cls.class_id == "L24":
-            cand = canonical_l24_sprocket(code)
-            if cand is not None:
-                return cand
+def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
+    """find_sprocket on a code's structure, spending from box[0] in place."""
+    code = s.code
+    if len(s.facets) == 4 and s.classified.class_id == "L24":
+        cand = _l24_sprocket(s)
+        if cand is not None:
+            return cand
 
     nonempty = [w for w in code.codewords if w]
     if nonempty:
         common = frozenset.intersection(*nonempty)
         if common:
             stripped = NeuralCode(w - common for w in code.codewords)
-            cand = _find_sprocket(stripped, box)
+            cand = _find_sprocket(CodeStructure(stripped), box)
             if (
                 cand is not None
                 and is_sprocket(code, cand)[0]

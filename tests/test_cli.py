@@ -112,6 +112,13 @@ class TestRealizeCommand:
         assert status == 0
         assert path.read_text().lstrip().startswith("<svg")
 
+    def test_unwritable_svg_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.svg"
+        status, _, err = run(capsys, "realize", C22_TEXT, "--svg", str(path))
+        assert status == 5
+        assert "cannot write SVG" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestVerifyCommand:
     def test_round_trip(self, capsys, tmp_path):
@@ -132,6 +139,18 @@ class TestVerifyCommand:
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         status, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"), C22_TEXT)
         assert status == 5
+
+    @pytest.mark.parametrize("document", [
+        '{"dimension": 1, "regions": [{"neuron": 1, "interval": ["1/0", "2"]}]}',
+        '{"dimension": 1, "regions": [{"neuron": 1, "interval": [0, Infinity]}]}',
+        '{"dimension": 1, "regions": [{"neuron": 0, "interval": ["0", "1"]}]}',
+    ], ids=["zero-denominator", "infinity", "neuron-zero"])
+    def test_malformed_document_is_input_error(self, capsys, tmp_path, document):
+        path = tmp_path / "r.json"
+        path.write_text(document)
+        status, _, err = run(capsys, "verify", str(path), "1")
+        assert status == 5
+        assert "cannot read realization" in err
 
 
 class TestNerveCommand:

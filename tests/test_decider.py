@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+import convexcodes.topology
 from convexcodes import (
     Certificate,
     NeuralCode,
@@ -261,3 +263,21 @@ class TestAnalyze:
         verdict, certs = decide(c26_corrected)
         assert doc["verdict"] == verdict.value
         assert len(doc["certificates"]) == len(certs)
+
+    def test_each_link_computed_once(self, monkeypatch, c22, c24, w3, c26_corrected):
+        # the obstruction scan, the mandatory faces, the L24 branch and the
+        # builders all read one per-call memo of link contractibility
+        counts = Counter()
+        real = convexcodes.topology.is_link_contractible
+
+        def counting(facets, sigma):
+            counts[(tuple(facets), frozenset(sigma))] += 1
+            return real(facets, sigma)
+
+        monkeypatch.setattr(convexcodes.topology, "is_link_contractible", counting)
+        for code in (c22, c24, w3, c26_corrected):
+            counts.clear()
+            analyze(code)
+            assert counts, "analyze computed no link"
+            repeated = {key: n for key, n in counts.items() if n > 1}
+            assert not repeated, repeated

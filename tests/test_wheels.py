@@ -13,6 +13,7 @@ from convexcodes import (
     relabel,
 )
 from convexcodes.codes import max_intersection_faces, relabel_word, sort_words
+from convexcodes.topology import CodeStructure
 from convexcodes.wheels import _find_sprocket, _search_relabeling
 
 from conftest import fs
@@ -197,7 +198,8 @@ def _seeded_search_codes(seed, count):
 
 def _run(search, code, budget):
     box = [budget]
-    got = search(code, box)
+    # the bitmask search reads the code's structure, the reference the code
+    got = search(CodeStructure(code) if search is _find_sprocket else code, box)
     return (None if got is None else got.words()), box[0]
 
 
