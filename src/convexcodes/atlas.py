@@ -36,6 +36,13 @@ def enumerate_facet_antichains(max_neurons: int, num_facets: int) -> Iterator[li
     containing a given neuron).  Families are therefore enumerated as
     count vectors over cells and kept exactly when the vector is minimal
     over facet permutations, which also makes the stream deterministic.
+
+    Two cheap filters run before that orbit check and reject only vectors
+    it would reject.  Each cell carries a bitmask of the ordered facet
+    pairs (i, j) it witnesses (i in the cell, j not), and a family is an
+    antichain iff its cells' masks cover every pair.  The first k cells
+    are the singletons, which facet permutations merely permute, so a
+    minimal vector has nondecreasing singleton counts.
     """
     k = num_facets
     cells = sorted(
@@ -51,20 +58,24 @@ def enumerate_facet_antichains(max_neurons: int, num_facets: int) -> Iterator[li
         tuple(index[frozenset(p[i] for i in cell)] for cell in cells)
         for p in itertools.permutations(range(k))
     ][1:]
-    # cells witnessing that facet i is not contained in facet j
-    private = [
-        [c for c, cell in enumerate(cells) if i in cell and j not in cell]
-        for i in range(k)
-        for j in range(k)
-        if i != j
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    witness = [
+        sum(1 << p for p, (i, j) in enumerate(pairs) if i in cell and j not in cell)
+        for cell in cells
     ]
+    all_pairs = (1 << len(pairs)) - 1
     ncells = len(cells)
     for total in range(1, max_neurons + 1):
         for combo in itertools.combinations_with_replacement(range(ncells), total):
+            covered = 0
+            for c in combo:
+                covered |= witness[c]
+            if covered != all_pairs:
+                continue
             v = [0] * ncells
             for c in combo:
                 v[c] += 1
-            if not all(any(v[c] for c in cs) for cs in private):
+            if v[:k] != sorted(v[:k]):
                 continue
             vt = tuple(v)
             if any(tuple(vt[p[i]] for i in range(ncells)) < vt for p in orbit):

@@ -23,17 +23,14 @@ from .atlas import (
     write_atlas_csv,
 )
 from .codes import CodeParseError, NeuralCode, format_code, format_word, parse_code
-from .decider import Verdict, analyze, decide
-from .realize import (
-    build_realization,
-    realization_from_json,
-    render_svg,
-    verify_realization,
-)
+from .decider import Verdict, _decide, analyze, decide
+from .realize import realization_from_json, render_svg, verify_realization
+from .realize.builders import _build
 from .topology import CodeStructure
 from .wheels import DEFAULT_BUDGET
 
 # not called here: kept importable because the benchmark tracer patches these names
+from .realize import build_realization
 from .topology import classify_small_complex, nerve
 
 EXIT_CONVEX = 0
@@ -177,13 +174,16 @@ def _cmd_realize(args) -> int:
     code = _parse_code_arg(args.code)
     if args.meta:
         print(_meta_line(args))
-    verdict, certificates = decide(code, budget=args.budget)
+    s = CodeStructure(code)
+    verdict, certificates = _decide(s, args.budget)
     if verdict is not Verdict.CONVEX:
         _print_verdict(verdict, certificates)
         print(f"convexcodes: realization requires a CONVEX code, verdict is "
               f"{verdict.value}", file=sys.stderr)
         return _VERDICT_EXIT[verdict]
-    built = build_realization(code, budget=args.budget)
+    # parse_code sets n to the largest index used, so build_realization's
+    # unused-neuron check cannot fail here
+    built = _build(s)
     if built is None:
         _print_verdict(verdict, certificates)
         print("realization: not covered by a constructive family", file=sys.stderr)

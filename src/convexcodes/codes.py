@@ -237,41 +237,31 @@ def relabel_word(word: Codeword, perm: tuple) -> Codeword:
     return frozenset(perm[i - 1] for i in word)
 
 
-def _code_key(words: frozenset) -> tuple:
-    return tuple(sorted((word_sort_key(w) for w in words)))
-
-
 class CanonicalForm(NamedTuple):
     code: NeuralCode
     permutation: tuple
     exact: bool
 
 
-# exhaustive relabeling search is n! and stays exact up to this many neurons
+# the branch-and-bound relabeling search is exact up to this many neurons
 _EXACT_CANON_LIMIT = 8
 
 
 def canonicalize(code: NeuralCode) -> CanonicalForm:
     """Lexicographically least code over all neuron relabelings.
 
-    Exhaustive over all n! permutations for n <= 8 (exact=True); beyond that
-    a signature-refinement heuristic is used and exact=False.  Idempotent in
-    both regimes.
+    Exact for n <= 8 (exact=True): a branch-and-bound search over all
+    relabelings (see _least_relabeling) returns the least code and, among
+    the relabelings that reach it, the lexicographically least permutation.
+    Beyond that a signature-refinement heuristic is used and exact=False.
+    Idempotent in both regimes.
     """
     n = code.n
     if n == 0:
         return CanonicalForm(code, (), True)
     if n <= _EXACT_CANON_LIMIT:
-        best_key = None
-        best = None
-        for images in itertools.permutations(range(1, n + 1)):
-            words = frozenset(frozenset(images[i - 1] for i in w) for w in code.codewords)
-            key = _code_key(words)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (words, images)
-        words, images = best
-        return CanonicalForm(NeuralCode(words, n=n), tuple(images), True)
+        images = _least_relabeling(code)
+        return CanonicalForm(relabel(code, images), images, True)
     # heuristic: sort neurons by an occurrence signature, ties by index
     sigs = {}
     for i in range(1, n + 1):
@@ -283,3 +273,66 @@ def canonicalize(code: NeuralCode) -> CanonicalForm:
         images[old - 1] = new_label
     perm = tuple(images)
     return CanonicalForm(relabel(code, perm), perm, False)
+
+
+def _least_relabeling(code: NeuralCode) -> tuple:
+    """The least images tuple among the relabelings that give the least code.
+
+    Branch and bound over label assignments: labels 1, 2, ... go to one
+    neuron at a time.  A word's key is one int ordered as (size, sorted
+    labels), size * 2**n + 2**n - 1 - sum(2**(n - label)), and a code's key
+    is its sorted tuple of word keys.  A node's bound gives every word its
+    known labels followed by the smallest free ones; each word's final key
+    is at least that, so the code's key is at least the sorted bounds.
+    Children are visited in bound order and cut once their bound exceeds
+    the best key found.  Two neurons whose transposition maps the code onto
+    itself (twins, which lie in the same codewords, are one case) take
+    labels in index order: swapping their labels in any optimum gives an
+    optimum with a lex-smaller images tuple, so the lex-least one obeys the
+    order.  The result is the least (key, images) pair over the leaves
+    reached, which is what a lex-order scan of all n! permutations keeping
+    only strict-< improvements returns.
+    """
+    n = code.n
+    top = 1 << n
+    words = [sum(1 << (i - 1) for i in w) for w in code.codewords]
+    word_set = set(words)
+
+    def swapped(m, i, j):
+        return m ^ (1 << i | 1 << j) if (m >> i ^ m >> j) & 1 else m
+
+    # earlier[i]: neurons j < i that must be labeled before neuron i
+    earlier = [
+        sum(1 << j for j in range(i) if all(swapped(m, i, j) in word_set for m in words))
+        for i in range(n)
+    ]
+    images = [0] * n
+    best = None
+
+    def search(depth, free, rest, unknown):
+        # per word: rest is its key with only the known labels' terms
+        # subtracted, unknown the number of its neurons still unlabeled
+        nonlocal best
+        half = 1 << (n - depth - 1)
+        children = []
+        for i in range(n):
+            bit = 1 << i
+            if not free & bit or earlier[i] & free:
+                continue
+            r2 = [r - half if m & bit else r for r, m in zip(rest, words)]
+            u2 = [u - 1 if m & bit else u for u, m in zip(unknown, words)]
+            bound = tuple(sorted(r - half + (half >> u) for r, u in zip(r2, u2)))
+            children.append((bound, i, r2, u2))
+        children.sort(key=lambda child: child[0])  # stable: ties stay in index order
+        for bound, i, r2, u2 in children:
+            if best is not None and bound > best[0]:
+                break
+            images[i] = depth + 1
+            if depth + 1 < n:
+                search(depth + 1, free & ~(1 << i), r2, u2)
+            elif best is None or (bound, tuple(images)) < best:
+                best = (bound, tuple(images))
+
+    sizes = [bin(m).count("1") for m in words]
+    search(0, top - 1, [size * top + top - 1 for size in sizes], sizes)
+    return best[1]

@@ -91,12 +91,24 @@ class Realization:
         return {"dimension": self.dimension, "regions": rows}
 
 
+def _json_int(value, name: str) -> int:
+    # bool is an int subclass, and int() would truncate 1.9 or parse "1"
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def realization_from_json(doc: dict) -> Realization:
-    """ValueError on a zero denominator, a non-finite number or a neuron below 1."""
+    """Read a realization document; ValueError on malformed content.
+
+    Malformed: a zero denominator, a non-finite number, a neuron below 1,
+    or a neuron or dimension that is not a JSON integer (floats, strings
+    and booleans are refused, not truncated or converted).
+    """
     regions: Dict[int, Region] = {}
     try:
         for row in doc["regions"]:
-            neuron = int(row["neuron"])
+            neuron = _json_int(row["neuron"], "neuron index")
             if neuron < 1:
                 raise ValueError(f"neuron index must be a positive integer, got {neuron}")
             if "interval" in row:
@@ -106,7 +118,7 @@ def realization_from_json(doc: dict) -> Realization:
                 regions[neuron] = Polygon(
                     (parse_rational(x), parse_rational(y)) for x, y in row["polygon"]
                 )
-        dimension = int(doc["dimension"])
+        dimension = _json_int(doc["dimension"], "dimension")
     except (ZeroDivisionError, OverflowError) as err:
         raise ValueError(f"malformed number: {err}") from err
     return Realization(dimension=dimension, regions=regions)

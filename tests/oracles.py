@@ -7,11 +7,13 @@ or the arrangement code under test.  Two reference searches reuse package
 data: the classification scan reads the L1..L28 reference catalog (not the
 lookup table built from it), and the sprocket search reuses the package's
 predicates (nerve classification, the canonical L24 construction and
-is_sprocket) around the search loop it checks.
+is_sprocket) around the search loop it checks.  The canonical-form and
+atlas-enumeration references reuse only the package's value types and
+codeword order.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 
 def face_poset(facets):
@@ -403,3 +405,80 @@ def reference_find_sprocket(code, box):
                                     )
                                 return mapped
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference canonical form and atlas enumeration: the n! relabeling scan
+# and the per-vector antichain filter that convexcodes.codes.canonicalize
+# and convexcodes.atlas.enumerate_facet_antichains replaced, kept as they
+# were so the fast versions can be checked for equal outputs.
+
+
+def reference_canonicalize(code):
+    """Least code over all n! relabelings, first strict-< hit in lex order."""
+    from convexcodes.codes import CanonicalForm, NeuralCode, word_sort_key
+
+    def _code_key(words):
+        return tuple(sorted((word_sort_key(w) for w in words)))
+
+    n = code.n
+    if n == 0:
+        return CanonicalForm(code, (), True)
+    if n > 8:
+        raise ValueError("reference scan limited to 8 neurons")
+    best_key = None
+    best = None
+    for images in permutations(range(1, n + 1)):
+        words = frozenset(frozenset(images[i - 1] for i in w) for w in code.codewords)
+        key = _code_key(words)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (words, images)
+    words, images = best
+    return CanonicalForm(NeuralCode(words, n=n), tuple(images), True)
+
+
+def reference_enumerate_facet_antichains(max_neurons, num_facets):
+    """Count vectors over facet cells, kept when minimal over facet orders."""
+    from convexcodes.codes import sort_words
+
+    k = num_facets
+    cells = sorted(
+        (
+            frozenset(s)
+            for r in range(1, k + 1)
+            for s in combinations(range(k), r)
+        ),
+        key=lambda s: (len(s), sorted(s)),
+    )
+    index = {cell: i for i, cell in enumerate(cells)}
+    orbit = [
+        tuple(index[frozenset(p[i] for i in cell)] for cell in cells)
+        for p in permutations(range(k))
+    ][1:]
+    # cells witnessing that facet i is not contained in facet j
+    private = [
+        [c for c, cell in enumerate(cells) if i in cell and j not in cell]
+        for i in range(k)
+        for j in range(k)
+        if i != j
+    ]
+    ncells = len(cells)
+    for total in range(1, max_neurons + 1):
+        for combo in combinations_with_replacement(range(ncells), total):
+            v = [0] * ncells
+            for c in combo:
+                v[c] += 1
+            if not all(any(v[c] for c in cs) for cs in private):
+                continue
+            vt = tuple(v)
+            if any(tuple(vt[p[i]] for i in range(ncells)) < vt for p in orbit):
+                continue
+            facets = [set() for _ in range(k)]
+            neuron = 0
+            for c, cell in enumerate(cells):
+                for _ in range(v[c]):
+                    neuron += 1
+                    for i in cell:
+                        facets[i].add(neuron)
+            yield sort_words(frozenset(f) for f in facets)

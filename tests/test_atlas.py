@@ -1,10 +1,14 @@
+import hashlib
 import io
 import itertools
+
+import pytest
 
 from convexcodes import parse_code
 from convexcodes.atlas import atlas_rows, enumerate_facet_antichains, write_atlas_csv
 
 from conftest import W3_TEXT, fs
+from oracles import reference_enumerate_facet_antichains
 
 
 def antichain_classes_bruteforce(max_neurons, k):
@@ -69,6 +73,13 @@ class TestEnumeration:
         a = list(enumerate_facet_antichains(6, 4))
         b = list(enumerate_facet_antichains(6, 4))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "max_neurons,num_facets", [(6, 2), (6, 3), (6, 4), (5, 5), (7, 3), (4, 4)]
+    )
+    def test_stream_equals_reference(self, max_neurons, num_facets):
+        got = list(enumerate_facet_antichains(max_neurons, num_facets))
+        assert got == list(reference_enumerate_facet_antichains(max_neurons, num_facets))
 
     def test_population_sizes(self):
         # regression counts, cross-checked at small sizes by the brute oracle
@@ -158,3 +169,14 @@ class TestCsv:
         text = buf.getvalue()
         assert "# L24,NONCONVEX,1" in text
         assert "# L9,CONVEX," in text
+
+    @pytest.mark.parametrize("max_neurons,num_facets,digest", [
+        (6, 4, "15d8e4b2021f51e1bbb8b21c47704c84a76aaef12df072e5aaa61d5310e2a8c4"),
+        (5, 5, "986dc8954592e5d8ba4d9c3b2c01443fe6639bf5f4f1d62b3dd0e39fa28840f3"),
+    ])
+    def test_csv_bytes_pinned(self, max_neurons, num_facets, digest):
+        # sha256 of the CSV as first written by the n! canonical-form scan
+        rows, skipped = atlas_rows(max_neurons, num_facets)
+        buf = io.StringIO()
+        write_atlas_csv(rows, buf, skipped=skipped)
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest

@@ -112,6 +112,29 @@ class TestRealizeCommand:
         assert status == 0
         assert path.read_text().lstrip().startswith("<svg")
 
+    @pytest.mark.parametrize("text,expected_status", [
+        (C22_TEXT, 0), (C18B_TEXT, 0), (C24_TEXT + ", 1", 3), (C24_TEXT, 1),
+    ], ids=["C22", "C18B", "not-covered", "nonconvex"])
+    def test_decides_once(self, capsys, monkeypatch, text, expected_status):
+        import convexcodes.cli
+        import convexcodes.decider
+        import convexcodes.realize.builders
+
+        original = convexcodes.decider._decide
+        calls = []
+
+        def counting(s, budget):
+            calls.append(s.code)
+            return original(s, budget)
+
+        # every module that can reach the decider; the codes are connected,
+        # so no component recursion adds calls
+        for module in (convexcodes.cli, convexcodes.decider, convexcodes.realize.builders):
+            monkeypatch.setattr(module, "_decide", counting, raising=False)
+        status, _, _ = run(capsys, "realize", text)
+        assert status == expected_status
+        assert len(calls) == 1
+
     def test_unwritable_svg_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.svg"
         status, _, err = run(capsys, "realize", C22_TEXT, "--svg", str(path))
@@ -144,7 +167,15 @@ class TestVerifyCommand:
         '{"dimension": 1, "regions": [{"neuron": 1, "interval": ["1/0", "2"]}]}',
         '{"dimension": 1, "regions": [{"neuron": 1, "interval": [0, Infinity]}]}',
         '{"dimension": 1, "regions": [{"neuron": 0, "interval": ["0", "1"]}]}',
-    ], ids=["zero-denominator", "infinity", "neuron-zero"])
+        '{"dimension": 1, "regions": [{"neuron": 1.9, "interval": ["0", "1"]}]}',
+        '{"dimension": 1, "regions": [{"neuron": 1.0, "interval": ["0", "1"]}]}',
+        '{"dimension": 1, "regions": [{"neuron": true, "interval": ["0", "1"]}]}',
+        '{"dimension": 1, "regions": [{"neuron": "1", "interval": ["0", "1"]}]}',
+        '{"dimension": 1.5, "regions": [{"neuron": 1, "interval": ["0", "1"]}]}',
+        '{"dimension": true, "regions": [{"neuron": 1, "interval": ["0", "1"]}]}',
+    ], ids=["zero-denominator", "infinity", "neuron-zero", "neuron-fraction",
+            "neuron-float", "neuron-bool", "neuron-string", "dimension-fraction",
+            "dimension-bool"])
     def test_malformed_document_is_input_error(self, capsys, tmp_path, document):
         path = tmp_path / "r.json"
         path.write_text(document)

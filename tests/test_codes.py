@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from convexcodes import (
@@ -12,9 +14,12 @@ from convexcodes import (
     relabel,
     trunk,
 )
+from convexcodes.atlas import enumerate_facet_antichains
 from convexcodes.codes import is_face, sort_words
+from convexcodes.topology import minimal_code
 
 from conftest import fs
+from oracles import reference_canonicalize
 
 
 class TestParse:
@@ -184,6 +189,58 @@ class TestCanonicalize:
 
     def test_relabel_classes_collapse(self, c24, w3):
         assert canonicalize(c24).code == canonicalize(w3).code
+
+
+def _random_code(rng, n):
+    """Random code declaring n neurons, sometimes with twins or unused neurons."""
+    used = n - rng.randint(1, 2) if n > 2 and rng.random() < 0.15 else n
+    density = rng.uniform(0.2, 0.7)
+    words = [
+        {i for i in range(1, used + 1) if rng.random() < density}
+        for _ in range(rng.randint(0, 9))
+    ]
+    if used >= 2 and rng.random() < 0.4:
+        # neuron b lies in exactly the codewords of neuron a
+        a, b = rng.sample(range(1, used + 1), 2)
+        words = [(w - {b}) | ({b} if a in w else set()) for w in words]
+    return NeuralCode(words, n=n)
+
+
+class TestCanonicalizeAgainstReference:
+    """The branch-and-bound search returns what the n! scan returned."""
+
+    # codes per declared neuron count; the reference scan costs n! per code
+    COUNTS = {1: 100, 2: 200, 3: 300, 4: 400, 5: 532, 6: 400, 7: 60, 8: 8}
+
+    def test_seeded_random_codes(self):
+        rng = random.Random(20141)
+        checked = twins = unused = 0
+        for n, count in self.COUNTS.items():
+            for _ in range(count):
+                code = _random_code(rng, n)
+                assert canonicalize(code) == reference_canonicalize(code), code
+                checked += 1
+                support = code.support()
+                unused += len(support) < n
+                twins += any(
+                    all((a in w) == (b in w) for w in code.codewords)
+                    for a in support
+                    for b in support
+                    if a < b
+                )
+        assert checked >= 2000
+        assert twins >= 200 and unused >= 100
+
+    @pytest.mark.parametrize("max_neurons,num_facets", [(6, 4), (5, 5), (7, 3)])
+    def test_atlas_codes_under_random_relabelings(self, max_neurons, num_facets):
+        rng = random.Random(max_neurons * 10 + num_facets)
+        for facets in enumerate_facet_antichains(max_neurons, num_facets):
+            code = minimal_code(facets)
+            for _ in range(3):
+                images = list(range(1, code.n + 1))
+                rng.shuffle(images)
+                mapped = relabel(code, tuple(images))
+                assert canonicalize(mapped) == reference_canonicalize(mapped), mapped
 
 
 def test_sort_words_deterministic():
