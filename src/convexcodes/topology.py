@@ -1,8 +1,12 @@
 """Simplicial topology for small complexes.
 
 Links, nerves, the 28-class catalog of complexes on up to four vertices,
-contractibility by elementary-collapse search, mandatory faces, minimal
-codes, local obstructions, and the Path-of-Facets test.
+contractibility of links, mandatory faces, minimal codes, local
+obstructions, and the Path-of-Facets test.
+
+Nerves are built from facets only: the maximal occurrence masks of the
+input's elements are the nerve's facets, so no face list is ever formed
+on the way.
 
 Classification on at most four vertices is one dictionary lookup: at import
 every relabeling of every reference class is expanded into a table of all
@@ -14,8 +18,11 @@ catalog is closed under vertex permutation, and per class the collapse
 oracle is cross-checked against the necessary condition (connected and
 Euler characteristic 1), which is also sufficient at this size because the
 only non-contractible homotopy types reachable on four vertices fail one of
-the two.  Larger complexes fall back to collapse search plus the necessary
-checks and may report INDETERMINATE.
+the two.  Larger links are first reduced by strong collapses (dominated
+sets and elements of the facet-difference sets), which settles every
+strong-collapsible link as contractible; the rest fall back to the
+necessary checks plus an elementary-collapse search, run from an explicit
+stack, and may report INDETERMINATE.
 """
 
 from __future__ import annotations
@@ -70,6 +77,13 @@ class SimplicialComplex:
         dedup = sort_words(set(maximal))
         object.__setattr__(self, "facets", tuple(dedup))
 
+    @classmethod
+    def _from_facets(cls, facets: tuple) -> "SimplicialComplex":
+        """Wrap a sort_words-ordered antichain, skipping the maximality filter."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "facets", facets)
+        return self
+
     @property
     def vertices(self) -> frozenset:
         out = set()
@@ -113,32 +127,43 @@ class SimplicialComplex:
         return len(self.components()) <= 1
 
 
+def _nonempty_sets(sets: Iterable[Iterable[int]]) -> list:
+    sl = [frozenset(s) for s in sets]
+    if any(not s for s in sl):
+        raise ValueError("nerve input sets must be nonempty")
+    return sl
+
+
+def _maximal_masks(masks: Iterable[int]) -> list:
+    """The inclusion-maximal members of a set of bitmasks."""
+    kept: list = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if not any(m & k == m for k in kept):
+            kept.append(m)
+    return kept
+
+
 def nerve(sets: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Nerve of a list of nonempty sets, on vertex labels 1..m.
 
     A subset S of positions is a face iff the sets indexed by S have a
-    common element.  Returned by its facets.
+    common element.  Built from the dual without listing faces: each
+    element's occurrence mask (positions of the sets containing it) is a
+    face, every face lies in some occurrence mask, so the maximal masks are
+    exactly the facets.  Cost is linear in the input plus a pairwise filter
+    of the distinct masks, where enumerating faces costs 2^m when all m sets
+    share a point.
     """
-    sl = [frozenset(s) for s in sets]
-    if any(not s for s in sl):
-        raise ValueError("nerve input sets must be nonempty")
-    m = len(sl)
-    faces = {}
-    for i in range(1, m + 1):
-        faces[frozenset([i])] = sl[i - 1]
-    frontier = dict(faces)
-    while frontier:
-        nxt = {}
-        for face, inter in frontier.items():
-            for j in range(max(face) + 1, m + 1):
-                bigger = inter & sl[j - 1]
-                if bigger:
-                    key = face | {j}
-                    if key not in faces:
-                        faces[key] = bigger
-                        nxt[key] = bigger
-        frontier = nxt
-    return SimplicialComplex(faces.keys())
+    sl = _nonempty_sets(sets)
+    occ: Dict[int, int] = {}  # element -> positions of the sets holding it
+    for pos, s in enumerate(sl):
+        for x in s:
+            occ[x] = occ.get(x, 0) | 1 << pos
+    facets = [
+        frozenset(pos + 1 for pos in range(len(sl)) if m >> pos & 1)
+        for m in _maximal_masks(occ.values())
+    ]
+    return SimplicialComplex._from_facets(tuple(sort_words(facets)))
 
 
 # Reference complexes on up to four vertices, one per isomorphism class.
@@ -187,40 +212,49 @@ _CLASSES_BY_SIZE = {
 def is_collapsible(faces: Iterable[Codeword], budget: int = 200_000) -> Optional[bool]:
     """Whether the complex collapses to a point by elementary collapses.
 
-    Backtracking over all collapse orders with memoization; None when the
-    state budget runs out (possible only for larger inputs, never for
-    complexes on at most four vertices).
+    Depth-first backtracking over all collapse orders with memoization,
+    driven by an explicit stack so depth is bounded by memory rather than
+    the recursion limit.  Each state scans its faces in iteration order and
+    descends into the first free pair not yet tried; a state costs one unit
+    of budget when first expanded.  None when the budget runs out (possible
+    only for larger inputs, never for complexes on at most four vertices).
     """
     start = frozenset(frozenset(f) for f in faces)
     if not start:
         return False
     memo: Dict[frozenset, bool] = {}
-    remaining = [budget]
-
-    def rec(state: frozenset) -> Optional[bool]:
-        if len(state) == 1:
-            (only,) = state
-            return len(only) == 1
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        if remaining[0] <= 0:
-            return None
-        remaining[0] -= 1
-        result = False
-        for sigma in state:
-            supers = [t for t in state if sigma < t]
-            if len(supers) == 1:
-                sub = rec(state - {sigma, supers[0]})
-                if sub is None:
-                    return None
-                if sub:
-                    result = True
+    remaining = budget
+    frames: list = []  # (state, iterator over its faces) of the expanded states
+    state: Optional[frozenset] = start
+    value = False
+    while True:
+        if state is not None:
+            # enter a state: settle it at once or expand it
+            if len(state) == 1:
+                (only,) = state
+                value = len(only) == 1
+            elif state in memo:
+                value = memo[state]
+            elif remaining <= 0:
+                return None
+            else:
+                remaining -= 1
+                frames.append((state, iter(state)))
+                value = False
+            state = None
+        if not frames:
+            return value
+        top, untried = frames[-1]
+        if not value:
+            for sigma in untried:
+                supers = [t for t in top if sigma < t]
+                if len(supers) == 1:
+                    state = top - {sigma, supers[0]}
                     break
-        memo[state] = result
-        return result
-
-    return rec(start)
+            if state is not None:
+                continue
+        memo[top] = value
+        frames.pop()
 
 
 @dataclass(frozen=True)
@@ -328,10 +362,43 @@ def link_facet_sets(facets: Iterable[Codeword], sigma: Iterable[int]) -> list:
     return out
 
 
+def _strong_core_size(sets: Iterable[Iterable[int]]) -> int:
+    """Sets left after dominance reduction of a list of nonempty sets.
+
+    Repeatedly drop a set contained in another (one copy of equal sets is
+    kept) and an element whose occurrence mask is contained in another's
+    (one element per mask is kept).  Dropping such an element leaves the
+    nerve unchanged, and a set inside another is a dominated vertex of the
+    nerve, so each step is a strong collapse (Barmak & Minian, "Strong
+    homotopy types, nerves and collapses", DCG 2012).  A result of 1 means
+    the nerve is strong-collapsible, hence collapsible.
+    """
+    rows = [sum(1 << x for x in s) for s in _nonempty_sets(sets)]
+    while True:
+        rows = _maximal_masks(rows)
+        occ: Dict[int, int] = {}  # element bit -> positions of the rows holding it
+        for pos, rest in enumerate(rows):
+            while rest:
+                low = rest & -rest
+                occ[low] = occ.get(low, 0) | 1 << pos
+                rest ^= low
+        owner: Dict[int, int] = {}
+        for bit, m in occ.items():
+            owner.setdefault(m, bit)
+        keep = sum(owner[m] for m in _maximal_masks(owner))
+        if len(rows) == 1 or keep.bit_count() == len(occ):
+            return len(rows)
+        rows = [r & keep for r in rows]
+
+
 def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
     """True/False for contractibility of the link of sigma, else INDETERMINATE.
 
-    Exact for links whose facet-difference nerve has at most four vertices.
+    The link is homotopy-equivalent to the nerve of the facet-difference
+    sets.  Exact when those are at most four sets (table lookup).  Beyond
+    that, dominance reduction of the sets runs first and answers True when
+    one set is left; otherwise the nerve must be connected with Euler
+    characteristic 1, and an elementary-collapse search settles the rest.
     The link of a facet itself has empty geometric realization and counts as
     non-contractible, which is what makes facets mandatory.
     """
@@ -341,9 +408,11 @@ def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
     diffs = link_facet_sets(facets, s)
     if diffs == [EMPTY]:
         return False
+    if len(diffs) <= 4:
+        return is_contractible_small(nerve(diffs))
+    if _strong_core_size(diffs) == 1:
+        return True
     link_nerve = nerve(diffs)
-    if len(link_nerve.vertices) <= 4:
-        return is_contractible_small(link_nerve)
     if not link_nerve.is_connected() or link_nerve.euler_characteristic() != 1:
         return False
     coll = is_collapsible(link_nerve.all_faces())

@@ -196,7 +196,15 @@ def _search_relabeling(code: NeuralCode) -> Tuple[NeuralCode, Dict[int, int]]:
     Neurons are partitioned by a two-round occurrence profile and the
     lex-least relabeled code over profile-respecting assignments wins;
     exact whenever the tie groups admit at most 8! assignments (always
-    true for codes on <= 8 neurons).
+    true for codes on <= 8 neurons).  That cap is judged on the full count.
+
+    Assignments that put two interchangeable neurons (see
+    _twin_ordered_permutations) out of index order are never generated,
+    and this does not change the answer.  Swapping such a pair back maps
+    the relabeled code onto itself, so it keeps the key, and it yields a
+    combination earlier in product order.  The first assignment with the
+    least key therefore already has every such pair in order, and it is
+    the first with that key among the assignments that are generated.
     """
     support = sorted(code.support())
     if not support:
@@ -228,7 +236,7 @@ def _search_relabeling(code: NeuralCode) -> Tuple[NeuralCode, Dict[int, int]]:
     if total > _RELABEL_CAP:
         pools = [[tuple(g)] for g in groups]
     else:
-        pools = [list(itertools.permutations(g)) for g in groups]
+        pools = [_twin_ordered_permutations(g, code.codewords) for g in groups]
 
     # An assignment's key is the relabeled code's word_sort_key tuple in
     # sort_words order, with each word encoded as one int that sorts the
@@ -252,6 +260,40 @@ def _search_relabeling(code: NeuralCode) -> Tuple[NeuralCode, Dict[int, int]]:
     mapping = dict(zip(itertools.chain.from_iterable(best_combo), itertools.count(1)))
     inverse = {new: old for old, new in mapping.items()}
     return NeuralCode(frozenset(mapping[i] for i in w) for w in code.codewords), inverse
+
+
+def _twin_ordered_permutations(group: List[int], words: frozenset) -> List[tuple]:
+    """Orders of a tie group that keep interchangeable neurons in index order.
+
+    Two neurons are interchangeable when swapping them maps the code onto
+    itself; this is an equivalence relation, since the swaps of a class
+    generate its symmetric group.  The orders come out in the lexicographic
+    order of itertools.permutations(group), built directly rather than
+    filtered.  group is in increasing index order.
+    """
+    before: Dict[int, int] = {}  # neuron -> the next smaller neuron of its class
+    for j, b in enumerate(group):
+        for a in reversed(group[:j]):
+            swap = {a: b, b: a}
+            if all(frozenset(swap.get(i, i) for i in w) in words for w in words):
+                before[b] = a
+                break
+    out: List[tuple] = []
+    prefix: List[int] = []
+
+    def extend() -> None:
+        if len(prefix) == len(group):
+            out.append(tuple(prefix))
+            return
+        for i in group:
+            if i in prefix or (i in before and before[i] not in prefix):
+                continue
+            prefix.append(i)
+            extend()
+            prefix.pop()
+
+    extend()
+    return out
 
 
 def _remap_candidate(cand: SprocketCandidate, inverse: Dict[int, int]) -> SprocketCandidate:

@@ -22,6 +22,17 @@ def fs(compact: str) -> frozenset:
     return frozenset(int(ch) for ch in compact)
 
 
+def collapse_family(m: int) -> list:
+    """m facets {1,50,100+i} (i < m-2), {1,60,200}, {1,50,60}.
+
+    Neuron 1 is in every facet, so the nerve is one simplex on m vertices,
+    and the link of {1} is the nerve of m sets, m-1 of them sharing neuron
+    50.  The 100+i are m-2 interchangeable neurons.
+    """
+    raw = [frozenset({1, 50, 100 + i}) for i in range(m - 2)]
+    return raw + [frozenset({1, 60, 200}), frozenset({1, 50, 60})]
+
+
 @pytest.fixture(scope="session")
 def c22() -> NeuralCode:
     return parse_code(C22_TEXT)

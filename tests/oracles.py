@@ -3,13 +3,16 @@
 Everything here recomputes from first principles: full face posets,
 exhaustive elementary-collapse search, and pointwise membership sampling
 with exact rationals.  Nothing imports the package's classification table
-or the arrangement code under test.  Two reference searches reuse package
-data: the classification scan reads the L1..L28 reference catalog (not the
-lookup table built from it), and the sprocket search reuses the package's
-predicates (nerve classification, the canonical L24 construction and
-is_sprocket) around the search loop it checks.  The canonical-form and
-atlas-enumeration references reuse only the package's value types and
-codeword order.
+or the arrangement code under test, with the exceptions below.  Two
+reference searches reuse package data: the classification scan reads the
+L1..L28 reference catalog (not the lookup table built from it), and the
+sprocket search reuses the package's predicates (nerve classification, the
+canonical L24 construction and is_sprocket) around the search loop it
+checks.  The face-enumerating nerve, the recursive collapse search and the
+link test built on them are the code the facet-only versions replaced;
+the link test reads links on at most four vertices from the package's
+class table, as it did.  The canonical-form and atlas-enumeration
+references reuse only the package's value types and codeword order.
 """
 
 from fractions import Fraction
@@ -100,6 +103,103 @@ def contractible_small(facets):
             f"connected chi=1 complex failed to collapse: {sorted(map(sorted, facets))}"
         )
     return collapsible
+
+
+def reference_nerve(sets):
+    """Nerve of a list of nonempty sets, on vertex labels 1..m.
+
+    A subset S of positions is a face iff the sets indexed by S have a
+    common element.  Returned by its facets.
+    """
+    from convexcodes.topology import SimplicialComplex
+
+    sl = [frozenset(s) for s in sets]
+    if any(not s for s in sl):
+        raise ValueError("nerve input sets must be nonempty")
+    m = len(sl)
+    faces = {}
+    for i in range(1, m + 1):
+        faces[frozenset([i])] = sl[i - 1]
+    frontier = dict(faces)
+    while frontier:
+        nxt = {}
+        for face, inter in frontier.items():
+            for j in range(max(face) + 1, m + 1):
+                bigger = inter & sl[j - 1]
+                if bigger:
+                    key = face | {j}
+                    if key not in faces:
+                        faces[key] = bigger
+                        nxt[key] = bigger
+        frontier = nxt
+    return SimplicialComplex(faces.keys())
+
+
+def reference_is_collapsible(faces, budget=200_000):
+    """Whether the complex collapses to a point by elementary collapses.
+
+    Backtracking over all collapse orders with memoization; None when the
+    state budget runs out (possible only for larger inputs, never for
+    complexes on at most four vertices).
+    """
+    start = frozenset(frozenset(f) for f in faces)
+    if not start:
+        return False
+    memo = {}
+    remaining = [budget]
+
+    def rec(state):
+        if len(state) == 1:
+            (only,) = state
+            return len(only) == 1
+        cached = memo.get(state)
+        if cached is not None:
+            return cached
+        if remaining[0] <= 0:
+            return None
+        remaining[0] -= 1
+        result = False
+        for sigma in state:
+            supers = [t for t in state if sigma < t]
+            if len(supers) == 1:
+                sub = rec(state - {sigma, supers[0]})
+                if sub is None:
+                    return None
+                if sub:
+                    result = True
+                    break
+        memo[state] = result
+        return result
+
+    return rec(start)
+
+
+def reference_is_link_contractible(facets, sigma):
+    """True/False for contractibility of the link of sigma, else INDETERMINATE.
+
+    Exact for links whose facet-difference nerve has at most four vertices.
+    The link of a facet itself has empty geometric realization and counts as
+    non-contractible, which is what makes facets mandatory.
+    """
+    from convexcodes.codes import EMPTY
+    from convexcodes.topology import INDETERMINATE, is_contractible_small, link_facet_sets
+
+    s = frozenset(sigma)
+    if not s:
+        raise ValueError("sigma must be a nonempty face")
+    diffs = link_facet_sets(facets, s)
+    if diffs == [EMPTY]:
+        return False
+    link_nerve = reference_nerve(diffs)
+    if len(link_nerve.vertices) <= 4:
+        return is_contractible_small(link_nerve)
+    if not link_nerve.is_connected() or link_nerve.euler_characteristic() != 1:
+        return False
+    coll = reference_is_collapsible(link_nerve.all_faces())
+    if coll:
+        return True
+    # non-collapsible or budget exhausted: cannot conclude at this size
+    return INDETERMINATE
 
 
 def reference_classify_small_complex(sc):
@@ -193,14 +293,9 @@ def rectangle_code_oracle(rects):
 # frozenset comprehensions over the code, cached per call.
 
 
-def reference_search_relabeling(code):
-    """Profile-respecting lex-least relabeling onto 1..s, plus its inverse."""
-    from convexcodes.codes import NeuralCode, sort_words, word_sort_key
-    from convexcodes.wheels import _RELABEL_CAP
-
+def reference_tie_groups(code):
+    """The support split by two-round occurrence profile, in profile order."""
     support = sorted(code.support())
-    if not support:
-        return code, {}
     words = [w for w in code.codewords if w]
     prof1 = {
         i: tuple(sorted(len(w) for w in words if i in w)) for i in support
@@ -220,7 +315,17 @@ def reference_search_relabeling(code):
             groups[-1].append(i)
         else:
             groups.append([i])
+    return groups
 
+
+def reference_search_relabeling(code):
+    """Profile-respecting lex-least relabeling onto 1..s, plus its inverse."""
+    from convexcodes.codes import NeuralCode, sort_words, word_sort_key
+    from convexcodes.wheels import _RELABEL_CAP
+
+    if not code.support():
+        return code, {}
+    groups = reference_tie_groups(code)
     total = 1
     for g in groups:
         for size in range(2, len(g) + 1):
@@ -414,8 +519,12 @@ def reference_find_sprocket(code, box):
 # were so the fast versions can be checked for equal outputs.
 
 
-def reference_canonicalize(code):
-    """Least code over all n! relabelings, first strict-< hit in lex order."""
+def reference_canonicalize(code, optima=None):
+    """Least code over all n! relabelings, first strict-< hit in lex order.
+
+    When a list is passed as optima, it is filled with every relabeling
+    that reaches the least code, in lex order.
+    """
     from convexcodes.codes import CanonicalForm, NeuralCode, word_sort_key
 
     def _code_key(words):
@@ -428,12 +537,18 @@ def reference_canonicalize(code):
         raise ValueError("reference scan limited to 8 neurons")
     best_key = None
     best = None
+    ties = []
     for images in permutations(range(1, n + 1)):
         words = frozenset(frozenset(images[i - 1] for i in w) for w in code.codewords)
         key = _code_key(words)
         if best_key is None or key < best_key:
             best_key = key
             best = (words, images)
+            ties = [images]
+        elif key == best_key:
+            ties.append(images)
+    if optima is not None:
+        optima[:] = ties
     words, images = best
     return CanonicalForm(NeuralCode(words, n=n), tuple(images), True)
 

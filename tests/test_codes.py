@@ -233,14 +233,32 @@ class TestCanonicalizeAgainstReference:
 
     @pytest.mark.parametrize("max_neurons,num_facets", [(6, 4), (5, 5), (7, 3)])
     def test_atlas_codes_under_random_relabelings(self, max_neurons, num_facets):
+        """Each copy gets the exact least relabeling from one n! scan per code.
+
+        The scan runs on the first copy and keeps every optimal relabeling
+        q.  Another copy is the first one relabeled by s, so its optimal
+        relabelings are exactly the q composed with s^-1, and the least of
+        those is what the n! scan on that copy would return.
+        """
         rng = random.Random(max_neurons * 10 + num_facets)
         for facets in enumerate_facet_antichains(max_neurons, num_facets):
             code = minimal_code(facets)
+            n = code.n
+            optima: list = []
+            first = None
             for _ in range(3):
-                images = list(range(1, code.n + 1))
+                images = list(range(1, n + 1))
                 rng.shuffle(images)
                 mapped = relabel(code, tuple(images))
-                assert canonicalize(mapped) == reference_canonicalize(mapped), mapped
+                if first is None:
+                    first = images
+                    want = reference_canonicalize(mapped, optima)
+                else:
+                    # neuron images[i] of this copy is neuron first[i] of the first
+                    back = {images[i]: first[i] for i in range(n)}
+                    perm = min(tuple(q[back[j] - 1] for j in range(1, n + 1)) for q in optima)
+                    want = want._replace(permutation=perm)
+                assert canonicalize(mapped) == want, mapped
 
 
 def test_sort_words_deterministic():

@@ -1,5 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -7,12 +12,15 @@ from convexcodes import (
     INDETERMINATE,
     NeuralCode,
     SimplicialComplex,
+    analyze,
     classify_small_complex,
+    decide,
     has_local_obstruction,
     is_contractible_small,
     is_link_contractible,
     link_facet_sets,
     mandatory_faces,
+    max_intersection_faces,
     maximal_codewords,
     minimal_code,
     nerve,
@@ -21,7 +29,7 @@ from convexcodes import (
 from convexcodes.topology import REFERENCE_COMPLEXES, is_collapsible
 
 import oracles
-from conftest import fs
+from conftest import collapse_family, fs
 
 
 def facets_of(code):
@@ -52,6 +60,37 @@ class TestNerve:
     def test_empty_input_set_rejected(self):
         with pytest.raises(ValueError):
             nerve([fs("12"), frozenset()])
+
+
+class TestNerveAgainstReference:
+    """The facet-only nerve equals the face-enumerating one, facet tuple included."""
+
+    def test_every_list_of_up_to_three_subsets_of_four(self):
+        subsets = [
+            frozenset(c) for r in range(1, 5) for c in itertools.combinations(range(1, 5), r)
+        ]
+        checked = 0
+        for size in range(4):
+            for sets in itertools.product(subsets, repeat=size):
+                assert nerve(sets).facets == oracles.reference_nerve(sets).facets, sets
+                checked += 1
+        assert checked == 1 + 15 + 15**2 + 15**3
+
+    def test_seeded_families_of_one_to_twelve_sets(self):
+        rng = random.Random(6)
+        wide = 0
+        for _ in range(3000):
+            k = rng.randint(1, 12)
+            # at least k-4 neurons keeps the reference's 2^k face list small
+            n = rng.randint(max(1, k - 4), 12)
+            sets = [
+                frozenset(rng.sample(range(1, n + 1), rng.randint(1, min(n, 3))))
+                for _ in range(k)
+            ]
+            want = oracles.reference_nerve(sets)
+            assert nerve(sets).facets == want.facets, sets
+            wide += max(map(len, want.facets)) >= 5
+        assert wide >= 300
 
 
 class TestLinkFacetSets:
@@ -176,6 +215,97 @@ class TestLinkContractible:
                     continue
                 assert is_link_contractible(facets, sigma) is False
                 checked += 1
+
+
+def _random_antichain(rng, size, neurons):
+    facets = set()
+    while len(facets) < size:
+        f = frozenset(i for i in range(1, neurons + 1) if rng.random() < 0.5)
+        if f:
+            facets.add(f)
+    return [f for f in facets if not any(f < g for g in facets)]
+
+
+class TestLinkContractibleAgainstReference:
+    """Strong collapse first answers what the face-enumerating path answers
+    wherever that path decides."""
+
+    def _check(self, facets):
+        settled = 0
+        for face in max_intersection_faces(facets):
+            want = oracles.reference_is_link_contractible(facets, face)
+            if want is INDETERMINATE:
+                continue
+            assert is_link_contractible(facets, face) is want, (facets, face)
+            settled += want and len(link_facet_sets(facets, face)) > 4
+        return settled
+
+    def test_seeded_five_and_six_facet_families(self):
+        rng = random.Random(2012)
+        families = wide = 0
+        while families < 300:
+            facets = _random_antichain(rng, rng.randint(5, 6), 8)
+            if len(facets) < 5:
+                continue
+            families += 1
+            wide += self._check(facets)
+        # contractible links on more than four vertices were reached
+        assert wide >= 10
+
+    def test_collapse_family(self):
+        for m in range(6, 10):
+            assert self._check(collapse_family(m)) >= 1, m
+
+
+class TestCollapseSearch:
+    """is_collapsible runs off an explicit stack, state for state as the
+    recursive search did."""
+
+    def test_matches_recursive_search_at_every_budget(self):
+        rng = random.Random(3)
+        complexes = [sc.facets for sc in REFERENCE_COMPLEXES.values()]
+        while len(complexes) < 80:
+            complexes.append(_random_antichain(rng, rng.randint(2, 5), rng.randint(4, 5)))
+        exhausted = 0
+        for facets in complexes:
+            faces = SimplicialComplex(facets).all_faces()
+            for budget in (0, 1, 2, 5, 20, 200_000):
+                got = is_collapsible(faces, budget)
+                assert got == oracles.reference_is_collapsible(faces, budget), (facets, budget)
+                exhausted += got is None
+            assert is_collapsible(faces) == oracles.is_collapsible(facets), facets
+        assert exhausted
+
+    def test_deep_search_needs_no_recursion(self):
+        # a star with 300 leaves collapses one leaf at a time: the recursive
+        # search was 300 calls deep, over the limit set here
+        script = (
+            "import sys\n"
+            "from convexcodes.topology import is_collapsible\n"
+            "faces = [{0}] + [{i} for i in range(1, 301)] + [{0, i} for i in range(1, 301)]\n"
+            "sys.setrecursionlimit(150)\n"
+            "print(is_collapsible(faces))\n"
+        )
+        path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "True\n"
+
+    @pytest.mark.parametrize("m", [12, 16, 40])
+    def test_collapse_family_public_calls(self, m):
+        facets = collapse_family(m)
+        start = time.perf_counter()
+        code = minimal_code(facets)
+        assert time.perf_counter() - start < 1.0
+        coned = NeuralCode(code.codewords | {frozenset({1})})
+        for call in (decide, analyze):
+            for c in (code, coned):
+                start = time.perf_counter()
+                call(c)
+                assert time.perf_counter() - start < 1.0, (call.__name__, m)
 
 
 class TestMandatoryFaces:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 from convexcodes import (
@@ -12,12 +14,12 @@ from convexcodes import (
     parse_code,
     relabel,
 )
-from convexcodes.codes import max_intersection_faces, relabel_word, sort_words
+from convexcodes.codes import EMPTY, max_intersection_faces, relabel_word, sort_words
 from convexcodes.topology import CodeStructure
-from convexcodes.wheels import _find_sprocket, _search_relabeling
+from convexcodes.wheels import _RELABEL_CAP, _find_sprocket, _search_relabeling
 
-from conftest import fs
-from oracles import reference_find_sprocket, reference_search_relabeling
+from conftest import collapse_family, fs
+from oracles import reference_find_sprocket, reference_search_relabeling, reference_tie_groups
 
 
 def cand(s1, s2, s3, tau, r1, r3):
@@ -196,6 +198,13 @@ def _seeded_search_codes(seed, count):
     return out
 
 
+def _shuffled(rng, code):
+    """The code with its support relabeled by a random permutation of 1..s."""
+    support = sorted(code.support())
+    image = dict(zip(support, rng.sample(range(1, len(support) + 1), len(support))))
+    return NeuralCode(frozenset(image[i] for i in w) for w in code.codewords)
+
+
 def _run(search, code, budget):
     box = [budget]
     # the bitmask search reads the code's structure, the reference the code
@@ -237,5 +246,38 @@ class TestSearchAgainstReference:
 
     def test_relabeling_matches_reference(self, c22, c24, d28, w3):
         codes = [c22, c24, d28, w3] + _seeded_search_codes(7, 20)
+        rng = random.Random(13)
+        # interchangeable neurons: the pruned orders must find the same least code
+        for m in range(6, 10):
+            code = minimal_code(collapse_family(m))
+            coned = NeuralCode(code.codewords | {frozenset({1})})
+            codes += [_shuffled(rng, c) for c in (code, code, coned, coned)]
+        for n in range(2, 7):
+            neurons = range(1, n + 1)
+            proper = [frozenset(c) for r in range(n) for c in itertools.combinations(neurons, r)]
+            codes += [NeuralCode(proper), NeuralCode([frozenset({i}) for i in neurons] + [EMPTY])]
         for code in codes:
             assert _search_relabeling(code) == reference_search_relabeling(code)
+
+    def test_relabeling_cap_judged_on_unpruned_count(self, monkeypatch):
+        # tie groups of 6 and 4 interchangeable leaves and two non-interchangeable
+        # pairs (the ends and the middle of a path): 6!4!2!2! = 69120 orders
+        facets = [frozenset({1, 50, 100 + i}) for i in range(6)] + [
+            frozenset({1, 60, 300, 301, 302, 303}),
+            frozenset({1, 50, 60}),
+            frozenset({1, 500, 501}),
+            frozenset({1, 501, 502}),
+            frozenset({1, 502, 503}),
+        ]
+        code = minimal_code(facets)
+        groups = reference_tie_groups(code)
+        total = math.prod(math.factorial(len(g)) for g in groups)
+        assert _RELABEL_CAP < total <= 2 * _RELABEL_CAP
+        rng = random.Random(5)
+        copies = [_shuffled(rng, code) for _ in range(6)]
+        capped = [_search_relabeling(c) for c in copies]
+        for copy, got in zip(copies, capped):
+            assert got == reference_search_relabeling(copy)
+        # judged on the pruned count the search would run, and answer otherwise
+        monkeypatch.setattr("convexcodes.wheels._RELABEL_CAP", total)
+        assert any(_search_relabeling(c) != got for c, got in zip(copies, capped))
