@@ -12,6 +12,7 @@ All values are immutable and all operations are pure functions.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -243,8 +244,9 @@ class CanonicalForm(NamedTuple):
     exact: bool
 
 
-# the branch-and-bound relabeling search is exact up to this many neurons
-_EXACT_CANON_LIMIT = 8
+# relabelings one search may cover, judged on the product of its cells'
+# factorials; 8! is one cell of up to 8 neurons
+_RELABEL_CAP = 40320
 
 
 def canonicalize(code: NeuralCode) -> CanonicalForm:
@@ -253,14 +255,14 @@ def canonicalize(code: NeuralCode) -> CanonicalForm:
     Exact for n <= 8 (exact=True): a branch-and-bound search over all
     relabelings (see _least_relabeling) returns the least code and, among
     the relabelings that reach it, the lexicographically least permutation.
-    Beyond that a signature-refinement heuristic is used and exact=False.
-    Idempotent in both regimes.
+    Beyond that the search is over its cap, a signature-refinement
+    heuristic is used and exact=False.  Idempotent in both regimes.
     """
     n = code.n
     if n == 0:
         return CanonicalForm(code, (), True)
-    if n <= _EXACT_CANON_LIMIT:
-        images = _least_relabeling(code)
+    images = _least_relabeling(code)
+    if images is not None:
         return CanonicalForm(relabel(code, images), images, True)
     # heuristic: sort neurons by an occurrence signature, ties by index
     sigs = {}
@@ -275,64 +277,108 @@ def canonicalize(code: NeuralCode) -> CanonicalForm:
     return CanonicalForm(relabel(code, perm), perm, False)
 
 
-def _least_relabeling(code: NeuralCode) -> tuple:
+def _least_relabeling(code_or_masks, cells=None) -> Optional[tuple]:
     """The least images tuple among the relabelings that give the least code.
 
+    code_or_masks is a NeuralCode on neurons 1..n, or its codewords as
+    masks (bit i - 1 for neuron i) with n the highest neuron present.
+    cells is an ordered partition of 1..n, None meaning one cell: the first
+    cell's neurons take the first labels, and so on.  Returns None when the
+    product of the cells' factorials exceeds _RELABEL_CAP.
+
     Branch and bound over label assignments: labels 1, 2, ... go to one
-    neuron at a time.  A word's key is one int ordered as (size, sorted
-    labels), size * 2**n + 2**n - 1 - sum(2**(n - label)), and a code's key
-    is its sorted tuple of word keys.  A node's bound gives every word its
-    known labels followed by the smallest free ones; each word's final key
-    is at least that, so the code's key is at least the sorted bounds.
-    Children are visited in bound order and cut once their bound exceeds
-    the best key found.  Two neurons whose transposition maps the code onto
-    itself (twins, which lie in the same codewords, are one case) take
+    neuron at a time, each from the cell that owns the label.  A word's key
+    is one int ordered as (size, sorted labels), size * 2**n + 2**n - 1 -
+    sum(2**(n - label)), and a code's key is its sorted tuple of word keys.
+    A node's bound gives every word its known labels followed by the
+    smallest free ones; each word's final key is at least that, so the
+    code's key is at least the sorted bounds.  Children are visited in bound
+    order and cut once their bound exceeds the best key found.  A label
+    whose cell has one free neuron left is forced: it gets no bound and no
+    call of its own, so only neurons in cells of two or more deepen the
+    recursion.  Two neurons of one cell whose transposition maps the code
+    onto itself (twins, which lie in the same codewords, are one case) take
     labels in index order: swapping their labels in any optimum gives an
     optimum with a lex-smaller images tuple, so the lex-least one obeys the
     order.  The result is the least (key, images) pair over the leaves
-    reached, which is what a lex-order scan of all n! permutations keeping
-    only strict-< improvements returns.
+    reached, which is what a lex-order scan of all cell-respecting
+    permutations keeping only strict-< improvements returns.
     """
-    n = code.n
+    if isinstance(code_or_masks, NeuralCode):
+        n = code_or_masks.n
+        words = [sum(1 << (i - 1) for i in w) for w in code_or_masks.codewords]
+    else:
+        words = list(code_or_masks)
+        n = 0
+        for m in words:
+            n |= m
+        n = n.bit_length()
+    if cells is None:
+        cells = [range(1, n + 1)]
+    if math.prod(math.factorial(len(cell)) for cell in cells) > _RELABEL_CAP:
+        return None
     top = 1 << n
-    words = [sum(1 << (i - 1) for i in w) for w in code.codewords]
     word_set = set(words)
+    occurs = [[k for k, m in enumerate(words) if m >> i & 1] for i in range(n)]
 
     def swapped(m, i, j):
         return m ^ (1 << i | 1 << j) if (m >> i ^ m >> j) & 1 else m
 
-    # earlier[i]: neurons j < i that must be labeled before neuron i
-    earlier = [
-        sum(1 << j for j in range(i) if all(swapped(m, i, j) in word_set for m in words))
-        for i in range(n)
-    ]
+    # owner[d]: the 0-based neurons of the cell that label d + 1 comes from;
+    # earlier[i]: neurons j < i of i's cell that must be labeled before i
+    owner = []
+    earlier = [0] * n
+    for cell in cells:
+        members = sorted(i - 1 for i in cell)
+        owner += [members] * len(members)
+        for k, i in enumerate(members[1:], start=1):
+            earlier[i] = sum(
+                1 << j
+                for j in members[:k]
+                if all(swapped(m, i, j) in word_set for m in words)
+            )
     images = [0] * n
     best = None
 
-    def search(depth, free, rest, unknown):
-        # per word: rest is its key with only the known labels' terms
-        # subtracted, unknown the number of its neurons still unlabeled
+    def search(depth, free, rest):
+        # per word, rest is its key with only the known labels' terms
+        # subtracted; each call owns its list
         nonlocal best
+        while depth < n:
+            choices = [i for i in owner[depth] if free >> i & 1]
+            if len(choices) > 1:
+                break
+            (i,) = choices
+            half = 1 << (n - depth - 1)
+            for k in occurs[i]:
+                rest[k] -= half
+            images[i] = depth + 1
+            free ^= 1 << i
+            depth += 1
+        if depth == n:
+            key = tuple(sorted(rest))
+            if best is None or (key, images) < best:
+                best = (key, images[:])
+            return
         half = 1 << (n - depth - 1)
         children = []
-        for i in range(n):
-            bit = 1 << i
-            if not free & bit or earlier[i] & free:
+        for i in choices:
+            if earlier[i] & free:
                 continue
-            r2 = [r - half if m & bit else r for r, m in zip(rest, words)]
-            u2 = [u - 1 if m & bit else u for u, m in zip(unknown, words)]
-            bound = tuple(sorted(r - half + (half >> u) for r, u in zip(r2, u2)))
-            children.append((bound, i, r2, u2))
+            left = free ^ 1 << i
+            r2 = rest[:]
+            for k in occurs[i]:
+                r2[k] -= half
+            bound = tuple(
+                sorted(r - half + (half >> (m & left).bit_count()) for r, m in zip(r2, words))
+            )
+            children.append((bound, i, r2))
         children.sort(key=lambda child: child[0])  # stable: ties stay in index order
-        for bound, i, r2, u2 in children:
+        for bound, i, r2 in children:
             if best is not None and bound > best[0]:
                 break
             images[i] = depth + 1
-            if depth + 1 < n:
-                search(depth + 1, free & ~(1 << i), r2, u2)
-            elif best is None or (bound, tuple(images)) < best:
-                best = (bound, tuple(images))
+            search(depth + 1, free ^ 1 << i, r2)
 
-    sizes = [bin(m).count("1") for m in words]
-    search(0, top - 1, [size * top + top - 1 for size in sizes], sizes)
-    return best[1]
+    search(0, top - 1, [m.bit_count() * top + top - 1 for m in words])
+    return tuple(best[1])

@@ -19,10 +19,10 @@ oracle is cross-checked against the necessary condition (connected and
 Euler characteristic 1), which is also sufficient at this size because the
 only non-contractible homotopy types reachable on four vertices fail one of
 the two.  Larger links are first reduced by strong collapses (dominated
-sets and elements of the facet-difference sets), which settles every
-strong-collapsible link as contractible; the rest fall back to the
-necessary checks plus an elementary-collapse search, run from an explicit
-stack, and may report INDETERMINATE.
+sets and elements of the facet-difference sets), which keep the homotopy
+type; a core of at most four sets is read from the table, and a larger
+one falls back to the necessary checks plus an elementary-collapse
+search, run from an explicit stack, and may report INDETERMINATE.
 """
 
 from __future__ import annotations
@@ -362,16 +362,17 @@ def link_facet_sets(facets: Iterable[Codeword], sigma: Iterable[int]) -> list:
     return out
 
 
-def _strong_core_size(sets: Iterable[Iterable[int]]) -> int:
-    """Sets left after dominance reduction of a list of nonempty sets.
+def _strong_core(sets: Iterable[Iterable[int]]) -> list:
+    """The sets left after dominance reduction of a list of nonempty sets.
 
     Repeatedly drop a set contained in another (one copy of equal sets is
     kept) and an element whose occurrence mask is contained in another's
     (one element per mask is kept).  Dropping such an element leaves the
     nerve unchanged, and a set inside another is a dominated vertex of the
     nerve, so each step is a strong collapse (Barmak & Minian, "Strong
-    homotopy types, nerves and collapses", DCG 2012).  A result of 1 means
-    the nerve is strong-collapsible, hence collapsible.
+    homotopy types, nerves and collapses", DCG 2012).  The nerve of the
+    result is therefore homotopy-equivalent to the nerve of the input, and
+    a single set left means the input's nerve is collapsible.
     """
     rows = [sum(1 << x for x in s) for s in _nonempty_sets(sets)]
     while True:
@@ -387,7 +388,7 @@ def _strong_core_size(sets: Iterable[Iterable[int]]) -> int:
             owner.setdefault(m, bit)
         keep = sum(owner[m] for m in _maximal_masks(owner))
         if len(rows) == 1 or keep.bit_count() == len(occ):
-            return len(rows)
+            return [frozenset(x for x in range(r.bit_length()) if r >> x & 1) for r in rows]
         rows = [r & keep for r in rows]
 
 
@@ -395,12 +396,13 @@ def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
     """True/False for contractibility of the link of sigma, else INDETERMINATE.
 
     The link is homotopy-equivalent to the nerve of the facet-difference
-    sets.  Exact when those are at most four sets (table lookup).  Beyond
-    that, dominance reduction of the sets runs first and answers True when
-    one set is left; otherwise the nerve must be connected with Euler
-    characteristic 1, and an elementary-collapse search settles the rest.
-    The link of a facet itself has empty geometric realization and counts as
-    non-contractible, which is what makes facets mandatory.
+    sets.  More than four of them are first reduced by dominance (see
+    _strong_core), which keeps that homotopy type.  Exact when at most four
+    sets are left (table lookup).  Otherwise the core's nerve must be
+    connected with Euler characteristic 1, and an elementary-collapse search
+    on it settles the rest.  The link of a facet itself has empty geometric
+    realization and counts as non-contractible, which is what makes facets
+    mandatory.
     """
     s = frozenset(sigma)
     if not s:
@@ -408,11 +410,11 @@ def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
     diffs = link_facet_sets(facets, s)
     if diffs == [EMPTY]:
         return False
-    if len(diffs) <= 4:
-        return is_contractible_small(nerve(diffs))
-    if _strong_core_size(diffs) == 1:
-        return True
+    if len(diffs) > 4:
+        diffs = _strong_core(diffs)
     link_nerve = nerve(diffs)
+    if len(diffs) <= 4:
+        return is_contractible_small(link_nerve)
     if not link_nerve.is_connected() or link_nerve.euler_characteristic() != 1:
         return False
     coll = is_collapsible(link_nerve.all_faces())

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from .codes import (
     Codeword,
     NeuralCode,
+    _least_relabeling,
     format_word,
     is_face,
     max_intersection_faces,
@@ -181,10 +182,6 @@ DEFAULT_BUDGET = 10**6
 # intersections up to this size, plus the intersections themselves
 _POOL_SUBSET_BOUND = 3
 
-# assignments tried when breaking profile ties in _search_relabeling;
-# 8! covers every code on <= 8 neurons exactly
-_RELABEL_CAP = 40320
-
 
 def _search_relabeling(code: NeuralCode) -> Tuple[NeuralCode, Dict[int, int]]:
     """Label-invariant relabeling onto 1..s, plus the inverse map.
@@ -193,18 +190,12 @@ def _search_relabeling(code: NeuralCode) -> Tuple[NeuralCode, Dict[int, int]]:
     budget can run out at different structural points for two relabelings
     of the same code.  Searching a canonical relabeling instead makes the
     found/exhausted outcome a property of the code, not of its labels.
-    Neurons are partitioned by a two-round occurrence profile and the
-    lex-least relabeled code over profile-respecting assignments wins;
-    exact whenever the tie groups admit at most 8! assignments (always
-    true for codes on <= 8 neurons).  That cap is judged on the full count.
-
-    Assignments that put two interchangeable neurons (see
-    _twin_ordered_permutations) out of index order are never generated,
-    and this does not change the answer.  Swapping such a pair back maps
-    the relabeled code onto itself, so it keeps the key, and it yields a
-    combination earlier in product order.  The first assignment with the
-    least key therefore already has every such pair in order, and it is
-    the first with that key among the assignments that are generated.
+    Neurons are partitioned by a two-round occurrence profile, and the
+    support, packed onto 1..s, goes to codes._least_relabeling with the
+    profile groups as its ordered cells: the least relabeled code over
+    profile-respecting assignments wins, ties going to the least images.
+    Above that search's cap (judged on the full count of assignments, 8!)
+    the profile order itself is used.
     """
     support = sorted(code.support())
     if not support:
@@ -229,71 +220,15 @@ def _search_relabeling(code: NeuralCode) -> Tuple[NeuralCode, Dict[int, int]]:
         else:
             groups.append([i])
 
-    total = 1
-    for g in groups:
-        for size in range(2, len(g) + 1):
-            total *= size
-    if total > _RELABEL_CAP:
-        pools = [[tuple(g)] for g in groups]
+    packed = {i: k for k, i in enumerate(support, start=1)}
+    masks = [sum(1 << (packed[i] - 1) for i in w) for w in words]
+    images = _least_relabeling(masks, [[packed[i] for i in g] for g in groups])
+    if images is None:
+        mapping = dict(zip(ordered, itertools.count(1)))
     else:
-        pools = [_twin_ordered_permutations(g, code.codewords) for g in groups]
-
-    # An assignment's key is the relabeled code's word_sort_key tuple in
-    # sort_words order, with each word encoded as one int that sorts the
-    # same way: size first, then, among words of one size, lex order of the
-    # sorted labels, which is descending order of sum(2 ** (s - label)).
-    s = len(support)
-    sized = [(len(w) << (s + 1), tuple(w)) for w in code.codewords]
-    bits = dict.fromkeys(support, 0)
-    weight = bits.__getitem__
-    best_key = None
-    best_combo = None
-    for combo in itertools.product(*pools):
-        bit = 1 << s
-        for g in combo:
-            for i in g:
-                bit >>= 1
-                bits[i] = bit
-        key = sorted([size - sum(map(weight, w)) for size, w in sized])
-        if best_key is None or key < best_key:
-            best_key, best_combo = key, combo
-    mapping = dict(zip(itertools.chain.from_iterable(best_combo), itertools.count(1)))
+        mapping = dict(zip(support, images))
     inverse = {new: old for old, new in mapping.items()}
     return NeuralCode(frozenset(mapping[i] for i in w) for w in code.codewords), inverse
-
-
-def _twin_ordered_permutations(group: List[int], words: frozenset) -> List[tuple]:
-    """Orders of a tie group that keep interchangeable neurons in index order.
-
-    Two neurons are interchangeable when swapping them maps the code onto
-    itself; this is an equivalence relation, since the swaps of a class
-    generate its symmetric group.  The orders come out in the lexicographic
-    order of itertools.permutations(group), built directly rather than
-    filtered.  group is in increasing index order.
-    """
-    before: Dict[int, int] = {}  # neuron -> the next smaller neuron of its class
-    for j, b in enumerate(group):
-        for a in reversed(group[:j]):
-            swap = {a: b, b: a}
-            if all(frozenset(swap.get(i, i) for i in w) in words for w in words):
-                before[b] = a
-                break
-    out: List[tuple] = []
-    prefix: List[int] = []
-
-    def extend() -> None:
-        if len(prefix) == len(group):
-            out.append(tuple(prefix))
-            return
-        for i in group:
-            if i in prefix or (i in before and before[i] not in prefix):
-                continue
-            prefix.append(i)
-            extend()
-            prefix.pop()
-
-    extend()
-    return out
 
 
 def _remap_candidate(cand: SprocketCandidate, inverse: Dict[int, int]) -> SprocketCandidate:

@@ -319,9 +319,12 @@ def reference_tie_groups(code):
 
 
 def reference_search_relabeling(code):
-    """Profile-respecting lex-least relabeling onto 1..s, plus its inverse."""
-    from convexcodes.codes import NeuralCode, sort_words, word_sort_key
-    from convexcodes.wheels import _RELABEL_CAP
+    """Profile-respecting lex-least relabeling onto 1..s, plus its inverse.
+
+    Among the assignments that reach the least code, the one whose images
+    of the sorted support form the least tuple wins.
+    """
+    from convexcodes.codes import _RELABEL_CAP, NeuralCode, sort_words, word_sort_key
 
     if not code.support():
         return code, {}
@@ -335,9 +338,8 @@ def reference_search_relabeling(code):
     else:
         pools = [list(permutations(g)) for g in groups]
 
-    best_key = None
-    best_words = None
-    best_mapping = None
+    support = sorted(code.support())
+    best = None
     for combo in product(*pools):
         mapping = {}
         next_label = 1
@@ -347,8 +349,10 @@ def reference_search_relabeling(code):
                 next_label += 1
         relabeled = sort_words(frozenset(mapping[i] for i in w) for w in code.codewords)
         key = tuple(word_sort_key(w) for w in relabeled)
-        if best_key is None or key < best_key:
-            best_key, best_words, best_mapping = key, relabeled, mapping
+        images = tuple(mapping[i] for i in support)
+        if best is None or (key, images) < best[:2]:
+            best = (key, images, relabeled, mapping)
+    _key, _images, best_words, best_mapping = best
     inverse = {new: old for old, new in best_mapping.items()}
     return NeuralCode(best_words), inverse
 
@@ -519,11 +523,13 @@ def reference_find_sprocket(code, box):
 # were so the fast versions can be checked for equal outputs.
 
 
-def reference_canonicalize(code, optima=None):
+def reference_canonicalize(code, optima=None, cells=None):
     """Least code over all n! relabelings, first strict-< hit in lex order.
 
     When a list is passed as optima, it is filled with every relabeling
-    that reaches the least code, in lex order.
+    that reaches the least code, in lex order.  An ordered partition of
+    1..n passed as cells restricts the scan to the relabelings that give
+    the first cell's neurons the first labels, and so on.
     """
     from convexcodes.codes import CanonicalForm, NeuralCode, word_sort_key
 
@@ -535,10 +541,22 @@ def reference_canonicalize(code, optima=None):
         return CanonicalForm(code, (), True)
     if n > 8:
         raise ValueError("reference scan limited to 8 neurons")
+    if cells is None:
+        scan = permutations(range(1, n + 1))
+    else:
+        block = {}  # neuron -> the labels its cell owns
+        first = 1
+        for cell in cells:
+            labels = range(first, first + len(cell))
+            block.update((i, labels) for i in cell)
+            first += len(cell)
+        scan = (
+            p for p in permutations(range(1, n + 1)) if all(p[i - 1] in block[i] for i in block)
+        )
     best_key = None
     best = None
     ties = []
-    for images in permutations(range(1, n + 1)):
+    for images in scan:
         words = frozenset(frozenset(images[i - 1] for i in w) for w in code.codewords)
         key = _code_key(words)
         if best_key is None or key < best_key:

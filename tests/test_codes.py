@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -15,7 +16,7 @@ from convexcodes import (
     trunk,
 )
 from convexcodes.atlas import enumerate_facet_antichains
-from convexcodes.codes import is_face, sort_words
+from convexcodes.codes import _least_relabeling, is_face, sort_words, word_sort_key
 from convexcodes.topology import minimal_code
 
 from conftest import fs
@@ -206,6 +207,14 @@ def _random_code(rng, n):
     return NeuralCode(words, n=n)
 
 
+def _random_cells(rng, n):
+    """A random ordered partition of 1..n."""
+    neurons = list(range(1, n + 1))
+    rng.shuffle(neurons)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    return [neurons[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+
+
 class TestCanonicalizeAgainstReference:
     """The branch-and-bound search returns what the n! scan returned."""
 
@@ -214,11 +223,16 @@ class TestCanonicalizeAgainstReference:
 
     def test_seeded_random_codes(self):
         rng = random.Random(20141)
+        cell_rng = random.Random(2014)
         checked = twins = unused = 0
         for n, count in self.COUNTS.items():
             for _ in range(count):
                 code = _random_code(rng, n)
                 assert canonicalize(code) == reference_canonicalize(code), code
+                if n <= 7:
+                    cells = _random_cells(cell_rng, n)
+                    want = reference_canonicalize(code, cells=cells).permutation
+                    assert _least_relabeling(code, cells) == want, (code, cells)
                 checked += 1
                 support = code.support()
                 unused += len(support) < n
@@ -259,6 +273,33 @@ class TestCanonicalizeAgainstReference:
                     perm = min(tuple(q[back[j] - 1] for j in range(1, n + 1)) for q in optima)
                     want = want._replace(permutation=perm)
                 assert canonicalize(mapped) == want, mapped
+
+
+class TestLeastRelabelingCells:
+    def test_exact_up_to_eight_neurons(self):
+        for n, exact in ((8, True), (9, False)):
+            code = NeuralCode([range(1, n + 1), {1, 2}, {n}])
+            assert canonicalize(code).exact is exact
+
+    def test_singleton_cells_do_not_recurse(self):
+        # a path on more neurons than the recursion limit: every neuron is
+        # its own cell except one pair, so only the pair's label branches
+        n = sys.getrecursionlimit() + 10
+        code = NeuralCode([{i, i + 1} for i in range(1, n)] + [{1}])
+        pair = (n // 2, n // 2 + 7)
+        order = [i for i in range(1, n + 1) if i not in pair]
+        cells = [[i] for i in order[: n // 3]] + [list(pair)] + [[i] for i in order[n // 3 :]]
+
+        def option(first, second):
+            images = [0] * n
+            flat = order[: n // 3] + [first, second] + order[n // 3 :]
+            for label, i in enumerate(flat, start=1):
+                images[i - 1] = label
+            words = (frozenset(images[i - 1] for i in w) for w in code.codewords)
+            return sorted(map(word_sort_key, words)), tuple(images)
+
+        want = min(option(*pair), option(*reversed(pair)))[1]
+        assert _least_relabeling(code, cells) == want
 
 
 def test_sort_words_deterministic():

@@ -307,6 +307,19 @@ class TestCollapseSearch:
                 call(c)
                 assert time.perf_counter() - start < 1.0, (call.__name__, m)
 
+    def test_hollow_link_settled_on_its_core(self):
+        # the link of {1} is a circle: twenty leaves on neuron 50, the first
+        # also holding 300, dominate down to the hollow triangle on 300..302,
+        # so no face of the 23-set nerve is listed
+        facets = [frozenset({1, 50, 100 + i} | ({300} if i == 0 else set())) for i in range(20)]
+        facets += [frozenset({1, 300, 301}), frozenset({1, 301, 302}), frozenset({1, 302, 300})]
+        start = time.perf_counter()
+        assert is_link_contractible(facets, {1}) is False
+        assert time.perf_counter() - start < 1.0
+        start = time.perf_counter()
+        minimal_code(facets)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestMandatoryFaces:
     def test_c24(self, c24):

@@ -14,9 +14,15 @@ from convexcodes import (
     parse_code,
     relabel,
 )
-from convexcodes.codes import EMPTY, max_intersection_faces, relabel_word, sort_words
+from convexcodes.codes import (
+    _RELABEL_CAP,
+    EMPTY,
+    max_intersection_faces,
+    relabel_word,
+    sort_words,
+)
 from convexcodes.topology import CodeStructure
-from convexcodes.wheels import _RELABEL_CAP, _find_sprocket, _search_relabeling
+from convexcodes.wheels import _find_sprocket, _search_relabeling
 
 from conftest import collapse_family, fs
 from oracles import reference_find_sprocket, reference_search_relabeling, reference_tie_groups
@@ -279,5 +285,5 @@ class TestSearchAgainstReference:
         for copy, got in zip(copies, capped):
             assert got == reference_search_relabeling(copy)
         # judged on the pruned count the search would run, and answer otherwise
-        monkeypatch.setattr("convexcodes.wheels._RELABEL_CAP", total)
+        monkeypatch.setattr("convexcodes.codes._RELABEL_CAP", total)
         assert any(_search_relabeling(c) != got for c, got in zip(copies, capped))
