@@ -5,10 +5,10 @@ replayable certificate: the local-obstruction scan (sound for NONCONVEX,
 run first and unconditionally), max-intersection completeness, the
 3-maximal theorem, the nerve-class theorems for 4-maximal codes with the
 Path-of-Facets dichotomy on minimal L24 codes, and for five or more
-facets the no-2-simplex criterion, component decomposition, and the
-bounded sprocket search.  UNKNOWN is a terminal honest answer for the
-open cases, never a timeout disguise: certificates list what was
-established, and the sprocket search reports its budget in analyze().
+facets component decomposition and the bounded sprocket search.  UNKNOWN
+is a terminal honest answer for the open cases, never a timeout disguise:
+certificates list what was established, and the sprocket search reports
+its budget in analyze().
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ KIND_SPROCKET = "Sprocket"
 KIND_THEOREM_NO_LOCAL_OBSTRUCTION = "TheoremNoLocalObstruction"
 KIND_L24_MINIMAL_POF_CONVEX = "L24MinimalPoFConvex"
 KIND_L24_MINIMAL_POF_SPROCKET = "L24MinimalPoFSprocket"
-KIND_NO_TWO_SIMPLEX_NERVE = "NoTwoSimplexNerve"
 KIND_DISCONNECTED_DECOMPOSITION = "DisconnectedDecomposition"
 KIND_INDETERMINATE_CONTRACTIBILITY = "IndeterminateContractibility"
 
@@ -84,8 +83,6 @@ class Certificate:
             return f"{k}: {self.class_id}"
         if k == KIND_L24_MINIMAL_POF_CONVEX:
             return f"{k}: triangle facets fail Path-of-Facets"
-        if k == KIND_NO_TWO_SIMPLEX_NERVE:
-            return f"{k}: no three facets share a neuron"
         if k == KIND_DISCONNECTED_DECOMPOSITION:
             parts = "; ".join(
                 "{" + ",".join(str(i) for i in neurons) + "} -> " + status
@@ -149,9 +146,7 @@ def _decide(s: CodeStructure, budget: int) -> Tuple[Verdict, List[Certificate]]:
                 Verdict.NONCONVEX,
                 [Certificate(KIND_L24_MINIMAL_POF_SPROCKET, candidate=cand)],
             )
-    elif all(len(f) <= 2 for f in s.nerve_complex.facets):  # m >= 5 from here on
-        return (Verdict.CONVEX, [Certificate(KIND_NO_TWO_SIMPLEX_NERVE)])
-    elif len(s.components) > 1:
+    elif len(s.components) > 1:  # m >= 5 from here on
         statuses = []
         payload = []
         for sub in s.components:

@@ -19,9 +19,7 @@ from .codes import (
     _least_relabeling,
     format_word,
     is_face,
-    max_intersection_faces,
     maximal_codewords,
-    sort_words,
     trunk,
 )
 from .topology import CodeStructure, path_of_facets
@@ -183,81 +181,49 @@ DEFAULT_BUDGET = 10**6
 _POOL_SUBSET_BOUND = 3
 
 
-def _search_relabeling(code: NeuralCode) -> Tuple[NeuralCode, Dict[int, int]]:
-    """Label-invariant relabeling onto 1..s, plus the inverse map.
+def _search_relabeling(code: NeuralCode) -> Dict[int, int]:
+    """Label-invariant map from each neuron of the support onto 1..s.
 
     The generic sprocket search enumerates candidates in label order, so a
     budget can run out at different structural points for two relabelings
-    of the same code.  Searching a canonical relabeling instead makes the
-    found/exhausted outcome a property of the code, not of its labels.
-    Neurons are partitioned by a two-round occurrence profile, and the
-    support, packed onto 1..s, goes to codes._least_relabeling with the
-    profile groups as its ordered cells: the least relabeled code over
-    profile-respecting assignments wins, ties going to the least images.
-    Above that search's cap (judged on the full count of assignments, 8!)
-    the profile order itself is used.
+    of the same code.  Visiting candidates in the order of a canonical
+    relabeling instead makes the found/exhausted outcome a property of the
+    code, not of its labels.  Neurons are partitioned by a two-round
+    occurrence profile, and the support, packed onto 1..s, goes to
+    codes._least_relabeling with the profile groups as its ordered cells:
+    the least relabeled code over profile-respecting assignments wins, ties
+    going to the least images.  Above that search's cap (judged on the full
+    count of assignments, 8!) the profile order itself is used.
     """
     support = sorted(code.support())
-    if not support:
-        return code, {}
-    words = [w for w in code.codewords if w]
-    prof1 = {
-        i: tuple(sorted(len(w) for w in words if i in w)) for i in support
+    # word masks with bit k - 1 for the k-th neuron of the support
+    packed = {i: 1 << k for k, i in enumerate(support)}
+    masks = [sum(packed[i] for i in w) for w in code.codewords if w]
+    occurs = [[m for m in masks if m & bit] for bit in packed.values()]
+    prof1 = [tuple(sorted(m.bit_count() for m in occ)) for occ in occurs]
+    rank1 = {p: r for r, p in enumerate(sorted(set(prof1)))}
+    ranks = {
+        m: tuple(sorted(rank1[prof1[k]] for k in range(len(support)) if m >> k & 1))
+        for m in masks
     }
-    rank1 = {p: r for r, p in enumerate(sorted(set(prof1.values())))}
-    prof2 = {
-        i: (
-            prof1[i],
-            tuple(sorted(tuple(sorted(rank1[prof1[j]] for j in w)) for w in words if i in w)),
-        )
-        for i in support
-    }
-    ordered = sorted(support, key=lambda i: (prof2[i], i))
-    groups: List[List[int]] = []
-    for i in ordered:
-        if groups and prof2[groups[-1][0]] == prof2[i]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    prof2 = [(p, tuple(sorted(ranks[m] for m in occ))) for p, occ in zip(prof1, occurs)]
+    ordered = sorted(range(len(support)), key=lambda k: (prof2[k], k))
+    groups = [[k + 1 for k in g] for _, g in itertools.groupby(ordered, key=prof2.__getitem__)]
 
-    packed = {i: k for k, i in enumerate(support, start=1)}
-    masks = [sum(1 << (packed[i] - 1) for i in w) for w in words]
-    images = _least_relabeling(masks, [[packed[i] for i in g] for g in groups])
+    images = _least_relabeling(masks, groups)
     if images is None:
-        mapping = dict(zip(ordered, itertools.count(1)))
-    else:
-        mapping = dict(zip(support, images))
-    inverse = {new: old for old, new in mapping.items()}
-    return NeuralCode(frozenset(mapping[i] for i in w) for w in code.codewords), inverse
+        return {support[k]: label for label, k in enumerate(ordered, start=1)}
+    return dict(zip(support, images))
 
 
-def _remap_candidate(cand: SprocketCandidate, inverse: Dict[int, int]) -> SprocketCandidate:
-    back = lambda w: frozenset(inverse[i] for i in w)
-    return SprocketCandidate(
-        sigma1=back(cand.sigma1),
-        sigma2=back(cand.sigma2),
-        sigma3=back(cand.sigma3),
-        tau=back(cand.tau),
-        rho1=back(cand.rho1),
-        rho3=back(cand.rho3),
-    )
-
-
-def _candidate_pool(facets) -> list:
+def _candidate_pool(faces) -> set:
     pool = set()
-    for face in max_intersection_faces(facets):
+    for face in faces:
         pool.add(face)
         members = sorted(face)
         for r in range(1, min(len(members), _POOL_SUBSET_BOUND) + 1):
             pool.update(frozenset(c) for c in itertools.combinations(members, r))
-    return sort_words(pool)
-
-
-def _mask(word) -> int:
-    out = 0
-    for i in word:
-        out |= 1 << i
-    return out
+    return pool
 
 
 class _Faces(dict):
@@ -275,19 +241,19 @@ class _Faces(dict):
 class _Trunks(dict):
     """Trunks on neuron masks, filled on lookup.
 
-    A trunk is the mask of codeword positions in sort_words order, so the
-    trunk of a word is the AND of its neurons' columns and trunk
-    containment is a & ~b == 0.
+    bit maps each neuron to its mask bit.  A trunk is the mask of codeword
+    positions in one fixed order of the codewords, so the trunk of a word
+    is the AND of its neurons' columns and trunk containment is
+    a & ~b == 0.
     """
 
-    def __init__(self, code: NeuralCode):
+    def __init__(self, code: NeuralCode, bit: Dict[int, int]):
         super().__init__()
         self.all_words = (1 << len(code.codewords)) - 1
         self.columns: Dict[int, int] = {}
-        for j, w in enumerate(sort_words(code.codewords)):
+        for j, w in enumerate(code.codewords):
             for i in w:
-                bit = 1 << i
-                self.columns[bit] = self.columns.get(bit, 0) | (1 << j)
+                self.columns[bit[i]] = self.columns.get(bit[i], 0) | (1 << j)
 
     def __missing__(self, m: int) -> int:
         hit, rest = self.all_words, m
@@ -333,7 +299,10 @@ def find_sprocket(
     searched, and any hit revalidated against the original code), then a
     generic enumeration: tau over max-intersection faces missing from the
     code, sigmas and rhos over subsets of facet intersections, in canonical
-    order on (tau, sigma1, sigma2, sigma3, rho1, rho3).
+    order on (tau, sigma1, sigma2, sigma3, rho1, rho3).  The words keep the
+    code's own labels; the canonical order is that of their images under
+    _search_relabeling, so the outcome at a budget does not depend on how
+    the neurons are labeled.
 
     The budget counts search steps: one per (sigma1, sigma2, sigma3)
     triple that passes the mirror filter (sigma3 not before sigma1 in the
@@ -372,12 +341,14 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
             ):
                 return cand
 
-    canon, inverse = _search_relabeling(code)
-    canon_facets = maximal_codewords(canon)
-    facet_masks = [_mask(f) for f in canon_facets]
-    faces, trunks = _Faces(facet_masks), _Trunks(canon)  # caches for this call
-    words = _candidate_pool(canon_facets)
-    pool = [_mask(w) for w in words]
+    # visit candidates in the order sort_words gives on the canonical relabeling
+    label = _search_relabeling(code)
+    bit = {i: 1 << k for i, k in label.items()}
+    order = lambda w: (len(w), sorted(label[i] for i in w))
+    facet_masks = [sum(bit[i] for i in f) for f in s.facets]
+    faces, trunks = _Faces(facet_masks), _Trunks(code, bit)  # caches for this call
+    words = sorted(_candidate_pool(s.max_intersections), key=order)
+    pool = [sum(bit[i] for i in w) for w in words]
     pool_trunks = [trunks[m] for m in pool]
     size = len(pool)
     # One budget step per (sigma1, sigma2, sigma3) with sigma3 in
@@ -386,10 +357,8 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
     # the budget cannot cover it, the search stops with the budget at 0,
     # where the step-by-step loop would have stopped.
     left = box[0]
-    for tau_word in sort_words(max_intersection_faces(canon_facets)):
-        if tau_word in canon.codewords:
-            continue
-        tau = _mask(tau_word)
+    for tau_word in sorted(s.missing, key=order):
+        tau = sum(bit[i] for i in tau_word)
         tk_tau = trunks[tau]
         rhos = [r for r in range(size) if pool_trunks[r] & ~tk_tau == 0]
         if not rhos:
@@ -453,13 +422,10 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
                             cand = SprocketCandidate(
                                 words[i1], words[i2], words[i3], tau_word, words[r1], words[r3]
                             )
-                            mapped = _remap_candidate(cand, inverse)
-                            if not is_sprocket(code, mapped)[0] or not _witnesses_cover_exactly(
-                                code, mapped
+                            if not is_sprocket(code, cand)[0] or not _witnesses_cover_exactly(
+                                code, cand
                             ):
-                                raise AssertionError(
-                                    "relabeled sprocket failed replay on the original code"
-                                )
-                            return mapped
+                                raise AssertionError("bitmask sprocket failed replay on the code")
+                            return cand
     box[0] = left
     return None

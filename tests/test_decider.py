@@ -5,7 +5,6 @@ import pytest
 
 import convexcodes.topology
 from convexcodes import (
-    Certificate,
     NeuralCode,
     Verdict,
     analyze,
@@ -20,6 +19,7 @@ from convexcodes import (
     parse_code,
     relabel,
 )
+from convexcodes.codes import max_intersection_faces, sort_words
 
 from conftest import fs
 
@@ -157,6 +157,29 @@ class TestVerdictInvariants:
                 "LocalObstruction" in kinds and "MaxIntersectionComplete" in kinds
             )
 
+    def test_no_neuron_in_three_facets_settled_by_first_scans(self):
+        # every max-intersection face is then F_i & F_j alone, with link two
+        # disjoint nonempty sets: a missing one is an obstruction, so an
+        # unobstructed code is complete and no later branch is reached
+        rng = random.Random(41)
+        kinds = {decide(_no_triple_code(rng), budget=2000)[1][0].kind for _ in range(300)}
+        assert kinds == {"LocalObstruction", "MaxIntersectionComplete"}
+
+
+def _no_triple_code(rng):
+    """5-7 facets, each neuron in one or two, plus some of their intersections."""
+    while True:
+        m = rng.randint(5, 7)
+        facets = [set() for _ in range(m)]
+        for i in range(1, rng.randint(m, 12) + 1):
+            for f in rng.sample(facets, rng.randint(1, 2)):
+                f.add(i)
+        facets = {frozenset(f) for f in facets if f}
+        if len(facets) >= 5 and not any(f < g for f in facets for g in facets):
+            break
+    extra = [f for f in sort_words(max_intersection_faces(facets)) if rng.random() < 0.5]
+    return NeuralCode(facets | set(extra) | {frozenset()})
+
 
 def _random_code(rng):
     n = rng.randint(2, 6)
@@ -208,7 +231,6 @@ class TestCertificateText:
         assert "L24MinimalPoFSprocket" in certs[0].text()
         _, certs = decide(c26_printed)
         assert "{3}" in certs[0].text()
-        assert "NoTwoSimplexNerve" in Certificate("NoTwoSimplexNerve").text()
 
 
 class TestAnalyze:

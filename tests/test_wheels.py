@@ -211,11 +211,58 @@ def _shuffled(rng, code):
     return NeuralCode(frozenset(image[i] for i in w) for w in code.codewords)
 
 
+def _grown(c24, w3):
+    """C24 and W3 grown by a fifth facet or a second component.
+
+    The generic search finds their sprocket only after spending budget, so
+    the order in which it visits candidates shows in the budget left.
+    """
+    return [
+        NeuralCode(base.codewords | {fs(w) for w in extra})
+        for base in (c24, w3)
+        for extra in (("89",), ("289",), ("38", "89"))
+    ]
+
+
+def _relabeled(code):
+    """The (relabeled code, inverse map) pair reference_search_relabeling returns."""
+    label = _search_relabeling(code)
+    relabeled = NeuralCode(frozenset(label[i] for i in w) for w in code.codewords)
+    return relabeled, {new: old for old, new in label.items()}
+
+
 def _run(search, code, budget):
     box = [budget]
     # the bitmask search reads the code's structure, the reference the code
     got = search(CodeStructure(code) if search is _find_sprocket else code, box)
     return (None if got is None else got.words()), box[0]
+
+
+class TestSearchLabelInvariance:
+    """Below the relabeling cap, whether the search finds a sprocket and the
+    budget it leaves are properties of the code, not of its labels."""
+
+    def test_outcome_same_for_relabeled_copies(self, c22, c24, c26_corrected, d28, w3):
+        rng = random.Random(14)
+        full = TestSearchAgainstReference.FULL
+        checked = spent_to_find = 0
+        goldens = [c22, c24, c26_corrected, d28, w3] + _grown(c24, w3)
+        for code in goldens + _seeded_search_codes(2026, 40):
+            groups = reference_tie_groups(code)
+            if math.prod(math.factorial(len(g)) for g in groups) > _RELABEL_CAP:
+                continue
+            copies = [_shuffled(rng, code) for _ in range(3)]
+            words, left = _run(_find_sprocket, code, full)
+            used = full - left
+            spent_to_find += words is not None and used > 0
+            for budget in {0, 1, used - 1, used, used + 1, full} - {-1}:
+                outcomes = set()
+                for c in [code] + copies:
+                    words, left = _run(_find_sprocket, c, budget)
+                    outcomes.add((words is None, left))
+                assert len(outcomes) == 1, (sorted(map(sorted, code.codewords)), budget)
+                checked += 1
+        assert checked > 100 and spent_to_find >= 6
 
 
 class TestSearchAgainstReference:
@@ -239,6 +286,9 @@ class TestSearchAgainstReference:
         rng = random.Random(11)
         for code in (c22, c24, c26_corrected, d28, w3):
             self._check(code, rng)
+        for code in _grown(c24, w3):
+            hit, used = self._check(code, rng)
+            assert hit and used > 0
 
     def test_seeded_four_to_six_facet_codes(self):
         rng = random.Random(12)
@@ -263,7 +313,7 @@ class TestSearchAgainstReference:
             proper = [frozenset(c) for r in range(n) for c in itertools.combinations(neurons, r)]
             codes += [NeuralCode(proper), NeuralCode([frozenset({i}) for i in neurons] + [EMPTY])]
         for code in codes:
-            assert _search_relabeling(code) == reference_search_relabeling(code)
+            assert _relabeled(code) == reference_search_relabeling(code)
 
     def test_relabeling_cap_judged_on_unpruned_count(self, monkeypatch):
         # tie groups of 6 and 4 interchangeable leaves and two non-interchangeable
@@ -281,9 +331,9 @@ class TestSearchAgainstReference:
         assert _RELABEL_CAP < total <= 2 * _RELABEL_CAP
         rng = random.Random(5)
         copies = [_shuffled(rng, code) for _ in range(6)]
-        capped = [_search_relabeling(c) for c in copies]
+        capped = [_relabeled(c) for c in copies]
         for copy, got in zip(copies, capped):
             assert got == reference_search_relabeling(copy)
         # judged on the pruned count the search would run, and answer otherwise
         monkeypatch.setattr("convexcodes.codes._RELABEL_CAP", total)
-        assert any(_search_relabeling(c) != got for c, got in zip(copies, capped))
+        assert any(_relabeled(c) != got for c, got in zip(copies, capped))
