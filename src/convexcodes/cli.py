@@ -10,6 +10,7 @@ flags; --meta prepends a commented header that is allowed to vary.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -53,6 +54,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+# one parser per process, built on first use so that importing the CLI stays cheap
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="convexcodes", description=__doc__)
     parser.add_argument("--version", action="version", version=f"convexcodes {__version__}")

@@ -15,7 +15,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional
 
 # A codeword is represented as a frozenset of ints.  The empty codeword is
 # frozenset().
@@ -250,31 +250,57 @@ _RELABEL_CAP = 40320
 
 
 def canonicalize(code: NeuralCode) -> CanonicalForm:
-    """Lexicographically least code over all neuron relabelings.
+    """Lexicographically least code over neuron relabelings.
 
     Exact for n <= 8 (exact=True): a branch-and-bound search over all
     relabelings (see _least_relabeling) returns the least code and, among
     the relabelings that reach it, the lexicographically least permutation.
-    Beyond that the search is over its cap, a signature-refinement
-    heuristic is used and exact=False.  Idempotent in both regimes.
+    Beyond that exact=False: the support gets _profile_relabeling, which
+    does not depend on the labels while its profile cells admit at most 8!
+    assignments, and declared neurons outside the support take the next
+    labels in index order.  Idempotent in both regimes.
     """
-    n = code.n
-    if n == 0:
-        return CanonicalForm(code, (), True)
     images = _least_relabeling(code)
     if images is not None:
         return CanonicalForm(relabel(code, images), images, True)
-    # heuristic: sort neurons by an occurrence signature, ties by index
-    sigs = {}
-    for i in range(1, n + 1):
-        occ = sorted(word_sort_key(w) for w in code.codewords if i in w)
-        sigs[i] = (len(occ), occ)
-    order = sorted(range(1, n + 1), key=lambda i: (sigs[i], i))
-    images = [0] * n
-    for new_label, old in enumerate(order, start=1):
-        images[old - 1] = new_label
-    perm = tuple(images)
+    label = _profile_relabeling(code)
+    unused = [i for i in range(1, code.n + 1) if i not in label]
+    label.update(zip(unused, itertools.count(len(label) + 1)))
+    perm = tuple(label[i] for i in range(1, code.n + 1))
     return CanonicalForm(relabel(code, perm), perm, False)
+
+
+def _profile_relabeling(code: NeuralCode) -> Dict[int, int]:
+    """Label-invariant map from each neuron of the support onto 1..s.
+
+    Neurons are partitioned by a two-round occurrence profile, and the
+    support, packed onto 1..s, goes to _least_relabeling with the profile
+    groups as its ordered cells: the least relabeled code over
+    profile-respecting assignments wins, ties going to the least images.
+    Above that search's cap (judged on the full count of assignments, 8!)
+    the profile order itself, ties by index, is used, and the map may
+    depend on the labels.  The generic sprocket search visits candidates
+    in this order, and canonicalize falls back to it above 8 neurons.
+    """
+    support = sorted(code.support())
+    # word masks with bit k - 1 for the k-th neuron of the support
+    packed = {i: 1 << k for k, i in enumerate(support)}
+    masks = [sum(packed[i] for i in w) for w in code.codewords if w]
+    occurs = [[m for m in masks if m & bit] for bit in packed.values()]
+    prof1 = [tuple(sorted(m.bit_count() for m in occ)) for occ in occurs]
+    rank1 = {p: r for r, p in enumerate(sorted(set(prof1)))}
+    ranks = {
+        m: tuple(sorted(rank1[prof1[k]] for k in range(len(support)) if m >> k & 1))
+        for m in masks
+    }
+    prof2 = [(p, tuple(sorted(ranks[m] for m in occ))) for p, occ in zip(prof1, occurs)]
+    ordered = sorted(range(len(support)), key=lambda k: (prof2[k], k))
+    groups = [[k + 1 for k in g] for _, g in itertools.groupby(ordered, key=prof2.__getitem__)]
+
+    images = _least_relabeling(masks, groups)
+    if images is None:
+        return {support[k]: label for label, k in enumerate(ordered, start=1)}
+    return dict(zip(support, images))
 
 
 def _least_relabeling(code_or_masks, cells=None) -> Optional[tuple]:

@@ -207,9 +207,7 @@ class Report:
         }
 
 
-def analyze(
-    code: NeuralCode, budget: int = DEFAULT_BUDGET, with_realization: bool = True
-) -> Report:
+def analyze(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Report:
     """Aggregate view: structure, verdict, certificates, realization.
 
     The realization field is filled only when the verdict is CONVEX, every
@@ -247,7 +245,7 @@ def analyze(
     # an unused declared neuron would need an empty region, which
     # build_realization refuses; such codes get no realization
     all_neurons_used = code.n == max(code.support(), default=0)
-    if with_realization and verdict is Verdict.CONVEX and all_neurons_used:
+    if verdict is Verdict.CONVEX and all_neurons_used:
         from .realize import builders, verify_realization
 
         built = builders._build(s)

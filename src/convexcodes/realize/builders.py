@@ -263,13 +263,13 @@ def _build_l22(code: NeuralCode, by_ref) -> Optional[Tuple[Realization, str]]:
         return None  # both triples mandatory; only completeness applies
     if not tx_in and not ty_in:
         f1, f4 = sorted((x, y), key=word_sort_key)
-        return _l22_case2(code, f1, f4, shared)
+        return _l22_case2(f1, f4, shared)
     if tx_in:
-        return _l22_case3(code, x, y, shared, "L22Case3")
-    return _l22_case3(code, y, x, shared, "L22Case4")
+        return _l22_case3(x, y, shared, "L22Case3")
+    return _l22_case3(y, x, shared, "L22Case4")
 
 
-def _l22_case2(code: NeuralCode, f1, f4, shared) -> Optional[Tuple[Realization, str]]:
+def _l22_case2(f1, f4, shared) -> Optional[Tuple[Realization, str]]:
     m1 = _pof_middle(f1, shared)
     m4 = _pof_middle(f4, shared)
     if m1 not in shared or m4 not in shared:
@@ -283,7 +283,7 @@ def _l22_case2(code: NeuralCode, f1, f4, shared) -> Optional[Tuple[Realization, 
     return (_from_patterns(roles, _L22_CASE2B), "L22Case2b")
 
 
-def _l22_case3(code: NeuralCode, f1, f4, shared, base_tag) -> Optional[Tuple[Realization, str]]:
+def _l22_case3(f1, f4, shared, base_tag) -> Optional[Tuple[Realization, str]]:
     m4 = _pof_middle(f4, shared)
     if m4 not in shared:
         raise AssertionError("absent triple forces a shared Path-of-Facets middle")

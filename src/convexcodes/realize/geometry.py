@@ -303,6 +303,11 @@ def code_of_realization(r: Realization) -> NeuralCode:
     problems = validate(r)
     if problems:
         raise ValueError("degenerate realization: " + "; ".join(problems))
+    return _code_of_valid(r)
+
+
+def _code_of_valid(r: Realization) -> NeuralCode:
+    """code_of_realization on regions that validate already passed."""
     neurons = sorted(r.regions)
     if not neurons:
         return NeuralCode({frozenset()})
@@ -345,7 +350,7 @@ def verify_realization(r: Realization, target: NeuralCode) -> Tuple[bool, Verify
     problems = validate(r)
     if problems:
         return (False, VerifyDiff((), (), tuple(problems)))
-    generated = code_of_realization(r)
+    generated = _code_of_valid(r)
     missing = tuple(sort_words(target.codewords - generated.codewords))
     extra = tuple(sort_words(generated.codewords - target.codewords))
     diff = VerifyDiff(missing, extra, ())

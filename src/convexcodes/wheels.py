@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from .codes import (
     Codeword,
     NeuralCode,
-    _least_relabeling,
+    _profile_relabeling,
     format_word,
     is_face,
     maximal_codewords,
@@ -181,41 +181,6 @@ DEFAULT_BUDGET = 10**6
 _POOL_SUBSET_BOUND = 3
 
 
-def _search_relabeling(code: NeuralCode) -> Dict[int, int]:
-    """Label-invariant map from each neuron of the support onto 1..s.
-
-    The generic sprocket search enumerates candidates in label order, so a
-    budget can run out at different structural points for two relabelings
-    of the same code.  Visiting candidates in the order of a canonical
-    relabeling instead makes the found/exhausted outcome a property of the
-    code, not of its labels.  Neurons are partitioned by a two-round
-    occurrence profile, and the support, packed onto 1..s, goes to
-    codes._least_relabeling with the profile groups as its ordered cells:
-    the least relabeled code over profile-respecting assignments wins, ties
-    going to the least images.  Above that search's cap (judged on the full
-    count of assignments, 8!) the profile order itself is used.
-    """
-    support = sorted(code.support())
-    # word masks with bit k - 1 for the k-th neuron of the support
-    packed = {i: 1 << k for k, i in enumerate(support)}
-    masks = [sum(packed[i] for i in w) for w in code.codewords if w]
-    occurs = [[m for m in masks if m & bit] for bit in packed.values()]
-    prof1 = [tuple(sorted(m.bit_count() for m in occ)) for occ in occurs]
-    rank1 = {p: r for r, p in enumerate(sorted(set(prof1)))}
-    ranks = {
-        m: tuple(sorted(rank1[prof1[k]] for k in range(len(support)) if m >> k & 1))
-        for m in masks
-    }
-    prof2 = [(p, tuple(sorted(ranks[m] for m in occ))) for p, occ in zip(prof1, occurs)]
-    ordered = sorted(range(len(support)), key=lambda k: (prof2[k], k))
-    groups = [[k + 1 for k in g] for _, g in itertools.groupby(ordered, key=prof2.__getitem__)]
-
-    images = _least_relabeling(masks, groups)
-    if images is None:
-        return {support[k]: label for label, k in enumerate(ordered, start=1)}
-    return dict(zip(support, images))
-
-
 def _candidate_pool(faces) -> set:
     pool = set()
     for face in faces:
@@ -301,8 +266,8 @@ def find_sprocket(
     code, sigmas and rhos over subsets of facet intersections, in canonical
     order on (tau, sigma1, sigma2, sigma3, rho1, rho3).  The words keep the
     code's own labels; the canonical order is that of their images under
-    _search_relabeling, so the outcome at a budget does not depend on how
-    the neurons are labeled.
+    codes._profile_relabeling, so the outcome at a budget does not depend
+    on how the neurons are labeled.
 
     The budget counts search steps: one per (sigma1, sigma2, sigma3)
     triple that passes the mirror filter (sigma3 not before sigma1 in the
@@ -342,7 +307,7 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
                 return cand
 
     # visit candidates in the order sort_words gives on the canonical relabeling
-    label = _search_relabeling(code)
+    label = _profile_relabeling(code)
     bit = {i: 1 << k for i, k in label.items()}
     order = lambda w: (len(w), sorted(label[i] for i in w))
     facet_masks = [sum(bit[i] for i in f) for f in s.facets]

@@ -20,7 +20,7 @@ from convexcodes.codes import _least_relabeling, is_face, sort_words, word_sort_
 from convexcodes.topology import minimal_code
 
 from conftest import fs
-from oracles import reference_canonicalize
+from oracles import reference_canonicalize, reference_search_relabeling
 
 
 class TestParse:
@@ -273,6 +273,38 @@ class TestCanonicalizeAgainstReference:
                     perm = min(tuple(q[back[j] - 1] for j in range(1, n + 1)) for q in optima)
                     want = want._replace(permutation=perm)
                 assert canonicalize(mapped) == want, mapped
+
+
+class TestCanonicalizeAboveCap:
+    """Above 8 neurons the least relabeling is over its cap, and canonicalize
+    uses the support's profile relabeling: still one code per relabeling
+    class, with unused declared neurons on the last labels."""
+
+    def test_nine_and_ten_neurons_under_random_relabelings(self):
+        rng = random.Random(9010)
+        checked = unused = 0
+        for k in range(400):
+            n = 9 + k % 2
+            code = _random_code(rng, n)
+            forms = set()
+            for _ in range(3):
+                images = list(range(1, n + 1))
+                rng.shuffle(images)
+                copy = relabel(code, tuple(images))
+                out = canonicalize(copy)
+                assert out.exact is False
+                assert relabel(copy, out.permutation) == out.code
+                assert canonicalize(out.code) == (out.code, tuple(range(1, n + 1)), False)
+                relabeled, _inverse = reference_search_relabeling(copy)
+                assert out.code == NeuralCode(relabeled.codewords, n=n), copy
+                support = copy.support()
+                spare = [out.permutation[i - 1] for i in range(1, n + 1) if i not in support]
+                assert spare == list(range(len(support) + 1, n + 1)), copy
+                forms.add(out.code)
+            assert len(forms) == 1, code
+            checked += 1
+            unused += len(code.support()) < n
+        assert checked >= 300 and unused >= 50
 
 
 class TestLeastRelabelingCells:

@@ -197,6 +197,22 @@ class TestVerify:
         ok, diff = verify_realization(r, parse_code("{1}"))
         assert not ok and diff.validation
 
+    def test_each_public_call_validates_once(self, c22, monkeypatch):
+        import convexcodes.realize.geometry as geometry
+
+        calls = []
+
+        def counting(r):
+            calls.append(r)
+            return validate(r)
+
+        monkeypatch.setattr(geometry, "validate", counting)
+        r, _ = build_realization(c22)
+        assert verify_realization(r, c22)[0]
+        assert len(calls) == 1
+        assert code_of_realization(r) == c22
+        assert len(calls) == 2
+
 
 class TestRigidMotion:
     def test_translate_and_scale_preserve_code(self, c22):

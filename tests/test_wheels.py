@@ -17,12 +17,13 @@ from convexcodes import (
 from convexcodes.codes import (
     _RELABEL_CAP,
     EMPTY,
+    _profile_relabeling,
     max_intersection_faces,
     relabel_word,
     sort_words,
 )
 from convexcodes.topology import CodeStructure
-from convexcodes.wheels import _find_sprocket, _search_relabeling
+from convexcodes.wheels import _find_sprocket
 
 from conftest import collapse_family, fs
 from oracles import reference_find_sprocket, reference_search_relabeling, reference_tie_groups
@@ -226,7 +227,7 @@ def _grown(c24, w3):
 
 def _relabeled(code):
     """The (relabeled code, inverse map) pair reference_search_relabeling returns."""
-    label = _search_relabeling(code)
+    label = _profile_relabeling(code)
     relabeled = NeuralCode(frozenset(label[i] for i in w) for w in code.codewords)
     return relabeled, {new: old for old, new in label.items()}
 
