@@ -16,7 +16,7 @@ from typing import Iterator, List, Optional, TextIO, Tuple
 from .codes import canonicalize, format_code, sort_words
 from .decider import _decide
 from .topology import CodeStructure, minimal_code
-from .wheels import DEFAULT_BUDGET
+from .wheels import DEFAULT_BUDGET, _check_budget
 
 # not called here: kept importable because the benchmark tracer patches these names
 from .decider import decide
@@ -126,8 +126,9 @@ def atlas_rows(
     same labels.  A configuration is skipped only when its minimal code is
     undecidable (a link too large to classify), which cannot happen within
     the default caps.  Rows are unique by code text and deterministically
-    ordered.
+    ordered.  Raises ValueError on a negative budget.
     """
+    _check_budget(budget)
     rows: List[AtlasRow] = []
     seen = set()
     skipped = 0

@@ -54,6 +54,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _budget_arg(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {budget}")
+    return budget
+
+
 # one parser per process, built on first use so that importing the CLI stays cheap
 @functools.cache
 def _build_parser() -> _Parser:
@@ -64,7 +74,7 @@ def _build_parser() -> _Parser:
     def add_code_cmd(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("code", help="code text, e.g. '123,1246,145,356,12,14,3,5,6'")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_budget_arg, default=DEFAULT_BUDGET,
                        help="sprocket search budget (search steps)")
         p.add_argument("--meta", action="store_true", help="prepend a commented header")
         return p
@@ -95,7 +105,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--unsafe", action="store_true",
                    help=f"allow caps beyond {DEFAULT_NEURON_CAP} neurons / "
                         f"{DEFAULT_FACET_CAP} facets")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_budget_arg, default=DEFAULT_BUDGET,
                    help="sprocket search budget per code")
     p.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
     p.add_argument("--meta", action="store_true", help="prepend a commented header")

@@ -20,7 +20,13 @@ from typing import List, Optional, Tuple
 
 from .codes import EMPTY, NeuralCode, Codeword, format_word, sort_words
 from .topology import INDETERMINATE, CodeStructure, path_of_facets
-from .wheels import DEFAULT_BUDGET, SprocketCandidate, _find_sprocket, _l24_sprocket
+from .wheels import (
+    DEFAULT_BUDGET,
+    SprocketCandidate,
+    _check_budget,
+    _find_sprocket,
+    _l24_sprocket,
+)
 
 # not called here: kept importable because the benchmark tracer patches these names
 from .topology import classify_small_complex, has_local_obstruction, mandatory_faces, minimal_code, nerve
@@ -105,8 +111,9 @@ def decide(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Tuple[Verdict, Lis
     The pipeline order matters: the local-obstruction scan runs first so no
     later convexity theorem can be applied to an obstructed code, and
     max-intersection completeness second so later branches may assume the
-    code is not complete.
+    code is not complete.  Raises ValueError on a negative budget.
     """
+    _check_budget(budget)
     return _decide(CodeStructure(code), budget)
 
 
@@ -213,7 +220,9 @@ def analyze(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Report:
     The realization field is filled only when the verdict is CONVEX, every
     declared neuron appears in some codeword, and the code falls in a
     constructive family; it is re-verified before being reported.
+    Raises ValueError on a negative budget.
     """
+    _check_budget(budget)
     s = CodeStructure(code)
     facets, cls, mand = s.facets, s.classified, s.mandatory
     m = len(facets)

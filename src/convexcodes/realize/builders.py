@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from ..codes import Codeword, NeuralCode, word_sort_key
 from ..decider import Verdict, _decide
 from ..topology import CodeStructure, path_of_facets
-from ..wheels import DEFAULT_BUDGET
+from ..wheels import DEFAULT_BUDGET, _check_budget
 from .geometry import Interval, Polygon, Realization
 
 # not called here: kept importable because the benchmark tracer patches these names
@@ -76,10 +76,11 @@ def build_realization(
 ) -> Optional[Tuple[Realization, str]]:
     """Build a verified-by-construction realization, or None if not covered.
 
-    Raises ValueError when the code is not decided CONVEX, or when the
-    declared neuron count exceeds the largest index actually used (an
-    unused neuron would need an empty region).
+    Raises ValueError on a negative budget, when the code is not decided
+    CONVEX, or when the declared neuron count exceeds the largest index
+    actually used (an unused neuron would need an empty region).
     """
+    _check_budget(budget)
     s = CodeStructure(code)
     verdict, _ = _decide(s, budget)
     if verdict is not Verdict.CONVEX:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .codes import (
     Codeword,
@@ -176,6 +176,13 @@ def _l24_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
 
 DEFAULT_BUDGET = 10**6
 
+
+def _check_budget(budget: int) -> None:
+    """A budget counts search steps, so it is never negative; 0 is allowed."""
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+
+
 # candidate faces for sigma/rho in the generic search: subsets of facet
 # intersections up to this size, plus the intersections themselves
 _POOL_SUBSET_BOUND = 3
@@ -191,15 +198,15 @@ def _candidate_pool(faces) -> set:
     return pool
 
 
-class _Faces(dict):
-    """is_face on neuron masks (bit i for neuron i), filled on lookup."""
+class _Filled(dict):
+    """A per-call cache that fills a missing key with fill(key)."""
 
-    def __init__(self, facets: List[int]):
+    def __init__(self, fill):
         super().__init__()
-        self.facets = facets
+        self.fill = fill
 
-    def __missing__(self, m: int) -> bool:
-        hit = self[m] = any(m & f == m for f in self.facets)
+    def __missing__(self, key):
+        hit = self[key] = self.fill(key)
         return hit
 
 
@@ -208,8 +215,9 @@ class _Trunks(dict):
 
     bit maps each neuron to its mask bit.  A trunk is the mask of codeword
     positions in one fixed order of the codewords, so the trunk of a word
-    is the AND of its neurons' columns and trunk containment is
-    a & ~b == 0.
+    is the AND of its neurons' columns, the trunk of a union is the AND of
+    the trunks (trunk(a | b) == trunk(a) & trunk(b)), and trunk
+    containment is a & ~b == 0.
     """
 
     def __init__(self, code: NeuralCode, bit: Dict[int, int]):
@@ -272,16 +280,25 @@ def find_sprocket(
     The budget counts search steps: one per (sigma1, sigma2, sigma3)
     triple that passes the mirror filter (sigma3 not before sigma1 in the
     canonical order) and one per (rho1, rho3) pair tried for a partial
-    wheel.  Cone peeling spends from the same budget.  The candidate or
-    None returned at each budget, and the budget left, are pinned to a
-    step-by-step frozenset reference search by the oracle tests in
-    tests/test_wheels.py.
+    wheel.  Cone peeling spends from the same budget.  The search itself
+    runs on bitmasks: a union of candidate words is a face iff the AND of
+    their facet-membership masks is nonzero, the trunk of a union is the
+    AND of the trunks, and only triples passing the face and trunk-subset
+    tests are visited; the triples skipped between them are charged in one
+    step, so the budget spent is that of the step-by-step loop.  The
+    candidate or None returned at each budget, and the budget left, are
+    pinned to a step-by-step frozenset reference search by the oracle
+    tests in tests/test_wheels.py, at every budget up to the steps spent
+    on a sample of codes.
 
     Emitted candidates satisfy a condition beyond is_sprocket: both
     witness trunks must lie inside Tk(tau) (see _witnesses_cover_exactly).
     Candidates passing the bare S conditions but reaching outside Tk(tau)
     occur even in convex codes, so the search treats them as noise.
+
+    Raises ValueError on a negative budget.
     """
+    _check_budget(budget)
     return _find_sprocket(CodeStructure(code), [budget])
 
 
@@ -311,16 +328,41 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
     bit = {i: 1 << k for i, k in label.items()}
     order = lambda w: (len(w), sorted(label[i] for i in w))
     facet_masks = [sum(bit[i] for i in f) for f in s.facets]
-    faces, trunks = _Faces(facet_masks), _Trunks(code, bit)  # caches for this call
+    trunks = _Trunks(code, bit)  # cache for this call
     words = sorted(_candidate_pool(s.max_intersections), key=order)
     pool = [sum(bit[i] for i in w) for w in words]
     pool_trunks = [trunks[m] for m in pool]
     size = len(pool)
+    # in_facets[i] is the set of facets holding pool[i] (bit j for facet j),
+    # so a union of pool words is a face iff the AND of their in_facets is
+    # nonzero.  inside maps a facet set to the pool indices held by one of
+    # its facets, and holding maps a trunk to the pool indices whose trunk
+    # contains it.
+    in_facets, members = [0] * size, [0] * len(facet_masks)
+    for j, f in enumerate(facet_masks):
+        for i, m in enumerate(pool):
+            if m & ~f == 0:
+                in_facets[i] |= 1 << j
+                members[j] |= 1 << i
+
+    def held_by(at: int) -> int:
+        held = 0
+        for j, m in enumerate(members):
+            if at >> j & 1:
+                held |= m
+        return held
+
+    inside = _Filled(held_by)
+    holding = _Filled(lambda t: sum(1 << i for i, tk in enumerate(pool_trunks) if t & ~tk == 0))
     # One budget step per (sigma1, sigma2, sigma3) with sigma3 in
-    # pool[i1:] (the mirror filter) and one per (rho1, rho3).  A block
-    # whose every step fails on a shared condition is charged at once; if
-    # the budget cannot cover it, the search stops with the budget at 0,
-    # where the step-by-step loop would have stopped.
+    # pool[i1:] (the mirror filter) and one per (rho1, rho3).  A tau's
+    # triples are numbered in the order of the loops over i1, i2 and i3, so
+    # a triple passing the mask tests charges itself and the skipped
+    # triples numbered before it at once, and the tau's remaining triples
+    # are charged when it ends.  A block of rho pairs failing S(1) on rho1
+    # is charged at once too.  If the budget cannot cover a charge, the
+    # search stops with the budget at 0, where the step-by-step loop would
+    # have stopped.
     left = box[0]
     for tau_word in sorted(s.missing, key=order):
         tau = sum(bit[i] for i in tau_word)
@@ -328,41 +370,49 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
         rhos = [r for r in range(size) if pool_trunks[r] & ~tk_tau == 0]
         if not rhos:
             continue
-        spoke = [faces[m | tau] for m in pool]  # P(iii), per sigma
-        for i1, s1 in enumerate(pool):
-            row = size - i1
-            if not spoke[i1]:
-                if left < size * row:
-                    box[0] = min(left, 0)
-                    return None
-                left -= size * row
-                continue
-            for i2, s2 in enumerate(pool):
-                s12 = s1 | s2
-                if not (spoke[i2] and faces[s12]):
-                    if left < row:
+        at_tau = sum(1 << j for j, f in enumerate(facet_masks) if tau & ~f == 0)
+        spokes = inside[at_tau]  # P(iii), per sigma
+        # the spokes sigma3 for which u = s1|s2|s3 is a face but u|tau is
+        # not (P(ii)), keyed by the facets holding s1|s2
+        wheel_faces = _Filled(lambda at: spokes & inside[at] & ~inside[at & at_tau])
+        done = 0  # triples of this tau charged so far
+        live1 = spokes
+        while live1:
+            low = live1 & -live1
+            live1 ^= low
+            i1 = low.bit_length() - 1
+            s1, tk1, at1, row = pool[i1], pool_trunks[i1], in_facets[i1], size - i1
+            # triple (i1, i2, i3) is number first1 + i2 * row + i3 of this tau
+            first1 = size * (i1 * size - i1 * (i1 - 1) // 2) - i1
+            live2 = spokes & inside[at1]  # s1|s2 is a face
+            while live2:
+                low = live2 & -live2
+                live2 ^= low
+                i2 = low.bit_length() - 1
+                tk2 = pool_trunks[i2]
+                tk12 = tk1 & tk2
+                # Tk(u) == Tk(s1|s2), u is a face, u|tau is not; bit k is i3 = i1 + k
+                live3 = (holding[tk12] & wheel_faces[at1 & in_facets[i2]]) >> i1
+                if not live3:
+                    continue
+                first = first1 + i2 * row
+                while live3:
+                    low = live3 & -live3
+                    live3 ^= low
+                    i3 = i1 + low.bit_length() - 1
+                    need = first + i3 + 1 - done
+                    if left < need:
                         box[0] = min(left, 0)
                         return None
-                    left -= row
-                    continue
-                t12 = trunks[s12]
-                for i3 in range(i1, size):
-                    if left <= 0:
-                        box[0] = left
-                        return None
-                    left -= 1
-                    if not spoke[i3]:
+                    left -= need
+                    done += need
+                    tk3 = pool_trunks[i3]
+                    if tk1 & tk3 != tk12 or tk2 & tk3 != tk12:
                         continue
-                    s3 = pool[i3]
-                    u = s12 | s3
-                    if not faces[u] or faces[u | tau]:
-                        continue
-                    tu = trunks[u]
-                    if t12 != tu or trunks[s1 | s3] != tu or trunks[s2 | s3] != tu:
-                        continue
+                    s2, s3 = pool[i2], pool[i3]
                     if not _hub_spoke_pattern(facet_masks, s1, s2, s3, tau):
                         continue
-                    t1, t3, t2 = trunks[s1 | tau], trunks[s3 | tau], pool_trunks[i2]
+                    t1, t3, t2 = tk1 & tk_tau, tk3 & tk_tau, tk2
                     for r1 in rhos:
                         tr1 = pool_trunks[r1]
                         if t1 & ~tr1:  # S(1) fails for every rho3
@@ -392,5 +442,10 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
                             ):
                                 raise AssertionError("bitmask sprocket failed replay on the code")
                             return cand
+        need = size * size * (size + 1) // 2 - done
+        if left < need:
+            box[0] = min(left, 0)
+            return None
+        left -= need
     box[0] = left
     return None

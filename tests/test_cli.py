@@ -55,6 +55,30 @@ class TestDecideCommand:
         status, _, _ = run(capsys, "decide", C22_TEXT, "--nonsense")
         assert status == 5
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decide", C26_CORRECTED_TEXT, "--budget", "-3"),
+            ("analyze", C26_CORRECTED_TEXT, "--json", "--budget", "-3"),
+            ("realize", C22_TEXT, "--budget=-1"),
+            ("atlas", "--neurons", "3", "--facets", "2", "--budget", "-1"),
+        ],
+    )
+    def test_negative_budget_exit_five(self, capsys, argv):
+        # a negative budget used to reach the report as "budget": -3, which
+        # report_schema.json rejects
+        status, out, err = run(capsys, *argv)
+        assert status == 5 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--budget" in errors[0] and "nonnegative" in errors[0]
+
+    def test_zero_budget_accepted(self, capsys, report_schema):
+        status, out, _ = run(capsys, "analyze", C26_CORRECTED_TEXT, "--json", "--budget", "0")
+        assert status == 2
+        doc = json.loads(out)
+        jsonschema.validate(doc, report_schema)
+        assert doc["sprocket"] == {"found": False, "budget": 0}
+
     def test_json_report_validates(self, capsys, report_schema):
         status, out, _ = run(capsys, "decide", C22_TEXT, "--json")
         assert status == 0

@@ -8,9 +8,12 @@ from convexcodes import (
     NeuralCode,
     Verdict,
     analyze,
+    atlas_rows,
+    build_realization,
     canonical_l24_sprocket,
     classify_small_complex,
     decide,
+    find_sprocket,
     has_local_obstruction,
     is_max_intersection_complete,
     is_sprocket,
@@ -231,6 +234,31 @@ class TestCertificateText:
         assert "L24MinimalPoFSprocket" in certs[0].text()
         _, certs = decide(c26_printed)
         assert "{3}" in certs[0].text()
+
+
+class TestNegativeBudget:
+    """A budget counts search steps; every entry point taking one rejects
+    a negative value instead of reporting it."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda code: decide(code, budget=-3),
+            lambda code: analyze(code, budget=-3),
+            lambda code: find_sprocket(code, budget=-1),
+            lambda code: atlas_rows(3, 2, budget=-1),
+            lambda code: build_realization(code, budget=-1),
+        ],
+        ids=["decide", "analyze", "find_sprocket", "atlas_rows", "build_realization"],
+    )
+    def test_rejected(self, c26_corrected, call):
+        with pytest.raises(ValueError, match="nonnegative"):
+            call(c26_corrected)
+
+    def test_zero_allowed(self, c24, c26_corrected):
+        # the closed forms take no steps, so budget 0 still finds C24's sprocket
+        assert decide(c24, budget=0)[0] is Verdict.NONCONVEX
+        assert analyze(c26_corrected, budget=0).to_json()["sprocket"] == {"found": False, "budget": 0}
 
 
 class TestAnalyze:

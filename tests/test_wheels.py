@@ -19,6 +19,7 @@ from convexcodes.codes import (
     EMPTY,
     _profile_relabeling,
     max_intersection_faces,
+    maximal_codewords,
     relabel_word,
     sort_words,
 )
@@ -282,6 +283,32 @@ class TestSearchAgainstReference:
                 reference_find_sprocket, code, budget
             ), (sorted(map(sorted, code.codewords)), budget)
         return words is not None, used
+
+    def test_every_budget(self, c24, w3):
+        """Every budget from 0 to one past the steps spent, not a sample.
+
+        A block of skipped steps charged one step too many or too few can
+        change the outcome at only a few budgets, which sampled budgets
+        can miss.  The seeded codes are the 5-6-facet ones spending at most
+        800 steps, which bounds the quadratic cost of rerunning the
+        reference at each budget.
+        """
+        seeded = [
+            c for c in _seeded_search_codes(3, 40) if len(maximal_codewords(c)) >= 5
+        ]
+        spent = []
+        for code in _grown(c24, w3) + seeded:
+            _words, left = _run(reference_find_sprocket, code, self.FULL)
+            used = self.FULL - left
+            if not 0 < used <= 800:
+                continue
+            for budget in range(used + 2):
+                assert _run(_find_sprocket, code, budget) == _run(
+                    reference_find_sprocket, code, budget
+                ), (sorted(map(sorted, code.codewords)), budget)
+            spent.append(used)
+        # all six grown codes (44-458 steps) and at least three seeded ones
+        assert len(spent) >= 9 and min(spent[:6]) >= 44 and max(spent[:6]) >= 450
 
     def test_golden_codes(self, c22, c24, c26_corrected, d28, w3):
         rng = random.Random(11)
