@@ -140,7 +140,7 @@ def atlas_rows(
             continue
         s = CodeStructure(code)
         nerve_class = s.classified.class_id if s.classified is not None else ""
-        verdict, certificates = _decide(s, budget)
+        verdict, certificates = _decide(s, [budget])
         certificate = certificates[0].kind if certificates else ""
         sprocket = ""
         for cert in certificates:

@@ -188,7 +188,7 @@ def _cmd_realize(args) -> int:
     if args.meta:
         print(_meta_line(args))
     s = CodeStructure(code)
-    verdict, certificates = _decide(s, args.budget)
+    verdict, certificates = _decide(s, [args.budget])
     if verdict is not Verdict.CONVEX:
         _print_verdict(verdict, certificates)
         print(f"convexcodes: realization requires a CONVEX code, verdict is "

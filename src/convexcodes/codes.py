@@ -263,30 +263,52 @@ def canonicalize(code: NeuralCode) -> CanonicalForm:
     images = _least_relabeling(code)
     if images is not None:
         return CanonicalForm(relabel(code, images), images, True)
-    label = _profile_relabeling(code)
+    label = _profile_relabeling(_pack(w for w in code.codewords if w))
     unused = [i for i in range(1, code.n + 1) if i not in label]
     label.update(zip(unused, itertools.count(len(label) + 1)))
     perm = tuple(label[i] for i in range(1, code.n + 1))
     return CanonicalForm(relabel(code, perm), perm, False)
 
 
-def _profile_relabeling(code: NeuralCode) -> Dict[int, int]:
-    """Label-invariant map from each neuron of the support onto 1..s.
+class _Packing(NamedTuple):
+    """Sets packed into bitmasks by _pack."""
 
-    Neurons are partitioned by a two-round occurrence profile, and the
-    support, packed onto 1..s, goes to _least_relabeling with the profile
-    groups as its ordered cells: the least relabeled code over
-    profile-respecting assignments wins, ties going to the least images.
-    Above that search's cap (judged on the full count of assignments, 8!)
-    the profile order itself, ties by index, is used, and the map may
-    depend on the labels.  The generic sprocket search visits candidates
-    in this order, and canonicalize falls back to it above 8 neurons.
+    bit: Dict[int, int]  # label -> its bit
+    masks: list  # the sets' masks, in input order
+
+
+def _pack(sets) -> _Packing:
+    """Pack sets of labels into bitmasks.
+
+    Each label present gets a consecutive bit, in sorted order, so a mask
+    has as many bits as there are labels, whatever their values.  Labels
+    that cannot be ordered (nerve takes any hashables) keep the set's order.
     """
-    support = sorted(code.support())
-    # word masks with bit k - 1 for the k-th neuron of the support
-    packed = {i: 1 << k for k, i in enumerate(support)}
-    masks = [sum(packed[i] for i in w) for w in code.codewords if w]
-    occurs = [[m for m in masks if m & bit] for bit in packed.values()]
+    sets = [frozenset(s) for s in sets]
+    labels = frozenset().union(*sets)
+    try:
+        labels = sorted(labels)
+    except TypeError:
+        pass
+    bit = {x: 1 << k for k, x in enumerate(labels)}
+    return _Packing(bit, [sum(map(bit.__getitem__, s)) for s in sets])
+
+
+def _profile_relabeling(packed: _Packing) -> Dict[int, int]:
+    """Label-invariant map from each packed label onto 1..s.
+
+    packed holds the nonempty codewords of a code, as _pack gives them.
+    Labels are partitioned by a two-round occurrence profile and go, as
+    their bits, to _least_relabeling with the profile groups as its ordered
+    cells: the least relabeled code over profile-respecting assignments
+    wins, ties going to the least images.  Above that search's cap (judged
+    on the full count of assignments, 8!) the profile order itself, ties by
+    label, is used, and the map may depend on the labels.  The generic
+    sprocket search visits candidates in this order, and canonicalize falls
+    back to it above 8 neurons.
+    """
+    support, masks = list(packed.bit), packed.masks
+    occurs = [[m for m in masks if m >> k & 1] for k in range(len(support))]
     prof1 = [tuple(sorted(m.bit_count() for m in occ)) for occ in occurs]
     rank1 = {p: r for r, p in enumerate(sorted(set(prof1)))}
     ranks = {

@@ -4,11 +4,12 @@ decide() runs a fixed pipeline whose every exit is justified by a
 replayable certificate: the local-obstruction scan (sound for NONCONVEX,
 run first and unconditionally), max-intersection completeness, the
 3-maximal theorem, the nerve-class theorems for 4-maximal codes with the
-Path-of-Facets dichotomy on minimal L24 codes, and for five or more
-facets component decomposition and the bounded sprocket search.  UNKNOWN
-is a terminal honest answer for the open cases, never a timeout disguise:
-certificates list what was established, and the sprocket search reports
-its budget in analyze().
+canonical sprocket on minimal L24 codes that are not complete, and for
+five or more facets component decomposition and the bounded sprocket
+search, whose one budget the components share.  UNKNOWN is a terminal
+honest answer for the open cases, never a timeout disguise: certificates
+list what was established, and the sprocket search reports its budget in
+analyze().
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ KIND_MAX_INTERSECTION_COMPLETE = "MaxIntersectionComplete"
 KIND_LOCAL_OBSTRUCTION = "LocalObstruction"
 KIND_SPROCKET = "Sprocket"
 KIND_THEOREM_NO_LOCAL_OBSTRUCTION = "TheoremNoLocalObstruction"
-KIND_L24_MINIMAL_POF_CONVEX = "L24MinimalPoFConvex"
 KIND_L24_MINIMAL_POF_SPROCKET = "L24MinimalPoFSprocket"
 KIND_DISCONNECTED_DECOMPOSITION = "DisconnectedDecomposition"
 KIND_INDETERMINATE_CONTRACTIBILITY = "IndeterminateContractibility"
@@ -87,8 +87,6 @@ class Certificate:
             return f"{k}: {self.candidate.text()}"
         if k == KIND_THEOREM_NO_LOCAL_OBSTRUCTION:
             return f"{k}: {self.class_id}"
-        if k == KIND_L24_MINIMAL_POF_CONVEX:
-            return f"{k}: triangle facets fail Path-of-Facets"
         if k == KIND_DISCONNECTED_DECOMPOSITION:
             parts = "; ".join(
                 "{" + ",".join(str(i) for i in neurons) + "} -> " + status
@@ -111,13 +109,32 @@ def decide(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Tuple[Verdict, Lis
     The pipeline order matters: the local-obstruction scan runs first so no
     later convexity theorem can be applied to an obstructed code, and
     max-intersection completeness second so later branches may assume the
-    code is not complete.  Raises ValueError on a negative budget.
+    code is not complete.  budget bounds the sprocket steps of the whole
+    call, every nerve component included.  Raises ValueError on a negative
+    budget.
     """
     _check_budget(budget)
-    return _decide(CodeStructure(code), budget)
+    return _decide(CodeStructure(code), [budget])
 
 
-def _decide(s: CodeStructure, budget: int) -> Tuple[Verdict, List[Certificate]]:
+def _decide(s: CodeStructure, box: list) -> Tuple[Verdict, List[Certificate]]:
+    """decide on a code's structure; every sprocket search spends from box[0].
+
+    Each public entry point makes one box per call, so the nerve components
+    of a code share its budget.
+
+    A minimal L24 code that reaches the L24 branch satisfies Path-of-Facets
+    on its triangle F1, F2, F3, so it goes straight to the canonical
+    sprocket.  Only F4 and one triangle facet hold a face Fi & F4, and only
+    Fi and Fj hold Fi & Fj unless it is the triple intersection tau; such
+    a link is two disjoint sets, so those faces are mandatory.  The link of
+    tau is the nerve of the three sets Fi - tau, which is a path exactly
+    when one of the differences Path-of-Facets reads is empty.  So a
+    triangle failing Path-of-Facets makes every max-intersection face
+    mandatory: the minimal code is complete and has already returned.  The
+    census of all 512 L24 families with one neuron per cell in
+    tests/test_decider.py pins this.
+    """
     obs = s.obstruction
     if obs is INDETERMINATE:
         und = s.mandatory.undecided
@@ -140,9 +157,6 @@ def _decide(s: CodeStructure, budget: int) -> Tuple[Verdict, List[Certificate]]:
         if 9 <= int(class_id[1:]) <= 23:
             return (Verdict.CONVEX, [_theorem_cert(class_id)])
         if class_id == "L24" and s.is_minimal:
-            by_ref = s.by_ref
-            if path_of_facets(by_ref[1], by_ref[2], by_ref[3]) is None:
-                return (Verdict.CONVEX, [Certificate(KIND_L24_MINIMAL_POF_CONVEX)])
             cand = _l24_sprocket(s)
             if cand is None:
                 raise AssertionError(
@@ -157,7 +171,7 @@ def _decide(s: CodeStructure, budget: int) -> Tuple[Verdict, List[Certificate]]:
         statuses = []
         payload = []
         for sub in s.components:
-            verdict, _ = _decide(sub, budget)
+            verdict, _ = _decide(sub, box)
             statuses.append(verdict)
             payload.append((tuple(sorted(sub.code.support())), verdict.value))
         cert = Certificate(KIND_DISCONNECTED_DECOMPOSITION, components=tuple(payload))
@@ -166,7 +180,7 @@ def _decide(s: CodeStructure, budget: int) -> Tuple[Verdict, List[Certificate]]:
         if any(v is Verdict.NONCONVEX for v in statuses):
             return (Verdict.NONCONVEX, [cert])
         return (Verdict.UNKNOWN, [cert])
-    cand = _find_sprocket(s, [budget])
+    cand = _find_sprocket(s, box)
     if cand is not None:
         return (Verdict.NONCONVEX, [Certificate(KIND_SPROCKET, candidate=cand)])
     return (Verdict.UNKNOWN, [])
@@ -241,7 +255,7 @@ def analyze(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Report:
             }
         )
 
-    verdict, certs = _decide(s, budget)
+    verdict, certs = _decide(s, [budget])
 
     sprocket_json = None
     for cert in certs:

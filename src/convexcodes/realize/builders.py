@@ -82,7 +82,7 @@ def build_realization(
     """
     _check_budget(budget)
     s = CodeStructure(code)
-    verdict, _ = _decide(s, budget)
+    verdict, _ = _decide(s, [budget])
     if verdict is not Verdict.CONVEX:
         raise ValueError(f"realization requires a CONVEX code, verdict is {verdict.value}")
     support = code.support()

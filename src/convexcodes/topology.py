@@ -6,7 +6,8 @@ obstructions, and the Path-of-Facets test.
 
 Nerves are built from facets only: the maximal occurrence masks of the
 input's elements are the nerve's facets, so no face list is ever formed
-on the way.
+on the way.  Every mask here is laid out by codes._pack, one bit per
+label present, so its size does not grow with the labels' values.
 
 Classification on at most four vertices is one dictionary lookup: at import
 every relabeling of every reference class is expanded into a table of all
@@ -36,6 +37,7 @@ from .codes import (
     EMPTY,
     Codeword,
     NeuralCode,
+    _pack,
     max_intersection_faces,
     maximal_codewords,
     sort_words,
@@ -76,13 +78,6 @@ class SimplicialComplex:
         maximal = [f for f in fl if not any(f < g for g in fl)]
         dedup = sort_words(set(maximal))
         object.__setattr__(self, "facets", tuple(dedup))
-
-    @classmethod
-    def _from_facets(cls, facets: tuple) -> "SimplicialComplex":
-        """Wrap a sort_words-ordered antichain, skipping the maximality filter."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "facets", facets)
-        return self
 
     @property
     def vertices(self) -> frozenset:
@@ -127,13 +122,6 @@ class SimplicialComplex:
         return len(self.components()) <= 1
 
 
-def _nonempty_sets(sets: Iterable[Iterable[int]]) -> list:
-    sl = [frozenset(s) for s in sets]
-    if any(not s for s in sl):
-        raise ValueError("nerve input sets must be nonempty")
-    return sl
-
-
 def _maximal_masks(masks: Iterable[int]) -> list:
     """The inclusion-maximal members of a set of bitmasks."""
     kept: list = []
@@ -143,27 +131,46 @@ def _maximal_masks(masks: Iterable[int]) -> list:
     return kept
 
 
+def _occurrences(rows: Iterable[int]) -> Dict[int, int]:
+    """For each bit set in some row, the mask of the row positions holding it."""
+    occ: Dict[int, int] = {}
+    for pos, rest in enumerate(rows):
+        while rest:
+            low = rest & -rest
+            occ[low] = occ.get(low, 0) | 1 << pos
+            rest ^= low
+    return occ
+
+
+def _nerve_masks(rows: list) -> list:
+    """The facets of the nerve of packed sets, as masks of their positions.
+
+    Each element's occurrence mask (positions of the sets containing it) is
+    a face, and every face lies in some occurrence mask, so the maximal
+    masks are exactly the facets.
+    """
+    if not all(rows):
+        raise ValueError("nerve input sets must be nonempty")
+    return _maximal_masks(_occurrences(rows).values())
+
+
+def _on_positions(masks: list) -> SimplicialComplex:
+    """The complex with these facets, bit p standing for vertex p + 1."""
+    return SimplicialComplex(
+        frozenset(p + 1 for p in range(m.bit_length()) if m >> p & 1) for m in masks
+    )
+
+
 def nerve(sets: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Nerve of a list of nonempty sets, on vertex labels 1..m.
 
     A subset S of positions is a face iff the sets indexed by S have a
-    common element.  Built from the dual without listing faces: each
-    element's occurrence mask (positions of the sets containing it) is a
-    face, every face lies in some occurrence mask, so the maximal masks are
-    exactly the facets.  Cost is linear in the input plus a pairwise filter
-    of the distinct masks, where enumerating faces costs 2^m when all m sets
-    share a point.
+    common element.  Built from the dual without listing faces (see
+    _nerve_masks): cost is linear in the input plus a pairwise filter of
+    the distinct occurrence masks, where enumerating faces costs 2^m when
+    all m sets share a point.
     """
-    sl = _nonempty_sets(sets)
-    occ: Dict[int, int] = {}  # element -> positions of the sets holding it
-    for pos, s in enumerate(sl):
-        for x in s:
-            occ[x] = occ.get(x, 0) | 1 << pos
-    facets = [
-        frozenset(pos + 1 for pos in range(len(sl)) if m >> pos & 1)
-        for m in _maximal_masks(occ.values())
-    ]
-    return SimplicialComplex._from_facets(tuple(sort_words(facets)))
+    return _on_positions(_nerve_masks(_pack(sets).masks))
 
 
 # Reference complexes on up to four vertices, one per isomorphism class.
@@ -318,17 +325,14 @@ def classify_small_complex(sc: SimplicialComplex) -> ClassifiedNerve:
     one (as the tuple of reference labels assigned to the sorted input
     vertices).
     """
-    verts = sorted(sc.vertices)
-    k = len(verts)
-    if not 1 <= k <= 4:
-        raise ValueError(f"classification requires 1..4 vertices, got {k}")
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    key = frozenset(sum(bit[v] for v in f) for f in sc.facets)
-    hit = _CLASS_TABLE.get(key)
+    bit, masks = _pack(sc.facets)
+    if not 1 <= len(bit) <= 4:
+        raise ValueError(f"classification requires 1..4 vertices, got {len(bit)}")
+    hit = _CLASS_TABLE.get(frozenset(masks))
     if hit is None:
         raise AssertionError("complex matched no reference class; catalog is broken")
     class_id, images, contractible = hit
-    return ClassifiedNerve(class_id, tuple(zip(verts, images)), contractible)
+    return ClassifiedNerve(class_id, tuple(zip(bit, images)), contractible)
 
 
 def is_contractible_small(sc: SimplicialComplex) -> bool:
@@ -362,8 +366,8 @@ def link_facet_sets(facets: Iterable[Codeword], sigma: Iterable[int]) -> list:
     return out
 
 
-def _strong_core(sets: Iterable[Iterable[int]]) -> list:
-    """The sets left after dominance reduction of a list of nonempty sets.
+def _strong_core(rows: list) -> list:
+    """The masks left after dominance reduction of packed nonempty sets.
 
     Repeatedly drop a set contained in another (one copy of equal sets is
     kept) and an element whose occurrence mask is contained in another's
@@ -374,21 +378,15 @@ def _strong_core(sets: Iterable[Iterable[int]]) -> list:
     result is therefore homotopy-equivalent to the nerve of the input, and
     a single set left means the input's nerve is collapsible.
     """
-    rows = [sum(1 << x for x in s) for s in _nonempty_sets(sets)]
     while True:
         rows = _maximal_masks(rows)
-        occ: Dict[int, int] = {}  # element bit -> positions of the rows holding it
-        for pos, rest in enumerate(rows):
-            while rest:
-                low = rest & -rest
-                occ[low] = occ.get(low, 0) | 1 << pos
-                rest ^= low
+        occ = _occurrences(rows)
         owner: Dict[int, int] = {}
         for bit, m in occ.items():
             owner.setdefault(m, bit)
         keep = sum(owner[m] for m in _maximal_masks(owner))
         if len(rows) == 1 or keep.bit_count() == len(occ):
-            return [frozenset(x for x in range(r.bit_length()) if r >> x & 1) for r in rows]
+            return rows
         rows = [r & keep for r in rows]
 
 
@@ -410,11 +408,13 @@ def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
     diffs = link_facet_sets(facets, s)
     if diffs == [EMPTY]:
         return False
-    if len(diffs) > 4:
-        diffs = _strong_core(diffs)
-    link_nerve = nerve(diffs)
-    if len(diffs) <= 4:
-        return is_contractible_small(link_nerve)
+    rows = _pack(diffs).masks
+    if len(rows) > 4 and all(rows):  # an empty set is refused by _nerve_masks
+        rows = _strong_core(rows)
+    nerve_masks = _nerve_masks(rows)
+    if len(rows) <= 4:
+        return _CLASS_TABLE[frozenset(nerve_masks)][2]
+    link_nerve = _on_positions(nerve_masks)
     if not link_nerve.is_connected() or link_nerve.euler_characteristic() != 1:
         return False
     coll = is_collapsible(link_nerve.all_faces())
@@ -447,7 +447,9 @@ class CodeStructure:
     call only; it is never stored on the code or in a module-level cache.
     Every field is computed on first read, so an early exit pays only for
     what it read.  Link contractibility is memoized per face and shared by
-    the obstruction scan and the mandatory faces.
+    the obstruction scan and the mandatory faces.  The code is packed into
+    bitmasks once (packed and facet_masks, laid out by codes._pack), and
+    the sprocket search and its trunks read their masks from there.
     """
 
     code: NeuralCode
@@ -456,6 +458,17 @@ class CodeStructure:
     @cached_property
     def facets(self) -> list:
         return maximal_codewords(self.code)
+
+    @cached_property
+    def packed(self):
+        """The nonempty codewords packed by codes._pack: packed.bit maps a
+        neuron to its bit, and packed.masks are the words' masks."""
+        return _pack(w for w in self.code.codewords if w)
+
+    @cached_property
+    def facet_masks(self) -> list:
+        """The facets as masks over packed.bit, in the order of facets."""
+        return [sum(map(self.packed.bit.__getitem__, f)) for f in self.facets]
 
     @cached_property
     def max_intersections(self) -> list:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .codes import (
     Codeword,
@@ -22,7 +22,7 @@ from .codes import (
     maximal_codewords,
     trunk,
 )
-from .topology import CodeStructure, path_of_facets
+from .topology import CodeStructure, _occurrences, path_of_facets
 
 # not called here: kept importable because the benchmark tracer patches these names
 from .topology import classify_small_complex, nerve
@@ -211,22 +211,20 @@ class _Filled(dict):
 
 
 class _Trunks(dict):
-    """Trunks on neuron masks, filled on lookup.
+    """Trunks of the words of a code's structure, filled on lookup.
 
-    bit maps each neuron to its mask bit.  A trunk is the mask of codeword
-    positions in one fixed order of the codewords, so the trunk of a word
-    is the AND of its neurons' columns, the trunk of a union is the AND of
-    the trunks (trunk(a | b) == trunk(a) & trunk(b)), and trunk
-    containment is a & ~b == 0.
+    Words are masks over the structure's packed bits.  A trunk is the mask
+    of positions in the structure's packed nonempty codewords, and a
+    neuron's column (from _occurrences) is the trunk of its bit, so the
+    trunk of a word is the AND of its neurons' columns, the trunk of a
+    union is the AND of the trunks (trunk(a | b) == trunk(a) & trunk(b)),
+    and trunk containment is a & ~b == 0.
     """
 
-    def __init__(self, code: NeuralCode, bit: Dict[int, int]):
+    def __init__(self, s: CodeStructure):
         super().__init__()
-        self.all_words = (1 << len(code.codewords)) - 1
-        self.columns: Dict[int, int] = {}
-        for j, w in enumerate(code.codewords):
-            for i in w:
-                self.columns[bit[i]] = self.columns.get(bit[i], 0) | (1 << j)
+        self.all_words = (1 << len(s.packed.masks)) - 1
+        self.columns = _occurrences(s.packed.masks)
 
     def __missing__(self, m: int) -> int:
         hit, rest = self.all_words, m
@@ -275,7 +273,9 @@ def find_sprocket(
     order on (tau, sigma1, sigma2, sigma3, rho1, rho3).  The words keep the
     code's own labels; the canonical order is that of their images under
     codes._profile_relabeling, so the outcome at a budget does not depend
-    on how the neurons are labeled.
+    on how the neurons are labeled.  That relabeling only sets the order:
+    the masks searched use the bits of the code's structure
+    (CodeStructure.packed).
 
     The budget counts search steps: one per (sigma1, sigma2, sigma3)
     triple that passes the mirror filter (sigma3 not before sigma1 in the
@@ -324,11 +324,10 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
                 return cand
 
     # visit candidates in the order sort_words gives on the canonical relabeling
-    label = _profile_relabeling(code)
-    bit = {i: 1 << k for i, k in label.items()}
+    bit, facet_masks = s.packed.bit, s.facet_masks
+    label = _profile_relabeling(s.packed)
     order = lambda w: (len(w), sorted(label[i] for i in w))
-    facet_masks = [sum(bit[i] for i in f) for f in s.facets]
-    trunks = _Trunks(code, bit)  # cache for this call
+    trunks = _Trunks(s)  # cache for this call
     words = sorted(_candidate_pool(s.max_intersections), key=order)
     pool = [sum(bit[i] for i in w) for w in words]
     pool_trunks = [trunks[m] for m in pool]

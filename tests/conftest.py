@@ -33,6 +33,25 @@ def collapse_family(m: int) -> list:
     return raw + [frozenset({1, 60, 200}), frozenset({1, 50, 60})]
 
 
+@pytest.fixture
+def sprocket_spends(monkeypatch) -> list:
+    """Steps spent by each sprocket search the decider starts, in call order."""
+    import convexcodes.decider
+
+    spent = []
+    search = convexcodes.decider._find_sprocket
+
+    def counting(s, box):
+        before = box[0]
+        try:
+            return search(s, box)
+        finally:
+            spent.append(before - box[0])
+
+    monkeypatch.setattr(convexcodes.decider, "_find_sprocket", counting)
+    return spent
+
+
 @pytest.fixture(scope="session")
 def c22() -> NeuralCode:
     return parse_code(C22_TEXT)

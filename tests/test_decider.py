@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -18,6 +19,7 @@ from convexcodes import (
     is_max_intersection_complete,
     is_sprocket,
     maximal_codewords,
+    minimal_code,
     nerve,
     parse_code,
     relabel,
@@ -25,6 +27,7 @@ from convexcodes import (
 from convexcodes.codes import max_intersection_faces, sort_words
 
 from conftest import fs
+from test_wheels import _seeded_search_codes
 
 
 class TestDecideGoldens:
@@ -89,6 +92,32 @@ class TestDecideBranches:
         verdict, certs = decide(minimal_code(facets))
         assert verdict is Verdict.CONVEX
         assert certs[0].kind == "MaxIntersectionComplete"
+
+    def test_l24_census(self):
+        """Every minimal code of an L24 family with one neuron per cell.
+
+        A cell is a nonempty set of facets, and a neuron sits in the cell of
+        the facets holding it.  Twin neurons share a cell and do not change
+        convexity, so these 512 labeled patterns stand for every minimal L24
+        code.  None of them reaches a Path-of-Facets failure in the L24 arm:
+        a triangle failing it makes the minimal code complete.
+        """
+        cells = [frozenset(c) for r in range(1, 5) for c in itertools.combinations(range(4), r)]
+        kinds = Counter()
+        for pattern in range(1 << len(cells)):
+            occupied = [c for k, c in enumerate(cells) if pattern >> k & 1]
+            # neuron k + 1 sits in the k-th occupied cell
+            facets = [frozenset(k + 1 for k, c in enumerate(occupied) if j in c) for j in range(4)]
+            if not all(facets) or any(f <= g for f, g in itertools.permutations(facets, 2)):
+                continue
+            if classify_small_complex(nerve(facets)).class_id != "L24":
+                continue
+            verdict, certs = decide(minimal_code(facets))
+            kinds[verdict, certs[0].kind] += 1
+        assert kinds == {
+            (Verdict.CONVEX, "MaxIntersectionComplete"): 320,
+            (Verdict.NONCONVEX, "L24MinimalPoFSprocket"): 192,
+        }
 
     def test_nonminimal_l24_goes_to_search(self, c24):
         # adding the missing face 1 makes the code complete, so the verdict
@@ -259,6 +288,25 @@ class TestNegativeBudget:
         # the closed forms take no steps, so budget 0 still finds C24's sprocket
         assert decide(c24, budget=0)[0] is Verdict.NONCONVEX
         assert analyze(c26_corrected, budget=0).to_json()["sprocket"] == {"found": False, "budget": 0}
+
+
+class TestOneBudgetPerCall:
+    """The nerve components of a code draw on one budget."""
+
+    def test_disjoint_copies_share_the_budget(self, sprocket_spends):
+        spent = sprocket_spends
+        code = _seeded_search_codes(3, 40)[10]
+        assert len(maximal_codewords(code)) == 6
+        assert decide(code, budget=10_000) == (Verdict.UNKNOWN, [])
+        assert spent == [726]
+        top = max(code.support())
+        for copies in (2, 3):
+            words = {frozenset(i + k * top for i in w) for w in code.codewords for k in range(copies)}
+            spent.clear()
+            verdict, certs = decide(NeuralCode(words), budget=1000)
+            assert verdict is Verdict.UNKNOWN
+            assert certs[0].kind == "DisconnectedDecomposition"
+            assert len(spent) == copies and sum(spent) <= 1000, spent
 
 
 class TestAnalyze:

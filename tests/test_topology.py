@@ -36,6 +36,11 @@ def facets_of(code):
     return maximal_codewords(code)
 
 
+def _shifted(sets, by):
+    """The sets with every label increased by `by`."""
+    return [frozenset(x + by for x in s) for s in sets]
+
+
 class TestNerve:
     def test_c22_two_triangles(self, c22):
         sc = nerve(facets_of(c22))
@@ -91,6 +96,21 @@ class TestNerveAgainstReference:
             assert nerve(sets).facets == want.facets, sets
             wide += max(map(len, want.facets)) >= 5
         assert wide >= 300
+
+    def test_labels_shifted_by_a_billion(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            sets = [
+                frozenset(rng.sample(range(1, n + 1), rng.randint(1, min(n, 3))))
+                for _ in range(rng.randint(1, 8))
+            ]
+            far = _shifted(sets, 10**9)
+            assert nerve(far).facets == oracles.reference_nerve(far).facets == nerve(sets).facets
+
+    def test_any_hashable_elements(self):
+        # elements that cannot be ordered against each other are fine too
+        assert nerve([{"a", 1}, {"a"}, {(2, 3)}]).facets == (frozenset({3}), frozenset({1, 2}))
 
 
 class TestLinkFacetSets:
@@ -256,6 +276,13 @@ class TestLinkContractibleAgainstReference:
         for m in range(6, 10):
             assert self._check(collapse_family(m)) >= 1, m
 
+    def test_labels_shifted_by_a_billion(self):
+        rng = random.Random(1012)
+        for m in range(6, 10):
+            assert self._check(_shifted(collapse_family(m), 10**9)) >= 1, m
+        for _ in range(40):
+            self._check(_shifted(_random_antichain(rng, rng.randint(5, 6), 8), 10**9))
+
 
 class TestCollapseSearch:
     """is_collapsible runs off an explicit stack, state for state as the
@@ -319,6 +346,48 @@ class TestCollapseSearch:
         start = time.perf_counter()
         minimal_code(facets)
         assert time.perf_counter() - start < 1.0
+
+
+class TestLabelsAreNotCosts:
+    """Masks are packed from the labels present, so shifting every label
+    changes neither an answer nor what it costs."""
+
+    SHIFT = 2 * 10**5
+
+    def _unshift(self, value, key=None):
+        # every label of a shifted run is at least SHIFT, and no other number
+        # is, except the sprocket budget
+        if isinstance(value, dict):
+            return {k: self._unshift(v, k) for k, v in value.items()}
+        if isinstance(value, list):
+            return [self._unshift(v) for v in value]
+        if isinstance(value, int) and value >= self.SHIFT and key != "budget":
+            return value - self.SHIFT
+        return value
+
+    @staticmethod
+    def _json(call, arg):
+        out = call(arg)
+        if call is minimal_code:
+            return [sorted(w) for w in out]
+        if call is decide:
+            return [out[0].value] + [c.to_json() for c in out[1]]
+        return out.to_json()
+
+    def test_collapse_family_shifted(self):
+        facets = collapse_family(6)
+        code = minimal_code(facets)
+        far = NeuralCode(_shifted(code.codewords, self.SHIFT))
+        for call, arg, shifted in (
+            (minimal_code, facets, _shifted(facets, self.SHIFT)),
+            (decide, code, far),
+            (analyze, code, far),
+        ):
+            want = self._json(call, arg)
+            start = time.perf_counter()
+            got = self._json(call, shifted)
+            assert time.perf_counter() - start < 1.0, call.__name__
+            assert self._unshift(got) == want, call.__name__
 
 
 class TestMandatoryFaces:

@@ -1,12 +1,20 @@
+import contextlib
+import io
 import itertools
 import math
 import random
+import types
+from pathlib import Path
+
+import convexcodes.cli
 
 from convexcodes import (
     NeuralCode,
     SprocketCandidate,
+    analyze,
     canonical_l24_sprocket,
     canonicalize,
+    decide,
     find_sprocket,
     is_partial_wheel,
     is_sprocket,
@@ -228,7 +236,7 @@ def _grown(c24, w3):
 
 def _relabeled(code):
     """The (relabeled code, inverse map) pair reference_search_relabeling returns."""
-    label = _profile_relabeling(code)
+    label = _profile_relabeling(CodeStructure(code).packed)
     relabeled = NeuralCode(frozenset(label[i] for i in w) for w in code.codewords)
     return relabeled, {new: old for old, new in label.items()}
 
@@ -365,3 +373,34 @@ class TestSearchAgainstReference:
         # judged on the pruned count the search would run, and answer otherwise
         monkeypatch.setattr("convexcodes.codes._RELABEL_CAP", total)
         assert any(_relabeled(c) != got for c, got in zip(copies, capped))
+
+
+def _benchmark_generator():
+    """perfbench/gen.py as a module, executed from its source so that
+    nothing is written next to it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    gen = types.ModuleType("perfbench_gen")
+    exec(compile(path.read_text(), str(path), "exec"), gen.__dict__)
+    return gen
+
+
+class TestStepTotals:
+    """The sprocket steps one pass of the benchmark's seed-0 request lists
+    spends.  A change to how the search counts or orders its steps moves
+    these totals even where no verdict changes."""
+
+    def test_seed_zero_passes(self, sprocket_spends):
+        gen = _benchmark_generator()
+        totals = {}
+        for workload in ("four-facet", "wide"):
+            sprocket_spends.clear()
+            for req in gen.GENERATORS[workload](0):
+                if req["op"] == "cli":
+                    quiet = contextlib.redirect_stdout(io.StringIO())
+                    with quiet, contextlib.redirect_stderr(io.StringIO()):
+                        convexcodes.cli.main(list(req["argv"]))
+                else:
+                    call = analyze if req["op"] == "analyze" else decide
+                    call(parse_code(req["code"]), budget=gen.SPROCKET_BUDGET)
+            totals[workload] = sum(sprocket_spends)
+        assert totals == {"four-facet": 495_215, "wide": 493_641}
