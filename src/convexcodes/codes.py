@@ -363,7 +363,9 @@ def _least_relabeling(code_or_masks, cells=None) -> Optional[tuple]:
         n = n.bit_length()
     if cells is None:
         cells = [range(1, n + 1)]
-    if math.prod(math.factorial(len(cell)) for cell in cells) > _RELABEL_CAP:
+    # stop at the cap, which any cell of 9 or more neurons passes alone
+    counts = itertools.accumulate((math.factorial(min(len(c), 9)) for c in cells), int.__mul__)
+    if any(count > _RELABEL_CAP for count in counts):
         return None
     top = 1 << n
     word_set = set(words)

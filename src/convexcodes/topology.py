@@ -4,10 +4,13 @@ Links, nerves, the 28-class catalog of complexes on up to four vertices,
 contractibility of links, mandatory faces, minimal codes, local
 obstructions, and the Path-of-Facets test.
 
-Nerves are built from facets only: the maximal occurrence masks of the
-input's elements are the nerve's facets, so no face list is ever formed
-on the way.  Every mask here is laid out by codes._pack, one bit per
-label present, so its size does not grow with the labels' values.
+Nerves and faces are held as position masks only (bit p is vertex p + 1);
+the pipeline builds no SimplicialComplex, which only the public nerve()
+and the reference catalog return.  Nerves are built from facets only: the
+maximal occurrence masks of the input's elements are the nerve's facets,
+so no face list is formed on the way.  Every mask here is laid out by
+codes._pack, one bit per label present, so its size does not grow with
+the labels' values.
 
 Classification on at most four vertices is one dictionary lookup: at import
 every relabeling of every reference class is expanded into a table of all
@@ -16,14 +19,15 @@ lexicographically least witness relabeling and the contractibility bit.
 
 Contractibility of a complex on at most four vertices is exact: the class
 catalog is closed under vertex permutation, and per class the collapse
-oracle is cross-checked against the necessary condition (connected and
-Euler characteristic 1), which is also sufficient at this size because the
-only non-contractible homotopy types reachable on four vertices fail one of
-the two.  Larger links are first reduced by strong collapses (dominated
-sets and elements of the facet-difference sets), which keep the homotopy
-type; a core of at most four sets is read from the table, and a larger
-one falls back to the necessary checks plus an elementary-collapse
-search, run from an explicit stack, and may report INDETERMINATE.
+oracle is cross-checked against GF(2) homology, whose vanishing is also
+sufficient at this size because every non-contractible complex on four
+vertices has a nonzero reduced homology group.  Larger links are first
+reduced by strong collapses (dominated sets and elements of the
+facet-difference sets), which keep the homotopy type; a core of at most
+four sets is read from the table.  Only a larger core lists its faces,
+once, as masks: it is non-contractible when disconnected or not acyclic
+over GF(2), contractible when an elementary-collapse search (run from an
+explicit stack) succeeds, and INDETERMINATE otherwise.
 """
 
 from __future__ import annotations
@@ -86,41 +90,6 @@ class SimplicialComplex:
             out |= f
         return frozenset(out)
 
-    def all_faces(self) -> frozenset:
-        """Every nonempty face."""
-        out = set()
-        for f in self.facets:
-            for r in range(1, len(f) + 1):
-                out.update(frozenset(c) for c in itertools.combinations(sorted(f), r))
-        return frozenset(out)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(f) - 1) for f in self.all_faces())
-
-    def components(self) -> list:
-        """Vertex sets of connected components (via the 1-skeleton)."""
-        parent = {v: v for v in self.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for f in self.facets:
-            vs = sorted(f)
-            for a in vs[1:]:
-                ra, rb = find(vs[0]), find(a)
-                if ra != rb:
-                    parent[ra] = rb
-        groups: Dict[int, set] = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), set()).add(v)
-        return sorted((frozenset(g) for g in groups.values()), key=word_sort_key)
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
 
 def _maximal_masks(masks: Iterable[int]) -> list:
     """The inclusion-maximal members of a set of bitmasks."""
@@ -154,11 +123,9 @@ def _nerve_masks(rows: list) -> list:
     return _maximal_masks(_occurrences(rows).values())
 
 
-def _on_positions(masks: list) -> SimplicialComplex:
-    """The complex with these facets, bit p standing for vertex p + 1."""
-    return SimplicialComplex(
-        frozenset(p + 1 for p in range(m.bit_length()) if m >> p & 1) for m in masks
-    )
+def _positions(mask: int) -> frozenset:
+    """The vertices of a position mask, bit p standing for vertex p + 1."""
+    return frozenset(p + 1 for p in range(mask.bit_length()) if mask >> p & 1)
 
 
 def nerve(sets: Iterable[Iterable[int]]) -> SimplicialComplex:
@@ -170,7 +137,62 @@ def nerve(sets: Iterable[Iterable[int]]) -> SimplicialComplex:
     the distinct occurrence masks, where enumerating faces costs 2^m when
     all m sets share a point.
     """
-    return _on_positions(_nerve_masks(_pack(sets).masks))
+    return SimplicialComplex(map(_positions, _nerve_masks(_pack(sets).masks)))
+
+
+def _components(masks: list) -> list:
+    """The vertex masks of the connected parts of the complex with these
+    facet masks, ordered by word_sort_key of their position sets."""
+    parts: list = []
+    for m in masks:
+        # the parts m meets are disjoint, so their sum is their union
+        parts = [p for p in parts if not p & m] + [m | sum(p for p in parts if p & m)]
+    return sorted(parts, key=lambda p: word_sort_key(_positions(p)))
+
+
+def _faces(masks: list) -> set:
+    """Every nonempty face of the complex with these facet masks, as masks."""
+    out: set = set()
+    for m in masks:
+        sub = m
+        while sub:
+            out.add(sub)
+            sub = (sub - 1) & m
+    return out
+
+
+def _rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of the rows, each an int whose bits are its entries."""
+    pivots: Dict[int, int] = {}  # leading bit -> the kept row with that lead
+    for row in rows:
+        while row and row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if row:
+            pivots[row.bit_length()] = row
+    return len(pivots)
+
+
+def _acyclic(faces: set) -> bool:
+    """Whether the complex with these faces (masks, closed under nonempty
+    subsets) has zero reduced homology over GF(2).
+
+    That holds when, for every size k, the number of faces of size k is the
+    rank of the boundary map out of them plus that of the map into them
+    from size k + 1.  The map out of the vertices is the augmentation onto
+    GF(2), of rank 1; the empty complex is not acyclic.  A complex that is
+    not acyclic is not contractible.
+    """
+    by_size: Dict[int, list] = {}
+    for f in faces:
+        by_size.setdefault(f.bit_count(), []).append(f)
+    ranks = {1: 1, len(by_size) + 1: 0}  # size k -> rank of the boundary out of it
+    for k in range(2, len(by_size) + 1):
+        index = {f: 1 << i for i, f in enumerate(by_size[k - 1])}
+        ranks[k] = _rank(
+            sum(index[f ^ 1 << p] for p in range(f.bit_length()) if f >> p & 1)
+            for f in by_size[k]
+        )
+    return bool(faces) and all(len(by_size[k]) == ranks[k] + ranks[k + 1] for k in by_size)
 
 
 # Reference complexes on up to four vertices, one per isomorphism class.
@@ -290,20 +312,20 @@ def _build_class_table() -> Dict[frozenset, tuple]:
     lexicographically least witness.
 
     Contractibility per class comes from the collapse oracle, cross-checked
-    against the necessary condition (connected, Euler characteristic 1); any
-    disagreement means the oracle pipeline is broken and raises instead of
-    guessing.
+    against GF(2) homology (_acyclic): collapsible implies acyclic, and on
+    at most four vertices acyclic implies collapsible, so any disagreement
+    means the oracle pipeline is broken and raises instead of guessing.
     """
     table: Dict[frozenset, tuple] = {}
     for k, class_ids in _CLASSES_BY_SIZE.items():
         for class_id in class_ids:
             sc = REFERENCE_COMPLEXES[class_id]
-            coll = is_collapsible(sc.all_faces())
-            necessary = sc.is_connected() and sc.euler_characteristic() == 1
-            if coll is None or coll != necessary:
+            faces = _faces(_pack(sc.facets).masks)
+            coll = is_collapsible(map(_positions, faces))
+            if coll is None or coll != _acyclic(faces):
                 raise AssertionError(
                     f"contractibility oracle disagreement on {class_id}: "
-                    f"collapsible={coll}, connected+chi1={necessary}"
+                    f"collapsible={coll}, acyclic={_acyclic(faces)}"
                 )
             for images in itertools.permutations(range(1, k + 1)):
                 # the input vertex that images sends onto reference label r
@@ -396,11 +418,12 @@ def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
     The link is homotopy-equivalent to the nerve of the facet-difference
     sets.  More than four of them are first reduced by dominance (see
     _strong_core), which keeps that homotopy type.  Exact when at most four
-    sets are left (table lookup).  Otherwise the core's nerve must be
-    connected with Euler characteristic 1, and an elementary-collapse search
-    on it settles the rest.  The link of a facet itself has empty geometric
-    realization and counts as non-contractible, which is what makes facets
-    mandatory.
+    sets are left (table lookup).  Otherwise the core's nerve is False when
+    disconnected or when its GF(2) homology is not that of a point
+    (_acyclic), True when an elementary-collapse search on its faces
+    succeeds, and INDETERMINATE when neither settles it.  The link of a
+    facet itself has empty geometric realization and counts as
+    non-contractible, which is what makes facets mandatory.
     """
     s = frozenset(sigma)
     if not s:
@@ -414,13 +437,14 @@ def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
     nerve_masks = _nerve_masks(rows)
     if len(rows) <= 4:
         return _CLASS_TABLE[frozenset(nerve_masks)][2]
-    link_nerve = _on_positions(nerve_masks)
-    if not link_nerve.is_connected() or link_nerve.euler_characteristic() != 1:
+    if len(_components(nerve_masks)) > 1:
         return False
-    coll = is_collapsible(link_nerve.all_faces())
-    if coll:
+    faces = _faces(nerve_masks)
+    if not _acyclic(faces):
+        return False
+    if is_collapsible(map(_positions, faces)):
         return True
-    # non-collapsible or budget exhausted: cannot conclude at this size
+    # acyclic but not collapsible, or budget exhausted: cannot conclude
     return INDETERMINATE
 
 
@@ -448,8 +472,10 @@ class CodeStructure:
     Every field is computed on first read, so an early exit pays only for
     what it read.  Link contractibility is memoized per face and shared by
     the obstruction scan and the mandatory faces.  The code is packed into
-    bitmasks once (packed and facet_masks, laid out by codes._pack), and
-    the sprocket search and its trunks read their masks from there.
+    bitmasks once (packed and facet_masks, laid out by codes._pack); the
+    sprocket search and its trunks read their masks from there, and the
+    nerve is held only as masks of facet positions (nerve_masks), which
+    the class table and the component split read.
     """
 
     code: NeuralCode
@@ -480,15 +506,17 @@ class CodeStructure:
         return [f for f in self.max_intersections if f not in self.code.codewords]
 
     @cached_property
-    def nerve_complex(self) -> SimplicialComplex:
-        return nerve(self.facets)
+    def nerve_masks(self) -> list:
+        """The nerve's facets as masks of facet positions (bit p is facets[p])."""
+        return _nerve_masks(self.facet_masks)
 
     @cached_property
     def classified(self) -> Optional[ClassifiedNerve]:
         """The nerve's class for one to four facets, else None."""
         if not 1 <= len(self.facets) <= 4:
             return None
-        return classify_small_complex(self.nerve_complex)
+        class_id, images, contractible = _CLASS_TABLE[frozenset(self.nerve_masks)]
+        return ClassifiedNerve(class_id, tuple(enumerate(images, start=1)), contractible)
 
     @cached_property
     def by_ref(self) -> dict:
@@ -536,12 +564,12 @@ class CodeStructure:
 
         Neuron labels are kept; [self] when the nerve is connected.
         """
-        parts = self.nerve_complex.components()
+        parts = _components(self.nerve_masks)
         if len(parts) <= 1:
             return [self]
         out = []
         for part in parts:
-            below = [self.facets[p - 1] for p in part]
+            below = [f for p, f in enumerate(self.facets) if part >> p & 1]
             words = [w for w in self.code.codewords if w and any(w <= f for f in below)]
             out.append(CodeStructure(NeuralCode(words)))
         return out

@@ -1,18 +1,20 @@
 """Independent oracles the golden values are checked against.
 
 Everything here recomputes from first principles: full face posets,
-exhaustive elementary-collapse search, and pointwise membership sampling
-with exact rationals.  Nothing imports the package's classification table
-or the arrangement code under test, with the exceptions below.  Two
-reference searches reuse package data: the classification scan reads the
-L1..L28 reference catalog (not the lookup table built from it), and the
-sprocket search reuses the package's predicates (nerve classification, the
-canonical L24 construction and is_sprocket) around the search loop it
-checks.  The face-enumerating nerve, the recursive collapse search and the
-link test built on them are the code the facet-only versions replaced;
-the link test reads links on at most four vertices from the package's
-class table, as it did.  The canonical-form and atlas-enumeration
-references reuse only the package's value types and codeword order.
+exhaustive elementary-collapse search, GF(2) homology by elimination on
+face sets, and pointwise membership sampling with exact rationals.
+Nothing imports the package's classification table or the arrangement
+code under test, with the exceptions below.  Two reference searches reuse
+package data: the classification scan reads the L1..L28 reference catalog
+(not the lookup table built from it), and the sprocket search reuses the
+package's predicates (nerve classification, the canonical L24
+construction and is_sprocket) around the search loop it checks.  The
+face-enumerating nerve, the recursive collapse search and the link test
+built on them (connected with Euler characteristic 1, then the collapse
+search) are the code the mask-only versions replaced; the link test reads
+links on at most four vertices from the package's class table, as it did.
+The canonical-form and atlas-enumeration references reuse only the
+package's value types and codeword order.
 """
 
 from fractions import Fraction
@@ -48,6 +50,43 @@ def is_connected(facets):
                 seen |= f
                 grew = True
     return seen == verts
+
+
+def gf2_rank(rows):
+    """Rank over GF(2) of rows given as sets of column keys, by elimination
+    on each row's least key (keys compared as sorted lists)."""
+    rows = [set(r) for r in rows]
+    rank = 0
+    while rows:
+        row = rows.pop()
+        if row:
+            pivot = min(row, key=sorted)
+            rows = [r ^ row if pivot in r else r for r in rows]
+            rank += 1
+    return rank
+
+
+def is_acyclic_gf2(facets):
+    """Whether every reduced homology group over GF(2) vanishes.
+
+    Per face size k, the reduced Betti number is the number of faces of
+    size k minus the ranks of the boundary out of and into them; the
+    boundary out of the vertices is the augmentation, of rank 1.  The empty
+    complex has nonzero reduced homology in degree -1.
+    """
+    faces = face_poset(facets)
+    by_size = {}
+    for f in faces:
+        by_size.setdefault(len(f), []).append(f)
+
+    def boundary_rank(k):
+        if k == 1:
+            return 1
+        return gf2_rank([{f - {v} for v in f} for f in by_size.get(k, ())])
+
+    return bool(faces) and all(
+        len(by_size[k]) == boundary_rank(k) + boundary_rank(k + 1) for k in by_size
+    )
 
 
 def is_collapsible(facets):
@@ -193,9 +232,9 @@ def reference_is_link_contractible(facets, sigma):
     link_nerve = reference_nerve(diffs)
     if len(link_nerve.vertices) <= 4:
         return is_contractible_small(link_nerve)
-    if not link_nerve.is_connected() or link_nerve.euler_characteristic() != 1:
+    if not is_connected(link_nerve.facets) or euler_characteristic(link_nerve.facets) != 1:
         return False
-    coll = reference_is_collapsible(link_nerve.all_faces())
+    coll = reference_is_collapsible(face_poset(link_nerve.facets))
     if coll:
         return True
     # non-collapsible or budget exhausted: cannot conclude at this size

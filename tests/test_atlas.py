@@ -173,9 +173,11 @@ class TestCsv:
     @pytest.mark.parametrize("max_neurons,num_facets,digest", [
         (6, 4, "15d8e4b2021f51e1bbb8b21c47704c84a76aaef12df072e5aaa61d5310e2a8c4"),
         (5, 5, "986dc8954592e5d8ba4d9c3b2c01443fe6639bf5f4f1d62b3dd0e39fa28840f3"),
+        (6, 5, "79399714cb4b0607e4f170dbd38123bae33c1587c50fb374eebebe42e8de4880"),
     ])
     def test_csv_bytes_pinned(self, max_neurons, num_facets, digest):
-        # sha256 of the CSV as first written by the n! canonical-form scan
+        # sha256 of the CSV as first written by the n! canonical-form scan;
+        # 6x5 as first written with no configuration skipped
         rows, skipped = atlas_rows(max_neurons, num_facets)
         buf = io.StringIO()
         write_atlas_csv(rows, buf, skipped=skipped)

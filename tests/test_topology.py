@@ -12,7 +12,10 @@ from convexcodes import (
     INDETERMINATE,
     NeuralCode,
     SimplicialComplex,
+    Verdict,
     analyze,
+    atlas_rows,
+    canonicalize,
     classify_small_complex,
     decide,
     has_local_obstruction,
@@ -25,8 +28,15 @@ from convexcodes import (
     minimal_code,
     nerve,
     path_of_facets,
+    relabel,
 )
-from convexcodes.topology import REFERENCE_COMPLEXES, is_collapsible
+from convexcodes.topology import (
+    REFERENCE_COMPLEXES,
+    _acyclic,
+    _faces,
+    _positions,
+    is_collapsible,
+)
 
 import oracles
 from conftest import collapse_family, fs
@@ -189,7 +199,7 @@ class TestContractibleSmall:
     def test_internal_collapse_search_agrees_with_oracle(self):
         # is_collapsible consumes the full face set, not the facet antichain
         for name, sc in REFERENCE_COMPLEXES.items():
-            assert is_collapsible(sc.all_faces()) == oracles.is_collapsible(sc.facets), name
+            assert is_collapsible(oracles.face_poset(sc.facets)) == oracles.is_collapsible(sc.facets), name
 
 
 class TestLinkContractible:
@@ -295,7 +305,7 @@ class TestCollapseSearch:
             complexes.append(_random_antichain(rng, rng.randint(2, 5), rng.randint(4, 5)))
         exhausted = 0
         for facets in complexes:
-            faces = SimplicialComplex(facets).all_faces()
+            faces = oracles.face_poset(facets)
             for budget in (0, 1, 2, 5, 20, 200_000):
                 got = is_collapsible(faces, budget)
                 assert got == oracles.reference_is_collapsible(faces, budget), (facets, budget)
@@ -388,6 +398,17 @@ class TestLabelsAreNotCosts:
             got = self._json(call, shifted)
             assert time.perf_counter() - start < 1.0, call.__name__
             assert self._unshift(got) == want, call.__name__
+
+    def test_canonicalize_far_labels(self):
+        # the relabeling cap is judged without factorial(n) of the declared n
+        code = minimal_code(collapse_family(6))
+        far = NeuralCode(_shifted(code.codewords, 10**6))
+        start = time.perf_counter()
+        out = canonicalize(far)
+        assert time.perf_counter() - start < 1.0
+        assert out.exact is False
+        assert out.code.codewords == canonicalize(code).code.codewords
+        assert relabel(far, out.permutation) == out.code
 
 
 class TestMandatoryFaces:
@@ -560,3 +581,85 @@ def test_indeterminate_refuses_truth_coercion():
     with pytest.raises(TypeError):
         bool(INDETERMINATE)
     assert INDETERMINATE is not True and INDETERMINATE is not False
+
+
+def _antichains(n):
+    """Every nonempty antichain of nonempty subsets of 1..n, as masks
+    (bit i - 1 for vertex i), enumerated recursively."""
+    subsets = range(1, 1 << n)
+
+    def extend(start, chosen):
+        for i in range(start, len(subsets)):
+            s = subsets[i]
+            if all(s & c not in (s, c) for c in chosen):
+                chosen.append(s)
+                yield list(chosen)
+                yield from extend(i + 1, chosen)
+                chosen.pop()
+
+    yield from extend(0, [])
+
+
+class TestHomologyDecidesLinks:
+    """A link core of more than four sets is decided by GF(2) homology
+    before the collapse search."""
+
+    # the link of {6} is the nerve of {1,5}, {2,3,5}, {2,4,5}, {3,4,5},
+    # {1,2,3,4}: connected with Euler characteristic 1, but a circle wedged
+    # with a 2-sphere
+    FACETS = [fs("156"), fs("2356"), fs("2456"), fs("3456"), fs("12346")]
+
+    def test_wedge_link_is_not_contractible(self):
+        assert is_link_contractible(self.FACETS, fs("6")) is False
+        # connectivity and Euler characteristic alone cannot tell
+        assert oracles.reference_is_link_contractible(self.FACETS, fs("6")) is INDETERMINATE
+
+    def test_its_minimal_code_is_decided(self):
+        code = minimal_code(self.FACETS)
+        assert fs("6") in code
+        assert len(code.codewords - {frozenset()}) == 17
+        verdict, certs = decide(code)
+        assert verdict is Verdict.CONVEX
+        assert [c.kind for c in certs] == ["MaxIntersectionComplete"]
+
+    def test_facets_alone_are_obstructed_there(self):
+        code = NeuralCode(self.FACETS)
+        assert has_local_obstruction(code) == fs("6")
+        verdict, certs = decide(code)
+        assert verdict is Verdict.NONCONVEX
+        assert (certs[0].kind, certs[0].face) == ("LocalObstruction", fs("6"))
+
+    def test_acyclic_matches_reference_on_five_vertices(self):
+        checked = 0
+        for masks in _antichains(5):
+            facets = [frozenset(v + 1 for v in range(5) if m >> v & 1) for m in masks]
+            faces = _faces(masks)
+            acyclic = _acyclic(faces)
+            assert acyclic == oracles.is_acyclic_gf2(facets), facets
+            if len(frozenset().union(*facets)) <= 4:
+                assert acyclic == is_contractible_small(SimplicialComplex(facets)), facets
+            if acyclic:
+                assert is_collapsible(map(_positions, faces)), facets
+            checked += 1
+        assert checked == 7579
+
+
+class TestMasksOnly:
+    """Nerves and faces stay masks: the pipeline builds no SimplicialComplex."""
+
+    def test_pipeline_builds_no_complex(self, monkeypatch, c24, c22, w3):
+        built = []
+        init = SimplicialComplex.__init__
+
+        def counting(self, faces):
+            built.append(faces)
+            init(self, faces)
+
+        monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+        for code in (c24, c22, w3):
+            decide(code)
+            analyze(code)
+        for m in (6, 9, 12):
+            decide(minimal_code(collapse_family(m)))
+        atlas_rows(5, 5)
+        assert len(built) == 0
