@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .codes import (
@@ -210,30 +211,124 @@ class _Filled(dict):
         return hit
 
 
-class _Trunks(dict):
-    """Trunks of the words of a code's structure, filled on lookup.
+def _indices(mask: int):
+    """The positions of the bits set in mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Words are masks over the structure's packed bits.  A trunk is the mask
-    of positions in the structure's packed nonempty codewords, and a
-    neuron's column (from _occurrences) is the trunk of its bit, so the
-    trunk of a word is the AND of its neurons' columns, the trunk of a
-    union is the AND of the trunks (trunk(a | b) == trunk(a) & trunk(b)),
-    and trunk containment is a & ~b == 0.
+
+class _Columns:
+    """Which of a list of masks hold, or meet, a given mask.
+
+    Bit b's column (from _occurrences) is the mask of the positions i whose
+    masks[i] has bit b.  So holding[t], the positions whose mask contains
+    t, is the AND of t's columns, and meeting[t], the positions whose mask
+    meets t, is their OR.  The columns are built on the first lookup, and
+    both maps are filled on lookup.
+    """
+
+    def __init__(self, masks: list):
+        self.masks = masks
+        self.everyone = (1 << len(masks)) - 1
+        self.holding = _Filled(self._holding)
+        self.meeting = _Filled(self._meeting)
+
+    @cached_property
+    def columns(self) -> dict:
+        return _occurrences(self.masks)
+
+    def _holding(self, t: int) -> int:
+        hit = self.everyone
+        while t:
+            low = t & -t
+            hit &= self.columns.get(low, 0)
+            t ^= low
+        return hit
+
+    def _meeting(self, t: int) -> int:
+        hit = 0
+        while t:
+            low = t & -t
+            hit |= self.columns.get(low, 0)
+            t ^= low
+        return hit
+
+
+class _Pool:
+    """The generic search's candidate words, and its order-free first phase.
+
+    words are the sigma and rho candidates (_candidate_pool) in no
+    particular order; masks are their masks over the structure's packed
+    bits and trunk_masks their trunks.  A trunk is the mask of positions in
+    the structure's packed nonempty codewords, so the trunk of a word is
+    trunks[word] (the codewords holding it), the trunk of a union is the
+    AND of the trunks, and trunk containment is a & ~b == 0.  in_facets[i]
+    is the set of facets holding words[i] (bit j for facet j), so a union
+    of words is a face iff the AND of their in_facets is nonzero.
     """
 
     def __init__(self, s: CodeStructure):
-        super().__init__()
-        self.all_words = (1 << len(s.packed.masks)) - 1
-        self.columns = _occurrences(s.packed.masks)
+        bit, self.facet_masks = s.packed.bit, s.facet_masks
+        self.trunks = _Columns(s.packed.masks).holding
+        self.words = list(_candidate_pool(s.max_intersections))
+        self.masks = [sum(map(bit.__getitem__, w)) for w in self.words]
+        self.trunk_masks = [self.trunks[m] for m in self.masks]
+        self.in_facets = [
+            sum(1 << j for j, f in enumerate(self.facet_masks) if m & ~f == 0)
+            for m in self.masks
+        ]
+        # inside[at]: the words held by some facet of the facet set at
+        self.inside = _Columns(self.in_facets).meeting
+        # the words whose trunk holds, or meets, a given trunk
+        self.by_trunk = _Columns(self.trunk_masks)
+        # meets[m]: the words meeting m
+        self.meets = _Columns(self.masks).meeting
 
-    def __missing__(self, m: int) -> int:
-        hit, rest = self.all_words, m
-        while rest:
-            bit = rest & -rest
-            hit &= self.columns.get(bit, 0)
-            rest ^= bit
-        self[m] = hit
-        return hit
+    def triples(self, tau: int) -> list:
+        """The (i1, i2, i3) whose words pass P(i)-P(iii) and _hub_spoke_pattern
+        with tau, one of each mirror pair (i1, i2, i3) and (i3, i2, i1).
+
+        The pattern makes every sigma disjoint from tau and the sigmas
+        pairwise disjoint, and puts u = sigma1|sigma2|sigma3 in no facet
+        meeting tau (which implies P(ii)), so these and the trunk equalities
+        of P(i) are mask tests here, and only the triples passing all of
+        them reach the pattern check.  All the conditions are symmetric in
+        the sigmas, which are distinct, so each set {a < b < c} of pool
+        indices is tested once and stands for its three mirror pairs.
+        """
+        inside, in_facets, meets = self.inside, self.in_facets, self.meets
+        trunk_masks, by_trunk, masks = self.trunk_masks, self.by_trunk, self.masks
+        meet = at_tau = 0
+        for j, f in enumerate(self.facet_masks):
+            meet |= (f & tau != 0) << j
+            at_tau |= (tau & ~f == 0) << j
+        clear = ((1 << len(self.facet_masks)) - 1) & ~meet
+        # sigma|tau is a face (P(iii)), and a facet missing tau holds sigma
+        live = inside[at_tau] & inside[clear]
+        out = []
+        for i1 in _indices(live):
+            at1, tk1 = in_facets[i1], trunk_masks[i1]
+            # -(2 << i) keeps the bits above bit i
+            live2 = live & ~meets[masks[i1]] & inside[at1 & clear] & -(2 << i1)
+            for i2 in _indices(live2):
+                at12, tk2 = at1 & in_facets[i2], trunk_masks[i2]
+                # u is a face and no facet holding it meets tau; Tk(s3)
+                # holds Tk(s1|s2) and misses the rest of Tk(s1) | Tk(s2)
+                live3 = (
+                    live2
+                    & ~meets[masks[i2]]
+                    & -(2 << i2)
+                    & inside[at12 & clear]
+                    & ~inside[at12 & meet]
+                    & by_trunk.holding[tk1 & tk2]
+                    & ~by_trunk.meeting[tk1 ^ tk2]
+                )
+                for i3 in _indices(live3):
+                    if _hub_spoke_pattern(self.facet_masks, masks[i1], masks[i2], masks[i3], tau):
+                        out += [(i2, i1, i3), (i1, i2, i3), (i1, i3, i2)]
+        return out
 
 
 def _hub_spoke_pattern(facets, s1: int, s2: int, s3: int, tau: int) -> bool:
@@ -246,6 +341,12 @@ def _hub_spoke_pattern(facets, s1: int, s2: int, s3: int, tau: int) -> bool:
     alike (the remaining conditions cannot see the difference), so the
     search only emits candidates matching the pattern the construction is
     actually proven for.  Words and facets are neuron masks.
+
+    A hub facet g and spoke facets fj, fk have g & fj & fk holding both
+    sigma_j & sigma_k and g & tau, so for a partial wheel the pattern
+    implies that the sigmas are pairwise disjoint and that no facet
+    holding the hub meets tau (so no sigma meets tau); _Pool.triples tests
+    those by masks before calling this.
     """
     hub = s1 | s2 | s3
     spokes = [[f for f in facets if (sigma | tau) & ~f == 0] for sigma in (s1, s2, s3)]
@@ -280,16 +381,20 @@ def find_sprocket(
     The budget counts search steps: one per (sigma1, sigma2, sigma3)
     triple that passes the mirror filter (sigma3 not before sigma1 in the
     canonical order) and one per (rho1, rho3) pair tried for a partial
-    wheel.  Cone peeling spends from the same budget.  The search itself
-    runs on bitmasks: a union of candidate words is a face iff the AND of
-    their facet-membership masks is nonzero, the trunk of a union is the
-    AND of the trunks, and only triples passing the face and trunk-subset
-    tests are visited; the triples skipped between them are charged in one
-    step, so the budget spent is that of the step-by-step loop.  The
-    candidate or None returned at each budget, and the budget left, are
-    pinned to a step-by-step frozenset reference search by the oracle
-    tests in tests/test_wheels.py, at every budget up to the steps spent
-    on a sample of codes.
+    wheel matching _hub_spoke_pattern.  Cone peeling spends from the same
+    budget.  The generic enumeration runs in two phases on bitmasks.  The
+    first, in no particular order, finds for each tau with a witness rho
+    the triples that can reach the witnesses (_Pool.triples).  If there
+    are none, the order cannot matter: every triple of those taus is
+    charged at once and the search returns None without computing the
+    relabeling.  Otherwise the second phase ranks the words and the taus
+    in the canonical order and walks the surviving triples in it; the
+    triples skipped before each are charged in one step, so the budget
+    spent is that of the step-by-step loop.  The candidate or None
+    returned at each budget, and the budget left, are pinned to a
+    step-by-step frozenset reference search by the oracle tests in
+    tests/test_wheels.py, at every budget up to the steps spent on a
+    sample of codes.
 
     Emitted candidates satisfy a condition beyond is_sprocket: both
     witness trunks must lie inside Tk(tau) (see _witnesses_cover_exactly).
@@ -323,125 +428,94 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
             ):
                 return cand
 
-    # visit candidates in the order sort_words gives on the canonical relabeling
-    bit, facet_masks = s.packed.bit, s.facet_masks
-    label = _profile_relabeling(s.packed)
-    order = lambda w: (len(w), sorted(label[i] for i in w))
-    trunks = _Trunks(s)  # cache for this call
-    words = sorted(_candidate_pool(s.max_intersections), key=order)
-    pool = [sum(bit[i] for i in w) for w in words]
-    pool_trunks = [trunks[m] for m in pool]
-    size = len(pool)
-    # in_facets[i] is the set of facets holding pool[i] (bit j for facet j),
-    # so a union of pool words is a face iff the AND of their in_facets is
-    # nonzero.  inside maps a facet set to the pool indices held by one of
-    # its facets, and holding maps a trunk to the pool indices whose trunk
-    # contains it.
-    in_facets, members = [0] * size, [0] * len(facet_masks)
-    for j, f in enumerate(facet_masks):
-        for i, m in enumerate(pool):
-            if m & ~f == 0:
-                in_facets[i] |= 1 << j
-                members[j] |= 1 << i
-
-    def held_by(at: int) -> int:
-        held = 0
-        for j, m in enumerate(members):
-            if at >> j & 1:
-                held |= m
-        return held
-
-    inside = _Filled(held_by)
-    holding = _Filled(lambda t: sum(1 << i for i, tk in enumerate(pool_trunks) if t & ~tk == 0))
-    # One budget step per (sigma1, sigma2, sigma3) with sigma3 in
-    # pool[i1:] (the mirror filter) and one per (rho1, rho3).  A tau's
-    # triples are numbered in the order of the loops over i1, i2 and i3, so
-    # a triple passing the mask tests charges itself and the skipped
-    # triples numbered before it at once, and the tau's remaining triples
-    # are charged when it ends.  A block of rho pairs failing S(1) on rho1
-    # is charged at once too.  If the budget cannot cover a charge, the
-    # search stops with the budget at 0, where the step-by-step loop would
-    # have stopped.
-    left = box[0]
-    for tau_word in sorted(s.missing, key=order):
-        tau = sum(bit[i] for i in tau_word)
+    pool = _Pool(s)
+    words, masks, pool_trunks, trunks = pool.words, pool.masks, pool.trunk_masks, pool.trunks
+    size = len(words)
+    # One budget step per (sigma1, sigma2, sigma3) with sigma3 not before
+    # sigma1 (the mirror filter), size * size * (size + 1) / 2 per tau, and
+    # one per (rho1, rho3).  A tau with no witness rho is skipped.
+    per_tau = size * size * (size + 1) // 2
+    taus = {}  # tau word -> (its mask, its witness rhos)
+    for word in s.missing:
+        tau = sum(map(s.packed.bit.__getitem__, word))
         tk_tau = trunks[tau]
         rhos = [r for r in range(size) if pool_trunks[r] & ~tk_tau == 0]
-        if not rhos:
-            continue
-        at_tau = sum(1 << j for j, f in enumerate(facet_masks) if tau & ~f == 0)
-        spokes = inside[at_tau]  # P(iii), per sigma
-        # the spokes sigma3 for which u = s1|s2|s3 is a face but u|tau is
-        # not (P(ii)), keyed by the facets holding s1|s2
-        wheel_faces = _Filled(lambda at: spokes & inside[at] & ~inside[at & at_tau])
+        if rhos:
+            taus[word] = (tau, rhos)
+    triples = _Filled(pool.triples)
+    left = box[0]
+    if not any(triples[tau] for tau, _rhos in taus.values()):
+        box[0] = left - min(left, len(taus) * per_tau)
+        return None
+
+    # visit candidates in the order sort_words gives on the canonical relabeling
+    label = _profile_relabeling(s.packed)
+    order = lambda w: (len(w), sorted(label[i] for i in w))
+    rank = [0] * size
+    for r, i in enumerate(sorted(range(size), key=lambda i: order(words[i]))):
+        rank[i] = r
+    # A tau's triples are numbered in the order of the loops over sigma1,
+    # sigma2 and sigma3, so a surviving triple charges itself and the
+    # skipped triples numbered before it at once, and the tau's remaining
+    # triples are charged when it ends.  A block of rho pairs failing S(1)
+    # on rho1 is charged at once too.  If the budget cannot cover a charge,
+    # the search stops with the budget at 0, where the step-by-step loop
+    # would have stopped.
+    for tau_word in sorted(taus, key=order):
+        tau, rhos = taus[tau_word]
+        tk_tau = trunks[tau]
+        rhos.sort(key=rank.__getitem__)
+        walk = []
+        for i1, i2, i3 in triples[tau]:
+            if rank[i1] > rank[i3]:
+                i1, i3 = i3, i1
+            r1 = rank[i1]
+            # the tau's triples with sigma1 before words[i1] number
+            # size * (size - r) summed over r < r1, and (r2, r3) after them
+            # is number r2 * (size - r1) + r3 - r1
+            before = size * (r1 * size - r1 * (r1 - 1) // 2)
+            number = before + rank[i2] * (size - r1) + rank[i3] - r1
+            walk.append((number, i1, i2, i3))
+        walk.sort()
         done = 0  # triples of this tau charged so far
-        live1 = spokes
-        while live1:
-            low = live1 & -live1
-            live1 ^= low
-            i1 = low.bit_length() - 1
-            s1, tk1, at1, row = pool[i1], pool_trunks[i1], in_facets[i1], size - i1
-            # triple (i1, i2, i3) is number first1 + i2 * row + i3 of this tau
-            first1 = size * (i1 * size - i1 * (i1 - 1) // 2) - i1
-            live2 = spokes & inside[at1]  # s1|s2 is a face
-            while live2:
-                low = live2 & -live2
-                live2 ^= low
-                i2 = low.bit_length() - 1
-                tk2 = pool_trunks[i2]
-                tk12 = tk1 & tk2
-                # Tk(u) == Tk(s1|s2), u is a face, u|tau is not; bit k is i3 = i1 + k
-                live3 = (holding[tk12] & wheel_faces[at1 & in_facets[i2]]) >> i1
-                if not live3:
-                    continue
-                first = first1 + i2 * row
-                while live3:
-                    low = live3 & -live3
-                    live3 ^= low
-                    i3 = i1 + low.bit_length() - 1
-                    need = first + i3 + 1 - done
-                    if left < need:
+        for number, i1, i2, i3 in walk:
+            need = number + 1 - done
+            if left < need:
+                box[0] = min(left, 0)
+                return None
+            left -= need
+            done += need
+            t1, t3, t2 = pool_trunks[i1] & tk_tau, pool_trunks[i3] & tk_tau, pool_trunks[i2]
+            for r1 in rhos:
+                tr1 = pool_trunks[r1]
+                if t1 & ~tr1:  # S(1) fails for every rho3
+                    if left < len(rhos):
                         box[0] = min(left, 0)
                         return None
-                    left -= need
-                    done += need
-                    tk3 = pool_trunks[i3]
-                    if tk1 & tk3 != tk12 or tk2 & tk3 != tk12:
+                    left -= len(rhos)
+                    continue
+                for r3 in rhos:
+                    if left <= 0:
+                        box[0] = left
+                        return None
+                    left -= 1
+                    tr3 = pool_trunks[r3]
+                    if (
+                        t3 & ~tr3
+                        or tk_tau & ~(tr1 | tr3)
+                        or trunks[masks[r1] | masks[r3] | tau] & ~t2
+                    ):
                         continue
-                    s2, s3 = pool[i2], pool[i3]
-                    if not _hub_spoke_pattern(facet_masks, s1, s2, s3, tau):
-                        continue
-                    t1, t3, t2 = tk1 & tk_tau, tk3 & tk_tau, tk2
-                    for r1 in rhos:
-                        tr1 = pool_trunks[r1]
-                        if t1 & ~tr1:  # S(1) fails for every rho3
-                            if left < len(rhos):
-                                box[0] = min(left, 0)
-                                return None
-                            left -= len(rhos)
-                            continue
-                        for r3 in rhos:
-                            if left <= 0:
-                                box[0] = left
-                                return None
-                            left -= 1
-                            tr3 = pool_trunks[r3]
-                            if (
-                                t3 & ~tr3
-                                or tk_tau & ~(tr1 | tr3)
-                                or trunks[pool[r1] | pool[r3] | tau] & ~t2
-                            ):
-                                continue
-                            box[0] = left
-                            cand = SprocketCandidate(
-                                words[i1], words[i2], words[i3], tau_word, words[r1], words[r3]
-                            )
-                            if not is_sprocket(code, cand)[0] or not _witnesses_cover_exactly(
-                                code, cand
-                            ):
-                                raise AssertionError("bitmask sprocket failed replay on the code")
-                            return cand
-        need = size * size * (size + 1) // 2 - done
+                    box[0] = left
+                    cand = SprocketCandidate(
+                        words[i1], words[i2], words[i3], tau_word, words[r1], words[r3]
+                    )
+                    if not is_sprocket(code, cand)[0] or not _witnesses_cover_exactly(
+                        code, cand
+                    ):
+                        raise AssertionError("bitmask sprocket failed replay on the code")
+                    return cand
+        need = per_tau - done
         if left < need:
             box[0] = min(left, 0)
             return None

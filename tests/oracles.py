@@ -396,6 +396,101 @@ def reference_search_relabeling(code):
     return NeuralCode(best_words), inverse
 
 
+def _reference_queries(c):
+    """The facets of code c, and its is_face and trunk, cached per call."""
+    from convexcodes.codes import maximal_codewords
+
+    words = c.codewords
+    fl = maximal_codewords(c)
+    faces, trunks = {}, {}
+
+    def is_face(sigma):
+        hit = faces.get(sigma)
+        if hit is None:
+            hit = any(sigma <= f for f in fl)
+            faces[sigma] = hit
+        return hit
+
+    def trunk(sigma):
+        hit = trunks.get(sigma)
+        if hit is None:
+            hit = frozenset(w for w in words if sigma <= w)
+            trunks[sigma] = hit
+        return hit
+
+    return fl, is_face, trunk
+
+
+def _reference_pool(facets):
+    """The search's sigma and rho candidates: facet intersections and their
+    subsets of at most _POOL_SUBSET_BOUND neurons."""
+    from convexcodes.codes import max_intersection_faces
+    from convexcodes.wheels import _POOL_SUBSET_BOUND
+
+    pool = set()
+    for face in max_intersection_faces(facets):
+        pool.add(face)
+        members = sorted(face)
+        for r in range(1, min(len(members), _POOL_SUBSET_BOUND) + 1):
+            pool.update(frozenset(c) for c in combinations(members, r))
+    return pool
+
+
+def reference_wheel_tests(c):
+    """The reference search's wheel tests on code c, as two functions of
+    (s1, s2, s3, tau): check_wheel returns the first of P(i), P(ii) and
+    P(iii) that fails, or None, and hub_spoke_pattern is True when no facet
+    holding s1|s2|s3 meets two spoke facets (holding sj|tau and sk|tau,
+    j != k) in a common neuron."""
+    canon_facets, is_face, trunk = _reference_queries(c)
+
+    def check_wheel(s1, s2, s3, tau):
+        u = s1 | s2 | s3
+        if not is_face(u):
+            return "P(i)"
+        tu = trunk(u)
+        if trunk(s1 | s2) != tu or trunk(s1 | s3) != tu or trunk(s2 | s3) != tu:
+            return "P(i)"
+        if is_face(u | tau):
+            return "P(ii)"
+        if not (is_face(s1 | tau) and is_face(s2 | tau) and is_face(s3 | tau)):
+            return "P(iii)"
+        return None
+
+    def hub_spoke_pattern(s1, s2, s3, tau):
+        hub = s1 | s2 | s3
+        hub_facets = [f for f in canon_facets if hub <= f]
+        spokes = [[f for f in canon_facets if (sigma | tau) <= f] for sigma in (s1, s2, s3)]
+        for g in hub_facets:
+            for j in range(3):
+                for k in range(j + 1, 3):
+                    for fj in spokes[j]:
+                        for fk in spokes[k]:
+                            if g & fj & fk:
+                                return False
+        return True
+
+    return check_wheel, hub_spoke_pattern
+
+
+def reference_wheel_triples(code):
+    """Every (s1, s2, s3, tau) of the search's words that passes check_wheel
+    and hub_spoke_pattern, with tau a missing max-intersection face, in the
+    code's own labels: the triples that can reach the witness loop."""
+    from convexcodes.codes import max_intersection_faces, maximal_codewords
+
+    facets = maximal_codewords(code)
+    check_wheel, hub_spoke_pattern = reference_wheel_tests(code)
+    pool = _reference_pool(facets)
+    taus = [f for f in max_intersection_faces(facets) if f not in code.codewords]
+    return {
+        (s1, s2, s3, tau)
+        for tau in taus
+        for s1, s2, s3 in product(pool, repeat=3)
+        if check_wheel(s1, s2, s3, tau) is None and hub_spoke_pattern(s1, s2, s3, tau)
+    }
+
+
 def reference_find_sprocket(code, box):
     """Bounded sprocket search, one budget step per condition evaluation.
 
@@ -410,36 +505,10 @@ def reference_find_sprocket(code, box):
         word_sort_key,
     )
     from convexcodes.topology import classify_small_complex, nerve
-    from convexcodes.wheels import (
-        _POOL_SUBSET_BOUND,
-        SprocketCandidate,
-        canonical_l24_sprocket,
-        is_sprocket,
-    )
-
-    def queries(c):
-        words = c.codewords
-        fl = maximal_codewords(c)
-        faces, trunks = {}, {}
-
-        def is_face(sigma):
-            hit = faces.get(sigma)
-            if hit is None:
-                hit = any(sigma <= f for f in fl)
-                faces[sigma] = hit
-            return hit
-
-        def trunk(sigma):
-            hit = trunks.get(sigma)
-            if hit is None:
-                hit = frozenset(w for w in words if sigma <= w)
-                trunks[sigma] = hit
-            return hit
-
-        return fl, is_face, trunk
+    from convexcodes.wheels import SprocketCandidate, canonical_l24_sprocket, is_sprocket
 
     def covers_exactly(c, cand):
-        _fl, _is_face, trunk = queries(c)
+        _fl, _is_face, trunk = _reference_queries(c)
         tk_tau = trunk(cand.tau)
         return trunk(cand.rho1) <= tk_tau and trunk(cand.rho3) <= tk_tau
 
@@ -466,20 +535,8 @@ def reference_find_sprocket(code, box):
                 return cand
 
     canon, inverse = reference_search_relabeling(code)
-    canon_facets, is_face, trunk = queries(canon)
-
-    def check_wheel(s1, s2, s3, tau):
-        u = s1 | s2 | s3
-        if not is_face(u):
-            return "P(i)"
-        tu = trunk(u)
-        if trunk(s1 | s2) != tu or trunk(s1 | s3) != tu or trunk(s2 | s3) != tu:
-            return "P(i)"
-        if is_face(u | tau):
-            return "P(ii)"
-        if not (is_face(s1 | tau) and is_face(s2 | tau) and is_face(s3 | tau)):
-            return "P(iii)"
-        return None
+    canon_facets, _is_face, trunk = _reference_queries(canon)
+    check_wheel, hub_spoke_pattern = reference_wheel_tests(canon)
 
     def check_witnesses(cand):
         if not (
@@ -493,26 +550,7 @@ def reference_find_sprocket(code, box):
             return "S(3)"
         return None
 
-    def hub_spoke_pattern(s1, s2, s3, tau):
-        hub = s1 | s2 | s3
-        hub_facets = [f for f in canon_facets if hub <= f]
-        spokes = [[f for f in canon_facets if (sigma | tau) <= f] for sigma in (s1, s2, s3)]
-        for g in hub_facets:
-            for j in range(3):
-                for k in range(j + 1, 3):
-                    for fj in spokes[j]:
-                        for fk in spokes[k]:
-                            if g & fj & fk:
-                                return False
-        return True
-
-    pool = set()
-    for face in max_intersection_faces(canon_facets):
-        pool.add(face)
-        members = sorted(face)
-        for r in range(1, min(len(members), _POOL_SUBSET_BOUND) + 1):
-            pool.update(frozenset(c) for c in combinations(members, r))
-    pool = sort_words(pool)
+    pool = sort_words(_reference_pool(canon_facets))
     taus = [
         f
         for f in sort_words(max_intersection_faces(canon_facets))

@@ -32,10 +32,15 @@ from convexcodes.codes import (
     sort_words,
 )
 from convexcodes.topology import CodeStructure
-from convexcodes.wheels import _find_sprocket
+from convexcodes.wheels import _find_sprocket, _Pool
 
 from conftest import collapse_family, fs
-from oracles import reference_find_sprocket, reference_search_relabeling, reference_tie_groups
+from oracles import (
+    reference_find_sprocket,
+    reference_search_relabeling,
+    reference_tie_groups,
+    reference_wheel_triples,
+)
 
 
 def cand(s1, s2, s3, tau, r1, r3):
@@ -248,6 +253,79 @@ def _run(search, code, budget):
     return (None if got is None else got.words()), box[0]
 
 
+def _count_relabelings(monkeypatch) -> list:
+    """A one-item list counting the sprocket search's calls to
+    _profile_relabeling, which it makes only to order its second phase."""
+    import convexcodes.wheels
+
+    calls = [0]
+    relabeling = convexcodes.wheels._profile_relabeling
+
+    def counting(packed):
+        calls[0] += 1
+        return relabeling(packed)
+
+    monkeypatch.setattr(convexcodes.wheels, "_profile_relabeling", counting)
+    return calls
+
+
+class TestOrderFreePhase:
+    """The first phase of the generic search keeps exactly the triples that
+    pass P(i)-P(iii) and the hub-and-spoke pattern, by mask tests in no
+    particular order."""
+
+    def test_survivors_match_reference(self, c22, c24, c26_corrected, d28, w3):
+        hits = 0
+        goldens = [c22, c24, c26_corrected, d28, w3] + _grown(c24, w3)
+        for code in goldens + _seeded_search_codes(2026, 40):
+            facets = maximal_codewords(code)
+            expected = reference_wheel_triples(code)
+            for s1, s2, s3, tau in expected:
+                u = s1 | s2 | s3
+                # the three conditions the first phase tests by masks
+                assert not (s1 & tau or s2 & tau or s3 & tau)
+                assert not (s1 & s2 or s1 & s3 or s2 & s3)
+                assert not any(u <= f and f & tau for f in facets)
+            s = CodeStructure(code)
+            pool = _Pool(s)
+            got = []
+            for tau in s.missing:
+                mask = sum(s.packed.bit[i] for i in tau)
+                for i1, i2, i3 in pool.triples(mask):
+                    got.append((frozenset({pool.words[i1], pool.words[i3]}), pool.words[i2], tau))
+            # one of each mirror pair (s1, s2, s3), (s3, s2, s1), none twice
+            assert len(got) == len(set(got)) and 2 * len(got) == len(expected)
+            assert set(got) == {(frozenset({s1, s3}), s2, tau) for s1, s2, s3, tau in expected}
+            hits += len(got)
+        assert hits >= 20
+
+    def test_outcome_same_for_any_pool_order(self, c24, w3, monkeypatch):
+        # int and frozenset hashes do not follow PYTHONHASHSEED, so the
+        # pool's set order is fixed from run to run; shuffle it here instead
+        import convexcodes.wheels
+
+        full = TestSearchAgainstReference.FULL
+        pool_of = convexcodes.wheels._candidate_pool
+        codes = _grown(c24, w3) + _seeded_search_codes(2026, 40)
+        expected = []
+        for code in codes:
+            _words, left = _run(_find_sprocket, code, full)
+            used = full - left
+            budgets = sorted({0, 1, used - 1, used, used + 1, full} - {-1})
+            expected.append([(b, _run(_find_sprocket, code, b)) for b in budgets])
+        rng = random.Random(15)
+
+        def shuffled_pool(faces):
+            words = sorted(pool_of(faces), key=sorted)
+            rng.shuffle(words)
+            return words
+
+        monkeypatch.setattr(convexcodes.wheels, "_candidate_pool", shuffled_pool)
+        for code, outcomes in zip(codes, expected):
+            for _ in range(3):
+                assert [(b, _run(_find_sprocket, code, b)) for b, _got in outcomes] == outcomes
+
+
 class TestSearchLabelInvariance:
     """Below the relabeling cap, whether the search finds a sprocket and the
     budget it leaves are properties of the code, not of its labels."""
@@ -292,24 +370,30 @@ class TestSearchAgainstReference:
             ), (sorted(map(sorted, code.codewords)), budget)
         return words is not None, used
 
-    def test_every_budget(self, c24, w3):
+    def test_every_budget(self, c24, w3, monkeypatch):
         """Every budget from 0 to one past the steps spent, not a sample.
 
         A block of skipped steps charged one step too many or too few can
         change the outcome at only a few budgets, which sampled budgets
         can miss.  The seeded codes are the 5-6-facet ones spending at most
         800 steps, which bounds the quadratic cost of rerunning the
-        reference at each budget.
+        reference at each budget.  The sample holds searches of both
+        phases: some end in the order-free charge, which computes no
+        relabeling, and some reach the ordered walk, which does.
         """
+        relabelings = _count_relabelings(monkeypatch)
         seeded = [
             c for c in _seeded_search_codes(3, 40) if len(maximal_codewords(c)) >= 5
         ]
-        spent = []
+        spent, walked = [], []
         for code in _grown(c24, w3) + seeded:
             _words, left = _run(reference_find_sprocket, code, self.FULL)
             used = self.FULL - left
             if not 0 < used <= 800:
                 continue
+            before = relabelings[0]
+            _run(_find_sprocket, code, self.FULL)
+            walked.append(relabelings[0] > before)
             for budget in range(used + 2):
                 assert _run(_find_sprocket, code, budget) == _run(
                     reference_find_sprocket, code, budget
@@ -317,6 +401,9 @@ class TestSearchAgainstReference:
             spent.append(used)
         # all six grown codes (44-458 steps) and at least three seeded ones
         assert len(spent) >= 9 and min(spent[:6]) >= 44 and max(spent[:6]) >= 450
+        # the grown codes find their sprocket on the walk; some seeded code
+        # spends its budget in the order-free charge
+        assert all(walked[:6]) and not all(walked[6:])
 
     def test_golden_codes(self, c22, c24, c26_corrected, d28, w3):
         rng = random.Random(11)
@@ -385,16 +472,22 @@ def _benchmark_generator():
 
 
 class TestStepTotals:
-    """The sprocket steps one pass of the benchmark's seed-0 request lists
-    spends.  A change to how the search counts or orders its steps moves
-    these totals even where no verdict changes."""
+    """The sprocket steps one pass of the benchmark's request lists spends,
+    and the calls to _profile_relabeling it makes.  A change to how the
+    search counts or orders its steps moves the step totals even where no
+    verdict changes.  The relabeling runs only for a search with a triple
+    that can reach the witnesses, which almost no search of these passes
+    has."""
 
-    def test_seed_zero_passes(self, sprocket_spends):
+    @staticmethod
+    def _passes(seed, sprocket_spends, monkeypatch):
+        relabelings = _count_relabelings(monkeypatch)
         gen = _benchmark_generator()
-        totals = {}
+        totals, calls = {}, {}
         for workload in ("four-facet", "wide"):
             sprocket_spends.clear()
-            for req in gen.GENERATORS[workload](0):
+            relabelings[0] = 0
+            for req in gen.GENERATORS[workload](seed):
                 if req["op"] == "cli":
                     quiet = contextlib.redirect_stdout(io.StringIO())
                     with quiet, contextlib.redirect_stderr(io.StringIO()):
@@ -403,4 +496,15 @@ class TestStepTotals:
                     call = analyze if req["op"] == "analyze" else decide
                     call(parse_code(req["code"]), budget=gen.SPROCKET_BUDGET)
             totals[workload] = sum(sprocket_spends)
+            calls[workload] = relabelings[0]
+        return totals, calls
+
+    def test_seed_zero_passes(self, sprocket_spends, monkeypatch):
+        totals, calls = self._passes(0, sprocket_spends, monkeypatch)
         assert totals == {"four-facet": 495_215, "wide": 493_641}
+        assert calls == {"four-facet": 0, "wide": 2}
+
+    def test_held_out_seed_passes(self, sprocket_spends, monkeypatch):
+        totals, calls = self._passes(7919, sprocket_spends, monkeypatch)
+        assert totals == {"four-facet": 493_062, "wide": 521_636}
+        assert calls == {"four-facet": 0, "wide": 3}
