@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, List, Optional, TextIO, Tuple
 
 from .codes import canonicalize, format_code, sort_words
@@ -26,6 +27,30 @@ DEFAULT_NEURON_CAP = 6
 DEFAULT_FACET_CAP = 4
 
 
+def _facet_cells(k: int) -> Tuple[list, list]:
+    """The cells of k facets and the facet permutations acting on them.
+
+    A cell is a nonempty set of facet indices, and the cells are sorted by
+    size, then lexicographically, so the first k are the singletons.  Each
+    permutation other than the identity is an itemgetter that maps a
+    vector indexed by cells to the vector of the permuted family.
+    """
+    cells = sorted(
+        (
+            frozenset(s)
+            for r in range(1, k + 1)
+            for s in itertools.combinations(range(k), r)
+        ),
+        key=lambda s: (len(s), sorted(s)),
+    )
+    index = {cell: i for i, cell in enumerate(cells)}
+    orbit = [
+        itemgetter(*(index[frozenset(p[i] for i in cell)] for cell in cells))
+        for p in itertools.islice(itertools.permutations(range(k)), 1, None)
+    ]
+    return cells, orbit
+
+
 def enumerate_facet_antichains(max_neurons: int, num_facets: int) -> Iterator[list]:
     """Canonical antichains of exactly num_facets nonempty neuron sets.
 
@@ -37,27 +62,28 @@ def enumerate_facet_antichains(max_neurons: int, num_facets: int) -> Iterator[li
     count vectors over cells and kept exactly when the vector is minimal
     over facet permutations, which also makes the stream deterministic.
 
-    Two cheap filters run before that orbit check and reject only vectors
-    it would reject.  Each cell carries a bitmask of the ordered facet
-    pairs (i, j) it witnesses (i in the cell, j not), and a family is an
-    antichain iff its cells' masks cover every pair.  The first k cells
-    are the singletons, which facet permutations merely permute, so a
-    minimal vector has nondecreasing singleton counts.
+    Each cell carries a bitmask of the ordered facet pairs (i, j) it
+    witnesses (i in the cell, j not), and a family is an antichain iff its
+    cells' masks cover every pair.  The first k cells are the singletons,
+    which facet permutations merely permute, so a minimal vector has
+    nondecreasing singleton counts.
+
+    For each total, the nondecreasing cell sequences are walked depth
+    first, smallest cell first, which is the lexicographic order of
+    itertools.combinations_with_replacement, and a subtree is cut when it
+    holds no antichain with nondecreasing singleton counts.  A slot ends at
+    the first cell from which the cells still allowed cannot witness every
+    uncovered pair (that set only shrinks as the slot's cell grows).  A run
+    of singleton i may end only once it is as long as the run of singleton
+    i - 1, and, unless i is the last singleton, only at singleton i + 1.
+    The last slot tries only the cells
+    witnessing the lowest uncovered pair.  Every sequence cut is one the
+    antichain or singleton test would reject, so the stream is the one the
+    unpruned walk gives; both tests still run on every sequence reached,
+    before the orbit check.
     """
     k = num_facets
-    cells = sorted(
-        (
-            frozenset(s)
-            for r in range(1, k + 1)
-            for s in itertools.combinations(range(k), r)
-        ),
-        key=lambda s: (len(s), sorted(s)),
-    )
-    index = {cell: i for i, cell in enumerate(cells)}
-    orbit = [
-        tuple(index[frozenset(p[i] for i in cell)] for cell in cells)
-        for p in itertools.permutations(range(k))
-    ][1:]
+    cells, orbit = _facet_cells(k)
     pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
     witness = [
         sum(1 << p for p, (i, j) in enumerate(pairs) if i in cell and j not in cell)
@@ -65,20 +91,51 @@ def enumerate_facet_antichains(max_neurons: int, num_facets: int) -> Iterator[li
     ]
     all_pairs = (1 << len(pairs)) - 1
     ncells = len(cells)
+    # reach[c]: the pairs witnessed by cell c or a later one
+    reach = [0] * (ncells + 1)
+    for c in reversed(range(ncells)):
+        reach[c] = reach[c + 1] | witness[c]
+    # by_pair[p]: the cells witnessing pair p; by_pair[-1], for no pair, all
+    by_pair = [
+        [c for c, w in enumerate(witness) if w >> p & 1] for p in range(len(pairs))
+    ] + [range(ncells)]
+
+    def antichains(combo, start, covered, left, run, prev):
+        # combo, ending in run copies of cell start, extended by left more
+        # cells from start on to cover all pairs; if start is a singleton,
+        # prev counts the singleton before it
+        if left == 1:
+            # the last cell must witness the lowest uncovered pair
+            need = all_pairs & ~covered
+            for c in by_pair[(need & -need).bit_length() - 1]:
+                if c >= start and covered | witness[c] == all_pairs:
+                    yield combo + (c,)
+            return
+        stop = ncells
+        if run and start < k:
+            # singleton counts never fall, so a singleton once used is
+            # followed by the next one, at least as often
+            if run < prev:
+                stop = start + 1
+            elif start < k - 1:
+                stop = start + 2
+        for c in range(start, stop):
+            if covered | reach[c] != all_pairs:
+                return
+            counts = (run + 1, prev) if c == start else (1, run)
+            yield from antichains(
+                combo + (c,), c, covered | witness[c], left - 1, *counts
+            )
+
     for total in range(1, max_neurons + 1):
-        for combo in itertools.combinations_with_replacement(range(ncells), total):
-            covered = 0
-            for c in combo:
-                covered |= witness[c]
-            if covered != all_pairs:
-                continue
+        for combo in antichains((), 0, 0, total, 0, 0):
             v = [0] * ncells
             for c in combo:
                 v[c] += 1
             if v[:k] != sorted(v[:k]):
                 continue
             vt = tuple(v)
-            if any(tuple(vt[p[i]] for i in range(ncells)) < vt for p in orbit):
+            if any(g(vt) < vt for g in orbit):
                 continue
             facets = [set() for _ in range(k)]
             neuron = 0

@@ -428,6 +428,8 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
             ):
                 return cand
 
+    if not s.missing:
+        return None  # no tau to search, so nothing is charged
     pool = _Pool(s)
     words, masks, pool_trunks, trunks = pool.words, pool.masks, pool.trunk_masks, pool.trunks
     size = len(words)

@@ -668,7 +668,7 @@ def reference_enumerate_facet_antichains(max_neurons, num_facets):
     ][1:]
     # cells witnessing that facet i is not contained in facet j
     private = [
-        [c for c, cell in enumerate(cells) if i in cell and j not in cell]
+        frozenset(c for c, cell in enumerate(cells) if i in cell and j not in cell)
         for i in range(k)
         for j in range(k)
         if i != j
@@ -676,11 +676,11 @@ def reference_enumerate_facet_antichains(max_neurons, num_facets):
     ncells = len(cells)
     for total in range(1, max_neurons + 1):
         for combo in combinations_with_replacement(range(ncells), total):
+            if any(cs.isdisjoint(combo) for cs in private):
+                continue
             v = [0] * ncells
             for c in combo:
                 v[c] += 1
-            if not all(any(v[c] for c in cs) for cs in private):
-                continue
             vt = tuple(v)
             if any(tuple(vt[p[i]] for i in range(ncells)) < vt for p in orbit):
                 continue

@@ -75,7 +75,8 @@ class TestEnumeration:
         assert a == b
 
     @pytest.mark.parametrize(
-        "max_neurons,num_facets", [(6, 2), (6, 3), (6, 4), (5, 5), (7, 3), (4, 4)]
+        "max_neurons,num_facets",
+        [(6, 2), (6, 3), (6, 4), (5, 5), (7, 3), (4, 4), (7, 4), (6, 5)],
     )
     def test_stream_equals_reference(self, max_neurons, num_facets):
         got = list(enumerate_facet_antichains(max_neurons, num_facets))
@@ -86,6 +87,19 @@ class TestEnumeration:
         assert len(list(enumerate_facet_antichains(6, 2))) == 22
         assert len(list(enumerate_facet_antichains(6, 3))) == 84
         assert len(list(enumerate_facet_antichains(6, 4))) == 287
+        assert len(list(enumerate_facet_antichains(7, 4))) == 1321
+        assert len(list(enumerate_facet_antichains(6, 5))) == 787
+        assert len(list(enumerate_facet_antichains(8, 4))) == 5094
+
+    def test_edge_streams(self):
+        # three facets need three neurons; no facets or no neurons give
+        # nothing; one facet has no pair to witness, so every total is kept
+        assert list(enumerate_facet_antichains(2, 3)) == []
+        assert list(enumerate_facet_antichains(0, 3)) == []
+        assert list(enumerate_facet_antichains(4, 0)) == []
+        assert list(enumerate_facet_antichains(3, 1)) == [
+            [fs("1")], [fs("12")], [fs("123")]
+        ]
 
 
 class TestAtlasRows:

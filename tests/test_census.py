@@ -32,16 +32,14 @@ from convexcodes import (
     nerve,
     relabel,
 )
+from convexcodes.atlas import _facet_cells
 from convexcodes.codes import sort_words
 from convexcodes.wheels import _witnesses_cover_exactly
 
 BUDGET = 10**4
 FACETS = 4
-# the cells in the order enumerate_facet_antichains uses: by size, then lex
-CELLS = sorted(
-    (frozenset(s) for r in range(1, FACETS + 1) for s in itertools.combinations(range(FACETS), r)),
-    key=lambda s: (len(s), sorted(s)),
-)
+# the cells and facet permutations enumerate_facet_antichains uses
+CELLS, ORBIT = _facet_cells(FACETS)
 
 
 def census_patterns():
@@ -53,11 +51,6 @@ def census_patterns():
     it onto a lexicographically smaller vector: the rule
     enumerate_facet_antichains applies to count vectors.
     """
-    index = {cell: i for i, cell in enumerate(CELLS)}
-    orbit = [
-        tuple(index[frozenset(p[i] for i in cell)] for cell in CELLS)
-        for p in itertools.permutations(range(FACETS))
-    ]
     labeled, representatives = 0, []
     for bits in range(1 << len(CELLS)):
         marked = [cell for c, cell in enumerate(CELLS) if bits >> c & 1]
@@ -68,8 +61,8 @@ def census_patterns():
         if any(a <= b for a, b in itertools.permutations(facets, 2)):
             continue
         labeled += 1
-        v = [bits >> c & 1 for c in range(len(CELLS))]
-        if all([v[q] for q in p] >= v for p in orbit):
+        v = tuple(bits >> c & 1 for c in range(len(CELLS)))
+        if not any(g(v) < v for g in ORBIT):
             representatives.append(facets)
     return labeled, representatives
 

@@ -140,6 +140,24 @@ class TestFindSprocket:
         assert got is not None
         assert is_sprocket(d28, got)[0]
 
+    def test_no_pool_without_missing_face(self, monkeypatch):
+        # a max-intersection complete code has no tau to search, before or
+        # after its cone is peeled, so no candidate pool is built
+        import convexcodes.wheels
+
+        built = []
+
+        class Counting(_Pool):
+            def __init__(self, s):
+                built.append(s)
+                super().__init__(s)
+
+        monkeypatch.setattr(convexcodes.wheels, "_Pool", Counting)
+        box = [100]
+        for text in ("123, 12, 13, 23, 1, 2, 3", "12, 23, 2"):
+            assert _find_sprocket(CodeStructure(parse_code(text)), box) is None
+        assert (built, box) == ([], [100])
+
     def test_zero_budget_generic_still_tries_canonical(self, c24):
         assert find_sprocket(c24, budget=0) is not None
 
