@@ -27,7 +27,6 @@ from .topology import (
     has_local_obstruction,
     is_contractible_small,
     is_link_contractible,
-    link_facet_sets,
     mandatory_faces,
     minimal_code,
     nerve,
@@ -84,7 +83,6 @@ __all__ = [
     "has_local_obstruction",
     "is_contractible_small",
     "is_link_contractible",
-    "link_facet_sets",
     "is_max_intersection_complete",
     "is_partial_wheel",
     "is_sprocket",

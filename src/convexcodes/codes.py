@@ -226,16 +226,16 @@ def is_max_intersection_complete(code: NeuralCode) -> tuple:
     return (not missing, missing)
 
 
+def relabel_word(word: Codeword, perm: tuple) -> Codeword:
+    """The word under a neuron permutation; perm[i-1] is the new label of i."""
+    return frozenset(perm[i - 1] for i in word)
+
+
 def relabel(code: NeuralCode, perm: tuple) -> NeuralCode:
     """Apply a neuron permutation; perm[i-1] is the new label of neuron i."""
     if len(perm) < code.n:
         raise ValueError("permutation too short for this code")
-    words = [frozenset(perm[i - 1] for i in w) for w in code.codewords]
-    return NeuralCode(words, n=code.n)
-
-
-def relabel_word(word: Codeword, perm: tuple) -> Codeword:
-    return frozenset(perm[i - 1] for i in word)
+    return NeuralCode([relabel_word(w, perm) for w in code.codewords], n=code.n)
 
 
 class CanonicalForm(NamedTuple):

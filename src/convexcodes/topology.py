@@ -21,13 +21,15 @@ Contractibility of a complex on at most four vertices is exact: the class
 catalog is closed under vertex permutation, and per class the collapse
 oracle is cross-checked against GF(2) homology, whose vanishing is also
 sufficient at this size because every non-contractible complex on four
-vertices has a nonzero reduced homology group.  Larger links are first
-reduced by strong collapses (dominated sets and elements of the
-facet-difference sets), which keep the homotopy type; a core of at most
-four sets is read from the table.  Only a larger core lists its faces,
-once, as masks: it is non-contractible when disconnected or not acyclic
-over GF(2), contractible when an elementary-collapse search (run from an
-explicit stack) succeeds, and INDETERMINATE otherwise.
+vertices has a nonzero reduced homology group.
+
+Links are cut from facet masks (rows f & ~sigma) by one routine,
+_link_contractible.  More than four rows are first reduced by strong
+collapses, which keep the homotopy type; a core of at most four rows is
+read from the table.  Only a larger core lists its faces, once, as masks:
+it is non-contractible when disconnected or not acyclic over GF(2),
+contractible when an elementary-collapse search (run from an explicit
+stack) succeeds, and INDETERMINATE otherwise.
 """
 
 from __future__ import annotations
@@ -365,29 +367,6 @@ def is_contractible_small(sc: SimplicialComplex) -> bool:
     return classify_small_complex(sc).contractible
 
 
-def link_facet_sets(facets: Iterable[Codeword], sigma: Iterable[int]) -> list:
-    """The facet-difference sets {F - sigma : sigma <= F}, deduplicated.
-
-    Order-stable by facet position.  Feeding the result to nerve() gives a
-    complex homotopy-equivalent to the link of sigma.
-    """
-    s = frozenset(sigma)
-    out = []
-    seen = set()
-    hit = False
-    for f in facets:
-        f = frozenset(f)
-        if s <= f:
-            hit = True
-            diff = f - s
-            if diff not in seen:
-                seen.add(diff)
-                out.append(diff)
-    if not hit:
-        raise ValueError(f"{sorted(s)} is not a face of the complex")
-    return out
-
-
 def _strong_core(rows: list) -> list:
     """The masks left after dominance reduction of packed nonempty sets.
 
@@ -412,27 +391,25 @@ def _strong_core(rows: list) -> list:
         rows = [r & keep for r in rows]
 
 
-def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
+def _link_contractible(facet_masks: list, sigma: int):
     """True/False for contractibility of the link of sigma, else INDETERMINATE.
 
-    The link is homotopy-equivalent to the nerve of the facet-difference
-    sets.  More than four of them are first reduced by dominance (see
-    _strong_core), which keeps that homotopy type.  Exact when at most four
-    sets are left (table lookup).  Otherwise the core's nerve is False when
-    disconnected or when its GF(2) homology is not that of a point
-    (_acyclic), True when an elementary-collapse search on its faces
-    succeeds, and INDETERMINATE when neither settles it.  The link of a
-    facet itself has empty geometric realization and counts as
+    facet_masks is an antichain of masks and sigma the mask of one of its
+    faces.  The link is homotopy-equivalent to the nerve of the rows
+    f & ~sigma over the facets f holding sigma; they are distinct, and
+    nonzero unless sigma is itself a facet.  More than four rows are first
+    reduced by dominance (see _strong_core), which keeps that homotopy type.
+    Exact when at most four rows are left (table lookup).  Otherwise the
+    core's nerve is False when disconnected or when its GF(2) homology is
+    not that of a point (_acyclic), True when an elementary-collapse search
+    on its faces succeeds, and INDETERMINATE when neither settles it.  The
+    link of a facet has empty geometric realization and counts as
     non-contractible, which is what makes facets mandatory.
     """
-    s = frozenset(sigma)
-    if not s:
-        raise ValueError("sigma must be a nonempty face")
-    diffs = link_facet_sets(facets, s)
-    if diffs == [EMPTY]:
+    rows = [f & ~sigma for f in facet_masks if not sigma & ~f]
+    if rows == [0]:
         return False
-    rows = _pack(diffs).masks
-    if len(rows) > 4 and all(rows):  # an empty set is refused by _nerve_masks
+    if len(rows) > 4:
         rows = _strong_core(rows)
     nerve_masks = _nerve_masks(rows)
     if len(rows) <= 4:
@@ -446,6 +423,24 @@ def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
         return True
     # acyclic but not collapsible, or budget exhausted: cannot conclude
     return INDETERMINATE
+
+
+def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
+    """True/False for contractibility of the link of sigma, else INDETERMINATE.
+
+    The complex is the one whose faces lie in the given sets; a set inside
+    another adds nothing and is dropped.  The sets and sigma are packed
+    together, so any hashable labels work, and _link_contractible decides
+    on the masks.  ValueError when sigma is empty or not a face.
+    """
+    sigma = frozenset(sigma)
+    if not sigma:
+        raise ValueError("sigma must be a nonempty face")
+    *masks, s = _pack([*facets, sigma]).masks
+    masks = _maximal_masks(masks)
+    if not any(s & m == s for m in masks):
+        raise ValueError(f"{sorted(sigma)} is not a face of the complex")
+    return _link_contractible(masks, s)
 
 
 class MandatoryFaces(frozenset):
@@ -470,12 +465,13 @@ class CodeStructure:
     Built at the top of each public entry point and passed down for that
     call only; it is never stored on the code or in a module-level cache.
     Every field is computed on first read, so an early exit pays only for
-    what it read.  Link contractibility is memoized per face and shared by
-    the obstruction scan and the mandatory faces.  The code is packed into
-    bitmasks once (packed and facet_masks, laid out by codes._pack); the
-    sprocket search and its trunks read their masks from there, and the
-    nerve is held only as masks of facet positions (nerve_masks), which
-    the class table and the component split read.
+    what it read.  The code is packed into bitmasks once (packed and
+    facet_masks, laid out by codes._pack).  Links are cut from facet_masks
+    by _link_contractible, memoized per face and shared by the obstruction
+    scan and the mandatory faces; the sprocket search and its trunks read
+    their masks from there too, and the nerve is held only as masks of
+    facet positions (nerve_masks), which the class table and the component
+    split read.
     """
 
     code: NeuralCode
@@ -525,7 +521,8 @@ class CodeStructure:
 
     def link_contractible(self, face: Codeword):
         if face not in self._links:
-            self._links[face] = is_link_contractible(self.facets, face)
+            sigma = sum(map(self.packed.bit.__getitem__, face))
+            self._links[face] = _link_contractible(self.facet_masks, sigma)
         return self._links[face]
 
     @cached_property

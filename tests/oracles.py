@@ -10,9 +10,10 @@ package data: the classification scan reads the L1..L28 reference catalog
 package's predicates (nerve classification, the canonical L24
 construction and is_sprocket) around the search loop it checks.  The
 face-enumerating nerve, the recursive collapse search and the link test
-built on them (connected with Euler characteristic 1, then the collapse
-search) are the code the mask-only versions replaced; the link test reads
-links on at most four vertices from the package's class table, as it did.
+built on them (facet-difference sets, then connected with Euler
+characteristic 1, then the collapse search) are the code the mask-only
+versions replaced; the link test decides links on at most four vertices
+with contractible_small, not with the package's class table.
 The canonical-form and atlas-enumeration references reuse only the
 package's value types and codeword order.
 """
@@ -213,6 +214,29 @@ def reference_is_collapsible(faces, budget=200_000):
     return rec(start)
 
 
+def link_facet_sets(facets, sigma):
+    """The facet-difference sets {F - sigma : sigma <= F}, deduplicated.
+
+    Order-stable by facet position.  Feeding the result to a nerve gives a
+    complex homotopy-equivalent to the link of sigma.
+    """
+    s = frozenset(sigma)
+    out = []
+    seen = set()
+    hit = False
+    for f in facets:
+        f = frozenset(f)
+        if s <= f:
+            hit = True
+            diff = f - s
+            if diff not in seen:
+                seen.add(diff)
+                out.append(diff)
+    if not hit:
+        raise ValueError(f"{sorted(s)} is not a face of the complex")
+    return out
+
+
 def reference_is_link_contractible(facets, sigma):
     """True/False for contractibility of the link of sigma, else INDETERMINATE.
 
@@ -220,18 +244,17 @@ def reference_is_link_contractible(facets, sigma):
     The link of a facet itself has empty geometric realization and counts as
     non-contractible, which is what makes facets mandatory.
     """
-    from convexcodes.codes import EMPTY
-    from convexcodes.topology import INDETERMINATE, is_contractible_small, link_facet_sets
+    from convexcodes.topology import INDETERMINATE
 
     s = frozenset(sigma)
     if not s:
         raise ValueError("sigma must be a nonempty face")
     diffs = link_facet_sets(facets, s)
-    if diffs == [EMPTY]:
+    if diffs == [frozenset()]:
         return False
     link_nerve = reference_nerve(diffs)
     if len(link_nerve.vertices) <= 4:
-        return is_contractible_small(link_nerve)
+        return contractible_small(link_nerve.facets)
     if not is_connected(link_nerve.facets) or euler_characteristic(link_nerve.facets) != 1:
         return False
     coll = reference_is_collapsible(face_poset(link_nerve.facets))

@@ -366,13 +366,13 @@ class TestAnalyze:
         # the obstruction scan, the mandatory faces, the L24 branch and the
         # builders all read one per-call memo of link contractibility
         counts = Counter()
-        real = convexcodes.topology.is_link_contractible
+        real = convexcodes.topology._link_contractible
 
-        def counting(facets, sigma):
-            counts[(tuple(facets), frozenset(sigma))] += 1
-            return real(facets, sigma)
+        def counting(facet_masks, sigma):
+            counts[(tuple(facet_masks), sigma)] += 1
+            return real(facet_masks, sigma)
 
-        monkeypatch.setattr(convexcodes.topology, "is_link_contractible", counting)
+        monkeypatch.setattr(convexcodes.topology, "_link_contractible", counting)
         for code in (c22, c24, w3, c26_corrected):
             counts.clear()
             analyze(code)

@@ -1,8 +1,10 @@
-"""Every module-level import in src/convexcodes is used by its module.
+"""Every module-level import in src/convexcodes is used by its module, and
+every module-level function or class is used somewhere in the package.
 
-Exempt are names listed in the module's __all__ (re-exports),
-`from __future__` imports, and import blocks placed directly under the
-comment that keeps names importable for the benchmark tracer.
+Exempt from the import check are names listed in the module's __all__
+(re-exports), `from __future__` imports, and import blocks placed directly
+under the comment that keeps names importable for the benchmark tracer.
+Exempt from the definition check are the names in the package's __all__.
 """
 
 import ast
@@ -72,3 +74,51 @@ def test_guard_catches_an_unused_import():
         "print(sys.argv)\n"
     )
     assert unused_imports(source) == [(1, "os"), (3, "Dict"), (8, "pi")]
+
+
+def unused_definitions(sources: dict, exported: set) -> list:
+    """(module, line, name) of each module-level function or class that is
+    not exported and that no module reads, by name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        (module, node.lineno, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, kinds) and node.name not in exported | read
+    ]
+
+
+def test_no_unused_module_definitions():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    exported = _exported(ast.parse(sources["__init__.py"]))
+    assert exported
+    assert unused_definitions(sources, exported) == []
+
+
+def test_guard_catches_an_unused_definition():
+    sources = {
+        "a.py": (
+            "def public(): pass\n"
+            "def helper(): pass\n"
+            "def dead(): pass\n"
+            "class Used: pass\n"
+            "class Unused:\n"
+            "    def method(self): return helper()\n"
+        ),
+        "b.py": (
+            "from .a import dead, Used\n"
+            "import a\n"
+            "def only_as_attribute(): pass\n"
+            "x = Used()\n"
+            "a.only_as_attribute\n"
+        ),
+    }
+    assert unused_definitions(sources, {"public"}) == [("a.py", 3, "dead"), ("a.py", 5, "Unused")]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -21,7 +22,6 @@ from convexcodes import (
     has_local_obstruction,
     is_contractible_small,
     is_link_contractible,
-    link_facet_sets,
     mandatory_faces,
     max_intersection_faces,
     maximal_codewords,
@@ -30,8 +30,11 @@ from convexcodes import (
     path_of_facets,
     relabel,
 )
+import convexcodes.codes
+import convexcodes.topology
 from convexcodes.topology import (
     REFERENCE_COMPLEXES,
+    CodeStructure,
     _acyclic,
     _faces,
     _positions,
@@ -124,26 +127,28 @@ class TestNerveAgainstReference:
 
 
 class TestLinkFacetSets:
+    """The oracle's facet-difference sets."""
+
     def test_c24_vertex(self, c24):
-        assert set(link_facet_sets(facets_of(c24), fs("1"))) == {
+        assert set(oracles.link_facet_sets(facets_of(c24), fs("1"))) == {
             fs("23"),
             fs("246"),
             fs("45"),
         }
 
     def test_c22_vertex(self, c22):
-        assert set(link_facet_sets(facets_of(c22), fs("3"))) == {
+        assert set(oracles.link_facet_sets(facets_of(c22), fs("3"))) == {
             fs("14"),
             fs("157"),
             fs("56"),
         }
 
     def test_link_of_facet_is_empty_difference(self, c24):
-        assert link_facet_sets(facets_of(c24), fs("356")) == [frozenset()]
+        assert oracles.link_facet_sets(facets_of(c24), fs("356")) == [frozenset()]
 
     def test_non_face_rejected(self, c24):
         with pytest.raises(ValueError):
-            link_facet_sets(facets_of(c24), fs("25"))
+            oracles.link_facet_sets(facets_of(c24), fs("25"))
 
 
 class TestClassify:
@@ -219,6 +224,17 @@ class TestLinkContractible:
         with pytest.raises(ValueError):
             is_link_contractible(facets_of(c24), frozenset())
 
+    def test_non_face_rejected(self, c24):
+        with pytest.raises(ValueError, match="not a face"):
+            is_link_contractible(facets_of(c24), fs("25"))
+
+    def test_sets_inside_another_are_ignored(self):
+        # {1} lies inside {1,2}: the complex is the edge, and the link of
+        # vertex 1 is the point 2
+        assert is_link_contractible([fs("12"), fs("1")], fs("1")) is True
+        assert oracles.reference_is_link_contractible([fs("12")], fs("1")) is True
+        assert is_link_contractible([fs("123"), fs("12")], fs("1")) is True
+
     def test_pairwise_only_intersections(self):
         """Facet pairwise intersections inside no third facet have bad links."""
         rng = random.Random(7)
@@ -261,13 +277,16 @@ class TestLinkContractibleAgainstReference:
     wherever that path decides."""
 
     def _check(self, facets):
+        # the structure's own link path, on its facet masks
+        structure = CodeStructure(NeuralCode(facets))
         settled = 0
         for face in max_intersection_faces(facets):
             want = oracles.reference_is_link_contractible(facets, face)
             if want is INDETERMINATE:
                 continue
             assert is_link_contractible(facets, face) is want, (facets, face)
-            settled += want and len(link_facet_sets(facets, face)) > 4
+            assert structure.link_contractible(face) is want, (facets, face)
+            settled += want and len(oracles.link_facet_sets(facets, face)) > 4
         return settled
 
     def test_seeded_five_and_six_facet_families(self):
@@ -663,3 +682,36 @@ class TestMasksOnly:
             decide(minimal_code(collapse_family(m)))
         atlas_rows(5, 5)
         assert len(built) == 0
+
+    def test_one_packing_per_structure(self, monkeypatch, c22, c24, w3):
+        # links are cut from the structure's facet masks: _pack runs once
+        # per structure whose packed is read, and never per link
+        packs, structures, links = [], [], []
+        pack = convexcodes.codes._pack
+        packed = CodeStructure.__dict__["packed"]
+        link = convexcodes.topology._link_contractible
+
+        def counting_pack(sets):
+            packs.append(sets)
+            return pack(sets)
+
+        def counting_packed(self):
+            structures.append(self)
+            return packed.func(self)
+
+        def counting_link(facet_masks, sigma):
+            links.append(sigma)
+            return link(facet_masks, sigma)
+
+        reading = functools.cached_property(counting_packed)
+        reading.__set_name__(CodeStructure, "packed")
+        for module in (convexcodes.codes, convexcodes.topology):
+            monkeypatch.setattr(module, "_pack", counting_pack)
+        monkeypatch.setattr(CodeStructure, "packed", reading)
+        monkeypatch.setattr(convexcodes.topology, "_link_contractible", counting_link)
+        for code in (c24, c22, w3):
+            analyze(code)
+        for m in (6, 9, 12):
+            decide(NeuralCode(collapse_family(m)))
+        assert links and structures
+        assert len(packs) == len(structures)
