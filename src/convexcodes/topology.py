@@ -436,10 +436,13 @@ def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
     sigma = frozenset(sigma)
     if not sigma:
         raise ValueError("sigma must be a nonempty face")
-    *masks, s = _pack([*facets, sigma]).masks
+    packed = _pack([*facets, sigma])
+    *masks, s = packed.masks
     masks = _maximal_masks(masks)
     if not any(s & m == s for m in masks):
-        raise ValueError(f"{sorted(sigma)} is not a face of the complex")
+        # the packing's label order: sorted when the labels can be ordered
+        face = [x for x in packed.bit if x in sigma]
+        raise ValueError(f"{face} is not a face of the complex")
     return _link_contractible(masks, s)
 
 

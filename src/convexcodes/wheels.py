@@ -361,6 +361,50 @@ def _hub_spoke_pattern(facets, s1: int, s2: int, s3: int, tau: int) -> bool:
     return True
 
 
+def _l24_taus(s: CodeStructure) -> set:
+    """The masks of the missing taus that sit inside an induced L24 of the nerve.
+
+    A missing tau passes when some facet g disjoint from tau and three
+    facets f1, f2, f3 holding tau induce L24 in the nerve: g shares an edge
+    with each fj, and no triangle of the nerve passes through g and two of
+    them.  The nerve's edges and triangles are read from s.nerve_masks once,
+    so each test is a set lookup.
+
+    Only these taus can have a triple that _Pool.triples keeps.  Such a
+    triple has a hub facet g holding sigma1|sigma2|sigma3 and disjoint from
+    tau (the inside[at12 & clear] test), and each sigma_j has a spoke facet
+    fj holding sigma_j|tau (P(iii)).  _hub_spoke_pattern makes g & fj & fk
+    empty for j != k.  Pool words are nonempty, so g & fj holds sigma_j and
+    g shares an edge with fj; then fj != fk, as g & fj & fj is not empty.
+    So g, f1, f2, f3 are distinct (g misses the nonempty tau, which every fj
+    holds) and induce L24, with tau in the triangle's intersection.
+    """
+    edges, triangles = set(), set()
+    for face in s.nerve_masks:
+        vertices = [1 << p for p in _indices(face)]
+        edges.update(a | b for a, b in itertools.combinations(vertices, 2))
+        triangles.update(a | b | c for a, b, c in itertools.combinations(vertices, 3))
+    bit, facet_masks = s.packed.bit, s.facet_masks
+    out = set()
+    for word in s.missing:
+        tau = sum(map(bit.__getitem__, word))
+        holding = [1 << j for j, f in enumerate(facet_masks) if tau & ~f == 0]
+        for j, g in enumerate(facet_masks):
+            if g & tau:  # g would make a triangle with any two spokes
+                continue
+            g = 1 << j
+            spokes = [f for f in holding if g | f in edges]
+            if any(
+                g | a | b not in triangles
+                and g | a | c not in triangles
+                and g | b | c not in triangles
+                for a, b, c in itertools.combinations(spokes, 3)
+            ):
+                out.add(tau)
+                break
+    return out
+
+
 def find_sprocket(
     code: NeuralCode, budget: int = DEFAULT_BUDGET
 ) -> Optional[SprocketCandidate]:
@@ -382,19 +426,24 @@ def find_sprocket(
     triple that passes the mirror filter (sigma3 not before sigma1 in the
     canonical order) and one per (rho1, rho3) pair tried for a partial
     wheel matching _hub_spoke_pattern.  Cone peeling spends from the same
-    budget.  The generic enumeration runs in two phases on bitmasks.  The
-    first, in no particular order, finds for each tau with a witness rho
-    the triples that can reach the witnesses (_Pool.triples).  If there
-    are none, the order cannot matter: every triple of those taus is
-    charged at once and the search returns None without computing the
-    relabeling.  Otherwise the second phase ranks the words and the taus
-    in the canonical order and walks the surviving triples in it; the
-    triples skipped before each are charged in one step, so the budget
-    spent is that of the step-by-step loop.  The candidate or None
-    returned at each budget, and the budget left, are pinned to a
-    step-by-step frozenset reference search by the oracle tests in
-    tests/test_wheels.py, at every budget up to the steps spent on a
-    sample of codes.
+    budget.  The generic enumeration runs in two phases on bitmasks.  Every
+    missing tau is a pool word and its own witness rho, so each is searched.
+    The first phase, in no particular order, finds for each tau the triples
+    that can reach the witnesses (_Pool.triples).  Such a triple has a hub
+    facet disjoint from tau and three spoke facets holding tau that induce
+    L24 in the nerve (the lemma of _l24_taus), so the phase runs only on
+    the taus passing that test of the nerve, and builds the candidate pool
+    only when one passes.  If no triple is found, the order cannot matter:
+    every triple of every tau is charged at once and the search returns
+    None without computing the relabeling.  Otherwise the second phase
+    ranks the words and the taus in the canonical order and walks the
+    surviving triples in it; the triples skipped before each are charged
+    in one step, so the budget spent is that of the step-by-step loop.
+    The candidate or None returned at each budget, and the budget left,
+    are pinned to a step-by-step frozenset reference search by the oracle
+    tests in tests/test_wheels.py, at every budget up to the steps spent
+    on a sample of codes, and to the same search with a nerve test that
+    admits every tau.
 
     Emitted candidates satisfy a condition beyond is_sprocket: both
     witness trunks must lie inside Tk(tau) (see _witnesses_cover_exactly).
@@ -430,26 +479,27 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
 
     if not s.missing:
         return None  # no tau to search, so nothing is charged
-    pool = _Pool(s)
-    words, masks, pool_trunks, trunks = pool.words, pool.masks, pool.trunk_masks, pool.trunks
-    size = len(words)
     # One budget step per (sigma1, sigma2, sigma3) with sigma3 not before
     # sigma1 (the mirror filter), size * size * (size + 1) / 2 per tau, and
-    # one per (rho1, rho3).  A tau with no witness rho is skipped.
+    # one per (rho1, rho3).  Every missing tau is a pool word and its own
+    # witness rho, so every one is searched.  Only the taus _l24_taus admits
+    # can have a triple, so the pool is built only when there is one.
+    admitted = _l24_taus(s)
+    pool = _Pool(s) if admitted else None
+    size = len(pool.words) if pool else len(_candidate_pool(s.max_intersections))
     per_tau = size * size * (size + 1) // 2
+    triples = {tau: pool.triples(tau) for tau in admitted}
+    left = box[0]
+    if not any(triples.values()):
+        box[0] = left - min(left, len(s.missing) * per_tau)
+        return None
+
+    words, masks, pool_trunks, trunks = pool.words, pool.masks, pool.trunk_masks, pool.trunks
     taus = {}  # tau word -> (its mask, its witness rhos)
     for word in s.missing:
         tau = sum(map(s.packed.bit.__getitem__, word))
         tk_tau = trunks[tau]
-        rhos = [r for r in range(size) if pool_trunks[r] & ~tk_tau == 0]
-        if rhos:
-            taus[word] = (tau, rhos)
-    triples = _Filled(pool.triples)
-    left = box[0]
-    if not any(triples[tau] for tau, _rhos in taus.values()):
-        box[0] = left - min(left, len(taus) * per_tau)
-        return None
-
+        taus[word] = (tau, [r for r in range(size) if pool_trunks[r] & ~tk_tau == 0])
     # visit candidates in the order sort_words gives on the canonical relabeling
     label = _profile_relabeling(s.packed)
     order = lambda w: (len(w), sorted(label[i] for i in w))
@@ -468,7 +518,7 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
         tk_tau = trunks[tau]
         rhos.sort(key=rank.__getitem__)
         walk = []
-        for i1, i2, i3 in triples[tau]:
+        for i1, i2, i3 in triples.get(tau, ()):
             if rank[i1] > rank[i3]:
                 i1, i3 = i3, i1
             r1 = rank[i1]

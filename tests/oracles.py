@@ -15,7 +15,7 @@ characteristic 1, then the collapse search) are the code the mask-only
 versions replaced; the link test decides links on at most four vertices
 with contractible_small, not with the package's class table.
 The canonical-form and atlas-enumeration references reuse only the
-package's value types and codeword order.
+package's value types, and the atlas one its codeword order.
 """
 
 from fractions import Fraction
@@ -619,8 +619,8 @@ def reference_find_sprocket(code, box):
 # ---------------------------------------------------------------------------
 # Reference canonical form and atlas enumeration: the n! relabeling scan
 # and the per-vector antichain filter that convexcodes.codes.canonicalize
-# and convexcodes.atlas.enumerate_facet_antichains replaced, kept as they
-# were so the fast versions can be checked for equal outputs.
+# and convexcodes.atlas.enumerate_facet_antichains replaced, kept
+# exhaustive so the fast versions can be checked for equal outputs.
 
 
 def reference_canonicalize(code, optima=None, cells=None):
@@ -631,10 +631,7 @@ def reference_canonicalize(code, optima=None, cells=None):
     1..n passed as cells restricts the scan to the relabelings that give
     the first cell's neurons the first labels, and so on.
     """
-    from convexcodes.codes import CanonicalForm, NeuralCode, word_sort_key
-
-    def _code_key(words):
-        return tuple(sorted((word_sort_key(w) for w in words)))
+    from convexcodes.codes import CanonicalForm, NeuralCode
 
     n = code.n
     if n == 0:
@@ -653,22 +650,32 @@ def reference_canonicalize(code, optima=None, cells=None):
         scan = (
             p for p in permutations(range(1, n + 1)) if all(p[i - 1] in block[i] for i in block)
         )
+    # A code's key is its words sorted by (size, sorted labels).  Relabeling
+    # keeps every word's size, so all the keys have the same sizes in the
+    # same places, and they compare as the relabeled words sorted within
+    # each size, one size after the other.
+    by_size = {}
+    for w in code.codewords:
+        by_size.setdefault(len(w), []).append([i - 1 for i in w])
+    groups = [by_size[size] for size in sorted(by_size)]
     best_key = None
     best = None
     ties = []
     for images in scan:
-        words = frozenset(frozenset(images[i - 1] for i in w) for w in code.codewords)
-        key = _code_key(words)
+        image = images.__getitem__
+        key = []
+        for group in groups:
+            key += sorted(tuple(sorted(map(image, w))) for w in group)
         if best_key is None or key < best_key:
             best_key = key
-            best = (words, images)
+            best = images
             ties = [images]
         elif key == best_key:
             ties.append(images)
     if optima is not None:
         optima[:] = ties
-    words, images = best
-    return CanonicalForm(NeuralCode(words, n=n), tuple(images), True)
+    words = (frozenset(best[i - 1] for i in w) for w in code.codewords)
+    return CanonicalForm(NeuralCode(words, n=n), tuple(best), True)
 
 
 def reference_enumerate_facet_antichains(max_neurons, num_facets):

@@ -225,8 +225,13 @@ class TestLinkContractible:
             is_link_contractible(facets_of(c24), frozenset())
 
     def test_non_face_rejected(self, c24):
-        with pytest.raises(ValueError, match="not a face"):
+        with pytest.raises(ValueError, match=r"^\[2, 5\] is not a face"):
             is_link_contractible(facets_of(c24), fs("25"))
+
+    def test_non_face_with_unorderable_labels_rejected(self):
+        # labels of mixed types cannot be sorted; the message must not try
+        with pytest.raises(ValueError, match="not a face"):
+            is_link_contractible([{"a", 1}], {1, "b"})
 
     def test_sets_inside_another_are_ignored(self):
         # {1} lies inside {1,2}: the complex is the edge, and the link of

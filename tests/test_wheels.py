@@ -11,6 +11,7 @@ import convexcodes.cli
 from convexcodes import (
     NeuralCode,
     SprocketCandidate,
+    Verdict,
     analyze,
     canonical_l24_sprocket,
     canonicalize,
@@ -32,9 +33,9 @@ from convexcodes.codes import (
     sort_words,
 )
 from convexcodes.topology import CodeStructure
-from convexcodes.wheels import _find_sprocket, _Pool
+from convexcodes.wheels import _find_sprocket, _l24_taus, _Pool
 
-from conftest import collapse_family, fs
+from conftest import C26_CORRECTED_TEXT, collapse_family, fs
 from oracles import (
     reference_find_sprocket,
     reference_search_relabeling,
@@ -143,20 +144,19 @@ class TestFindSprocket:
     def test_no_pool_without_missing_face(self, monkeypatch):
         # a max-intersection complete code has no tau to search, before or
         # after its cone is peeled, so no candidate pool is built
-        import convexcodes.wheels
-
-        built = []
-
-        class Counting(_Pool):
-            def __init__(self, s):
-                built.append(s)
-                super().__init__(s)
-
-        monkeypatch.setattr(convexcodes.wheels, "_Pool", Counting)
+        built = _count_pools(monkeypatch)
         box = [100]
         for text in ("123, 12, 13, 23, 1, 2, 3", "12, 23, 2"):
             assert _find_sprocket(CodeStructure(parse_code(text)), box) is None
         assert (built, box) == ([], [100])
+
+    def test_no_pool_without_l24_tau(self, sprocket_spends, monkeypatch):
+        # C26 (L26) misses max-intersection faces, but none lies inside an
+        # induced L24 of its nerve: the search charges every triple of its
+        # taus without building the pool
+        built = _count_pools(monkeypatch)
+        assert decide(parse_code(C26_CORRECTED_TEXT)) == (Verdict.UNKNOWN, [])
+        assert (built, sprocket_spends) == ([], [550])
 
     def test_zero_budget_generic_still_tries_canonical(self, c24):
         assert find_sprocket(c24, budget=0) is not None
@@ -271,6 +271,40 @@ def _run(search, code, budget):
     return (None if got is None else got.words()), box[0]
 
 
+def _outcomes(code) -> list:
+    """(budget, _run outcome) at the budgets next to the steps a full search
+    spends, and at 0, 1 and the full budget."""
+    full = TestSearchAgainstReference.FULL
+    _words, left = _run(_find_sprocket, code, full)
+    used = full - left
+    budgets = sorted({0, 1, used - 1, used, used + 1, full} - {-1})
+    return [(b, _run(_find_sprocket, code, b)) for b in budgets]
+
+
+def _count_pools(monkeypatch) -> list:
+    """A list of the structures the sprocket search builds a _Pool for.
+
+    The pools it builds fail the test if _Pool.triples is asked for a tau
+    that _l24_taus does not admit.
+    """
+    import convexcodes.wheels
+
+    built = []
+
+    class Counting(_Pool):
+        def __init__(self, s):
+            built.append(s)
+            super().__init__(s)
+            self.admitted = _l24_taus(s)
+
+        def triples(self, tau):
+            assert tau in self.admitted
+            return super().triples(tau)
+
+    monkeypatch.setattr(convexcodes.wheels, "_Pool", Counting)
+    return built
+
+
 def _count_relabelings(monkeypatch) -> list:
     """A one-item list counting the sprocket search's calls to
     _profile_relabeling, which it makes only to order its second phase."""
@@ -305,6 +339,9 @@ class TestOrderFreePhase:
                 assert not (s1 & s2 or s1 & s3 or s2 & s3)
                 assert not any(u <= f and f & tau for f in facets)
             s = CodeStructure(code)
+            # the L24 filter admits the tau of every triple reaching the witnesses
+            admitted = _l24_taus(s)
+            assert all(sum(s.packed.bit[i] for i in tau) in admitted for *_s, tau in expected)
             pool = _Pool(s)
             got = []
             for tau in s.missing:
@@ -322,15 +359,9 @@ class TestOrderFreePhase:
         # pool's set order is fixed from run to run; shuffle it here instead
         import convexcodes.wheels
 
-        full = TestSearchAgainstReference.FULL
         pool_of = convexcodes.wheels._candidate_pool
         codes = _grown(c24, w3) + _seeded_search_codes(2026, 40)
-        expected = []
-        for code in codes:
-            _words, left = _run(_find_sprocket, code, full)
-            used = full - left
-            budgets = sorted({0, 1, used - 1, used, used + 1, full} - {-1})
-            expected.append([(b, _run(_find_sprocket, code, b)) for b in budgets])
+        expected = [_outcomes(code) for code in codes]
         rng = random.Random(15)
 
         def shuffled_pool(faces):
@@ -341,7 +372,27 @@ class TestOrderFreePhase:
         monkeypatch.setattr(convexcodes.wheels, "_candidate_pool", shuffled_pool)
         for code, outcomes in zip(codes, expected):
             for _ in range(3):
-                assert [(b, _run(_find_sprocket, code, b)) for b, _got in outcomes] == outcomes
+                assert _outcomes(code) == outcomes
+
+    def test_outcome_same_when_filter_admits_every_tau(
+        self, c22, c24, c26_corrected, d28, w3, monkeypatch
+    ):
+        # without the L24 filter every search builds its pool and runs the
+        # first phase on each missing tau, as the search did before it
+        import convexcodes.wheels
+
+        goldens = [c22, c24, c26_corrected, d28, w3] + _grown(c24, w3)
+        codes = goldens + _seeded_search_codes(2026, 40)
+        expected = [_outcomes(code) for code in codes]
+        structures = map(CodeStructure, codes)
+        assert sum(len(_l24_taus(s)) < len(s.missing) for s in structures) >= 20
+
+        def every_tau(s):
+            return {sum(map(s.packed.bit.__getitem__, tau)) for tau in s.missing}
+
+        monkeypatch.setattr(convexcodes.wheels, "_l24_taus", every_tau)
+        for code, outcomes in zip(codes, expected):
+            assert _outcomes(code) == outcomes
 
 
 class TestSearchLabelInvariance:
@@ -491,20 +542,23 @@ def _benchmark_generator():
 
 class TestStepTotals:
     """The sprocket steps one pass of the benchmark's request lists spends,
-    and the calls to _profile_relabeling it makes.  A change to how the
-    search counts or orders its steps moves the step totals even where no
-    verdict changes.  The relabeling runs only for a search with a triple
-    that can reach the witnesses, which almost no search of these passes
-    has."""
+    the calls to _profile_relabeling it makes and the candidate pools it
+    builds.  A change to how the search counts or orders its steps moves
+    the step totals even where no verdict changes.  The pool is built only
+    for a search with a tau inside an induced L24 of the nerve, and the
+    relabeling only for one with a triple that can reach the witnesses,
+    which almost no search of these passes has."""
 
     @staticmethod
     def _passes(seed, sprocket_spends, monkeypatch):
         relabelings = _count_relabelings(monkeypatch)
+        built = _count_pools(monkeypatch)
         gen = _benchmark_generator()
-        totals, calls = {}, {}
+        totals, calls, pools = {}, {}, {}
         for workload in ("four-facet", "wide"):
             sprocket_spends.clear()
             relabelings[0] = 0
+            built.clear()
             for req in gen.GENERATORS[workload](seed):
                 if req["op"] == "cli":
                     quiet = contextlib.redirect_stdout(io.StringIO())
@@ -515,14 +569,17 @@ class TestStepTotals:
                     call(parse_code(req["code"]), budget=gen.SPROCKET_BUDGET)
             totals[workload] = sum(sprocket_spends)
             calls[workload] = relabelings[0]
-        return totals, calls
+            pools[workload] = len(built)
+        return totals, calls, pools
 
     def test_seed_zero_passes(self, sprocket_spends, monkeypatch):
-        totals, calls = self._passes(0, sprocket_spends, monkeypatch)
+        totals, calls, pools = self._passes(0, sprocket_spends, monkeypatch)
         assert totals == {"four-facet": 495_215, "wide": 493_641}
         assert calls == {"four-facet": 0, "wide": 2}
+        assert pools == {"four-facet": 0, "wide": 6}
 
     def test_held_out_seed_passes(self, sprocket_spends, monkeypatch):
-        totals, calls = self._passes(7919, sprocket_spends, monkeypatch)
+        totals, calls, pools = self._passes(7919, sprocket_spends, monkeypatch)
         assert totals == {"four-facet": 493_062, "wide": 521_636}
         assert calls == {"four-facet": 0, "wide": 3}
+        assert pools == {"four-facet": 0, "wide": 5}
