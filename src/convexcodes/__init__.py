@@ -6,6 +6,8 @@ the covered constructive families builds exact rational realizations that
 are verified by recomputing their generated code.
 """
 
+from importlib import import_module
+
 from .codes import (
     CodeParseError,
     NeuralCode,
@@ -40,19 +42,43 @@ from .wheels import (
     is_partial_wheel,
     is_sprocket,
 )
-from .realize import (
-    Interval,
-    Polygon,
-    Realization,
-    build_realization,
-    code_of_realization,
-    realization_from_json,
-    render_svg,
-    verify_realization,
-)
-from .atlas import AtlasRow, atlas_rows, enumerate_facet_antichains, write_atlas_csv
 
 __version__ = "0.1.0"
+
+# Names that load their submodule on first access (PEP 562).  decide never
+# needs realize (fractions, decimal, the geometry) or atlas (csv), so a bare
+# import of the package does not pay for them.
+_LAZY = {
+    **dict.fromkeys((
+        "realize",
+        "Interval",
+        "Polygon",
+        "Realization",
+        "build_realization",
+        "code_of_realization",
+        "realization_from_json",
+        "render_svg",
+        "verify_realization",
+    ), "realize"),
+    **dict.fromkeys(
+        ("atlas", "AtlasRow", "atlas_rows", "enumerate_facet_antichains", "write_atlas_csv"),
+        "atlas",
+    ),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_LAZY[name]}", __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "AtlasRow",

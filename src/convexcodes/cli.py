@@ -227,7 +227,7 @@ def _cmd_verify(args) -> int:
         with open(args.realization, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         realization = realization_from_json(doc)
-    except (OSError, ValueError, KeyError, TypeError) as err:
+    except (OSError, ValueError) as err:
         print(f"convexcodes: cannot read realization: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if args.meta:

@@ -232,9 +232,15 @@ def relabel_word(word: Codeword, perm: tuple) -> Codeword:
 
 
 def relabel(code: NeuralCode, perm: tuple) -> NeuralCode:
-    """Apply a neuron permutation; perm[i-1] is the new label of neuron i."""
+    """Apply a neuron permutation; perm[i-1] is the new label of neuron i.
+
+    ValueError unless perm is a permutation of 1..len(perm), so no two
+    neurons merge.
+    """
     if len(perm) < code.n:
         raise ValueError("permutation too short for this code")
+    if set(perm) != set(range(1, len(perm) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(perm)}: {tuple(perm)}")
     return NeuralCode([relabel_word(w, perm) for w in code.codewords], n=code.n)
 
 

@@ -98,29 +98,58 @@ def _json_int(value, name: str) -> int:
     return value
 
 
-def realization_from_json(doc: dict) -> Realization:
+def _json_field(obj, key: str, name: str):
+    if type(obj) is not dict:
+        raise ValueError(f"{name} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{name} has no {key!r} field")
+    return obj[key]
+
+
+def _json_list(value, name: str, length=None) -> list:
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a JSON list, got {type(value).__name__}")
+    if length not in (None, len(value)):
+        raise ValueError(f"{name} must have {length} entries, got {len(value)}")
+    return value
+
+
+def _json_rational(value) -> Fraction:
+    try:
+        return parse_rational(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as err:
+        raise ValueError(f"malformed number {value!r}: {err}") from err
+
+
+def realization_from_json(doc) -> Realization:
     """Read a realization document; ValueError on malformed content.
 
-    Malformed: a zero denominator, a non-finite number, a neuron below 1,
-    or a neuron or dimension that is not a JSON integer (floats, strings
-    and booleans are refused, not truncated or converted).
+    Malformed: a document that is not an object; a missing field
+    (dimension, regions, a region's neuron, or both its interval and its
+    polygon); a list of the wrong shape; a zero denominator, a non-finite
+    number or a value that is not a number; a neuron below 1 or given two
+    regions; or a neuron or dimension that is not a JSON integer (floats,
+    strings and booleans are refused, not truncated or converted).
     """
+    dimension = _json_int(_json_field(doc, "dimension", "realization"), "dimension")
     regions: Dict[int, Region] = {}
-    try:
-        for row in doc["regions"]:
-            neuron = _json_int(row["neuron"], "neuron index")
-            if neuron < 1:
-                raise ValueError(f"neuron index must be a positive integer, got {neuron}")
-            if "interval" in row:
-                lo, hi = row["interval"]
-                regions[neuron] = Interval(parse_rational(lo), parse_rational(hi))
-            else:
-                regions[neuron] = Polygon(
-                    (parse_rational(x), parse_rational(y)) for x, y in row["polygon"]
-                )
-        dimension = _json_int(doc["dimension"], "dimension")
-    except (ZeroDivisionError, OverflowError) as err:
-        raise ValueError(f"malformed number: {err}") from err
+    for row in _json_list(_json_field(doc, "regions", "realization"), "regions"):
+        neuron = _json_int(_json_field(row, "neuron", "region"), "neuron index")
+        if neuron < 1:
+            raise ValueError(f"neuron index must be a positive integer, got {neuron}")
+        if neuron in regions:
+            raise ValueError(f"neuron {neuron} has more than one region")
+        if "interval" in row:
+            lo, hi = _json_list(row["interval"], f"interval of neuron {neuron}", 2)
+            regions[neuron] = Interval(_json_rational(lo), _json_rational(hi))
+        elif "polygon" in row:
+            vertices = _json_list(row["polygon"], f"polygon of neuron {neuron}")
+            regions[neuron] = Polygon(
+                map(_json_rational, _json_list(v, f"polygon vertex of neuron {neuron}", 2))
+                for v in vertices
+            )
+        else:
+            raise ValueError(f"region of neuron {neuron} has no 'interval' or 'polygon' field")
     return Realization(dimension=dimension, regions=regions)
 
 

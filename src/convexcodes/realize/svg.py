@@ -30,8 +30,9 @@ def render_svg(realization: Realization) -> str:
 
 def _render_1d(r: Realization) -> str:
     neurons = sorted(r.regions)
-    lo = min(float(iv.lo) for iv in r.regions.values())
-    hi = max(float(iv.hi) for iv in r.regions.values())
+    # a realization with no regions draws as padding alone
+    lo = min((float(iv.lo) for iv in r.regions.values()), default=0.0)
+    hi = max((float(iv.hi) for iv in r.regions.values()), default=0.0)
     row_h = 26.0
     width = (hi - lo) * _SCALE + 2 * _PAD
     height = len(neurons) * row_h + 2 * _PAD
@@ -60,7 +61,8 @@ def _render_2d(r: Realization) -> str:
     neurons = sorted(r.regions)
     xs = [float(x) for poly in r.regions.values() for x, _y in poly.vertices]
     ys = [float(y) for poly in r.regions.values() for _x, y in poly.vertices]
-    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+    lo_x, hi_x = min(xs, default=0.0), max(xs, default=0.0)
+    lo_y, hi_y = min(ys, default=0.0), max(ys, default=0.0)
     width = (hi_x - lo_x) * _SCALE + 2 * _PAD
     height = (hi_y - lo_y) * _SCALE + 2 * _PAD
 

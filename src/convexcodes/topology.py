@@ -320,19 +320,29 @@ def _build_class_table() -> Dict[frozenset, tuple]:
     """
     table: Dict[frozenset, tuple] = {}
     for k, class_ids in _CLASSES_BY_SIZE.items():
+        # per permutation, every reference mask (bit r-1 for label r) mapped
+        # onto the input vertices that images sends to its labels
+        mask_maps = []
+        for images in itertools.permutations(range(1, k + 1)):
+            bit = [0] * k
+            for v, r in enumerate(images):
+                bit[r - 1] = 1 << v
+            image = [0] * (1 << k)
+            for m in range(1, 1 << k):
+                low = m & -m
+                image[m] = image[m ^ low] | bit[low.bit_length() - 1]
+            mask_maps.append((images, image))
         for class_id in class_ids:
-            sc = REFERENCE_COMPLEXES[class_id]
-            faces = _faces(_pack(sc.facets).masks)
+            masks = _pack(REFERENCE_COMPLEXES[class_id].facets).masks
+            faces = _faces(masks)
             coll = is_collapsible(map(_positions, faces))
             if coll is None or coll != _acyclic(faces):
                 raise AssertionError(
                     f"contractibility oracle disagreement on {class_id}: "
                     f"collapsible={coll}, acyclic={_acyclic(faces)}"
                 )
-            for images in itertools.permutations(range(1, k + 1)):
-                # the input vertex that images sends onto reference label r
-                bit = {r: 1 << v for v, r in enumerate(images)}
-                key = frozenset(sum(bit[r] for r in f) for f in sc.facets)
+            for images, image in mask_maps:
+                key = frozenset(map(image.__getitem__, masks))
                 table.setdefault(key, (class_id, images, coll))
     return table
 

@@ -207,6 +207,17 @@ class TestVerifyCommand:
         assert status == 5
         assert "cannot read realization" in err
 
+    @pytest.mark.parametrize("document, message", [
+        ('{"regions": []}', "realization has no 'dimension' field"),
+        ('[]', "realization must be a JSON object, got list"),
+    ])
+    def test_malformed_document_message(self, capsys, tmp_path, document, message):
+        path = tmp_path / "r.json"
+        path.write_text(document)
+        status, _, err = run(capsys, "verify", str(path), "1")
+        assert status == 5
+        assert err == f"convexcodes: cannot read realization: {message}\n"
+
 
 class TestNerveCommand:
     def test_class_printed(self, capsys):

@@ -192,6 +192,21 @@ class TestCanonicalize:
         assert canonicalize(c24).code == canonicalize(w3).code
 
 
+class TestRelabel:
+    @pytest.mark.parametrize("perm", [(1, 1), (2, 3), (0, 1), (1, 2, 2)])
+    def test_non_permutation_rejected(self, perm):
+        # (1, 1) used to merge neurons 1 and 2 into the code {∅, {1}}
+        with pytest.raises(ValueError, match="not a permutation"):
+            relabel(NeuralCode([fs("12")]), perm)
+
+    def test_too_short_rejected(self):
+        with pytest.raises(ValueError, match="too short"):
+            relabel(NeuralCode([fs("12")]), (1,))
+
+    def test_longer_permutation_keeps_n(self):
+        assert relabel(NeuralCode([fs("12")]), (2, 1, 3)) == NeuralCode([fs("12")], n=2)
+
+
 def _random_code(rng, n):
     """Random code declaring n neurons, sometimes with twins or unused neurons."""
     used = n - rng.randint(1, 2) if n > 2 and rng.random() < 0.15 else n

@@ -4,16 +4,23 @@ every module-level function or class is used somewhere in the package.
 Exempt from the import check are names listed in the module's __all__
 (re-exports), `from __future__` imports, and import blocks placed directly
 under the comment that keeps names importable for the benchmark tracer.
-Exempt from the definition check are the names in the package's __all__.
+Exempt from the definition check are the names in the package's __all__
+and the module hooks __getattr__ and __dir__, which Python calls itself
+(PEP 562).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "convexcodes"
 TRACER_NOTE = "kept importable because the benchmark tracer patches these names"
+# read by Python on attribute access and dir() of the module, never by name
+MODULE_HOOKS = {"__getattr__", "__dir__"}
 
 
 def _exported(tree) -> set:
@@ -92,7 +99,7 @@ def unused_definitions(sources: dict, exported: set) -> list:
         (module, node.lineno, node.name)
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, kinds) and node.name not in exported | read
+        if isinstance(node, kinds) and node.name not in exported | read | MODULE_HOOKS
     ]
 
 
@@ -112,6 +119,9 @@ def test_guard_catches_an_unused_definition():
             "class Used: pass\n"
             "class Unused:\n"
             "    def method(self): return helper()\n"
+            "def __getattr__(name): pass\n"
+            "def __dir__(): pass\n"
+            "def __setattr__(name, value): pass\n"
         ),
         "b.py": (
             "from .a import dead, Used\n"
@@ -121,4 +131,41 @@ def test_guard_catches_an_unused_definition():
             "a.only_as_attribute\n"
         ),
     }
-    assert unused_definitions(sources, {"public"}) == [("a.py", 3, "dead"), ("a.py", 5, "Unused")]
+    assert unused_definitions(sources, {"public"}) == [
+        ("a.py", 3, "dead"), ("a.py", 5, "Unused"), ("a.py", 9, "__setattr__"),
+    ]
+
+
+COLD_DECIDE = """
+import sys
+import convexcodes
+convexcodes.decide(convexcodes.parse_code("134, 1357, 257, 356, 13, 35, 57"))
+print(sorted(m for m in ("convexcodes.realize", "convexcodes.atlas", "fractions", "csv")
+             if m in sys.modules))
+for name in convexcodes.__all__:
+    getattr(convexcodes, name)
+assert set(convexcodes.__all__) <= set(dir(convexcodes))
+assert convexcodes.realize.builders.build_realization is convexcodes.build_realization
+assert convexcodes.atlas.atlas_rows is convexcodes.atlas_rows
+star = {}
+exec("from convexcodes import *", star)
+assert set(convexcodes.__all__) <= set(star)
+try:
+    convexcodes.no_such_name
+except AttributeError as err:
+    print(err)
+"""
+
+
+def test_decide_loads_neither_realize_nor_atlas():
+    """A fresh import and one decide leave realize, atlas, fractions and csv
+    unloaded, and every exported name still resolves on first access."""
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_DECIDE], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[]", "module 'convexcodes' has no attribute 'no_such_name'",
+    ]

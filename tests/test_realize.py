@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -296,6 +297,48 @@ class TestSerialization:
         assert doc["dimension"] == 1
         for row in doc["regions"]:
             assert set(row) == {"neuron", "interval"}
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "realization must be a JSON object, got list"),
+        ("1", "realization must be a JSON object, got str"),
+        ({"regions": []}, "realization has no 'dimension' field"),
+        ({"dimension": 1}, "realization has no 'regions' field"),
+        ({"dimension": 1, "regions": {}}, "regions must be a JSON list, got dict"),
+        ({"dimension": 1, "regions": [3]}, "region must be a JSON object, got int"),
+        ({"dimension": 1, "regions": [{"interval": ["0", "1"]}]}, "region has no 'neuron' field"),
+        ({"dimension": 1, "regions": [{"neuron": 1}]},
+         "region of neuron 1 has no 'interval' or 'polygon' field"),
+        ({"dimension": 1, "regions": [{"neuron": 1, "interval": ["0", "1"]},
+                                      {"neuron": 1, "interval": ["5", "9"]}]},
+         "neuron 1 has more than one region"),
+        ({"dimension": 1, "regions": [{"neuron": 1, "interval": "0 1"}]},
+         "interval of neuron 1 must be a JSON list, got str"),
+        ({"dimension": 1, "regions": [{"neuron": 1, "interval": ["0"]}]},
+         "interval of neuron 1 must have 2 entries, got 1"),
+        ({"dimension": 1, "regions": [{"neuron": 1, "interval": [None, "1"]}]},
+         "malformed number None"),
+        ({"dimension": 2, "regions": [{"neuron": 1, "polygon": 5}]},
+         "polygon of neuron 1 must be a JSON list, got int"),
+        ({"dimension": 2, "regions": [{"neuron": 1, "polygon": [["0", "0"], ["1"]]}]},
+         "polygon vertex of neuron 1 must have 2 entries, got 1"),
+        ({"dimension": 2, "regions": [{"neuron": 1, "polygon": [{"x": 0}]}]},
+         "polygon vertex of neuron 1 must be a JSON list, got dict"),
+    ], ids=["list", "string", "no-dimension", "no-regions", "regions-object", "region-int",
+            "no-neuron", "no-shape", "duplicate-neuron", "interval-string", "interval-short", "number-null",
+            "polygon-int", "vertex-short", "vertex-object"])
+    def test_malformed_document_raises_value_error(self, doc, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            realization_from_json(doc)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_svg_of_no_regions_is_padding(self, dimension):
+        # validate accepts a realization with no regions, so it must draw
+        r = Realization(dimension, {})
+        assert verify_realization(r, NeuralCode([]))[0]
+        assert render_svg(r) == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="60" height="60" '
+            'viewBox="0 0 60 60">\n</svg>\n'
+        )
 
     def test_svg_smoke(self, c22):
         r, _ = build_realization(c22)
