@@ -290,8 +290,12 @@ def _cmd_atlas(args) -> int:
     rows, skipped = atlas_rows(args.neurons, args.facets, budget=args.budget)
     meta = _meta_line(args)[2:] if args.meta else None
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_atlas_csv(rows, fh, skipped=skipped, meta=meta)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                write_atlas_csv(rows, fh, skipped=skipped, meta=meta)
+        except OSError as err:
+            print(f"convexcodes: cannot write CSV: {err}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     else:
         write_atlas_csv(rows, sys.stdout, skipped=skipped, meta=meta)
     return EXIT_CONVEX

@@ -73,7 +73,7 @@ class NeuralCode:
         for w in codewords:
             word = frozenset(w)
             for i in word:
-                if not isinstance(i, int) or i < 1:
+                if not isinstance(i, int) or isinstance(i, bool) or i < 1:
                     raise ValueError(f"neuron index must be a positive integer, got {i!r}")
             words.add(word)
         words.add(EMPTY)
@@ -106,7 +106,7 @@ class NeuralCode:
 
 
 # token scanner for parse_code: braced lists, compact digit strings, separators
-_TOKEN = re.compile(r"(?P<ws>[\s,;]+)|(?P<brace>\{[^{}]*\})|(?P<compact>\d+)|(?P<bad>.)")
+_TOKEN = re.compile(r"(?P<ws>[\s,;]+)|(?P<brace>\{[^{}]*\})|(?P<compact>[0-9]+)|(?P<bad>.)")
 
 
 def parse_code(text: str) -> NeuralCode:
@@ -143,7 +143,7 @@ def parse_code(text: str) -> NeuralCode:
             elems = set()
             for item in inner.split(","):
                 item = item.strip()
-                if not re.fullmatch(r"\d+", item):
+                if not re.fullmatch(r"[0-9]+", item):
                     raise CodeParseError(f"malformed braced entry {item!r}", m.start())
                 idx = int(item)
                 if idx < 1:
@@ -176,9 +176,8 @@ def format_code(code: NeuralCode, verbose: bool = False, braced: bool = False) -
 
 def maximal_codewords(code: NeuralCode) -> list:
     """The inclusion-maximal nonempty codewords, sorted canonically."""
-    nonempty = [w for w in code.codewords if w]
-    out = [w for w in nonempty if not any(w < other for other in nonempty)]
-    return sort_words(out)
+    packed = _pack(w for w in code.codewords if w)
+    return sort_words(map(packed.word, _maximal_masks(packed.masks)))
 
 
 def trunk(code: NeuralCode, sigma: Iterable[int]) -> frozenset:
@@ -194,35 +193,16 @@ def is_face(facets: Iterable[Codeword], sigma: Iterable[int]) -> bool:
 
 
 def max_intersection_faces(facets: Iterable[Codeword]) -> frozenset:
-    """All nonempty intersections of two or more facets.
-
-    Computed as the closure of pairwise intersections under intersecting
-    with one more facet, which is polynomial in the output size.
-    """
-    fl = [frozenset(f) for f in facets]
-    found = set()
-    frontier = set()
-    for a, b in itertools.combinations(fl, 2):
-        x = a & b
-        if x and x not in found:
-            found.add(x)
-            frontier.add(x)
-    while frontier:
-        nxt = set()
-        for x in frontier:
-            for f in fl:
-                y = x & f
-                if y and y not in found:
-                    found.add(y)
-                    nxt.add(y)
-        frontier = nxt
-    return frozenset(found)
+    """All nonempty intersections of two or more facets (see _intersections)."""
+    packed = _pack(facets)
+    return frozenset(map(packed.word, _intersections(packed.masks)))
 
 
 def is_max_intersection_complete(code: NeuralCode) -> tuple:
     """(True, empty set) iff every max-intersection face is a codeword."""
-    faces = max_intersection_faces(maximal_codewords(code))
-    missing = frozenset(f for f in faces if f not in code.codewords)
+    packed = _pack(w for w in code.codewords if w)
+    faces = _intersections(_maximal_masks(packed.masks)) - set(packed.masks)
+    missing = frozenset(map(packed.word, faces))
     return (not missing, missing)
 
 
@@ -277,10 +257,14 @@ def canonicalize(code: NeuralCode) -> CanonicalForm:
 
 
 class _Packing(NamedTuple):
-    """Sets packed into bitmasks by _pack."""
+    """Sets packed into bitmasks by _pack: bit k stands for labels[k]."""
 
-    bit: Dict[int, int]  # label -> its bit
+    labels: tuple
     masks: list  # the sets' masks, in input order
+
+    def word(self, mask: int) -> frozenset:
+        """The set of labels whose bits are set in mask."""
+        return frozenset(map(self.labels.__getitem__, _indices(mask)))
 
 
 def _pack(sets) -> _Packing:
@@ -297,7 +281,48 @@ def _pack(sets) -> _Packing:
     except TypeError:
         pass
     bit = {x: 1 << k for k, x in enumerate(labels)}
-    return _Packing(bit, [sum(map(bit.__getitem__, s)) for s in sets])
+    return _Packing(tuple(labels), [sum(map(bit.__getitem__, s)) for s in sets])
+
+
+def _indices(mask: int):
+    """The positions of the bits set in mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask_key(mask: int) -> tuple:
+    """word_sort_key of a mask's word when its bits follow its labels' order,
+    as _pack lays out labels it can sort: by size, then by bit positions."""
+    return (mask.bit_count(), [*_indices(mask)])
+
+
+def _maximal_masks(masks: Iterable[int]) -> list:
+    """The inclusion-maximal members of a set of bitmasks."""
+    kept: list = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        # a plain loop, not any() over a generator: every nerve and link runs this
+        for k in kept:
+            if m & k == m:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
+def _intersections(masks: list) -> set:
+    """All nonzero ANDs of two or more of the masks.
+
+    Computed as the closure of pairwise ANDs under AND with one more mask,
+    which is polynomial in the output size.
+    """
+    found: set = set()
+    frontier = {a & b for a, b in itertools.combinations(masks, 2)} - {0}
+    while frontier:
+        found |= frontier
+        frontier = {x & f for x in frontier for f in masks} - found - {0}
+    return found
 
 
 def _profile_relabeling(packed: _Packing) -> Dict[int, int]:
@@ -313,7 +338,7 @@ def _profile_relabeling(packed: _Packing) -> Dict[int, int]:
     sprocket search visits candidates in this order, and canonicalize falls
     back to it above 8 neurons.
     """
-    support, masks = list(packed.bit), packed.masks
+    support, masks = packed
     occurs = [[m for m in masks if m >> k & 1] for k in range(len(support))]
     prof1 = [tuple(sorted(m.bit_count() for m in occ)) for occ in occurs]
     rank1 = {p: r for r, p in enumerate(sorted(set(prof1)))}

@@ -290,7 +290,7 @@ def analyze(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Report:
         nerve_relabeling=tuple(ref for _pos, ref in cls.relabeling) if cls else None,
         mandatory_faces=tuple(sort_words(mand)),
         minimal_code=None if mand.undecided else tuple(sort_words(mand | {EMPTY})),
-        missing_max_intersections=tuple(s.missing),
+        missing_max_intersections=tuple(map(s.packed.word, s.missing)),
         path_of_facets=tuple(pof_rows),
         sprocket=sprocket_json,
         verdict=verdict,

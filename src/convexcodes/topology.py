@@ -43,11 +43,12 @@ from .codes import (
     EMPTY,
     Codeword,
     NeuralCode,
+    _indices,
+    _intersections,
+    _mask_key,
+    _maximal_masks,
     _pack,
-    max_intersection_faces,
-    maximal_codewords,
     sort_words,
-    word_sort_key,
 )
 
 
@@ -78,12 +79,11 @@ class SimplicialComplex:
     facets: tuple
 
     def __init__(self, faces: Iterable[Iterable[int]]):
-        fl = [frozenset(f) for f in faces]
-        if any(not f for f in fl):
+        packed = _pack(faces)
+        if not all(packed.masks):
             raise ValueError("faces must be nonempty")
-        maximal = [f for f in fl if not any(f < g for g in fl)]
-        dedup = sort_words(set(maximal))
-        object.__setattr__(self, "facets", tuple(dedup))
+        facets = sort_words(map(packed.word, _maximal_masks(packed.masks)))
+        object.__setattr__(self, "facets", tuple(facets))
 
     @property
     def vertices(self) -> frozenset:
@@ -91,15 +91,6 @@ class SimplicialComplex:
         for f in self.facets:
             out |= f
         return frozenset(out)
-
-
-def _maximal_masks(masks: Iterable[int]) -> list:
-    """The inclusion-maximal members of a set of bitmasks."""
-    kept: list = []
-    for m in sorted(set(masks), key=int.bit_count, reverse=True):
-        if not any(m & k == m for k in kept):
-            kept.append(m)
-    return kept
 
 
 def _occurrences(rows: Iterable[int]) -> Dict[int, int]:
@@ -127,7 +118,7 @@ def _nerve_masks(rows: list) -> list:
 
 def _positions(mask: int) -> frozenset:
     """The vertices of a position mask, bit p standing for vertex p + 1."""
-    return frozenset(p + 1 for p in range(mask.bit_length()) if mask >> p & 1)
+    return frozenset(p + 1 for p in _indices(mask))
 
 
 def nerve(sets: Iterable[Iterable[int]]) -> SimplicialComplex:
@@ -149,7 +140,7 @@ def _components(masks: list) -> list:
     for m in masks:
         # the parts m meets are disjoint, so their sum is their union
         parts = [p for p in parts if not p & m] + [m | sum(p for p in parts if p & m)]
-    return sorted(parts, key=lambda p: word_sort_key(_positions(p)))
+    return sorted(parts, key=_mask_key)
 
 
 def _faces(masks: list) -> set:
@@ -359,14 +350,14 @@ def classify_small_complex(sc: SimplicialComplex) -> ClassifiedNerve:
     one (as the tuple of reference labels assigned to the sorted input
     vertices).
     """
-    bit, masks = _pack(sc.facets)
-    if not 1 <= len(bit) <= 4:
-        raise ValueError(f"classification requires 1..4 vertices, got {len(bit)}")
+    labels, masks = _pack(sc.facets)
+    if not 1 <= len(labels) <= 4:
+        raise ValueError(f"classification requires 1..4 vertices, got {len(labels)}")
     hit = _CLASS_TABLE.get(frozenset(masks))
     if hit is None:
         raise AssertionError("complex matched no reference class; catalog is broken")
     class_id, images, contractible = hit
-    return ClassifiedNerve(class_id, tuple(zip(bit, images)), contractible)
+    return ClassifiedNerve(class_id, tuple(zip(labels, images)), contractible)
 
 
 def is_contractible_small(sc: SimplicialComplex) -> bool:
@@ -451,7 +442,7 @@ def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
     masks = _maximal_masks(masks)
     if not any(s & m == s for m in masks):
         # the packing's label order: sorted when the labels can be ordered
-        face = [x for x in packed.bit if x in sigma]
+        face = [x for x in packed.labels if x in sigma]
         raise ValueError(f"{face} is not a face of the complex")
     return _link_contractible(masks, s)
 
@@ -478,41 +469,44 @@ class CodeStructure:
     Built at the top of each public entry point and passed down for that
     call only; it is never stored on the code or in a module-level cache.
     Every field is computed on first read, so an early exit pays only for
-    what it read.  The code is packed into bitmasks once (packed and
-    facet_masks, laid out by codes._pack).  Links are cut from facet_masks
-    by _link_contractible, memoized per face and shared by the obstruction
-    scan and the mandatory faces; the sprocket search and its trunks read
-    their masks from there too, and the nerve is held only as masks of
-    facet positions (nerve_masks), which the class table and the component
-    split read.
+    what it read.  The code is packed into bitmasks once (packed, laid out
+    by codes._pack), and the facets, the max-intersection faces and the
+    missing faces are found on those masks (facet_masks, max_intersections,
+    missing); a mask becomes a word only where a result leaves the
+    pipeline.  Links are cut from facet_masks by _link_contractible,
+    memoized per face mask and shared by the obstruction scan and the
+    mandatory faces; the sprocket search and its trunks read their masks
+    from there too, and the nerve is held only as masks of facet positions
+    (nerve_masks), which the class table and the component split read.
     """
 
     code: NeuralCode
     _links: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
-    def facets(self) -> list:
-        return maximal_codewords(self.code)
-
-    @cached_property
     def packed(self):
-        """The nonempty codewords packed by codes._pack: packed.bit maps a
-        neuron to its bit, and packed.masks are the words' masks."""
+        """The nonempty codewords packed by codes._pack: packed.labels are
+        the neurons in bit order, and packed.masks are the words' masks."""
         return _pack(w for w in self.code.codewords if w)
 
     @cached_property
     def facet_masks(self) -> list:
-        """The facets as masks over packed.bit, in the order of facets."""
-        return [sum(map(self.packed.bit.__getitem__, f)) for f in self.facets]
+        """The maximal masks of packed, in the canonical order of their words."""
+        return sorted(_maximal_masks(self.packed.masks), key=_mask_key)
 
     @cached_property
-    def max_intersections(self) -> list:
-        return sort_words(max_intersection_faces(self.facets))
+    def facets(self) -> list:
+        return list(map(self.packed.word, self.facet_masks))
+
+    @cached_property
+    def max_intersections(self) -> set:
+        """The masks of the nonempty intersections of two or more facets."""
+        return _intersections(self.facet_masks)
 
     @cached_property
     def missing(self) -> list:
-        """Max-intersection faces that are not codewords, in canonical order."""
-        return [f for f in self.max_intersections if f not in self.code.codewords]
+        """The max-intersection masks that are not codewords, in canonical order."""
+        return sorted(self.max_intersections - set(self.packed.masks), key=_mask_key)
 
     @cached_property
     def nerve_masks(self) -> list:
@@ -532,34 +526,34 @@ class CodeStructure:
         """Reference vertex label -> facet, for a classified nerve."""
         return {ref: self.facets[pos - 1] for pos, ref in self.classified.relabeling}
 
-    def link_contractible(self, face: Codeword):
-        if face not in self._links:
-            sigma = sum(map(self.packed.bit.__getitem__, face))
-            self._links[face] = _link_contractible(self.facet_masks, sigma)
-        return self._links[face]
+    def link_contractible(self, sigma: int):
+        """_link_contractible of the face with mask sigma, memoized."""
+        if sigma not in self._links:
+            self._links[sigma] = _link_contractible(self.facet_masks, sigma)
+        return self._links[sigma]
 
     @cached_property
     def mandatory(self) -> MandatoryFaces:
         """Facets plus every max-intersection face with non-contractible link."""
         out, undecided = set(self.facets), set()
-        for face in self.max_intersections:
-            res = self.link_contractible(face)
+        for sigma in self.max_intersections:
+            res = self.link_contractible(sigma)
             if res is INDETERMINATE:
-                undecided.add(face)
+                undecided.add(self.packed.word(sigma))
             elif not res:
-                out.add(face)
+                out.add(self.packed.word(sigma))
         return MandatoryFaces(out, undecided)
 
     @cached_property
     def obstruction(self):
         """See has_local_obstruction."""
         saw_undecided = False
-        for face in self.missing:
-            res = self.link_contractible(face)
+        for sigma in self.missing:
+            res = self.link_contractible(sigma)
             if res is INDETERMINATE:
                 saw_undecided = True
             elif not res:
-                return face
+                return self.packed.word(sigma)
         return INDETERMINATE if saw_undecided else None
 
     @cached_property
@@ -579,9 +573,9 @@ class CodeStructure:
             return [self]
         out = []
         for part in parts:
-            below = [f for p, f in enumerate(self.facets) if part >> p & 1]
-            words = [w for w in self.code.codewords if w and any(w <= f for f in below)]
-            out.append(CodeStructure(NeuralCode(words)))
+            below = [self.facet_masks[p] for p in _indices(part)]
+            masks = [m for m in self.packed.masks if any(m & ~f == 0 for f in below)]
+            out.append(CodeStructure(NeuralCode(map(self.packed.word, masks))))
         return out
 
 

@@ -17,6 +17,7 @@ from typing import Optional, Tuple
 from .codes import (
     Codeword,
     NeuralCode,
+    _indices,
     _profile_relabeling,
     format_word,
     is_face,
@@ -85,6 +86,18 @@ def _check_witnesses(code: NeuralCode, cand: SprocketCandidate) -> Optional[str]
     if not trunk(code, cand.rho1 | cand.rho3 | cand.tau) <= trunk(code, cand.sigma2):
         return "S(3)"
     return None
+
+
+def _emits(code: NeuralCode, facets: list, cand: SprocketCandidate) -> bool:
+    """Whether the search may return cand: is_sprocket on the code, whose
+    facets are given, and _witnesses_cover_exactly.  These are the literal
+    frozenset trunk and face checks, so they replay the mask search
+    independently."""
+    return (
+        _check_wheel(code, facets, cand.sigma1, cand.sigma2, cand.sigma3, cand.tau) is None
+        and _check_witnesses(code, cand) is None
+        and _witnesses_cover_exactly(code, cand)
+    )
 
 
 def _witnesses_cover_exactly(code: NeuralCode, cand: SprocketCandidate) -> bool:
@@ -171,8 +184,7 @@ def _l24_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
         rho1=f1 & f2,
         rho3=f3 & f2,
     )
-    ok, _ = is_sprocket(s.code, cand)
-    return cand if ok else None
+    return cand if _emits(s.code, s.facets, cand) else None
 
 
 DEFAULT_BUDGET = 10**6
@@ -190,12 +202,12 @@ _POOL_SUBSET_BOUND = 3
 
 
 def _candidate_pool(faces) -> set:
-    pool = set()
+    """The face masks given, and their subsets of at most _POOL_SUBSET_BOUND bits."""
+    pool = set(faces)
     for face in faces:
-        pool.add(face)
-        members = sorted(face)
-        for r in range(1, min(len(members), _POOL_SUBSET_BOUND) + 1):
-            pool.update(frozenset(c) for c in itertools.combinations(members, r))
+        bits = [1 << k for k in _indices(face)]
+        for r in range(1, min(len(bits), _POOL_SUBSET_BOUND) + 1):
+            pool.update(map(sum, itertools.combinations(bits, r)))
     return pool
 
 
@@ -209,14 +221,6 @@ class _Filled(dict):
     def __missing__(self, key):
         hit = self[key] = self.fill(key)
         return hit
-
-
-def _indices(mask: int):
-    """The positions of the bits set in mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class _Columns:
@@ -259,21 +263,22 @@ class _Columns:
 class _Pool:
     """The generic search's candidate words, and its order-free first phase.
 
-    words are the sigma and rho candidates (_candidate_pool) in no
-    particular order; masks are their masks over the structure's packed
-    bits and trunk_masks their trunks.  A trunk is the mask of positions in
-    the structure's packed nonempty codewords, so the trunk of a word is
-    trunks[word] (the codewords holding it), the trunk of a union is the
-    AND of the trunks, and trunk containment is a & ~b == 0.  in_facets[i]
-    is the set of facets holding words[i] (bit j for facet j), so a union
-    of words is a face iff the AND of their in_facets is nonzero.
+    masks are the sigma and rho candidates (_candidate_pool) over the
+    structure's packed bits, in no particular order; words are their
+    neuron sets and trunk_masks their trunks.  A trunk is the mask of
+    positions in the structure's packed nonempty codewords, so the trunk of
+    a mask m is trunks[m] (the codewords holding it), the trunk of a union
+    is the AND of the trunks, and trunk containment is a & ~b == 0.
+    in_facets[i] is the set of facets holding masks[i] (bit j for facet j),
+    so a union of candidates is a face iff the AND of their in_facets is
+    nonzero.
     """
 
     def __init__(self, s: CodeStructure):
-        bit, self.facet_masks = s.packed.bit, s.facet_masks
+        self.facet_masks = s.facet_masks
         self.trunks = _Columns(s.packed.masks).holding
-        self.words = list(_candidate_pool(s.max_intersections))
-        self.masks = [sum(map(bit.__getitem__, w)) for w in self.words]
+        self.masks = list(_candidate_pool(s.max_intersections))
+        self.words = list(map(s.packed.word, self.masks))
         self.trunk_masks = [self.trunks[m] for m in self.masks]
         self.in_facets = [
             sum(1 << j for j, f in enumerate(self.facet_masks) if m & ~f == 0)
@@ -384,10 +389,9 @@ def _l24_taus(s: CodeStructure) -> set:
         vertices = [1 << p for p in _indices(face)]
         edges.update(a | b for a, b in itertools.combinations(vertices, 2))
         triangles.update(a | b | c for a, b, c in itertools.combinations(vertices, 3))
-    bit, facet_masks = s.packed.bit, s.facet_masks
+    facet_masks = s.facet_masks
     out = set()
-    for word in s.missing:
-        tau = sum(map(bit.__getitem__, word))
+    for tau in s.missing:
         holding = [1 << j for j, f in enumerate(facet_masks) if tau & ~f == 0]
         for j, g in enumerate(facet_masks):
             if g & tau:  # g would make a triangle with any two spokes
@@ -470,11 +474,7 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
         if common:
             stripped = NeuralCode(w - common for w in code.codewords)
             cand = _find_sprocket(CodeStructure(stripped), box)
-            if (
-                cand is not None
-                and is_sprocket(code, cand)[0]
-                and _witnesses_cover_exactly(code, cand)
-            ):
+            if cand is not None and _emits(code, s.facets, cand):
                 return cand
 
     if not s.missing:
@@ -495,11 +495,6 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
         return None
 
     words, masks, pool_trunks, trunks = pool.words, pool.masks, pool.trunk_masks, pool.trunks
-    taus = {}  # tau word -> (its mask, its witness rhos)
-    for word in s.missing:
-        tau = sum(map(s.packed.bit.__getitem__, word))
-        tk_tau = trunks[tau]
-        taus[word] = (tau, [r for r in range(size) if pool_trunks[r] & ~tk_tau == 0])
     # visit candidates in the order sort_words gives on the canonical relabeling
     label = _profile_relabeling(s.packed)
     order = lambda w: (len(w), sorted(label[i] for i in w))
@@ -513,9 +508,9 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
     # on rho1 is charged at once too.  If the budget cannot cover a charge,
     # the search stops with the budget at 0, where the step-by-step loop
     # would have stopped.
-    for tau_word in sorted(taus, key=order):
-        tau, rhos = taus[tau_word]
+    for tau in sorted(s.missing, key=lambda t: order(s.packed.word(t))):
         tk_tau = trunks[tau]
+        rhos = [r for r in range(size) if pool_trunks[r] & ~tk_tau == 0]
         rhos.sort(key=rank.__getitem__)
         walk = []
         for i1, i2, i3 in triples.get(tau, ()):
@@ -560,11 +555,9 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
                         continue
                     box[0] = left
                     cand = SprocketCandidate(
-                        words[i1], words[i2], words[i3], tau_word, words[r1], words[r3]
+                        words[i1], words[i2], words[i3], s.packed.word(tau), words[r1], words[r3]
                     )
-                    if not is_sprocket(code, cand)[0] or not _witnesses_cover_exactly(
-                        code, cand
-                    ):
+                    if not _emits(code, s.facets, cand):
                         raise AssertionError("bitmask sprocket failed replay on the code")
                     return cand
         need = per_tau - done

@@ -15,7 +15,10 @@ characteristic 1, then the collapse search) are the code the mask-only
 versions replaced; the link test decides links on at most four vertices
 with contractible_small, not with the package's class table.
 The canonical-form and atlas-enumeration references reuse only the
-package's value types, and the atlas one its codeword order.
+package's value types, and the atlas one its codeword order.  The facet
+scan and the max-intersection closure are the frozenset versions that the
+mask routines of codes replaced, and the reference sprocket searches read
+their facets and max-intersection faces from these two.
 """
 
 from fractions import Fraction
@@ -419,12 +422,43 @@ def reference_search_relabeling(code):
     return NeuralCode(best_words), inverse
 
 
+def reference_maximal_codewords(code):
+    """The inclusion-maximal nonempty codewords, sorted canonically, by the
+    pairwise frozenset scan that the mask routine replaced."""
+    from convexcodes.codes import sort_words
+
+    nonempty = [w for w in code.codewords if w]
+    return sort_words(w for w in nonempty if not any(w < other for other in nonempty))
+
+
+def reference_max_intersection_faces(facets):
+    """All nonempty intersections of two or more facets, by the frozenset
+    closure that the mask routine replaced: pairwise intersections, then
+    intersections with one more facet until nothing new appears."""
+    fl = [frozenset(f) for f in facets]
+    found = set()
+    frontier = set()
+    for a, b in combinations(fl, 2):
+        x = a & b
+        if x and x not in found:
+            found.add(x)
+            frontier.add(x)
+    while frontier:
+        nxt = set()
+        for x in frontier:
+            for f in fl:
+                y = x & f
+                if y and y not in found:
+                    found.add(y)
+                    nxt.add(y)
+        frontier = nxt
+    return frozenset(found)
+
+
 def _reference_queries(c):
     """The facets of code c, and its is_face and trunk, cached per call."""
-    from convexcodes.codes import maximal_codewords
-
     words = c.codewords
-    fl = maximal_codewords(c)
+    fl = reference_maximal_codewords(c)
     faces, trunks = {}, {}
 
     def is_face(sigma):
@@ -447,11 +481,10 @@ def _reference_queries(c):
 def _reference_pool(facets):
     """The search's sigma and rho candidates: facet intersections and their
     subsets of at most _POOL_SUBSET_BOUND neurons."""
-    from convexcodes.codes import max_intersection_faces
     from convexcodes.wheels import _POOL_SUBSET_BOUND
 
     pool = set()
-    for face in max_intersection_faces(facets):
+    for face in reference_max_intersection_faces(facets):
         pool.add(face)
         members = sorted(face)
         for r in range(1, min(len(members), _POOL_SUBSET_BOUND) + 1):
@@ -500,12 +533,10 @@ def reference_wheel_triples(code):
     """Every (s1, s2, s3, tau) of the search's words that passes check_wheel
     and hub_spoke_pattern, with tau a missing max-intersection face, in the
     code's own labels: the triples that can reach the witness loop."""
-    from convexcodes.codes import max_intersection_faces, maximal_codewords
-
-    facets = maximal_codewords(code)
+    facets = reference_maximal_codewords(code)
     check_wheel, hub_spoke_pattern = reference_wheel_tests(code)
     pool = _reference_pool(facets)
-    taus = [f for f in max_intersection_faces(facets) if f not in code.codewords]
+    taus = [f for f in reference_max_intersection_faces(facets) if f not in code.codewords]
     return {
         (s1, s2, s3, tau)
         for tau in taus
@@ -520,13 +551,7 @@ def reference_find_sprocket(code, box):
     Same contract as convexcodes.wheels._find_sprocket: box is a one-item
     list holding the remaining budget and is decremented in place.
     """
-    from convexcodes.codes import (
-        NeuralCode,
-        max_intersection_faces,
-        maximal_codewords,
-        sort_words,
-        word_sort_key,
-    )
+    from convexcodes.codes import NeuralCode, sort_words, word_sort_key
     from convexcodes.topology import classify_small_complex, nerve
     from convexcodes.wheels import SprocketCandidate, canonical_l24_sprocket, is_sprocket
 
@@ -535,7 +560,7 @@ def reference_find_sprocket(code, box):
         tk_tau = trunk(cand.tau)
         return trunk(cand.rho1) <= tk_tau and trunk(cand.rho3) <= tk_tau
 
-    facets = maximal_codewords(code)
+    facets = reference_maximal_codewords(code)
 
     if len(facets) == 4:
         cls = classify_small_complex(nerve(facets))
@@ -576,7 +601,7 @@ def reference_find_sprocket(code, box):
     pool = sort_words(_reference_pool(canon_facets))
     taus = [
         f
-        for f in sort_words(max_intersection_faces(canon_facets))
+        for f in sort_words(reference_max_intersection_faces(canon_facets))
         if f not in canon.codewords
     ]
     for tau in taus:

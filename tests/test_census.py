@@ -22,9 +22,11 @@ import pytest
 
 from convexcodes import (
     NeuralCode,
+    SimplicialComplex,
     Verdict,
     classify_small_complex,
     decide,
+    is_max_intersection_complete,
     is_sprocket,
     max_intersection_faces,
     maximal_codewords,
@@ -34,7 +36,12 @@ from convexcodes import (
 )
 from convexcodes.atlas import _facet_cells
 from convexcodes.codes import sort_words
+from convexcodes.topology import CodeStructure
 from convexcodes.wheels import _witnesses_cover_exactly
+
+from conftest import collapse_family
+from oracles import reference_max_intersection_faces, reference_maximal_codewords
+from test_wheels import _seeded_search_codes
 
 BUDGET = 10**4
 FACETS = 4
@@ -185,3 +192,27 @@ class TestCensusSoundness:
                 hits[e["class"]] += 1
         for reached in ("L24", "L25", "L26", "L28", "Sprocket", "L24MinimalPoFSprocket"):
             assert hits[reached], reached
+
+
+def test_mask_faces_match_frozenset_reference(census):
+    # the structure finds facets, max-intersection faces and missing faces
+    # on its packing; the frozenset scan and closure it replaced must agree
+    _, minimal, supersets = census
+    codes = [e["code"] for e in minimal + supersets] + _seeded_search_codes(2026, 40)
+    codes.append(NeuralCode(collapse_family(7)))  # labels far above their count
+    for code in codes:
+        s = CodeStructure(code)
+        facets = reference_maximal_codewords(code)
+        faces = reference_max_intersection_faces(facets)
+        missing = sort_words(faces - code.codewords)
+        assert s.facets == list(map(s.packed.word, s.facet_masks)) == facets, code
+        assert maximal_codewords(code) == facets, code
+        assert list(map(s.packed.word, s.missing)) == missing, code
+        assert set(map(s.packed.word, s.max_intersections)) == faces, code
+        assert max_intersection_faces(facets) == faces, code
+        assert is_max_intersection_complete(code) == (not missing, frozenset(missing)), code
+        assert SimplicialComplex(code.codewords - {frozenset()}).facets == tuple(facets), code
+    # labels that cannot be ordered keep the order _pack found them in
+    unordered = [{"a", 1, (2,)}, {1, "b"}, {"a", 1, "b"}, {(2,), "b"}]
+    for sets in (unordered, [{1, 2}, {1, 2}, {2, 3}], []):
+        assert max_intersection_faces(sets) == reference_max_intersection_faces(sets), sets

@@ -51,6 +51,14 @@ class TestDecideCommand:
         assert status == 5
         assert "position" in err
 
+    @pytest.mark.parametrize("text", ["{1,\u0663}", "1\u06602", "\u0661\u0662"])
+    def test_non_ascii_digit_is_parse_error(self, capsys, text):
+        status, out, err = run(capsys, "decide", text)
+        assert status == 5
+        assert out == ""
+        assert "position" in err
+        assert len(err.splitlines()) == 1
+
     def test_bad_flag_exit_five(self, capsys):
         status, _, _ = run(capsys, "decide", C22_TEXT, "--nonsense")
         assert status == 5
@@ -258,6 +266,14 @@ class TestAtlasCommand:
         status, out, _ = run(capsys, "atlas", "--neurons", "4", "--facets", "2", "--out", str(path))
         assert status == 0
         assert path.read_text().startswith("code,")
+
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "atlas.csv"
+        status, out, err = run(capsys, "atlas", "--neurons", "3", "--facets", "2", "--out", str(path))
+        assert status == 5
+        assert out == ""
+        assert err.startswith("convexcodes: cannot write CSV: ")
+        assert len(err.splitlines()) == 1
 
     def test_meta_header(self, capsys):
         _, plain, _ = run(capsys, "atlas", "--neurons", "4", "--facets", "2")

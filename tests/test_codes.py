@@ -63,10 +63,28 @@ class TestParse:
             with pytest.raises(CodeParseError):
                 parse_code(bad)
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("{1,\u0663}", 0), ("1\u06602", 1), ("\u0661\u0662", 0), ("12, {\uff13}", 4)],
+    )
+    def test_only_ascii_digits(self, text, position):
+        # str.isdigit and the regex \d accept Arabic-Indic and fullwidth digits
+        with pytest.raises(CodeParseError) as err:
+            parse_code(text)
+        assert err.value.position == position
+
     def test_error_carries_position(self):
         with pytest.raises(CodeParseError) as err:
             parse_code("13, abc")
         assert "position" in str(err.value)
+
+
+class TestNeuralCode:
+    @pytest.mark.parametrize("bad", [True, False, 0, -1, 1.0, "1"])
+    def test_index_must_be_positive_int(self, bad):
+        # bool is an int subclass, so True would otherwise print as "True2"
+        with pytest.raises(ValueError, match="neuron index must be a positive integer"):
+            NeuralCode([{bad, 2}, {2, 3}])
 
 
 class TestFormat:

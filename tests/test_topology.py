@@ -23,7 +23,6 @@ from convexcodes import (
     is_contractible_small,
     is_link_contractible,
     mandatory_faces,
-    max_intersection_faces,
     maximal_codewords,
     minimal_code,
     nerve,
@@ -285,12 +284,13 @@ class TestLinkContractibleAgainstReference:
         # the structure's own link path, on its facet masks
         structure = CodeStructure(NeuralCode(facets))
         settled = 0
-        for face in max_intersection_faces(facets):
+        for sigma in structure.max_intersections:
+            face = structure.packed.word(sigma)
             want = oracles.reference_is_link_contractible(facets, face)
             if want is INDETERMINATE:
                 continue
             assert is_link_contractible(facets, face) is want, (facets, face)
-            assert structure.link_contractible(face) is want, (facets, face)
+            assert structure.link_contractible(sigma) is want, (facets, face)
             settled += want and len(oracles.link_facet_sets(facets, face)) > 4
         return settled
 

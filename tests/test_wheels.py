@@ -341,11 +341,11 @@ class TestOrderFreePhase:
             s = CodeStructure(code)
             # the L24 filter admits the tau of every triple reaching the witnesses
             admitted = _l24_taus(s)
-            assert all(sum(s.packed.bit[i] for i in tau) in admitted for *_s, tau in expected)
+            assert {tau for *_s, tau in expected} <= set(map(s.packed.word, admitted))
             pool = _Pool(s)
             got = []
-            for tau in s.missing:
-                mask = sum(s.packed.bit[i] for i in tau)
+            for mask in s.missing:
+                tau = s.packed.word(mask)
                 for i1, i2, i3 in pool.triples(mask):
                     got.append((frozenset({pool.words[i1], pool.words[i3]}), pool.words[i2], tau))
             # one of each mirror pair (s1, s2, s3), (s3, s2, s1), none twice
@@ -365,9 +365,9 @@ class TestOrderFreePhase:
         rng = random.Random(15)
 
         def shuffled_pool(faces):
-            words = sorted(pool_of(faces), key=sorted)
-            rng.shuffle(words)
-            return words
+            masks = sorted(pool_of(faces))
+            rng.shuffle(masks)
+            return masks
 
         monkeypatch.setattr(convexcodes.wheels, "_candidate_pool", shuffled_pool)
         for code, outcomes in zip(codes, expected):
@@ -388,7 +388,7 @@ class TestOrderFreePhase:
         assert sum(len(_l24_taus(s)) < len(s.missing) for s in structures) >= 20
 
         def every_tau(s):
-            return {sum(map(s.packed.bit.__getitem__, tau)) for tau in s.missing}
+            return set(s.missing)
 
         monkeypatch.setattr(convexcodes.wheels, "_l24_taus", every_tau)
         for code, outcomes in zip(codes, expected):
