@@ -1,9 +1,14 @@
 """Exact computational geometry for realizations.
 
-Everything is rational (fractions.Fraction); there is no floating point
-and no epsilon anywhere.  Codeword membership is a strict open-set
-predicate, so an approximate point on a boundary would corrupt the
-generated code; exact arithmetic makes the boundary cases exact instead.
+Coordinates are rational (fractions.Fraction) in the public types and in
+JSON; there is no floating point and no epsilon anywhere.  Codeword
+membership is a strict open-set predicate, so an approximate point on a
+boundary would corrupt the generated code; exact arithmetic makes the
+boundary cases exact instead.  Validation, region signatures and the
+arrangement sampler read each polygon in one scaled integer form,
+Polygon.integer_form: (q, vertices × q), q the least common denominator
+of its coordinates.  Scaling by q > 0 keeps every sign, so each test on
+those integers is the same exact test as on the rationals.
 
 The generated-code computation for dimension 2 samples one point per face
 of the line arrangement spanned by all polygon edges.  Every face is
@@ -22,7 +27,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Tuple, Union
 
 from ..codes import NeuralCode
@@ -38,8 +43,15 @@ def format_rational(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Interval:
+    """Open interval (lo, hi); the ends are read through Fraction, as
+    polygon vertices are."""
+
     lo: Fraction
     hi: Fraction
+
+    def __init__(self, lo, hi):
+        object.__setattr__(self, "lo", Fraction(lo))
+        object.__setattr__(self, "hi", Fraction(hi))
 
     def __contains__(self, x: Fraction) -> bool:
         return self.lo < x < self.hi
@@ -57,6 +69,19 @@ class Polygon:
     def __init__(self, vertices: Iterable[Tuple]):
         vs = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
         object.__setattr__(self, "vertices", vs)
+
+    @functools.cached_property
+    def integer_form(self) -> Tuple[int, tuple]:
+        """(q, vertices × q), q the least common denominator of the coordinates.
+
+        Computed once per polygon; it is not a field, so equality, hashing,
+        repr and JSON read only the Fraction vertices.
+        """
+        q = lcm(*(c.denominator for v in self.vertices for c in v))
+        return q, tuple(
+            (x.numerator * (q // x.denominator), y.numerator * (q // y.denominator))
+            for x, y in self.vertices
+        )
 
     def __contains__(self, p: Tuple[Fraction, Fraction]) -> bool:
         vs = self.vertices
@@ -163,6 +188,41 @@ def _dedup_vertices(vs: tuple) -> tuple:
     return tuple(out)
 
 
+def _edges(points: tuple) -> list:
+    """(a, b, c) per edge of the closed integer path: a point (x, y) lies
+    strictly left of the edge iff a*x + b*y > c."""
+    out = []
+    for (px, py), (qx, qy) in zip(points, points[1:] + points[:1]):
+        a = py - qy
+        b = qx - px
+        out.append((a, b, a * px + b * py))
+    return out
+
+
+def _convexity_problem(points: tuple) -> str:
+    """Why the integer vertex cycle is not a strictly convex counterclockwise
+    polygon, or "" when it is.
+
+    Every turn being left is not enough: a pentagram turns left at every
+    vertex.  So each vertex must also lie strictly left of every edge it is
+    not on, which makes every edge a hull edge, met once, counterclockwise.
+    """
+    n = len(points)
+    edges = _edges(points)
+    # the turn at the head of edge i is the side of edge i that vertex i+2 lies on
+    turns = [a * x + b * y - c for (a, b, c), (x, y) in zip(edges, points[2:] + points[:2])]
+    if all(t < 0 for t in turns):
+        return "orientation (vertices are clockwise)"
+    if not all(t > 0 for t in turns):
+        return "not strictly convex"
+    for i, (a, b, c) in enumerate(edges):
+        for j in range(i + 3, i + n):
+            x, y = points[j % n]
+            if a * x + b * y <= c:
+                return "not strictly convex"
+    return ""
+
+
 def validate(r: Realization) -> list:
     """Invariant violations as human-readable strings; empty when valid."""
     problems = []
@@ -174,102 +234,101 @@ def validate(r: Realization) -> list:
         if r.dimension == 1:
             if not isinstance(region, Interval):
                 problems.append(f"neuron {neuron}: region type does not match dimension")
-            elif not region.lo < region.hi:
+            elif not (region.lo.numerator * region.hi.denominator
+                      < region.hi.numerator * region.lo.denominator):
                 problems.append(f"neuron {neuron}: empty interval")
             continue
         if not isinstance(region, Polygon):
             problems.append(f"neuron {neuron}: region type does not match dimension")
             continue
-        vs = _dedup_vertices(region.vertices)
-        if len(vs) < 3:
+        points = _dedup_vertices(region.integer_form[1])
+        if len(points) < 3:
             problems.append(f"neuron {neuron}: fewer than 3 vertices")
             continue
-        crosses = []
-        n = len(vs)
-        for i in range(n):
-            ax, ay = vs[i]
-            bx, by = vs[(i + 1) % n]
-            cx, cy = vs[(i + 2) % n]
-            crosses.append((bx - ax) * (cy - by) - (by - ay) * (cx - bx))
-        if all(c < 0 for c in crosses):
-            problems.append(f"neuron {neuron}: orientation (vertices are clockwise)")
-        elif not all(c > 0 for c in crosses):
-            problems.append(f"neuron {neuron}: not strictly convex")
+        problem = _convexity_problem(points)
+        if problem:
+            problems.append(f"neuron {neuron}: {problem}")
     return problems
 
 
-def _refine(values: list) -> list:
-    """Sorted values plus midpoints of consecutive pairs and outer points."""
+def _refine(values: list, one) -> list:
+    """Twice each of: the distinct values in order, the midpoint of each
+    consecutive pair, and a point one past either end.
+
+    Doubling keeps the midpoints of integer numerators integral; one is the
+    numerator of 1 over their common denominator.
+    """
     if not values:
-        return [Fraction(0)]
+        return [0]
     vs = sorted(set(values))
-    out = [vs[0] - 1]
+    out = [2 * (vs[0] - one)]
     for a, b in zip(vs, vs[1:]):
-        out.append(a)
-        out.append((a + b) / 2)
-    out.append(vs[-1])
-    out.append(vs[-1] + 1)
+        out.append(2 * a)
+        out.append(a + b)
+    out.append(2 * vs[-1])
+    out.append(2 * (vs[-1] + one))
     return out
 
 
-def _edge_lines(polygons: Iterable[Polygon]) -> list:
-    """Primitive integer triples (a, b, c) with ax + by = c, deduplicated."""
+def _halfplanes(q: int, scaled: tuple) -> list:
+    """Primitive (a, b, c) per edge of a polygon in integer form: a point
+    (x, y) of the plane lies strictly left of the edge iff a*x + b*y > c.
+
+    An edge (a, b, c) of the scaled vertices bounds a*q*x + b*q*y > c.
+    """
+    out = []
+    for a, b, c in _edges(_dedup_vertices(scaled)):
+        a, b = a * q, b * q
+        g = gcd(a, b, c)
+        out.append((a // g, b // g, c // g))
+    return out
+
+
+def _edge_lines(halfplanes: Iterable[list]) -> list:
+    """The lines a*x + b*y = c under the half-planes, deduplicated, each as
+    its primitive triple with a > 0, or a == 0 and b > 0."""
     lines = set()
-    for poly in polygons:
-        vs = _dedup_vertices(poly.vertices)
-        n = len(vs)
-        for i in range(n):
-            (px, py), (qx, qy) = vs[i], vs[(i + 1) % n]
-            a = -(qy - py)
-            b = qx - px
-            c = a * px + b * py
-            scale = a.denominator * b.denominator * c.denominator
-            ai = int(a * scale)
-            bi = int(b * scale)
-            ci = int(c * scale)
-            g = gcd(gcd(abs(ai), abs(bi)), abs(ci))
-            if g:
-                ai, bi, ci = ai // g, bi // g, ci // g
-            if ai < 0 or (ai == 0 and bi < 0):
-                ai, bi, ci = -ai, -bi, -ci
-            lines.add((ai, bi, ci))
+    for hp in halfplanes:
+        for a, b, c in hp:
+            lines.add((a, b, c) if a > 0 or (a == 0 and b > 0) else (-a, -b, -c))
     return sorted(lines)
 
 
 def _region_signature(region: Region) -> tuple:
+    """Ints that determine the region, so equal regions share one signature."""
     if isinstance(region, Interval):
-        return ("I", region.lo, region.hi)
-    return ("P", region.vertices)
+        lo, hi = region.lo, region.hi
+        return ("I", lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    return ("P",) + region.integer_form
 
 
-def _patterns_1d(intervals: List[Interval]) -> frozenset:
-    endpoints = []
-    for iv in intervals:
-        endpoints.extend((iv.lo, iv.hi))
+def _patterns_1d(bounds: List[tuple]) -> frozenset:
+    """Membership patterns of the intervals given by the numerators and
+    denominators of their ends, sampled over one common denominator."""
+    d = lcm(*(den for _ln, ld, _hn, hd in bounds for den in (ld, hd)))
+    ends = [(ln * (d // ld), hn * (d // hd)) for ln, ld, hn, hd in bounds]
     patterns = set()
-    for x in _refine(endpoints):
-        patterns.add(frozenset(i for i, iv in enumerate(intervals) if x in iv))
+    for x2 in _refine([e for pair in ends for e in pair], d):
+        patterns.add(frozenset(i for i, (lo, hi) in enumerate(ends) if 2 * lo < x2 < 2 * hi))
     return frozenset(patterns)
 
 
-def _patterns_2d(polygons: List[Polygon]) -> frozenset:
-    """Membership patterns over all faces of the edge-line arrangement.
+def _patterns_2d(forms: List[tuple]) -> frozenset:
+    """Membership patterns over all faces of the edge-line arrangement of
+    the polygons given in integer form (q, vertices × q).
 
-    Sampling and membership run on integers: polygon vertices are scaled
-    by the common denominator, and a sample x = px/q, y = py/q lies
-    strictly inside a scaled polygon iff every edge cross product
-    (Bx-Ax)(py*s - Ay*q) - (By-Ay)(px*s - Ax*q) is positive.
+    In the column x = px/qx, a line with b != 0 crosses at
+    (c*qx - a*px)/(b*qx), which is an integer numerator over big*qx, big
+    the lcm of those |b|.  So a column's samples are y = y2/den with
+    integer y2 and den = 2*big*qx, and the sample lies strictly inside a
+    polygon iff, for every edge half-plane a*x + b*y > c, multiplied by
+    qx*den > 0: (a*px - c*qx)*den + b*qx*y2 > 0.  Everything but y2 is
+    fixed per column.
     """
-    lines = _edge_lines(polygons)
-    scale = 1
-    for poly in polygons:
-        for x, y in poly.vertices:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-            scale = scale * y.denominator // gcd(scale, y.denominator)
-    scaled = [
-        [(int(x * scale), int(y * scale)) for x, y in _dedup_vertices(poly.vertices)]
-        for poly in polygons
-    ]
+    halfplanes = [_halfplanes(q, scaled) for q, scaled in forms]
+    lines = _edge_lines(halfplanes)
+    big = lcm(*(b for _a, b, _c in lines if b))
+    crossings = [(a, c, big // b) for a, b, c in lines if b]
 
     xs = []
     for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(lines, 2):
@@ -278,30 +337,24 @@ def _patterns_2d(polygons: List[Polygon]) -> frozenset:
             xs.append(Fraction(c1 * b2 - c2 * b1, det))
     xs.extend(Fraction(c, a) for a, b, c in lines if b == 0)
 
-    patterns = set()
-    for x0 in _refine(xs):
-        px, qx = x0.numerator, x0.denominator
-        ys = [Fraction(c * qx - a * px, b * qx) for a, b, c in lines if b != 0]
-        for y0 in _refine(ys):
-            py, qy = y0.numerator, y0.denominator
-            # common denominator q, numerators nx, ny: x0 = nx/q, y0 = ny/q
-            q = qx * qy // gcd(qx, qy)
-            nx = px * (q // qx)
-            ny = py * (q // qy)
-            nxs = nx * scale
-            nys = ny * scale
-            pattern = set()
-            for idx, vs in enumerate(scaled):
-                n = len(vs)
-                for i in range(n):
-                    ax, ay = vs[i]
-                    bx, by = vs[(i + 1) % n]
-                    if (bx - ax) * (nys - ay * q) - (by - ay) * (nxs - ax * q) <= 0:
+    words = set()  # bit i set: the sample lies inside polygon i
+    for x2 in _refine(xs, 1):
+        px, qx = x2.numerator, 2 * x2.denominator
+        scale = big * qx
+        den = 2 * scale
+        column = [[((a * px - c * qx) * den, b * qx) for a, b, c in hp] for hp in halfplanes]
+        for y2 in _refine([(c * qx - a * px) * k for a, c, k in crossings], scale):
+            word = 0
+            for idx, edges in enumerate(column):
+                for u, v in edges:
+                    if u + v * y2 <= 0:
                         break
                 else:
-                    pattern.add(idx)
-            patterns.add(frozenset(pattern))
-    return frozenset(patterns)
+                    word |= 1 << idx
+            words.add(word)
+    return frozenset(
+        frozenset(idx for idx in range(len(forms)) if word >> idx & 1) for word in words
+    )
 
 
 # Membership patterns depend only on the distinct regions, so they are
@@ -315,9 +368,8 @@ _PATTERN_CACHE_SIZE = 256
 @functools.lru_cache(maxsize=_PATTERN_CACHE_SIZE)
 def _patterns(dimension: int, signatures: tuple) -> frozenset:
     """Membership patterns of the distinct regions named by signatures."""
-    if dimension == 1:
-        return _patterns_1d([Interval(lo, hi) for _tag, lo, hi in signatures])
-    return _patterns_2d([Polygon(vs) for _tag, vs in signatures])
+    patterns_of = _patterns_1d if dimension == 1 else _patterns_2d
+    return patterns_of([signature[1:] for signature in signatures])
 
 
 def code_of_realization(r: Realization) -> NeuralCode:

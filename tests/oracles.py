@@ -14,11 +14,13 @@ built on them (facet-difference sets, then connected with Euler
 characteristic 1, then the collapse search) are the code the mask-only
 versions replaced; the link test decides links on at most four vertices
 with contractible_small, not with the package's class table.
-The canonical-form and atlas-enumeration references reuse only the
-package's value types, and the atlas one its codeword order.  The facet
-scan and the max-intersection closure are the frozenset versions that the
-mask routines of codes replaced, and the reference sprocket searches read
-their facets and max-intersection faces from these two.
+The canonical-form and atlas-enumeration references and the realization
+validator reuse only the package's value types, and the atlas one its
+codeword order.  The facet scan and the max-intersection closure are the
+frozenset versions that the mask routines of codes replaced, and the
+reference sprocket searches read their facets and max-intersection faces
+from these two.  The validator is the Fraction code that the integer
+forms of realize.geometry replaced, with its own star rule.
 """
 
 from fractions import Fraction
@@ -349,6 +351,74 @@ def rectangle_code_oracle(rects):
                 )
             )
     return words
+
+
+def strict_hull(points):
+    """Counterclockwise strict convex hull (no collinear points) by monotone
+    chain, starting at the least point."""
+    pts = sorted(set(points))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower, upper = chain(pts), chain(reversed(pts))
+    return lower[:-1] + upper[:-1]
+
+
+def reference_validate(r):
+    """validate on Fractions, as before the integer forms.
+
+    A polygon whose turns are all left must also be its own strict hull:
+    the monotone-chain hull holds all of its vertices, in the given cyclic
+    order.  That rules out stars, which turn left at every vertex.
+    """
+    from convexcodes import Interval, Polygon
+
+    problems = []
+    if r.dimension not in (1, 2):
+        return [f"dimension {r.dimension} unsupported"]
+    for neuron in sorted(r.regions):
+        region = r.regions[neuron]
+        if r.dimension == 1:
+            if not isinstance(region, Interval):
+                problems.append(f"neuron {neuron}: region type does not match dimension")
+            elif not region.lo < region.hi:
+                problems.append(f"neuron {neuron}: empty interval")
+            continue
+        if not isinstance(region, Polygon):
+            problems.append(f"neuron {neuron}: region type does not match dimension")
+            continue
+        vs = []
+        for v in region.vertices:
+            if not vs or v != vs[-1]:
+                vs.append(v)
+        if len(vs) > 1 and vs[0] == vs[-1]:
+            vs.pop()
+        if len(vs) < 3:
+            problems.append(f"neuron {neuron}: fewer than 3 vertices")
+            continue
+        n = len(vs)
+        crosses = []
+        for i in range(n):
+            ax, ay = vs[i]
+            bx, by = vs[(i + 1) % n]
+            cx, cy = vs[(i + 2) % n]
+            crosses.append((bx - ax) * (cy - by) - (by - ay) * (cx - bx))
+        hull = strict_hull(vs)
+        own_hull = len(hull) == n and any(hull == vs[k:] + vs[:k] for k in range(n))
+        if all(c < 0 for c in crosses):
+            problems.append(f"neuron {neuron}: orientation (vertices are clockwise)")
+        elif not all(c > 0 for c in crosses) or not own_hull:
+            problems.append(f"neuron {neuron}: not strictly convex")
+    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,15 @@ class TestVerifyCommand:
         status, out, err = run(capsys, "verify", str(path), "134, 1357, 356, 13, 35")
         assert status == 4
 
+    def test_star_polygon_fails(self, capsys, tmp_path):
+        # a pentagram turns left at every vertex but is not convex
+        star = [["4", "0"], ["6", "8"], ["0", "3"], ["8", "3"], ["2", "8"]]
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps({"dimension": 2, "regions": [{"neuron": 1, "polygon": star}]}))
+        status, out, _ = run(capsys, "verify", str(path), "1")
+        assert status == 4
+        assert out == "mismatch:\n  validation: neuron 1: not strictly convex\n"
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         status, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"), C22_TEXT)
         assert status == 5

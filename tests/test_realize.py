@@ -19,7 +19,13 @@ from convexcodes import (
 from convexcodes.realize import format_rational, parse_rational, validate
 
 import oracles
-from conftest import fs
+from conftest import (
+    C18A_TEXT, C18B_TEXT, C22_TEXT, C24_TEXT, C26_CORRECTED_TEXT, C26_PRINTED_TEXT, W3_TEXT, fs,
+)
+
+# vertices 0, 2, 4, 1, 3 of the convex pentagon (4,0),(8,3),(6,8),(2,8),(0,3):
+# every turn is a left turn, yet the path winds twice
+PENTAGRAM = [(4, 0), (6, 8), (0, 3), (8, 3), (2, 8)]
 
 
 def cells_left_to_right(r):
@@ -193,6 +199,14 @@ class TestVerify:
         assert not ok
         assert any("orientation" in v or "counterclockwise" in v for v in diff.validation)
 
+    def test_star_polygon_rejected(self):
+        r = Realization(2, {1: Polygon(PENTAGRAM)})
+        assert validate(r) == ["neuron 1: not strictly convex"]
+        ok, diff = verify_realization(r, parse_code("1"))
+        assert not ok and diff.validation == ("neuron 1: not strictly convex",)
+        pentagon = [PENTAGRAM[i] for i in (0, 3, 1, 4, 2)]
+        assert validate(Realization(2, {1: Polygon(pentagon)})) == []
+
     def test_empty_interval_rejected(self):
         r = Realization(1, {1: Interval(1, 1)})
         ok, diff = verify_realization(r, parse_code("{1}"))
@@ -213,6 +227,153 @@ class TestVerify:
         assert len(calls) == 1
         assert code_of_realization(r) == c22
         assert len(calls) == 2
+
+
+def _random_polygon(rng):
+    """A seeded rational vertex list, valid or broken in one of the ways
+    validate must tell apart."""
+    denominators = rng.choice([
+        [1, 2, 3, 4, 6],
+        [1, 5, 7, 9],
+        # pairwise coprime and large: the least common denominator grows
+        [10007, 10009, 10037, 10039, 10061, 10067],
+    ])
+
+    def rational():
+        d = rng.choice(denominators)
+        return Fraction(rng.randint(-9 * d, 9 * d), d)
+
+    hull = oracles.strict_hull([(rational(), rational()) for _ in range(rng.randint(3, 9))])
+    if len(hull) < 3:
+        return hull
+    k = rng.randrange(len(hull))
+    vs = hull[k:] + hull[:k]
+    kind = rng.choice(["convex", "clockwise", "star", "duplicate", "closing",
+                       "collinear", "degenerate", "shuffled"])
+    if kind == "clockwise":
+        vs.reverse()
+    elif kind == "star" and len(vs) >= 5:
+        vs = vs[::2] + vs[1::2] if len(vs) % 2 else vs[::3] + vs[1::3] + vs[2::3]
+    elif kind == "duplicate":
+        i = rng.randrange(len(vs))
+        vs.insert(i, vs[i])
+    elif kind == "closing":
+        vs.append(vs[0])
+    elif kind == "collinear":
+        i = rng.randrange(len(vs))
+        (ax, ay), (bx, by) = vs[i - 1], vs[i]
+        t = Fraction(rng.randint(1, 4), 5)
+        vs.insert(i, (ax + t * (bx - ax), ay + t * (by - ay)))
+    elif kind == "degenerate":
+        vs = [vs[0], vs[1], vs[1], vs[0]][: rng.randint(1, 4)]
+    elif kind == "shuffled":
+        rng.shuffle(vs)
+    return vs
+
+
+class TestIntegerForms:
+    def test_validate_matches_fraction_reference(self):
+        import random
+
+        rng = random.Random(107)
+        seen = set()
+        for _ in range(300):
+            r = Realization(2, {
+                k: Polygon(_random_polygon(rng)) for k in range(1, rng.randint(2, 4))
+            })
+            got = validate(r)
+            assert got == oracles.reference_validate(r)
+            seen.update(problem.split(": ", 1)[1] for problem in got)
+        assert seen == {
+            "fewer than 3 vertices",
+            "orientation (vertices are clockwise)",
+            "not strictly convex",
+        }
+
+    def test_intervals_and_region_types_match_reference(self):
+        for r in [
+            Realization(1, {1: Interval(Fraction(1, 3), Fraction(2, 5)),
+                            2: Interval(Fraction(2, 5), Fraction(1, 3)),
+                            3: Interval(Fraction(-7, 10009), Fraction(-7, 10007)),
+                            4: Interval(0, 0)}),
+            Realization(1, {1: Polygon([(0, 0), (1, 0), (0, 1)])}),
+            Realization(2, {1: Interval(0, 1), 2: Polygon(PENTAGRAM)}),
+            Realization(3, {}),
+        ]:
+            assert validate(r) == oracles.reference_validate(r)
+
+    def test_interval_ends_are_read_exactly(self):
+        # like polygon vertices, interval ends go through Fraction, so a float
+        # end is read exactly and has the numerator and denominator validate reads
+        r = Realization(1, {1: Interval(0.5, 1), 2: Interval(Fraction(3, 4), 2)})
+        assert r.regions[1] == Interval(Fraction(1, 2), Fraction(1))
+        assert type(r.regions[1].hi) is Fraction
+        assert code_of_realization(r).codewords == {frozenset(), fs("1"), fs("12"), fs("2")}
+
+    def test_integer_form_is_not_a_field(self):
+        p = Polygon([(Fraction(1, 2), 0), (1, Fraction(1, 3)), (0, 1)])
+        before = (repr(p), hash(p), p.to_json())
+        assert p.integer_form == (6, ((3, 0), (6, 2), (0, 6)))
+        assert (repr(p), hash(p), p.to_json()) == before
+        assert p == Polygon([(Fraction(1, 2), 0), (1, Fraction(1, 3)), (0, 1)])
+
+    def test_scaled_copies_stay_separate_regions(self):
+        from convexcodes.realize.geometry import _region_signature
+
+        half = Polygon([(Fraction(1, 2), 0), (1, 0), (Fraction(1, 2), Fraction(1, 2))])
+        whole = Polygon([(1, 0), (2, 0), (1, 1)])
+        assert _region_signature(half) != _region_signature(whole)
+        r = Realization(2, {1: half, 2: whole})
+        assert code_of_realization(r).codewords == {frozenset(), fs("1"), fs("2")}
+
+    def test_equal_regions_share_a_signature(self):
+        from convexcodes.realize.geometry import _region_signature
+
+        a = Polygon([(Fraction(2, 4), 0), (1, 0), (1, 1)])
+        b = Polygon([(Fraction(1, 2), 0), (1, 0), (1, 1)])
+        assert _region_signature(a) == _region_signature(b)
+        assert _region_signature(Interval(Fraction(2, 4), 1)) == _region_signature(
+            Interval(Fraction(1, 2), Fraction(3, 3))
+        )
+        r = Realization(2, {1: a, 2: b})
+        assert code_of_realization(r).codewords == {frozenset(), fs("12")}
+
+    def test_signatures_hold_only_ints(self, c22):
+        from convexcodes.realize.geometry import _region_signature
+
+        def leaves(t):
+            for x in t:
+                if isinstance(x, tuple):
+                    yield from leaves(x)
+                else:
+                    yield x
+
+        for code in (c22, parse_code(C18A_TEXT)):
+            r, _ = build_realization(code)
+            for region in r.regions.values():
+                sig = _region_signature(region)
+                assert {type(x) for x in leaves(sig[1:])} == {int}
+
+    def test_cold_code_equals_warm_on_golden_realizations(self):
+        from convexcodes.realize.geometry import _patterns
+
+        built = []
+        for text in (C22_TEXT, C24_TEXT, C18A_TEXT, C18B_TEXT, W3_TEXT,
+                     C26_PRINTED_TEXT, C26_CORRECTED_TEXT):
+            code = parse_code(text)
+            try:
+                result = build_realization(code)
+            except ValueError:  # not CONVEX
+                continue
+            if result is not None:
+                built.append((code, result[0]))
+        assert {r.dimension for _code, r in built} == {1, 2}
+        for code, r in built:
+            _patterns.cache_clear()
+            cold = code_of_realization(r)
+            hits = _patterns.cache_info().hits
+            assert code_of_realization(r) == cold == code
+            assert _patterns.cache_info().hits == hits + 1
 
 
 class TestRigidMotion:
