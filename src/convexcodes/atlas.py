@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, List, Optional, TextIO, Tuple
+from typing import Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
 from .codes import canonicalize, format_code, sort_words
 from .decider import _decide
@@ -147,8 +146,7 @@ def enumerate_facet_antichains(max_neurons: int, num_facets: int) -> Iterator[li
             yield sort_words(frozenset(f) for f in facets)
 
 
-@dataclass(frozen=True)
-class AtlasRow:
+class AtlasRow(NamedTuple):
     code: str
     neurons: int
     facet_count: int
@@ -157,18 +155,6 @@ class AtlasRow:
     verdict: str
     certificate: str
     sprocket: str
-
-
-CSV_COLUMNS = (
-    "code",
-    "neurons",
-    "facet_count",
-    "nerve_class",
-    "minimal",
-    "verdict",
-    "certificate",
-    "sprocket",
-)
 
 
 def atlas_rows(
@@ -238,21 +224,10 @@ def write_atlas_csv(
     if meta is not None:
         stream.write(f"# {meta}\n")
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(AtlasRow._fields)
     counts = {}
     for row in rows:
-        writer.writerow(
-            (
-                row.code,
-                row.neurons,
-                row.facet_count,
-                row.nerve_class,
-                "true" if row.minimal else "false",
-                row.verdict,
-                row.certificate,
-                row.sprocket,
-            )
-        )
+        writer.writerow(row._replace(minimal="true" if row.minimal else "false"))
         key = (row.nerve_class, row.verdict)
         counts[key] = counts.get(key, 0) + 1
     stream.write("# summary\n")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional
 
 # A codeword is represented as a frozenset of ints.  The empty codeword is
@@ -55,8 +54,40 @@ class CodeParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, init=False)
-class NeuralCode:
+class _Frozen:
+    """Base of the immutable value classes, whose __init__ sets each field
+    named in _fields with object.__setattr__.
+
+    Instances compare equal only to instances of the same class with equal
+    fields, hash as the tuple of their fields, print as
+    Class(field=value, ...), and refuse assignment and deletion.
+    """
+
+    _fields: tuple = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class NeuralCode(_Frozen):
     """An immutable neural code: a set of codewords plus a neuron count.
 
     The empty codeword is added at construction if absent.  n defaults to the
@@ -65,6 +96,7 @@ class NeuralCode:
     whose declared top index appears in no codeword.
     """
 
+    _fields = ("codewords", "n")
     codewords: frozenset
     n: int
 

@@ -15,9 +15,8 @@ analyze().
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .codes import EMPTY, NeuralCode, Codeword, format_word, sort_words
 from .topology import INDETERMINATE, CodeStructure, path_of_facets
@@ -51,8 +50,7 @@ KIND_DISCONNECTED_DECOMPOSITION = "DisconnectedDecomposition"
 KIND_INDETERMINATE_CONTRACTIBILITY = "IndeterminateContractibility"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     kind: str
     face: Optional[Codeword] = None
     candidate: Optional[SprocketCandidate] = None
@@ -186,8 +184,7 @@ def _decide(s: CodeStructure, box: list) -> Tuple[Verdict, List[Certificate]]:
     return (Verdict.UNKNOWN, [])
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Everything analyze() can say about one code, JSON-ready."""
 
     neurons: int

@@ -2,8 +2,9 @@
 
 Each family instantiates a fixed integer-coordinate layout:
 
-- PoFChain1D: five open intervals in a row for a minimal 3-facet code
-  whose facets satisfy Path-of-Facets.
+- PoFChain1D: open intervals in a row: none for the empty code {∅}, one
+  for a single facet, three for two facets, and five for a minimal
+  3-facet code whose facets satisfy Path-of-Facets.
 - L18Case1/3: a seven-interval row when the pendant facet attaches to an
   end of the triangle chain; L18Case2: a T shape when it attaches to the
   middle.
@@ -104,10 +105,11 @@ def _build(s: CodeStructure) -> Optional[Tuple[Realization, str]]:
 def _build_connected(s: CodeStructure) -> Optional[Tuple[Realization, str]]:
     facets = s.facets
     m = len(facets)
-    if not 1 <= m <= 4 or not s.is_minimal:
+    if m > 4 or not s.is_minimal:
         return None
-    if m == 1:
-        return (_chain([facets[0]]), "PoFChain1D")
+    if m <= 1:
+        # the empty code {∅} gets no regions, one facet a single interval
+        return (_chain(facets), "PoFChain1D")
     if m == 2:
         # two overlapping facets
         f1, f2 = facets

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Tuple, Union
 
-from ..codes import NeuralCode
+from ..codes import NeuralCode, _Frozen
 
 
 def parse_rational(text: str) -> Fraction:
@@ -41,11 +40,11 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Frozen):
     """Open interval (lo, hi); the ends are read through Fraction, as
     polygon vertices are."""
 
+    _fields = ("lo", "hi")
     lo: Fraction
     hi: Fraction
 
@@ -60,10 +59,10 @@ class Interval:
         return [format_rational(self.lo), format_rational(self.hi)]
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(_Frozen):
     """Open convex polygon, vertices in counterclockwise order."""
 
+    _fields = ("vertices",)
     vertices: tuple  # ((x, y) Fraction pairs)
 
     def __init__(self, vertices: Iterable[Tuple]):
@@ -100,8 +99,7 @@ class Polygon:
 Region = Union[Interval, Polygon]
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     dimension: int
     regions: dict  # neuron -> Region
 
@@ -407,8 +405,7 @@ def _code_of_valid(r: Realization) -> NeuralCode:
     return NeuralCode(words)
 
 
-@dataclass(frozen=True)
-class VerifyDiff:
+class VerifyDiff(NamedTuple):
     missing: tuple  # target codewords the realization fails to generate
     extra: tuple  # generated codewords absent from the target
     validation: tuple  # invariant violations

@@ -35,14 +35,14 @@ stack) succeeds, and INDETERMINATE otherwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, NamedTuple, Optional
 
 from .codes import (
     EMPTY,
     Codeword,
     NeuralCode,
+    _Frozen,
     _indices,
     _intersections,
     _mask_key,
@@ -72,10 +72,10 @@ class _IndeterminateType:
 INDETERMINATE = _IndeterminateType()
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Frozen):
     """A complex given by its facets (an antichain of nonempty vertex sets)."""
 
+    _fields = ("facets",)
     facets: tuple
 
     def __init__(self, faces: Iterable[Iterable[int]]):
@@ -279,8 +279,7 @@ def is_collapsible(faces: Iterable[Codeword], budget: int = 200_000) -> Optional
         frames.pop()
 
 
-@dataclass(frozen=True)
-class ClassifiedNerve:
+class ClassifiedNerve(NamedTuple):
     """Classification of a complex on <= 4 vertices.
 
     relabeling maps each input vertex to its reference label; applying it
@@ -462,7 +461,6 @@ class MandatoryFaces(frozenset):
         return self
 
 
-@dataclass(frozen=True, eq=False)
 class CodeStructure:
     """The facts the pipeline reads about one code, each derived once.
 
@@ -480,8 +478,9 @@ class CodeStructure:
     (nerve_masks), which the class table and the component split read.
     """
 
-    code: NeuralCode
-    _links: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, code: NeuralCode):
+        self.code = code
+        self._links: dict = {}
 
     @cached_property
     def packed(self):
@@ -610,8 +609,7 @@ def has_local_obstruction(code: NeuralCode):
     return CodeStructure(code).obstruction
 
 
-@dataclass(frozen=True)
-class PathOfFacetsWitness:
+class PathOfFacetsWitness(NamedTuple):
     """Witness (a, b, c): positions of the three facets with b the middle.
 
     (F_a & F_b) - F_c and (F_b & F_c) - F_a are nonempty while
@@ -623,7 +621,7 @@ class PathOfFacetsWitness:
     c: int
 
     def as_tuple(self) -> tuple:
-        return (self.a, self.b, self.c)
+        return tuple(self)
 
 
 def path_of_facets(f1: Codeword, f2: Codeword, f3: Codeword) -> Optional[PathOfFacetsWitness]:

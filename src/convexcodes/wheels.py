@@ -10,9 +10,8 @@ the code, so every reported candidate can be replayed independently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .codes import (
     Codeword,
@@ -30,8 +29,7 @@ from .topology import CodeStructure, _occurrences, path_of_facets
 from .topology import classify_small_complex, nerve
 
 
-@dataclass(frozen=True)
-class SprocketCandidate:
+class SprocketCandidate(NamedTuple):
     sigma1: Codeword
     sigma2: Codeword
     sigma3: Codeword
@@ -40,10 +38,10 @@ class SprocketCandidate:
     rho3: Codeword
 
     def wheel_part(self) -> tuple:
-        return (self.sigma1, self.sigma2, self.sigma3, self.tau)
+        return self[:4]
 
     def words(self) -> tuple:
-        return (self.sigma1, self.sigma2, self.sigma3, self.tau, self.rho1, self.rho3)
+        return tuple(self)
 
     def text(self) -> str:
         sig = ",".join(format_word(w) for w in self.wheel_part())
@@ -51,14 +49,7 @@ class SprocketCandidate:
         return f"(({sig}), rho=({rho}))"
 
     def to_json(self) -> dict:
-        return {
-            "sigma1": sorted(self.sigma1),
-            "sigma2": sorted(self.sigma2),
-            "sigma3": sorted(self.sigma3),
-            "tau": sorted(self.tau),
-            "rho1": sorted(self.rho1),
-            "rho3": sorted(self.rho3),
-        }
+        return {name: sorted(word) for name, word in zip(self._fields, self)}
 
 
 def _check_wheel(code: NeuralCode, facets, s1, s2, s3, tau) -> Optional[str]:

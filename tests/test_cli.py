@@ -184,6 +184,17 @@ class TestVerifyCommand:
         assert status == 0
         assert "ok" in out.lower() or "true" in out.lower()
 
+    def test_empty_code_round_trip(self, capsys, tmp_path):
+        # {∅} is CONVEX and realized with no regions, which verify accepts
+        status, out, _ = run(capsys, "realize", "")
+        assert status == 0
+        assert json.loads(out) == {"dimension": 1, "regions": [], "construction": "PoFChain1D"}
+        path = tmp_path / "empty.json"
+        path.write_text(out)
+        status, out, _ = run(capsys, "verify", str(path), "")
+        assert status == 0
+        assert out.startswith("ok")
+
     def test_mismatch_fails(self, capsys, tmp_path):
         _, out, _ = run(capsys, "realize", C22_TEXT)
         path = tmp_path / "r.json"

@@ -323,6 +323,9 @@ class TestAnalyze:
         doc = analyze(NeuralCode([frozenset()])).to_json()
         assert doc["facets"] == []
         assert doc["verdict"] == "CONVEX"
+        assert doc["realization"] == {
+            "dimension": 1, "regions": [], "construction": "PoFChain1D",
+        }
 
     def test_report_key_contract(self, c22):
         doc = analyze(c22).to_json()

@@ -140,7 +140,8 @@ COLD_DECIDE = """
 import sys
 import convexcodes
 convexcodes.decide(convexcodes.parse_code("134, 1357, 257, 356, 13, 35, 57"))
-print(sorted(m for m in ("convexcodes.realize", "convexcodes.atlas", "fractions", "csv")
+print(sorted(m for m in ("convexcodes.realize", "convexcodes.atlas", "fractions", "csv",
+                         "dataclasses", "inspect")
              if m in sys.modules))
 for name in convexcodes.__all__:
     getattr(convexcodes, name)
@@ -157,15 +158,27 @@ except AttributeError as err:
 """
 
 
-def test_decide_loads_neither_realize_nor_atlas():
-    """A fresh import and one decide leave realize, atlas, fractions and csv
-    unloaded, and every exported name still resolves on first access."""
+def _run_cold(script: str) -> list:
+    """The stdout lines of script run in a fresh interpreter on src/."""
     path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(
-        [sys.executable, "-c", COLD_DECIDE], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
+    return done.stdout.splitlines()
+
+
+def test_decide_loads_neither_realize_nor_atlas():
+    """A fresh import and one decide leave realize, atlas, fractions, csv,
+    dataclasses and inspect unloaded, and every exported name still
+    resolves on first access."""
+    assert _run_cold(COLD_DECIDE) == [
         "[]", "module 'convexcodes' has no attribute 'no_such_name'",
     ]
+
+
+def test_cli_import_loads_no_dataclasses():
+    """The CLI imports every layer up front, and none of them loads dataclasses."""
+    script = "import sys, convexcodes.cli; print('dataclasses' in sys.modules)"
+    assert _run_cold(script) == ["False"]

@@ -57,6 +57,13 @@ class TestBuildChain:
         r, _ = build_realization(code)
         assert code_of_realization(r) == code
 
+    def test_empty_code(self):
+        # {∅} decides CONVEX, and its realization has no regions
+        code = NeuralCode([])
+        r, tag = build_realization(code)
+        assert (r, tag) == (Realization(1, {}), "PoFChain1D")
+        assert verify_realization(r, code)[0]
+
     def test_single_facet(self):
         code = parse_code("12")
         r, tag = build_realization(code)
