@@ -27,7 +27,6 @@ from .topology import (
     SimplicialComplex,
     classify_small_complex,
     has_local_obstruction,
-    is_contractible_small,
     is_link_contractible,
     mandatory_faces,
     minimal_code,
@@ -39,7 +38,6 @@ from .wheels import (
     SprocketCandidate,
     canonical_l24_sprocket,
     find_sprocket,
-    is_partial_wheel,
     is_sprocket,
 )
 
@@ -107,10 +105,8 @@ __all__ = [
     "format_code",
     "format_word",
     "has_local_obstruction",
-    "is_contractible_small",
     "is_link_contractible",
     "is_max_intersection_complete",
-    "is_partial_wheel",
     "is_sprocket",
     "mandatory_faces",
     "max_intersection_faces",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional
 
@@ -133,9 +134,6 @@ class NeuralCode(_Frozen):
             out |= w
         return frozenset(out)
 
-    def facets(self) -> list:
-        return maximal_codewords(self)
-
 
 # token scanner for parse_code: braced lists, compact digit strings, separators
 _TOKEN = re.compile(r"(?P<ws>[\s,;]+)|(?P<brace>\{[^{}]*\})|(?P<compact>[0-9]+)|(?P<bad>.)")
@@ -218,12 +216,6 @@ def trunk(code: NeuralCode, sigma: Iterable[int]) -> frozenset:
     return frozenset(w for w in code.codewords if s <= w)
 
 
-def is_face(facets: Iterable[Codeword], sigma: Iterable[int]) -> bool:
-    """True iff sigma is contained in some facet."""
-    s = frozenset(sigma)
-    return any(s <= frozenset(f) for f in facets)
-
-
 def max_intersection_faces(facets: Iterable[Codeword]) -> frozenset:
     """All nonempty intersections of two or more facets (see _intersections)."""
     packed = _pack(facets)
@@ -251,7 +243,13 @@ def relabel(code: NeuralCode, perm: tuple) -> NeuralCode:
     """
     if len(perm) < code.n:
         raise ValueError("permutation too short for this code")
-    if set(perm) != set(range(1, len(perm) + 1)):
+    try:
+        # a sorted copy read against 1, 2, ...: sets of len(perm) labels cost
+        # several times its memory when n is large
+        wrong = any(map(operator.ne, sorted(perm), itertools.count(1)))
+    except TypeError:  # labels that cannot be ordered
+        wrong = True
+    if wrong:
         raise ValueError(f"not a permutation of 1..{len(perm)}: {tuple(perm)}")
     return NeuralCode([relabel_word(w, perm) for w in code.codewords], n=code.n)
 
@@ -266,26 +264,37 @@ class CanonicalForm(NamedTuple):
 # factorials; 8! is one cell of up to 8 neurons
 _RELABEL_CAP = 40320
 
+# declared neurons canonicalize accepts: its permutation has one entry per
+# declared neuron, so its memory grows with n (about 40 MB at this bound)
+_CANONICAL_MAX_N = 2**20
+
 
 def canonicalize(code: NeuralCode) -> CanonicalForm:
     """Lexicographically least code over neuron relabelings.
 
-    Exact for n <= 8 (exact=True): a branch-and-bound search over all
-    relabelings (see _least_relabeling) returns the least code and, among
-    the relabelings that reach it, the lexicographically least permutation.
-    Beyond that exact=False: the support gets _profile_relabeling, which
-    does not depend on the labels while its profile cells admit at most 8!
-    assignments, and declared neurons outside the support take the next
-    labels in index order.  Idempotent in both regimes.
+    The support is packed (see _pack) and relabeled onto 1..s, and declared
+    neurons outside it take the next labels in index order.  Exact for a
+    support of at most 8 neurons (exact=True): a branch-and-bound search
+    over all relabelings of the support (see _least_relabeling) returns the
+    least code and, among the relabelings that reach it, the
+    lexicographically least permutation.  Beyond that exact=False: the
+    support gets _profile_relabeling, which does not depend on the labels
+    while its profile cells admit at most 8! assignments.  Idempotent in
+    both regimes.  ValueError when code.n exceeds 2**20 (_CANONICAL_MAX_N).
     """
-    images = _least_relabeling(code)
-    if images is not None:
-        return CanonicalForm(relabel(code, images), images, True)
-    label = _profile_relabeling(_pack(w for w in code.codewords if w))
-    unused = [i for i in range(1, code.n + 1) if i not in label]
-    label.update(zip(unused, itertools.count(len(label) + 1)))
-    perm = tuple(label[i] for i in range(1, code.n + 1))
-    return CanonicalForm(relabel(code, perm), perm, False)
+    if code.n > _CANONICAL_MAX_N:
+        raise ValueError(
+            f"canonicalize takes at most {_CANONICAL_MAX_N} declared neurons, got n={code.n}"
+        )
+    packed = _pack(w for w in code.codewords if w)
+    images = _least_relabeling(packed.masks)
+    if images is None:
+        label = _profile_relabeling(packed)
+    else:
+        label = dict(zip(packed.labels, images))
+    spare = itertools.count(len(label) + 1)
+    perm = tuple(label[i] if i in label else next(spare) for i in range(1, code.n + 1))
+    return CanonicalForm(relabel(code, perm), perm, images is not None)
 
 
 class _Packing(NamedTuple):
@@ -388,13 +397,13 @@ def _profile_relabeling(packed: _Packing) -> Dict[int, int]:
     return dict(zip(support, images))
 
 
-def _least_relabeling(code_or_masks, cells=None) -> Optional[tuple]:
+def _least_relabeling(words: list, cells=None) -> Optional[tuple]:
     """The least images tuple among the relabelings that give the least code.
 
-    code_or_masks is a NeuralCode on neurons 1..n, or its codewords as
-    masks (bit i - 1 for neuron i) with n the highest neuron present.
-    cells is an ordered partition of 1..n, None meaning one cell: the first
-    cell's neurons take the first labels, and so on.  Returns None when the
+    words are the codewords of a code on neurons 1..n as bitmasks (bit
+    i - 1 for neuron i), n being the highest neuron present.  cells is an
+    ordered partition of 1..n, None meaning one cell: the first cell's
+    neurons take the first labels, and so on.  Returns None when the
     product of the cells' factorials exceeds _RELABEL_CAP.
 
     Branch and bound over label assignments: labels 1, 2, ... go to one
@@ -415,15 +424,10 @@ def _least_relabeling(code_or_masks, cells=None) -> Optional[tuple]:
     reached, which is what a lex-order scan of all cell-respecting
     permutations keeping only strict-< improvements returns.
     """
-    if isinstance(code_or_masks, NeuralCode):
-        n = code_or_masks.n
-        words = [sum(1 << (i - 1) for i in w) for w in code_or_masks.codewords]
-    else:
-        words = list(code_or_masks)
-        n = 0
-        for m in words:
-            n |= m
-        n = n.bit_length()
+    n = 0
+    for m in words:
+        n |= m
+    n = n.bit_length()
     if cells is None:
         cells = [range(1, n + 1)]
     # stop at the cap, which any cell of 9 or more neurons passes alone

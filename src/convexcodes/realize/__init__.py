@@ -8,7 +8,6 @@ from .geometry import (
     VerifyDiff,
     code_of_realization,
     format_rational,
-    parse_rational,
     realization_from_json,
     validate,
     verify_realization,
@@ -23,7 +22,6 @@ __all__ = [
     "build_realization",
     "code_of_realization",
     "format_rational",
-    "parse_rational",
     "realization_from_json",
     "render_svg",
     "validate",

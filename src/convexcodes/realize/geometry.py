@@ -32,10 +32,6 @@ from typing import Dict, Iterable, List, NamedTuple, Tuple, Union
 from ..codes import NeuralCode, _Frozen
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -51,9 +47,6 @@ class Interval(_Frozen):
     def __init__(self, lo, hi):
         object.__setattr__(self, "lo", Fraction(lo))
         object.__setattr__(self, "hi", Fraction(hi))
-
-    def __contains__(self, x: Fraction) -> bool:
-        return self.lo < x < self.hi
 
     def to_json(self) -> list:
         return [format_rational(self.lo), format_rational(self.hi)]
@@ -81,16 +74,6 @@ class Polygon(_Frozen):
             (x.numerator * (q // x.denominator), y.numerator * (q // y.denominator))
             for x, y in self.vertices
         )
-
-    def __contains__(self, p: Tuple[Fraction, Fraction]) -> bool:
-        vs = self.vertices
-        n = len(vs)
-        for i in range(n):
-            ax, ay = vs[i]
-            bx, by = vs[(i + 1) % n]
-            if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) <= 0:
-                return False
-        return True
 
     def to_json(self) -> list:
         return [[format_rational(x), format_rational(y)] for x, y in self.vertices]
@@ -139,7 +122,7 @@ def _json_list(value, name: str, length=None) -> list:
 
 def _json_rational(value) -> Fraction:
     try:
-        return parse_rational(value)
+        return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as err:
         raise ValueError(f"malformed number {value!r}: {err}") from err
 

@@ -7,7 +7,7 @@ as translucent fills with a neuron label at the centroid.
 
 from __future__ import annotations
 
-from .geometry import Realization
+from .geometry import Realization, validate
 
 _PALETTE = [
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
@@ -23,6 +23,11 @@ def _color(i: int) -> str:
 
 
 def render_svg(realization: Realization) -> str:
+    """The SVG text of a valid realization; ValueError naming the problems
+    that validate finds otherwise."""
+    problems = validate(realization)
+    if problems:
+        raise ValueError("invalid realization: " + "; ".join(problems))
     if realization.dimension == 1:
         return _render_1d(realization)
     return _render_2d(realization)

@@ -6,11 +6,10 @@ obstructions, and the Path-of-Facets test.
 
 Nerves and faces are held as position masks only (bit p is vertex p + 1);
 the pipeline builds no SimplicialComplex, which only the public nerve()
-and the reference catalog return.  Nerves are built from facets only: the
-maximal occurrence masks of the input's elements are the nerve's facets,
-so no face list is formed on the way.  Every mask here is laid out by
-codes._pack, one bit per label present, so its size does not grow with
-the labels' values.
+returns.  Nerves are built from facets only: the maximal occurrence masks
+of the input's elements are the nerve's facets, so no face list is formed
+on the way.  Every mask here is laid out by codes._pack, one bit per label
+present, so its size does not grow with the labels' values.
 
 Classification on at most four vertices is one dictionary lookup: at import
 every relabeling of every reference class is expanded into a table of all
@@ -18,10 +17,12 @@ every relabeling of every reference class is expanded into a table of all
 lexicographically least witness relabeling and the contractibility bit.
 
 Contractibility of a complex on at most four vertices is exact: the class
-catalog is closed under vertex permutation, and per class the collapse
-oracle is cross-checked against GF(2) homology, whose vanishing is also
-sufficient at this size because every non-contractible complex on four
-vertices has a nonzero reduced homology group.
+catalog is closed under vertex permutation, and the contractible classes
+are a literal set.  The tests check that set on every class against the
+collapse search, GF(2) homology (whose vanishing is also sufficient at
+this size, as every non-contractible complex on four vertices has a
+nonzero reduced homology group) and an independent oracle; the import
+runs none of them.
 
 Links are cut from facet masks (rows f & ~sigma) by one routine,
 _link_contractible.  More than four rows are first reduced by strong
@@ -221,14 +222,8 @@ _REF = {
     "L28": [{1, 2, 3, 4}],
 }
 
-REFERENCE_COMPLEXES = {name: SimplicialComplex(f) for name, f in _REF.items()}
-
-_CLASSES_BY_SIZE = {
-    1: ("L1",),
-    2: ("L2", "L3"),
-    3: tuple(f"L{i}" for i in range(4, 9)),
-    4: tuple(f"L{i}" for i in range(9, 29)),
-}
+# the classes whose complexes are contractible
+_CONTRACTIBLE = frozenset({"L1", "L3", "L6", "L8", "L13", "L14", "L18", "L22", "L26", "L28"})
 
 
 def is_collapsible(faces: Iterable[Codeword], budget: int = 200_000) -> Optional[bool]:
@@ -290,29 +285,23 @@ class ClassifiedNerve(NamedTuple):
     relabeling: tuple  # ((input vertex, reference label), ...) sorted by input vertex
     contractible: bool
 
-    def relabeling_dict(self) -> dict:
-        return dict(self.relabeling)
-
 
 def _build_class_table() -> Dict[frozenset, tuple]:
     """Every labeled complex on vertices 1..k (k <= 4), keyed by facet bitmasks.
 
     Bit i-1 of a mask stands for vertex i.  Each value is (class_id, images,
-    contractible), where images[i] is the reference label of vertex i+1.
-    Classes are walked in _CLASSES_BY_SIZE order and permutations in lex
-    order, and setdefault keeps the first hit, so every entry holds the
+    contractible), where images[i] is the reference label of vertex i+1 and
+    contractible is membership in _CONTRACTIBLE.  A key is one labeled
+    complex, which lies in one class only, so the order of the classes
+    does not matter.  Per class, permutations come in lex order and
+    setdefault keeps the first hit, so every entry holds the
     lexicographically least witness.
-
-    Contractibility per class comes from the collapse oracle, cross-checked
-    against GF(2) homology (_acyclic): collapsible implies acyclic, and on
-    at most four vertices acyclic implies collapsible, so any disagreement
-    means the oracle pipeline is broken and raises instead of guessing.
     """
     table: Dict[frozenset, tuple] = {}
-    for k, class_ids in _CLASSES_BY_SIZE.items():
-        # per permutation, every reference mask (bit r-1 for label r) mapped
-        # onto the input vertices that images sends to its labels
-        mask_maps = []
+    # per k and permutation, every reference mask (bit r-1 for label r)
+    # mapped onto the input vertices that images sends to its labels
+    mask_maps: Dict[int, list] = {k: [] for k in range(1, 5)}
+    for k, maps in mask_maps.items():
         for images in itertools.permutations(range(1, k + 1)):
             bit = [0] * k
             for v, r in enumerate(images):
@@ -321,19 +310,12 @@ def _build_class_table() -> Dict[frozenset, tuple]:
             for m in range(1, 1 << k):
                 low = m & -m
                 image[m] = image[m ^ low] | bit[low.bit_length() - 1]
-            mask_maps.append((images, image))
-        for class_id in class_ids:
-            masks = _pack(REFERENCE_COMPLEXES[class_id].facets).masks
-            faces = _faces(masks)
-            coll = is_collapsible(map(_positions, faces))
-            if coll is None or coll != _acyclic(faces):
-                raise AssertionError(
-                    f"contractibility oracle disagreement on {class_id}: "
-                    f"collapsible={coll}, acyclic={_acyclic(faces)}"
-                )
-            for images, image in mask_maps:
-                key = frozenset(map(image.__getitem__, masks))
-                table.setdefault(key, (class_id, images, coll))
+            maps.append((images, image))
+    for class_id, facets in _REF.items():
+        labels, masks = _pack(facets)
+        for images, image in mask_maps[len(labels)]:
+            key = frozenset(map(image.__getitem__, masks))
+            table.setdefault(key, (class_id, images, class_id in _CONTRACTIBLE))
     return table
 
 
@@ -344,27 +326,17 @@ def classify_small_complex(sc: SimplicialComplex) -> ClassifiedNerve:
     """Identify the L1..L28 class of a complex on 1..4 vertices.
 
     A lookup in a table of all labeled complexes on 1..4 vertices, built once
-    at import: the sorted input vertices are relabeled 1..k and the facet set
+    at import from the reference catalog and its literal set of contractible
+    classes: the sorted input vertices are relabeled 1..k and the facet set
     is the key.  The witness relabeling is the lexicographically least valid
     one (as the tuple of reference labels assigned to the sorted input
-    vertices).
+    vertices), and contractible is the class's entry in that set.
     """
     labels, masks = _pack(sc.facets)
     if not 1 <= len(labels) <= 4:
         raise ValueError(f"classification requires 1..4 vertices, got {len(labels)}")
-    hit = _CLASS_TABLE.get(frozenset(masks))
-    if hit is None:
-        raise AssertionError("complex matched no reference class; catalog is broken")
-    class_id, images, contractible = hit
+    class_id, images, contractible = _CLASS_TABLE[frozenset(masks)]
     return ClassifiedNerve(class_id, tuple(zip(labels, images)), contractible)
-
-
-def is_contractible_small(sc: SimplicialComplex) -> bool:
-    """Exact contractibility for complexes on at most four vertices.
-
-    Read from the same import-time table as classify_small_complex.
-    """
-    return classify_small_complex(sc).contractible
 
 
 def _strong_core(rows: list) -> list:
@@ -619,9 +591,6 @@ class PathOfFacetsWitness(NamedTuple):
     a: int
     b: int
     c: int
-
-    def as_tuple(self) -> tuple:
-        return tuple(self)
 
 
 def path_of_facets(f1: Codeword, f2: Codeword, f3: Codeword) -> Optional[PathOfFacetsWitness]:

@@ -3,8 +3,9 @@
 A sprocket is a combinatorial certificate of non-convexity: four faces
 (sigma1, sigma2, sigma3, tau) forming a partial wheel, plus two witness
 faces (rho1, rho3) whose trunk conditions force an actual wheel in every
-realization.  All predicates here are literal trunk/face computations over
-the code, so every reported candidate can be replayed independently.
+realization.  All predicates here are literal trunk computations over the
+code (a face is a set that some nonempty codeword holds), so every
+reported candidate can be replayed independently.
 """
 
 from __future__ import annotations
@@ -13,16 +14,7 @@ import itertools
 from functools import cached_property
 from typing import NamedTuple, Optional, Tuple
 
-from .codes import (
-    Codeword,
-    NeuralCode,
-    _indices,
-    _profile_relabeling,
-    format_word,
-    is_face,
-    maximal_codewords,
-    trunk,
-)
+from .codes import Codeword, NeuralCode, _indices, _profile_relabeling, format_word, trunk
 from .topology import CodeStructure, _occurrences, path_of_facets
 
 # not called here: kept importable because the benchmark tracer patches these names
@@ -37,14 +29,8 @@ class SprocketCandidate(NamedTuple):
     rho1: Codeword
     rho3: Codeword
 
-    def wheel_part(self) -> tuple:
-        return self[:4]
-
-    def words(self) -> tuple:
-        return tuple(self)
-
     def text(self) -> str:
-        sig = ",".join(format_word(w) for w in self.wheel_part())
+        sig = ",".join(format_word(w) for w in self[:4])
         rho = ",".join(format_word(w) for w in (self.rho1, self.rho3))
         return f"(({sig}), rho=({rho}))"
 
@@ -52,16 +38,18 @@ class SprocketCandidate(NamedTuple):
         return {name: sorted(word) for name, word in zip(self._fields, self)}
 
 
-def _check_wheel(code: NeuralCode, facets, s1, s2, s3, tau) -> Optional[str]:
+def _check_wheel(code: NeuralCode, s1, s2, s3, tau) -> Optional[str]:
+    # a set is a face iff some nonempty codeword holds it, that is iff its
+    # trunk holds a nonempty word (any() skips the empty one, which is falsy)
     u = s1 | s2 | s3
-    if not is_face(facets, u):
-        return "P(i)"
     tu = trunk(code, u)
+    if not any(tu):
+        return "P(i)"
     if trunk(code, s1 | s2) != tu or trunk(code, s1 | s3) != tu or trunk(code, s2 | s3) != tu:
         return "P(i)"
-    if is_face(facets, u | tau):
+    if any(trunk(code, u | tau)):
         return "P(ii)"
-    if not (is_face(facets, s1 | tau) and is_face(facets, s2 | tau) and is_face(facets, s3 | tau)):
+    if not all(any(trunk(code, sigma | tau)) for sigma in (s1, s2, s3)):
         return "P(iii)"
     return None
 
@@ -79,13 +67,12 @@ def _check_witnesses(code: NeuralCode, cand: SprocketCandidate) -> Optional[str]
     return None
 
 
-def _emits(code: NeuralCode, facets: list, cand: SprocketCandidate) -> bool:
-    """Whether the search may return cand: is_sprocket on the code, whose
-    facets are given, and _witnesses_cover_exactly.  These are the literal
-    frozenset trunk and face checks, so they replay the mask search
-    independently."""
+def _emits(code: NeuralCode, cand: SprocketCandidate) -> bool:
+    """Whether the search may return cand: is_sprocket on the code and
+    _witnesses_cover_exactly.  These are the literal frozenset trunk
+    checks, so they replay the mask search independently."""
     return (
-        _check_wheel(code, facets, cand.sigma1, cand.sigma2, cand.sigma3, cand.tau) is None
+        _check_wheel(code, *cand[:4]) is None
         and _check_witnesses(code, cand) is None
         and _witnesses_cover_exactly(code, cand)
     )
@@ -106,35 +93,18 @@ def _witnesses_cover_exactly(code: NeuralCode, cand: SprocketCandidate) -> bool:
     return trunk(code, cand.rho1) <= tk_tau and trunk(code, cand.rho3) <= tk_tau
 
 
-def is_partial_wheel(
-    code: NeuralCode, sigma1, sigma2, sigma3, tau
-) -> Tuple[bool, Optional[str]]:
-    """Check conditions P(i)-P(iii); report the first failure.
+def is_sprocket(code: NeuralCode, cand: SprocketCandidate) -> Tuple[bool, Optional[str]]:
+    """Partial-wheel conditions P(i)-P(iii) plus the trunk-witness
+    conditions S(1)-S(3).
 
     P(i): the union u of the sigmas is a face and every pairwise union has
     the same trunk as u.  P(ii): u with tau is not a face.  P(iii): each
-    sigma with tau is a face.  Non-faces are not errors, they just fail.
+    sigma with tau is a face.  A face is a set some nonempty codeword
+    holds; non-faces are not errors, they just fail.  Failure reports the
+    first broken condition in the order P(i), P(ii), P(iii), S(1), S(2),
+    S(3).
     """
-    failed = _check_wheel(
-        code,
-        maximal_codewords(code),
-        frozenset(sigma1),
-        frozenset(sigma2),
-        frozenset(sigma3),
-        frozenset(tau),
-    )
-    return (failed is None, failed)
-
-
-def is_sprocket(code: NeuralCode, cand: SprocketCandidate) -> Tuple[bool, Optional[str]]:
-    """Partial-wheel conditions plus the trunk-witness conditions S(1)-S(3).
-
-    Failure reports the first broken condition in the order P(i), P(ii),
-    P(iii), S(1), S(2), S(3).
-    """
-    failed = _check_wheel(
-        code, maximal_codewords(code), cand.sigma1, cand.sigma2, cand.sigma3, cand.tau
-    )
+    failed = _check_wheel(code, *cand[:4])
     if failed is None:
         failed = _check_witnesses(code, cand)
     return (failed is None, failed)
@@ -175,7 +145,7 @@ def _l24_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
         rho1=f1 & f2,
         rho3=f3 & f2,
     )
-    return cand if _emits(s.code, s.facets, cand) else None
+    return cand if _emits(s.code, cand) else None
 
 
 DEFAULT_BUDGET = 10**6
@@ -465,7 +435,7 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
         if common:
             stripped = NeuralCode(w - common for w in code.codewords)
             cand = _find_sprocket(CodeStructure(stripped), box)
-            if cand is not None and _emits(code, s.facets, cand):
+            if cand is not None and _emits(code, cand):
                 return cand
 
     if not s.missing:
@@ -548,7 +518,7 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
                     cand = SprocketCandidate(
                         words[i1], words[i2], words[i3], s.packed.word(tau), words[r1], words[r3]
                     )
-                    if not _emits(code, s.facets, cand):
+                    if not _emits(code, cand):
                         raise AssertionError("bitmask sprocket failed replay on the code")
                     return cand
         need = per_tau - done

@@ -6,7 +6,9 @@ face sets, and pointwise membership sampling with exact rationals.
 Nothing imports the package's classification table or the arrangement
 code under test, with the exceptions below.  Two reference searches reuse
 package data: the classification scan reads the L1..L28 reference catalog
-(not the lookup table built from it), and the sprocket search reuses the
+(not the lookup table built from it, nor its set of contractible classes;
+REFERENCE_COMPLEXES holds the catalog as complexes), and the sprocket
+search reuses the
 package's predicates (nerve classification, the canonical L24
 construction and is_sprocket) around the search loop it checks.  The
 face-enumerating nerve, the recursive collapse search and the link test
@@ -269,27 +271,35 @@ def reference_is_link_contractible(facets, sigma):
     return INDETERMINATE
 
 
+def _reference_complexes():
+    from convexcodes.topology import _REF, SimplicialComplex
+
+    return {name: SimplicialComplex(facets) for name, facets in _REF.items()}
+
+
+# the L1..L28 reference catalog of convexcodes.topology, one complex per class
+REFERENCE_COMPLEXES = _reference_complexes()
+
+
 def reference_classify_small_complex(sc):
     """Permutation-scan classification of a complex on 1..4 vertices.
 
     The loop convexcodes.topology.classify_small_complex replaced with a
-    table lookup: every reference class of the right size times every
-    relabeling in lex order, so the first hit is the least witness.
+    table lookup: every reference class on as many vertices as sc times
+    every relabeling in lex order, so the first hit is the least witness.
     Contractibility comes from contractible_small on the reference facets.
     """
-    from convexcodes.topology import (
-        _CLASSES_BY_SIZE,
-        REFERENCE_COMPLEXES,
-        ClassifiedNerve,
-    )
+    from convexcodes.topology import ClassifiedNerve
 
     verts = sorted(sc.vertices)
     k = len(verts)
     if not 1 <= k <= 4:
         raise ValueError(f"classification requires 1..4 vertices, got {k}")
     input_facets = frozenset(sc.facets)
-    for class_id in _CLASSES_BY_SIZE[k]:
-        ref = frozenset(REFERENCE_COMPLEXES[class_id].facets)
+    for class_id, reference in REFERENCE_COMPLEXES.items():
+        if len(reference.vertices) != k:
+            continue
+        ref = frozenset(reference.facets)
         for images in permutations(range(1, k + 1)):
             mapping = dict(zip(verts, images))
             mapped = frozenset(frozenset(mapping[v] for v in f) for f in input_facets)
@@ -700,7 +710,7 @@ def reference_find_sprocket(code, box):
                             cand = SprocketCandidate(s1, s2, s3, tau, r1, r3)
                             if check_witnesses(cand) is None:
                                 mapped = SprocketCandidate(
-                                    *(frozenset(inverse[i] for i in w) for w in cand.words())
+                                    *(frozenset(inverse[i] for i in w) for w in cand)
                                 )
                                 ok, _tag = is_sprocket(code, mapped)
                                 if not ok or not covers_exactly(code, mapped):

@@ -31,7 +31,6 @@ from convexcodes import (
     find_sprocket,
     format_code,
     has_local_obstruction,
-    is_contractible_small,
     is_link_contractible,
     is_max_intersection_complete,
     is_sprocket,
@@ -44,9 +43,8 @@ from convexcodes import (
     relabel,
     verify_realization,
 )
-from convexcodes.topology import REFERENCE_COMPLEXES
-
 import oracles
+from oracles import REFERENCE_COMPLEXES
 from conftest import fs
 from test_topology import all_complexes_on
 
@@ -69,7 +67,7 @@ class TestGoldenVerdicts:
         verdict, certs = timed_decide(c24)
         assert verdict is Verdict.NONCONVEX
         got = certs[0].candidate
-        assert got.wheel_part() == (fs("3"), fs("6"), fs("5"), fs("1"))
+        assert got[:4] == (fs("3"), fs("6"), fs("5"), fs("1"))
         assert (got.rho1, got.rho3) == (fs("12"), fs("14"))
 
     def test_both_square_nerve_codes_convex(self, c18a, c18b):
@@ -97,7 +95,7 @@ class TestIntersectionTables:
         assert got == {fs("1"), fs("12"), fs("14"), fs("3"), fs("6"), fs("5")}
 
     def test_minimal_code_is_fixed_point_of_benchmark(self, c24):
-        assert minimal_code(c24.facets()) == c24
+        assert minimal_code(maximal_codewords(c24)) == c24
 
     def test_minimal_code_closure(self):
         got = minimal_code([fs("134"), fs("1357"), fs("356")])
@@ -193,7 +191,7 @@ class TestFourVertexClassification:
             assert got.class_id in four_vertex_classes
             seen.add(got.class_id)
 
-            mapping = got.relabeling_dict()
+            mapping = dict(got.relabeling)
             relabeled = SimplicialComplex(
                 frozenset(mapping[v] for v in f) for f in family
             )
@@ -213,7 +211,7 @@ class TestContractibilityCrossCheck:
     def test_reference_table_matches_collapsibility_oracle(self):
         for name, sc in REFERENCE_COMPLEXES.items():
             expected = oracles.contractible_small(sc.facets)
-            assert is_contractible_small(sc) == expected, name
+            assert classify_small_complex(sc).contractible == expected, name
             if expected:
                 # contractible requires connected with Euler characteristic 1
                 assert oracles.is_connected(sc.facets), name
@@ -256,7 +254,7 @@ class TestFilledTriangleDichotomy:
                 continue
             # the relabeling witness names the triangle; the fourth facet
             # is the off-triangle vertex and never takes part
-            mapping = got.relabeling_dict()
+            mapping = dict(got.relabeling)
             triangle = [facets[i - 1] for i in sorted(mapping, key=mapping.get)[:3]]
             has_path = path_of_facets(*triangle) is not None
 
@@ -303,7 +301,7 @@ class TestRandomSoundness:
         rng = random.Random(20260815)
         for _ in range(10000):
             code = random_bounded_code(rng)
-            assert len(code.facets()) <= 4
+            assert len(maximal_codewords(code)) <= 4
             verdict, _ = decide(code, budget=2000)
 
             if has_local_obstruction(code) is not None:

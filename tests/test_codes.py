@@ -1,5 +1,7 @@
+import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -16,7 +18,13 @@ from convexcodes import (
     trunk,
 )
 from convexcodes.atlas import enumerate_facet_antichains
-from convexcodes.codes import _least_relabeling, is_face, sort_words, word_sort_key
+from convexcodes.codes import (
+    _CANONICAL_MAX_N,
+    CanonicalForm,
+    _least_relabeling,
+    sort_words,
+    word_sort_key,
+)
 from convexcodes.topology import minimal_code
 
 from conftest import fs
@@ -141,14 +149,20 @@ class TestTrunk:
 
 
 class TestIsFace:
+    """A set lies in a facet iff its trunk holds a nonempty codeword, which
+    is how the sprocket predicates read faces."""
+
     def test_non_face(self, c24):
-        assert not is_face(maximal_codewords(c24), fs("1356"))
+        assert not any(trunk(c24, fs("1356")))
+        assert not any(fs("1356") <= f for f in maximal_codewords(c24))
 
     def test_empty_face(self, c24):
-        assert is_face(maximal_codewords(c24), frozenset())
+        assert any(trunk(c24, frozenset()))
+        assert not any(trunk(NeuralCode([]), frozenset()))
 
     def test_face(self, c24):
-        assert is_face(maximal_codewords(c24), fs("16"))
+        assert any(trunk(c24, fs("16")))
+        assert any(fs("16") <= f for f in maximal_codewords(c24))
 
 
 class TestMaxIntersectionFaces:
@@ -211,7 +225,7 @@ class TestCanonicalize:
 
 
 class TestRelabel:
-    @pytest.mark.parametrize("perm", [(1, 1), (2, 3), (0, 1), (1, 2, 2)])
+    @pytest.mark.parametrize("perm", [(1, 1), (2, 3), (0, 1), (1, 2, 2), (1, 1.5), (2, "1")])
     def test_non_permutation_rejected(self, perm):
         # (1, 1) used to merge neurons 1 and 2 into the code {∅, {1}}
         with pytest.raises(ValueError, match="not a permutation"):
@@ -240,6 +254,27 @@ def _random_code(rng, n):
     return NeuralCode(words, n=n)
 
 
+def _masks(code):
+    """The codewords as the masks _least_relabeling takes, bit i - 1 for neuron i."""
+    return [sum(1 << (i - 1) for i in w) for w in code.codewords]
+
+
+def _support_reference(code):
+    """The exact canonical form from the n! scan on the support alone.
+
+    The support is renumbered 1..s in index order and scanned; declared
+    neurons outside it take the labels after s, in index order.
+    """
+    support = sorted(code.support())
+    rank = {i: k for k, i in enumerate(support, start=1)}
+    small = reference_canonicalize(NeuralCode({rank[i] for i in w} for w in code.codewords))
+    label = {i: small.permutation[rank[i] - 1] for i in support}
+    unused = [i for i in range(1, code.n + 1) if i not in rank]
+    label.update(zip(unused, itertools.count(len(support) + 1)))
+    perm = tuple(label[i] for i in range(1, code.n + 1))
+    return CanonicalForm(relabel(code, perm), perm, True)
+
+
 def _random_cells(rng, n):
     """A random ordered partition of 1..n."""
     neurons = list(range(1, n + 1))
@@ -262,10 +297,12 @@ class TestCanonicalizeAgainstReference:
             for _ in range(count):
                 code = _random_code(rng, n)
                 assert canonicalize(code) == reference_canonicalize(code), code
-                if n <= 7:
-                    cells = _random_cells(cell_rng, n)
-                    want = reference_canonicalize(code, cells=cells).permutation
-                    assert _least_relabeling(code, cells) == want, (code, cells)
+                # the masks know neurons up to the highest one used
+                top = NeuralCode(code.codewords)
+                if 1 <= top.n <= 7:
+                    cells = _random_cells(cell_rng, top.n)
+                    want = reference_canonicalize(top, cells=cells).permutation
+                    assert _least_relabeling(_masks(top), cells) == want, (top, cells)
                 checked += 1
                 support = code.support()
                 unused += len(support) < n
@@ -309,35 +346,71 @@ class TestCanonicalizeAgainstReference:
 
 
 class TestCanonicalizeAboveCap:
-    """Above 8 neurons the least relabeling is over its cap, and canonicalize
-    uses the support's profile relabeling: still one code per relabeling
-    class, with unused declared neurons on the last labels."""
+    """Above 8 used neurons the least relabeling is over its cap, and
+    canonicalize uses the support's profile relabeling: still one code per
+    relabeling class, with unused declared neurons on the last labels.  A
+    code declaring 9 or 10 neurons but using at most 8 stays exact."""
 
     def test_nine_and_ten_neurons_under_random_relabelings(self):
         rng = random.Random(9010)
-        checked = unused = 0
+        checked = unused = exact = 0
         for k in range(400):
             n = 9 + k % 2
             code = _random_code(rng, n)
             forms = set()
-            for _ in range(3):
+            for copy_index in range(3):
                 images = list(range(1, n + 1))
                 rng.shuffle(images)
                 copy = relabel(code, tuple(images))
                 out = canonicalize(copy)
-                assert out.exact is False
-                assert relabel(copy, out.permutation) == out.code
-                assert canonicalize(out.code) == (out.code, tuple(range(1, n + 1)), False)
-                relabeled, _inverse = reference_search_relabeling(copy)
-                assert out.code == NeuralCode(relabeled.codewords, n=n), copy
                 support = copy.support()
+                assert out.exact is (len(support) <= 8)
+                assert relabel(copy, out.permutation) == out.code
+                assert canonicalize(out.code) == (out.code, tuple(range(1, n + 1)), out.exact)
+                if not out.exact:
+                    relabeled, _inverse = reference_search_relabeling(copy)
+                    assert out.code == NeuralCode(relabeled.codewords, n=n), copy
+                elif copy_index == 0 and len(support) <= 7:
+                    assert out == _support_reference(copy), copy
                 spare = [out.permutation[i - 1] for i in range(1, n + 1) if i not in support]
                 assert spare == list(range(len(support) + 1, n + 1)), copy
                 forms.add(out.code)
             assert len(forms) == 1, code
             checked += 1
             unused += len(code.support()) < n
-        assert checked >= 300 and unused >= 50
+            exact += out.exact
+        assert checked >= 300 and unused >= 50 and exact >= 50
+
+
+class TestCanonicalizeLargeLabels:
+    """canonicalize packs the support, so label values cost nothing; only
+    the declared n, one permutation entry per neuron, is bounded."""
+
+    def test_sparse_support_is_exact(self):
+        code = NeuralCode([{10}, {2}, {1, 2, 5, 6, 10}, {8}], n=13)
+        out = canonicalize(code)
+        assert out.exact
+        assert format_code(out.code) == "1,2,3,12456"
+        assert out == _support_reference(code)
+
+    def test_random_sparse_supports(self):
+        rng = random.Random(1013)
+        for _ in range(150):
+            n = rng.randint(9, 40)
+            support = rng.sample(range(1, n + 1), rng.randint(1, 6))
+            words = [
+                {i for i in support if rng.random() < 0.4} for _ in range(rng.randint(1, 6))
+            ]
+            code = NeuralCode(words, n=n)
+            assert canonicalize(code) == _support_reference(code), code
+
+    @pytest.mark.parametrize("top", [_CANONICAL_MAX_N + 1, 10**7, 10**12])
+    def test_larger_n_refused_at_once(self, top):
+        # 10**7 took seconds and gigabytes, and 10**12 raised MemoryError
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="declared neurons"):
+            canonicalize(NeuralCode([{top}, {2, top}]))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestLeastRelabelingCells:
@@ -364,7 +437,7 @@ class TestLeastRelabelingCells:
             return sorted(map(word_sort_key, words)), tuple(images)
 
         want = min(option(*pair), option(*reversed(pair)))[1]
-        assert _least_relabeling(code, cells) == want
+        assert _least_relabeling(_masks(code), cells) == want
 
 
 def test_sort_words_deterministic():

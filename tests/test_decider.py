@@ -42,7 +42,7 @@ class TestDecideGoldens:
         assert verdict is Verdict.NONCONVEX
         assert [c.kind for c in certs] == ["L24MinimalPoFSprocket"]
         got = certs[0].candidate
-        assert got.wheel_part() == (fs("3"), fs("6"), fs("5"), fs("1"))
+        assert got[:4] == (fs("3"), fs("6"), fs("5"), fs("1"))
         assert (got.rho1, got.rho3) == (fs("12"), fs("14"))
 
     def test_single_facet(self):

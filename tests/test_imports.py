@@ -1,26 +1,36 @@
-"""Every module-level import in src/convexcodes is used by its module, and
-every module-level function or class is used somewhere in the package.
+"""src/convexcodes holds only what its callers use.
+
+Every module-level import is used by its module, and every module-level
+function or class, and every method of such a class, is used somewhere in
+the package.  Every name in the package's __all__ is read by the package
+or named by the README or the benchmark (perfbench/).
 
 Exempt from the import check are names listed in the module's __all__
 (re-exports), `from __future__` imports, and import blocks placed directly
 under the comment that keeps names importable for the benchmark tracer.
-Exempt from the definition check are the names in the package's __all__
-and the module hooks __getattr__ and __dir__, which Python calls itself
-(PEP 562).
+Exempt from the definition check are the names in the package's __all__,
+dunder methods, which Python calls itself, the module hooks __getattr__
+and __dir__ (PEP 562), and methods that a standard-library base calls
+(OVERRIDES).
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "convexcodes"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "convexcodes"
 TRACER_NOTE = "kept importable because the benchmark tracer patches these names"
 # read by Python on attribute access and dir() of the module, never by name
 MODULE_HOOKS = {"__getattr__", "__dir__"}
+# methods that override a standard-library base and are called by it:
+# argparse calls error() on a bad command line
+OVERRIDES = {"_Parser.error"}
 
 
 def _exported(tree) -> set:
@@ -83,24 +93,46 @@ def test_guard_catches_an_unused_import():
     assert unused_imports(source) == [(1, "os"), (3, "Dict"), (8, "pi")]
 
 
-def unused_definitions(sources: dict, exported: set) -> list:
-    """(module, line, name) of each module-level function or class that is
-    not exported and that no module reads, by name or as an attribute."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def _reads(trees) -> set:
+    """The names the modules read, by name or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unused_definitions(sources: dict, exported: set) -> list:
+    """(module, line, name) of each module-level function or class that is
+    not exported, and of each non-dunder method of a module-level class,
+    that no module reads, by name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _reads(trees.values())
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [
-        (module, node.lineno, node.name)
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, kinds) and node.name not in exported | read | MODULE_HOOKS
-    ]
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, kinds):
+                continue
+            if node.name not in exported | read | MODULE_HOOKS:
+                out.append((module, node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                out += [
+                    (module, item.lineno, f"{node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, kinds[:2])
+                    and not _is_dunder(item.name)
+                    and item.name not in read
+                    and f"{node.name}.{item.name}" not in OVERRIDES
+                ]
+    return out
 
 
 def test_no_unused_module_definitions():
@@ -119,6 +151,8 @@ def test_guard_catches_an_unused_definition():
             "class Used: pass\n"
             "class Unused:\n"
             "    def method(self): return helper()\n"
+            "    def __len__(self): return 0\n"
+            "    def read_method(self): return 0\n"
             "def __getattr__(name): pass\n"
             "def __dir__(): pass\n"
             "def __setattr__(name, value): pass\n"
@@ -129,11 +163,39 @@ def test_guard_catches_an_unused_definition():
             "def only_as_attribute(): pass\n"
             "x = Used()\n"
             "a.only_as_attribute\n"
+            "x.read_method()\n"
         ),
     }
     assert unused_definitions(sources, {"public"}) == [
-        ("a.py", 3, "dead"), ("a.py", 5, "Unused"), ("a.py", 9, "__setattr__"),
+        ("a.py", 3, "dead"), ("a.py", 5, "Unused"), ("a.py", 6, "Unused.method"),
+        ("a.py", 11, "__setattr__"),
     ]
+
+
+def unread_exports(exported: set, sources: dict, texts: list) -> list:
+    """The exported names that no source reads and no text names as a word."""
+    read = _reads(ast.parse(source) for source in sources.values())
+    return sorted(
+        name
+        for name in exported - read
+        if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)
+    )
+
+
+def test_exported_names_are_used():
+    """Each name in __all__ is read in src/ or named by the README or perfbench/."""
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    exported = _exported(ast.parse(sources["__init__.py"]))
+    texts = [(ROOT / "README.md").read_text()]
+    texts += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unread_exports(exported, sources, texts) == []
+
+
+def test_guard_catches_an_unread_export():
+    sources = {"a.py": "from .b import used\nused()\nb.attribute\n"}
+    exported = {"used", "attribute", "documented", "benchmarked", "unread", "documented_"}
+    texts = ["Call `documented` first.", "cc.benchmarked(code)", "documented_x unread_y"]
+    assert unread_exports(exported, sources, texts) == ["documented_", "unread"]
 
 
 COLD_DECIDE = """
@@ -182,3 +244,28 @@ def test_cli_import_loads_no_dataclasses():
     """The CLI imports every layer up front, and none of them loads dataclasses."""
     script = "import sys, convexcodes.cli; print('dataclasses' in sys.modules)"
     assert _run_cold(script) == ["False"]
+
+
+IMPORT_WORK = """
+import sys
+seen = set()
+
+def watch(frame, event, arg):
+    if event == "call":
+        seen.add(frame.f_code)
+
+sys.setprofile(watch)
+import convexcodes
+sys.setprofile(None)
+from convexcodes import topology
+checks = (topology.is_collapsible, topology._acyclic, topology.SimplicialComplex.__init__)
+print(sorted(f.__qualname__ for f in checks if f.__code__ in seen))
+print(hasattr(topology, "REFERENCE_COMPLEXES"))
+"""
+
+
+def test_import_runs_no_contractibility_check():
+    """The nerve catalog's contractible classes are a literal: importing the
+    package runs no collapse search, no homology and builds no
+    SimplicialComplex (tests/test_topology.py checks the literal)."""
+    assert _run_cold(IMPORT_WORK) == ["[]", "False"]

@@ -16,7 +16,7 @@ from convexcodes import (
     render_svg,
     verify_realization,
 )
-from convexcodes.realize import format_rational, parse_rational, validate
+from convexcodes.realize import format_rational, validate
 
 import oracles
 from conftest import (
@@ -34,7 +34,7 @@ def cells_left_to_right(r):
     out = []
     for a, b in zip(pts, pts[1:]):
         mid = (a + b) / 2
-        word = frozenset(k for k, iv in r.regions.items() if mid in iv)
+        word = frozenset(k for k, iv in r.regions.items() if iv.lo < mid < iv.hi)
         if word and (not out or out[-1] != word):
             out.append(word)
     return out
@@ -456,8 +456,10 @@ class TestSerialization:
         # serialized form is always numerator/denominator
         assert format_rational(Fraction(3, 7)) == "3/7"
         assert format_rational(Fraction(5)) == "5/1"
-        assert parse_rational("3/7") == Fraction(3, 7)
-        assert parse_rational("-4") == Fraction(-4)
+        doc = {"dimension": 1, "regions": [{"neuron": 1, "interval": ["-4", "3/7"]}]}
+        interval = realization_from_json(doc).regions[1]
+        assert (interval.lo, interval.hi) == (Fraction(-4), Fraction(3, 7))
+        assert interval.to_json() == ["-4/1", "3/7"]
 
     def test_json_shape(self, c18a):
         r, _ = build_realization(c18a)
@@ -507,6 +509,19 @@ class TestSerialization:
             '<svg xmlns="http://www.w3.org/2000/svg" width="60" height="60" '
             'viewBox="0 0 60 60">\n</svg>\n'
         )
+
+    @pytest.mark.parametrize("r, problem", [
+        (Realization(2, {1: Polygon([])}), "neuron 1: fewer than 3 vertices"),
+        (Realization(2, {1: Interval(0, 1)}), "neuron 1: region type does not match dimension"),
+        (Realization(1, {2: Polygon([(0, 0), (1, 0), (0, 1)])}),
+         "neuron 2: region type does not match dimension"),
+        (Realization(2, {1: Polygon(PENTAGRAM)}), "neuron 1: not strictly convex"),
+        (Realization(3, {}), "dimension 3 unsupported"),
+    ], ids=["no-vertices", "interval-in-2d", "polygon-in-1d", "star", "dimension-3"])
+    def test_svg_refuses_what_validate_refuses(self, r, problem):
+        # these raised ZeroDivisionError or AttributeError, or drew a star
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            render_svg(r)
 
     def test_svg_smoke(self, c22):
         r, _ = build_realization(c22)

@@ -20,7 +20,6 @@ from convexcodes import (
     classify_small_complex,
     decide,
     has_local_obstruction,
-    is_contractible_small,
     is_link_contractible,
     mandatory_faces,
     maximal_codewords,
@@ -31,8 +30,10 @@ from convexcodes import (
 )
 import convexcodes.codes
 import convexcodes.topology
+from convexcodes.codes import _pack
 from convexcodes.topology import (
-    REFERENCE_COMPLEXES,
+    _CONTRACTIBLE,
+    _REF,
     CodeStructure,
     _acyclic,
     _faces,
@@ -41,6 +42,7 @@ from convexcodes.topology import (
 )
 
 import oracles
+from oracles import REFERENCE_COMPLEXES
 from conftest import collapse_family, fs
 
 
@@ -169,7 +171,7 @@ class TestClassify:
     def test_relabeling_witness_replays(self, c22):
         sc = nerve(facets_of(c22))
         got = classify_small_complex(sc)
-        mapping = got.relabeling_dict()
+        mapping = dict(got.relabeling)
         relabeled = SimplicialComplex(
             frozenset(mapping[v] for v in f) for f in sc.facets
         )
@@ -182,23 +184,40 @@ class TestClassify:
 
 
 class TestContractibleSmall:
+    """The contractibility bit of the class table, read through
+    classify_small_complex, and the literal set of contractible classes it
+    comes from."""
+
     def test_point(self):
-        assert is_contractible_small(SimplicialComplex([fs("1")]))
+        assert classify_small_complex(SimplicialComplex([fs("1")])).contractible
 
     def test_two_points(self):
-        assert not is_contractible_small(SimplicialComplex([fs("1"), fs("2")]))
+        assert not classify_small_complex(SimplicialComplex([fs("1"), fs("2")])).contractible
 
     def test_path_on_three(self):
-        assert is_contractible_small(SimplicialComplex([fs("12"), fs("23")]))
+        assert classify_small_complex(SimplicialComplex([fs("12"), fs("23")])).contractible
 
     def test_table_matches_collapsibility_oracle(self):
         """Every reference class agrees with the independent oracle."""
         for name, sc in REFERENCE_COMPLEXES.items():
             expected = oracles.contractible_small(sc.facets)
-            assert is_contractible_small(sc) == expected, name
-            if is_contractible_small(sc):
+            got = classify_small_complex(sc)
+            assert (got.class_id, got.contractible) == (name, expected), name
+            if got.contractible:
                 assert oracles.is_connected(sc.facets)
                 assert oracles.euler_characteristic(sc.facets) == 1
+
+    def test_contractible_literal_matches_collapse_and_homology(self):
+        """The literal set the import reads in place of running the checks:
+        on each of the 28 classes, membership equals the package's collapse
+        search, its GF(2) homology test and the oracle, which agree."""
+        assert len(_REF) == 28 and _CONTRACTIBLE <= set(_REF)
+        for name, facets in _REF.items():
+            faces = _faces(_pack(facets).masks)
+            collapsible = is_collapsible(map(_positions, faces))
+            assert collapsible is (name in _CONTRACTIBLE), name
+            assert _acyclic(faces) is collapsible, name
+            assert oracles.contractible_small(facets) is collapsible, name
 
     def test_internal_collapse_search_agrees_with_oracle(self):
         # is_collapsible consumes the full face set, not the facet antichain
@@ -424,13 +443,14 @@ class TestLabelsAreNotCosts:
             assert self._unshift(got) == want, call.__name__
 
     def test_canonicalize_far_labels(self):
-        # the relabeling cap is judged without factorial(n) of the declared n
+        # the relabeling search runs on the packed support, not on the
+        # declared n: these 8 used neurons get the exact form
         code = minimal_code(collapse_family(6))
         far = NeuralCode(_shifted(code.codewords, 10**6))
         start = time.perf_counter()
         out = canonicalize(far)
         assert time.perf_counter() - start < 1.0
-        assert out.exact is False
+        assert len(far.support()) == 8 and out.exact is True
         assert out.code.codewords == canonicalize(code).code.codewords
         assert relabel(far, out.permutation) == out.code
 
@@ -505,11 +525,11 @@ class TestLocalObstruction:
 class TestPathOfFacets:
     def test_c24_triangle(self):
         w = path_of_facets(fs("123"), fs("1246"), fs("145"))
-        assert w.as_tuple() == (1, 2, 3)
+        assert tuple(w) == (1, 2, 3)
 
     def test_c22_triangle(self):
         w = path_of_facets(fs("134"), fs("1357"), fs("356"))
-        assert w.as_tuple() == (1, 2, 3)
+        assert tuple(w) == (1, 2, 3)
 
     def test_no_witness(self):
         assert path_of_facets(fs("12"), fs("13"), fs("23")) is None
@@ -533,7 +553,7 @@ class TestPathOfFacets:
             if w is None:
                 continue
             trio = (f1, f2, f3)
-            a, b, c = (trio[i - 1] for i in w.as_tuple())
+            a, b, c = (trio[i - 1] for i in w)
             assert (a & b) - c
             assert (b & c) - a
             assert not (a & c) - b
@@ -661,7 +681,7 @@ class TestHomologyDecidesLinks:
             acyclic = _acyclic(faces)
             assert acyclic == oracles.is_acyclic_gf2(facets), facets
             if len(frozenset().union(*facets)) <= 4:
-                assert acyclic == is_contractible_small(SimplicialComplex(facets)), facets
+                assert acyclic == classify_small_complex(SimplicialComplex(facets)).contractible, facets
             if acyclic:
                 assert is_collapsible(map(_positions, faces)), facets
             checked += 1

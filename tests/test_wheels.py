@@ -17,7 +17,6 @@ from convexcodes import (
     canonicalize,
     decide,
     find_sprocket,
-    is_partial_wheel,
     is_sprocket,
     minimal_code,
     parse_code,
@@ -48,19 +47,33 @@ def cand(s1, s2, s3, tau, r1, r3):
     return SprocketCandidate(fs(s1), fs(s2), fs(s3), fs(tau), fs(r1), fs(r3))
 
 
+def partial_wheel(code, s1, s2, s3, tau):
+    """(P(i)-P(iii) hold, the first that fails) as is_sprocket reports them:
+    it checks the P conditions first, so its label is a P label exactly
+    when one fails.  The witnesses are empty, which S(1)-S(3) may refuse."""
+    _ok, tag = is_sprocket(code, SprocketCandidate(s1, s2, s3, tau, EMPTY, EMPTY))
+    failed = tag if tag is not None and tag.startswith("P") else None
+    return failed is None, failed
+
+
 class TestPartialWheel:
     def test_c24_wheel(self, c24):
-        ok, tag = is_partial_wheel(c24, fs("3"), fs("6"), fs("5"), fs("1"))
+        ok, tag = partial_wheel(c24, fs("3"), fs("6"), fs("5"), fs("1"))
         assert ok and tag is None
 
     def test_c24_bad_spoke(self, c24):
         # {2,5} sits inside no facet, so the third spoke is not a face
-        ok, tag = is_partial_wheel(c24, fs("3"), fs("6"), fs("5"), fs("2"))
+        ok, tag = partial_wheel(c24, fs("3"), fs("6"), fs("5"), fs("2"))
         assert not ok and tag == "P(iii)"
 
     def test_c24_empty_tau(self, c24):
-        ok, tag = is_partial_wheel(c24, fs("3"), fs("6"), fs("5"), frozenset())
+        ok, tag = partial_wheel(c24, fs("3"), fs("6"), fs("5"), frozenset())
         assert not ok and tag == "P(ii)"
+
+    def test_empty_candidate(self):
+        # the empty set is a face iff some codeword is nonempty
+        assert is_sprocket(NeuralCode([]), SprocketCandidate(*[EMPTY] * 6)) == (False, "P(i)")
+        assert is_sprocket(parse_code("1"), SprocketCandidate(*[EMPTY] * 6)) == (False, "P(ii)")
 
 
 class TestSprocket:
@@ -80,7 +93,7 @@ class TestSprocket:
         for code in (c24, w3, d28):
             got = find_sprocket(code)
             assert got is not None
-            assert is_partial_wheel(code, *got.wheel_part())[0]
+            assert partial_wheel(code, *got[:4])[0]
             assert is_sprocket(code, got)[0]
 
 
@@ -112,7 +125,7 @@ class TestCanonicalL24Sprocket:
             got = classify_small_complex(sc)
             if got.class_id != "L24":
                 continue
-            mapping = got.relabeling_dict()
+            mapping = dict(got.relabeling)
             triangle = [facets[i - 1] for i in sorted(mapping, key=mapping.get)[:3]]
             if path_of_facets(*triangle) is None:
                 continue
@@ -199,7 +212,7 @@ class TestSprocketEquivariance:
             p = tuple(perm)
             mapped_code = relabel(c24, p)
             mapped_cand = SprocketCandidate(
-                *(relabel_word(w, p) for w in base.words())
+                *(relabel_word(w, p) for w in base)
             )
             assert is_sprocket(mapped_code, mapped_cand) == is_sprocket(c24, base)
 
@@ -268,7 +281,7 @@ def _run(search, code, budget):
     box = [budget]
     # the bitmask search reads the code's structure, the reference the code
     got = search(CodeStructure(code) if search is _find_sprocket else code, box)
-    return (None if got is None else got.words()), box[0]
+    return (None if got is None else tuple(got)), box[0]
 
 
 def _outcomes(code) -> list:
