@@ -27,7 +27,6 @@ is emitted that cannot be verified.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..codes import Codeword, NeuralCode, word_sort_key
@@ -53,7 +52,7 @@ def _chain(cells: List[Codeword]) -> Realization:
         idxs = [i for i, cell in enumerate(cells) if neuron in cell]
         if idxs[-1] - idxs[0] + 1 != len(idxs):
             raise AssertionError(f"chain cells for neuron {neuron} are not contiguous")
-        regions[neuron] = Interval(Fraction(idxs[0]), Fraction(idxs[-1] + 1))
+        regions[neuron] = Interval(idxs[0], idxs[-1] + 1)
     return Realization(dimension=1, regions=regions)
 
 
@@ -307,13 +306,6 @@ def _l22_case3(f1, f4, shared, base_tag) -> Optional[Tuple[Realization, str]]:
 
 # --- disconnected nerves: build pieces, translate into disjoint boxes ---
 
-def _shift_interval(iv: Interval, dx: Fraction) -> Interval:
-    return Interval(iv.lo + dx, iv.hi + dx)
-
-def _shift_polygon(poly: Polygon, dx: Fraction) -> Polygon:
-    return Polygon((x + dx, y) for x, y in poly.vertices)
-
-
 def _glue(components: list) -> Optional[Tuple[Realization, str]]:
     # Each component of a CONVEX code decides CONVEX too: the decomposition
     # branch demands it, and every other CONVEX branch holds per component,
@@ -327,7 +319,7 @@ def _glue(components: list) -> Optional[Tuple[Realization, str]]:
         pieces.append(built)
     dimension = 2 if any(r.dimension == 2 for r, _tag in pieces) else 1
     regions: Dict[int, object] = {}
-    offset = Fraction(0)
+    offset = 0
     for piece, _tag in pieces:
         rs = piece.regions
         if dimension == 2 and piece.dimension == 1:
@@ -336,12 +328,12 @@ def _glue(components: list) -> Optional[Tuple[Realization, str]]:
             lo = min(iv.lo for iv in rs.values())
             hi = max(iv.hi for iv in rs.values())
             dx = offset - lo
-            regions.update({k: _shift_interval(iv, dx) for k, iv in rs.items()})
+            regions.update({k: Interval(iv.lo + dx, iv.hi + dx) for k, iv in rs.items()})
         else:
             lo = min(x for poly in rs.values() for x, _y in poly.vertices)
             hi = max(x for poly in rs.values() for x, _y in poly.vertices)
             dx = offset - lo
-            regions.update({k: _shift_polygon(poly, dx) for k, poly in rs.items()})
+            regions.update({k: Polygon((x + dx, y) for x, y in poly.vertices) for k, poly in rs.items()})
         offset += (hi - lo) + 1
     tag = "DisconnectedGlue(" + ",".join(tag for _r, tag in pieces) + ")"
     return (Realization(dimension=dimension, regions=regions), tag)

@@ -4,21 +4,22 @@ Coordinates are rational (fractions.Fraction) in the public types and in
 JSON; there is no floating point and no epsilon anywhere.  Codeword
 membership is a strict open-set predicate, so an approximate point on a
 boundary would corrupt the generated code; exact arithmetic makes the
-boundary cases exact instead.  Validation, region signatures and the
-arrangement sampler read each polygon in one scaled integer form,
-Polygon.integer_form: (q, vertices × q), q the least common denominator
-of its coordinates.  Scaling by q > 0 keeps every sign, so each test on
-those integers is the same exact test as on the rationals.
+boundary cases exact instead.  Validation, the pattern cache and both
+samplers read each region in one scaled integer form, integer_form:
+(q, ends × q) for an interval and (q, vertices × q) for a polygon, q the
+least common denominator of its coordinates.  Scaling by q > 0 keeps
+every sign, so each test on those integers is the same exact test as on
+the rationals.
 
-The generated-code computation for dimension 2 samples one point per face
-of the line arrangement spanned by all polygon edges.  Every face is
-constant with respect to every open polygon (polygon boundaries are
-arrangement lines), so the sample's membership vector is the face's
-codeword.  The sample set is column-based: candidate x values are the
-arrangement vertex abscissas plus vertical-line abscissas, refined by
-slab midpoints and outer points; per column, candidate y values are the
-line crossings refined the same way.  Each cell, edge, and vertex of the
-arrangement receives at least one sample by construction.
+One routine reads a line: it sweeps the ends of the open intervals on
+it in order, which gives the membership pattern on each end and in each
+gap between ends, so every pattern along the line.  That is the whole
+1-D code.  In 2-D the plane is swept column by column.  The columns are
+the abscissas of the crossings of the polygons' edge lines, the midpoint
+of each gap between them and a point past either end, so every face of
+the line arrangement meets a column.  On a column each convex polygon is
+one open interval or absent, so the line routine gives the column's
+patterns, and the columns together give the code.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, NamedTuple, Tuple, Union
 
-from ..codes import NeuralCode, _Frozen
+from ..codes import NeuralCode, _Frozen, sort_words
 
 
 def format_rational(x: Fraction) -> str:
@@ -48,6 +49,14 @@ class Interval(_Frozen):
         object.__setattr__(self, "lo", Fraction(lo))
         object.__setattr__(self, "hi", Fraction(hi))
 
+    @functools.cached_property
+    def integer_form(self) -> Tuple[int, tuple]:
+        """(q, (lo × q, hi × q)), q the least common denominator of the ends;
+        like Polygon.integer_form, not a field."""
+        lo, hi = self.lo, self.hi
+        q = lcm(lo.denominator, hi.denominator)
+        return q, (lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator))
+
     def to_json(self) -> list:
         return [format_rational(self.lo), format_rational(self.hi)]
 
@@ -64,16 +73,22 @@ class Polygon(_Frozen):
 
     @functools.cached_property
     def integer_form(self) -> Tuple[int, tuple]:
-        """(q, vertices × q), q the least common denominator of the coordinates.
+        """(q, vertices × q), q the least common denominator of the
+        coordinates, without repeats: a vertex equal to the one before it,
+        or a last vertex equal to the first, is dropped.
 
         Computed once per polygon; it is not a field, so equality, hashing,
         repr and JSON read only the Fraction vertices.
         """
         q = lcm(*(c.denominator for v in self.vertices for c in v))
-        return q, tuple(
-            (x.numerator * (q // x.denominator), y.numerator * (q // y.denominator))
-            for x, y in self.vertices
-        )
+        points = []
+        for x, y in self.vertices:
+            point = (x.numerator * (q // x.denominator), y.numerator * (q // y.denominator))
+            if not points or point != points[-1]:
+                points.append(point)
+        if len(points) > 1 and points[0] == points[-1]:
+            points.pop()
+        return q, tuple(points)
 
     def to_json(self) -> list:
         return [[format_rational(x), format_rational(y)] for x, y in self.vertices]
@@ -87,6 +102,11 @@ class Realization(NamedTuple):
     regions: dict  # neuron -> Region
 
     def to_json(self) -> dict:
+        """The document realization_from_json reads back; ValueError on a
+        neuron index that is not a positive integer, which it cannot hold."""
+        for neuron in self.regions:
+            if not _is_neuron(neuron):
+                raise ValueError(f"neuron index must be a positive integer, got {neuron!r}")
         rows = []
         for neuron in sorted(self.regions):
             region = self.regions[neuron]
@@ -159,16 +179,6 @@ def realization_from_json(doc) -> Realization:
     return Realization(dimension=dimension, regions=regions)
 
 
-def _dedup_vertices(vs: tuple) -> tuple:
-    out = []
-    for v in vs:
-        if not out or v != out[-1]:
-            out.append(v)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return tuple(out)
-
-
 def _edges(points: tuple) -> list:
     """(a, b, c) per edge of the closed integer path: a point (x, y) lies
     strictly left of the edge iff a*x + b*y > c."""
@@ -204,61 +214,48 @@ def _convexity_problem(points: tuple) -> str:
     return ""
 
 
+def _is_neuron(key) -> bool:
+    # bool is an int subclass, and realization_from_json refuses true as a neuron
+    return type(key) is int and key > 0
+
+
 def validate(r: Realization) -> list:
-    """Invariant violations as human-readable strings; empty when valid."""
-    problems = []
-    if r.dimension not in (1, 2):
-        problems.append(f"dimension {r.dimension} unsupported")
-        return problems
-    for neuron in sorted(r.regions):
+    """Invariant violations as human-readable strings; empty when valid.
+
+    As realization_from_json does, it refuses a dimension or neuron index
+    that is not an int (a bool is not one) and a neuron index below 1.
+    """
+    if type(r.dimension) is not int or r.dimension not in (1, 2):
+        return [f"dimension {r.dimension!r} unsupported"]
+    problems = [
+        f"neuron {key!r}: index is not a positive integer"
+        for key in r.regions if not _is_neuron(key)
+    ]
+    for neuron in sorted(filter(_is_neuron, r.regions)):
         region = r.regions[neuron]
-        if r.dimension == 1:
-            if not isinstance(region, Interval):
-                problems.append(f"neuron {neuron}: region type does not match dimension")
-            elif not (region.lo.numerator * region.hi.denominator
-                      < region.hi.numerator * region.lo.denominator):
-                problems.append(f"neuron {neuron}: empty interval")
-            continue
-        if not isinstance(region, Polygon):
+        if not isinstance(region, Interval if r.dimension == 1 else Polygon):
             problems.append(f"neuron {neuron}: region type does not match dimension")
             continue
-        points = _dedup_vertices(region.integer_form[1])
-        if len(points) < 3:
-            problems.append(f"neuron {neuron}: fewer than 3 vertices")
-            continue
-        problem = _convexity_problem(points)
+        scaled = region.integer_form[1]
+        if r.dimension == 1:
+            problem = "empty interval" if scaled[0] >= scaled[1] else ""
+        elif len(scaled) < 3:
+            problem = "fewer than 3 vertices"
+        else:
+            problem = _convexity_problem(scaled)
         if problem:
             problems.append(f"neuron {neuron}: {problem}")
     return problems
 
 
-def _refine(values: list, one) -> list:
-    """Twice each of: the distinct values in order, the midpoint of each
-    consecutive pair, and a point one past either end.
-
-    Doubling keeps the midpoints of integer numerators integral; one is the
-    numerator of 1 over their common denominator.
-    """
-    if not values:
-        return [0]
-    vs = sorted(set(values))
-    out = [2 * (vs[0] - one)]
-    for a, b in zip(vs, vs[1:]):
-        out.append(2 * a)
-        out.append(a + b)
-    out.append(2 * vs[-1])
-    out.append(2 * (vs[-1] + one))
-    return out
-
-
-def _halfplanes(q: int, scaled: tuple) -> list:
+def _halfplanes(q: int, points: tuple) -> list:
     """Primitive (a, b, c) per edge of a polygon in integer form: a point
     (x, y) of the plane lies strictly left of the edge iff a*x + b*y > c.
 
     An edge (a, b, c) of the scaled vertices bounds a*q*x + b*q*y > c.
     """
     out = []
-    for a, b, c in _edges(_dedup_vertices(scaled)):
+    for a, b, c in _edges(points):
         a, b = a * q, b * q
         g = gcd(a, b, c)
         out.append((a // g, b // g, c // g))
@@ -275,82 +272,93 @@ def _edge_lines(halfplanes: Iterable[list]) -> list:
     return sorted(lines)
 
 
-def _region_signature(region: Region) -> tuple:
-    """Ints that determine the region, so equal regions share one signature."""
-    if isinstance(region, Interval):
-        lo, hi = region.lo, region.hi
-        return ("I", lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-    return ("P",) + region.integer_form
+def _patterns_on_line(ends: list) -> set:
+    """Membership words along a line cut by the open intervals (bit, lo,
+    hi): the word on each end and in each gap between ends, and 0 past
+    them all.  A word has the bit of each interval its points lie in."""
+    opens: Dict[int, int] = {}
+    closes: Dict[int, int] = {}
+    for bit, lo, hi in ends:
+        opens[lo] = opens.get(lo, 0) | bit
+        closes[hi] = closes.get(hi, 0) | bit
+    word, words = 0, {0}
+    for t in sorted(opens.keys() | closes.keys()):
+        word &= ~closes.get(t, 0)  # t itself lies in no interval ending at t
+        words.add(word)
+        word |= opens.get(t, 0)  # just right of t, those starting at t hold
+        words.add(word)
+    return words
 
 
-def _patterns_1d(bounds: List[tuple]) -> frozenset:
-    """Membership patterns of the intervals given by the numerators and
-    denominators of their ends, sampled over one common denominator."""
-    d = lcm(*(den for _ln, ld, _hn, hd in bounds for den in (ld, hd)))
-    ends = [(ln * (d // ld), hn * (d // hd)) for ln, ld, hn, hd in bounds]
-    patterns = set()
-    for x2 in _refine([e for pair in ends for e in pair], d):
-        patterns.add(frozenset(i for i, (lo, hi) in enumerate(ends) if 2 * lo < x2 < 2 * hi))
-    return frozenset(patterns)
-
-
-def _patterns_2d(forms: List[tuple]) -> frozenset:
-    """Membership patterns over all faces of the edge-line arrangement of
-    the polygons given in integer form (q, vertices × q).
-
-    In the column x = px/qx, a line with b != 0 crosses at
-    (c*qx - a*px)/(b*qx), which is an integer numerator over big*qx, big
-    the lcm of those |b|.  So a column's samples are y = y2/den with
-    integer y2 and den = 2*big*qx, and the sample lies strictly inside a
-    polygon iff, for every edge half-plane a*x + b*y > c, multiplied by
-    qx*den > 0: (a*px - c*qx)*den + b*qx*y2 > 0.  Everything but y2 is
-    fixed per column.
-    """
-    halfplanes = [_halfplanes(q, scaled) for q, scaled in forms]
-    lines = _edge_lines(halfplanes)
-    big = lcm(*(b for _a, b, _c in lines if b))
-    crossings = [(a, c, big // b) for a, b, c in lines if b]
-
-    xs = []
-    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(lines, 2):
-        det = a1 * b2 - a2 * b1
-        if det:
-            xs.append(Fraction(c1 * b2 - c2 * b1, det))
-    xs.extend(Fraction(c, a) for a, b, c in lines if b == 0)
-
-    words = set()  # bit i set: the sample lies inside polygon i
-    for x2 in _refine(xs, 1):
-        px, qx = x2.numerator, 2 * x2.denominator
-        scale = big * qx
-        den = 2 * scale
-        column = [[((a * px - c * qx) * den, b * qx) for a, b, c in hp] for hp in halfplanes]
-        for y2 in _refine([(c * qx - a * px) * k for a, c, k in crossings], scale):
-            word = 0
-            for idx, edges in enumerate(column):
-                for u, v in edges:
-                    if u + v * y2 <= 0:
-                        break
-                else:
-                    word |= 1 << idx
-            words.add(word)
-    return frozenset(
-        frozenset(idx for idx in range(len(forms)) if word >> idx & 1) for word in words
+def _patterns_1d(forms: List[tuple]) -> set:
+    """Membership words (bit i set: inside interval i) of the intervals
+    given in integer form (q, ends × q)."""
+    d = lcm(*(q for q, _ends in forms))
+    return _patterns_on_line(
+        [(1 << i, lo * (d // q), hi * (d // q)) for i, (q, (lo, hi)) in enumerate(forms)]
     )
 
 
+def _patterns_2d(forms: List[tuple]) -> set:
+    """Membership words (bit i set: inside polygon i) over all faces of the
+    edge-line arrangement of the polygons given in integer form.
+
+    The columns are the abscissas of the pairwise crossings of the edge
+    lines (a vertical edge holds two vertices, so its line is among them),
+    each gap's midpoint and a point past either end.  In the column
+    x = px/qx, a line a*x + b*y = c with b != 0 crosses at
+    (c*qx - a*px)/(b*qx), an integer numerator over big*qx, big the lcm
+    of those |b|.  A polygon meets the column strictly between its least
+    and greatest vertex abscissa, in the interval above its lower edges
+    (b > 0) and below its upper edges (b < 0).
+    """
+    halfplanes = [_halfplanes(q, points) for q, points in forms]
+    lines = _edge_lines(halfplanes)
+    big = lcm(*(b for _a, b, _c in lines if b))
+    polygons = [
+        (q, min(x for x, _y in points), max(x for x, _y in points),
+         [(a, c, big // b) for a, b, c in hp if b > 0],
+         [(a, c, big // b) for a, b, c in hp if b < 0])
+        for (q, points), hp in zip(forms, halfplanes)
+    ]
+
+    crossings = set()
+    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(lines, 2):
+        det = a1 * b2 - a2 * b1
+        if det:
+            crossings.add(Fraction(c1 * b2 - c2 * b1, det))
+    xs = sorted(crossings)
+    columns = [xs[0] - 1, xs[-1], xs[-1] + 1]
+    for x0, x1 in zip(xs, xs[1:]):
+        columns += [x0, (x0 + x1) / 2]
+
+    words = set()
+    for x in columns:
+        px, qx = x.numerator, x.denominator
+        ends = []
+        for i, (q, left, right, lower, upper) in enumerate(polygons):
+            if left * qx < px * q < right * qx:
+                lo = max((c * qx - a * px) * k for a, c, k in lower)
+                hi = min((c * qx - a * px) * k for a, c, k in upper)
+                ends.append((1 << i, lo, hi))
+        words |= _patterns_on_line(ends)
+    return words
+
+
 # Membership patterns depend only on the distinct regions, so they are
-# memoized by region signatures; neurons sharing a region are reattached
-# afterwards.  The bound keeps a long-running process from growing without
-# limit while holding the few dozen arrangements a batch of realizations
-# typically revisits.
+# memoized by the regions' integer forms; neurons sharing a region are
+# reattached afterwards.  The bound keeps a long-running process from
+# growing without limit while holding the few dozen arrangements a batch
+# of realizations typically revisits.
 _PATTERN_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_PATTERN_CACHE_SIZE)
-def _patterns(dimension: int, signatures: tuple) -> frozenset:
-    """Membership patterns of the distinct regions named by signatures."""
-    patterns_of = _patterns_1d if dimension == 1 else _patterns_2d
-    return patterns_of([signature[1:] for signature in signatures])
+def _patterns(dimension: int, forms: tuple) -> frozenset:
+    """Membership patterns, as sets of indices into forms, of the distinct
+    regions given in integer form."""
+    words = (_patterns_1d if dimension == 1 else _patterns_2d)(forms)
+    return frozenset(frozenset(i for i in range(len(forms)) if word >> i & 1) for word in words)
 
 
 def code_of_realization(r: Realization) -> NeuralCode:
@@ -370,20 +378,19 @@ def code_of_realization(r: Realization) -> NeuralCode:
 
 def _code_of_valid(r: Realization) -> NeuralCode:
     """code_of_realization on regions that validate already passed."""
-    neurons = sorted(r.regions)
-    if not neurons:
+    if not r.regions:
         return NeuralCode({frozenset()})
 
     groups: Dict[tuple, list] = {}
-    for neuron in neurons:
-        groups.setdefault(_region_signature(r.regions[neuron]), []).append(neuron)
-    signatures = sorted(groups)
+    for neuron, region in r.regions.items():
+        groups.setdefault(region.integer_form, []).append(neuron)
+    forms = sorted(groups)
 
     words = {frozenset()}
-    for pattern in _patterns(r.dimension, tuple(signatures)):
+    for pattern in _patterns(r.dimension, tuple(forms)):
         word = set()
         for idx in pattern:
-            word.update(groups[signatures[idx]])
+            word.update(groups[forms[idx]])
         words.add(frozenset(word))
     return NeuralCode(words)
 
@@ -406,8 +413,6 @@ class VerifyDiff(NamedTuple):
 
 def verify_realization(r: Realization, target: NeuralCode) -> Tuple[bool, VerifyDiff]:
     """True iff the regions are valid and generate exactly the target code."""
-    from ..codes import sort_words
-
     problems = validate(r)
     if problems:
         return (False, VerifyDiff((), (), tuple(problems)))

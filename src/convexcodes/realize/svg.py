@@ -16,6 +16,9 @@ _PALETTE = [
 
 _SCALE = 40.0
 _PAD = 30.0
+# floats carry the drawing: up to this they hold each coordinate to well
+# under a pixel, and far past it float() overflows
+_MAX_COORDINATE = 10**12
 
 
 def _color(i: int) -> str:
@@ -24,13 +27,21 @@ def _color(i: int) -> str:
 
 def render_svg(realization: Realization) -> str:
     """The SVG text of a valid realization; ValueError naming the problems
-    that validate finds otherwise."""
+    that validate finds otherwise, or when a coordinate exceeds 10**12 in
+    magnitude."""
     problems = validate(realization)
     if problems:
         raise ValueError("invalid realization: " + "; ".join(problems))
+    regions = realization.regions.values()
     if realization.dimension == 1:
-        return _render_1d(realization)
-    return _render_2d(realization)
+        coordinates = [c for iv in regions for c in (iv.lo, iv.hi)]
+        draw = _render_1d
+    else:
+        coordinates = [c for poly in regions for v in poly.vertices for c in v]
+        draw = _render_2d
+    if any(abs(c) > _MAX_COORDINATE for c in coordinates):
+        raise ValueError(f"a coordinate exceeds {_MAX_COORDINATE:.0e} in magnitude, too far to draw")
+    return draw(realization)
 
 
 def _render_1d(r: Realization) -> str:

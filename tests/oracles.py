@@ -22,11 +22,14 @@ codeword order.  The facet scan and the max-intersection closure are the
 frozenset versions that the mask routines of codes replaced, and the
 reference sprocket searches read their facets and max-intersection faces
 from these two.  The validator is the Fraction code that the integer
-forms of realize.geometry replaced, with its own star rule.
+forms of realize.geometry replaced, with its own star rule.  The 2-D
+arrangement sampler is the one the column sweep replaced: it tests each
+sample against every edge of every polygon.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import gcd, lcm
 
 
 def face_poset(facets):
@@ -429,6 +432,84 @@ def reference_validate(r):
         elif not all(c > 0 for c in crosses) or not own_hull:
             problems.append(f"neuron {neuron}: not strictly convex")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Reference arrangement sampler: the sample-by-edge loop the column sweep of
+# convexcodes.realize.geometry replaced, unchanged, with the helpers it called
+# (vertex dedup, edge half-planes, line normalization) copied in.
+
+
+def _reference_refine(values, one):
+    if not values:
+        return [0]
+    vs = sorted(set(values))
+    out = [2 * (vs[0] - one)]
+    for a, b in zip(vs, vs[1:]):
+        out.append(2 * a)
+        out.append(a + b)
+    out.append(2 * vs[-1])
+    out.append(2 * (vs[-1] + one))
+    return out
+
+
+def _reference_halfplanes(q, scaled):
+    vs = []
+    for v in scaled:
+        if not vs or v != vs[-1]:
+            vs.append(v)
+    if len(vs) > 1 and vs[0] == vs[-1]:
+        vs.pop()
+    out = []
+    for (px, py), (qx, qy) in zip(vs, vs[1:] + vs[:1]):
+        a, b = (py - qy) * q, (qx - px) * q
+        c = (py - qy) * px + (qx - px) * py
+        g = gcd(a, b, c)
+        out.append((a // g, b // g, c // g))
+    return out
+
+
+def reference_patterns_2d(forms):
+    """Membership patterns over all faces of the edge-line arrangement of
+    the polygons given in integer form (q, vertices × q), as frozensets of
+    polygon indices.
+
+    Every line crossing of every column is a sample, and each sample is
+    tested against every edge half-plane a*x + b*y > c of every polygon.
+    """
+    halfplanes = [_reference_halfplanes(q, scaled) for q, scaled in forms]
+    lines = sorted({
+        (a, b, c) if a > 0 or (a == 0 and b > 0) else (-a, -b, -c)
+        for hp in halfplanes for a, b, c in hp
+    })
+    big = lcm(*(b for _a, b, _c in lines if b))
+    crossings = [(a, c, big // b) for a, b, c in lines if b]
+
+    xs = []
+    for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
+        det = a1 * b2 - a2 * b1
+        if det:
+            xs.append(Fraction(c1 * b2 - c2 * b1, det))
+    xs.extend(Fraction(c, a) for a, b, c in lines if b == 0)
+
+    words = set()  # bit i set: the sample lies inside polygon i
+    for x2 in _reference_refine(xs, 1):
+        px, qx = x2.numerator, 2 * x2.denominator
+        scale = big * qx
+        den = 2 * scale
+        column = [[((a * px - c * qx) * den, b * qx) for a, b, c in hp] for hp in halfplanes]
+        for y2 in _reference_refine([(c * qx - a * px) * k for a, c, k in crossings], scale):
+            word = 0
+            for idx, edges in enumerate(column):
+                for u, v in edges:
+                    if u + v * y2 <= 0:
+                        break
+                else:
+                    word |= 1 << idx
+            words.add(word)
+    return frozenset(
+        frozenset(idx for idx in range(len(forms)) if word >> idx & 1) for word in words
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -39,15 +39,23 @@ def test_median_min_max_per_case_and_metric():
         ("four-facet", 0): [run_output(0.010, 0.15), run_output(0.012, 0.14),
                             run_output(0.011, 0.17)],
         ("wide", 7919): [run_output(0.009, 0.04), run_output(0.013, 0.05)],
+        # a pass time with two modes per process: the run values show both
+        ("atlas", 0): [run_output(0.010, p) for p in (0.151, 0.223, 0.148, 0.219, 0.152)],
     }
     got = bench_record.summarize(outputs)
     assert got["python"] == "3.11.7" and got["cpus"] == 2
     assert got["workloads"]["four-facet"]["0"] == {
-        "setup_s": {"unit": "s", "median": 0.011, "min": 0.010, "max": 0.012},
-        "pass_s": {"unit": "s", "median": 0.15, "min": 0.14, "max": 0.17},
+        "setup_s": {"unit": "s", "values": [0.010, 0.012, 0.011],
+                    "median": 0.011, "min": 0.010, "max": 0.012},
+        "pass_s": {"unit": "s", "values": [0.15, 0.14, 0.17],
+                   "median": 0.15, "min": 0.14, "max": 0.17},
     }
     assert got["workloads"]["wide"]["7919"]["setup_s"] == {
-        "unit": "s", "median": 0.011, "min": 0.009, "max": 0.013,
+        "unit": "s", "values": [0.009, 0.013], "median": 0.011, "min": 0.009, "max": 0.013,
+    }
+    assert got["workloads"]["atlas"]["0"]["pass_s"] == {
+        "unit": "s", "values": [0.151, 0.223, 0.148, 0.219, 0.152],
+        "median": 0.152, "min": 0.148, "max": 0.223,
     }
 
 

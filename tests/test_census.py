@@ -216,3 +216,26 @@ def test_mask_faces_match_frozenset_reference(census):
     unordered = [{"a", 1, (2,)}, {1, "b"}, {"a", 1, "b"}, {(2,), "b"}]
     for sets in (unordered, [{1, 2}, {1, 2}, {2, 3}], []):
         assert max_intersection_faces(sets) == reference_max_intersection_faces(sets), sets
+
+
+def test_builder_arrangements_match_reference_sampler(census):
+    # every census code the builders cover verifies, and the column sweep
+    # finds the reference sampler's patterns on each distinct 2-D arrangement
+    from convexcodes.realize import verify_realization
+    from convexcodes.realize.builders import _build
+    from test_realize import sweep_matches_reference
+
+    _, minimal, supersets = census
+    arrangements, tags = {}, set()
+    for e in minimal + supersets:
+        built = _build(CodeStructure(e["code"])) if e["verdict"] is Verdict.CONVEX else None
+        if built is None:
+            continue
+        r, tag = built
+        assert verify_realization(r, e["code"])[0], e["code"]
+        if r.dimension == 2:
+            tags.add(tag)
+            arrangements.setdefault(frozenset(p.integer_form for p in r.regions.values()), r)
+    for r in arrangements.values():
+        assert sweep_matches_reference(r.regions.values()), r
+    assert tags == {"L18Case2", "L21CaseB1", "L21CaseB3", "L22Case2b", "L22Case3b", "L22Case4"}

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -16,7 +17,7 @@ from convexcodes import (
     render_svg,
     verify_realization,
 )
-from convexcodes.realize import format_rational, validate
+from convexcodes.realize import VerifyDiff, format_rational, validate
 
 import oracles
 from conftest import (
@@ -325,29 +326,31 @@ class TestIntegerForms:
         assert p == Polygon([(Fraction(1, 2), 0), (1, Fraction(1, 3)), (0, 1)])
 
     def test_scaled_copies_stay_separate_regions(self):
-        from convexcodes.realize.geometry import _region_signature
-
         half = Polygon([(Fraction(1, 2), 0), (1, 0), (Fraction(1, 2), Fraction(1, 2))])
         whole = Polygon([(1, 0), (2, 0), (1, 1)])
-        assert _region_signature(half) != _region_signature(whole)
+        assert half.integer_form != whole.integer_form
         r = Realization(2, {1: half, 2: whole})
+        assert code_of_realization(r).codewords == {frozenset(), fs("1"), fs("2")}
+        short, long = Interval(Fraction(1, 2), 1), Interval(1, 2)
+        assert short.integer_form == (2, (1, 2)) and long.integer_form == (1, (1, 2))
+        r = Realization(1, {1: short, 2: long})
         assert code_of_realization(r).codewords == {frozenset(), fs("1"), fs("2")}
 
     def test_equal_regions_share_a_signature(self):
-        from convexcodes.realize.geometry import _region_signature
-
         a = Polygon([(Fraction(2, 4), 0), (1, 0), (1, 1)])
         b = Polygon([(Fraction(1, 2), 0), (1, 0), (1, 1)])
-        assert _region_signature(a) == _region_signature(b)
-        assert _region_signature(Interval(Fraction(2, 4), 1)) == _region_signature(
-            Interval(Fraction(1, 2), Fraction(3, 3))
-        )
-        r = Realization(2, {1: a, 2: b})
+        # repeated vertices are dropped once, in the integer form
+        c = Polygon([(Fraction(1, 2), 0), (1, 0), (1, 0), (1, 1), (Fraction(1, 2), 0)])
+        assert a.integer_form == b.integer_form == c.integer_form == (2, ((1, 0), (2, 0), (2, 2)))
+        assert Interval(Fraction(2, 4), 1).integer_form == Interval(
+            Fraction(1, 2), Fraction(3, 3)
+        ).integer_form
+        r = Realization(2, {1: a, 2: b, 3: c})
+        assert code_of_realization(r).codewords == {frozenset(), fs("123")}
+        r = Realization(1, {1: Interval(Fraction(2, 4), 1), 2: Interval(Fraction(1, 2), 1)})
         assert code_of_realization(r).codewords == {frozenset(), fs("12")}
 
     def test_signatures_hold_only_ints(self, c22):
-        from convexcodes.realize.geometry import _region_signature
-
         def leaves(t):
             for x in t:
                 if isinstance(x, tuple):
@@ -355,11 +358,13 @@ class TestIntegerForms:
                 else:
                     yield x
 
+        kinds = set()
         for code in (c22, parse_code(C18A_TEXT)):
             r, _ = build_realization(code)
             for region in r.regions.values():
-                sig = _region_signature(region)
-                assert {type(x) for x in leaves(sig[1:])} == {int}
+                kinds.add(type(region))
+                assert {type(x) for x in leaves(region.integer_form)} == {int}
+        assert kinds == {Interval, Polygon}
 
     def test_cold_code_equals_warm_on_golden_realizations(self):
         from convexcodes.realize.geometry import _patterns
@@ -445,6 +450,153 @@ class TestOracleAgreement:
             assert got == oracles.rectangle_code_oracle(rects)
 
 
+def _lattice_arrangement(rng):
+    """One to three strict hulls of lattice points on a 3..6 grid with step
+    1, 1/2 or 1/3.  A hull may be glued to an edge of an earlier one from
+    outside it, so edges and vertices are shared; the grid makes vertical
+    edges and touching corners common too."""
+    size, den = rng.randint(3, 6), rng.randint(1, 3)
+
+    def point():
+        return (Fraction(rng.randint(0, size * den), den), Fraction(rng.randint(0, size * den), den))
+
+    def right_of(u, v, p):
+        return (v[0] - u[0]) * (p[1] - u[1]) - (v[1] - u[1]) * (p[0] - u[0]) < 0
+
+    hulls = []
+    for _ in range(rng.randint(1, 3)):
+        points = [point() for _ in range(rng.randint(3, 6))]
+        if hulls and rng.random() < 0.5:
+            hull = rng.choice(hulls)
+            i = rng.randrange(len(hull))
+            u, v = hull[i - 1], hull[i]
+            points = [u, v] + [p for p in points if right_of(u, v, p)]
+        hull = oracles.strict_hull(points)
+        if len(hull) >= 3:
+            hulls.append(hull)
+    return [Polygon(hull) for hull in hulls]
+
+
+def sweep_matches_reference(polygons):
+    """The column sweep and the reference sampler find the same patterns."""
+    from convexcodes.realize.geometry import _patterns_2d
+
+    forms = sorted({p.integer_form for p in polygons})
+    swept = {frozenset(i for i in range(len(forms)) if w >> i & 1) for w in _patterns_2d(forms)}
+    return swept == oracles.reference_patterns_2d(forms)
+
+
+class TestColumnSweep:
+    def test_seeded_arrangements_match_reference_sampler(self):
+        import random
+
+        def edges(p):
+            return set(zip(p.vertices, p.vertices[1:] + p.vertices[:1]))
+
+        rng = random.Random(109)
+        seen = dict.fromkeys(["shared edge", "touching vertex", "vertical edge", "fraction"], 0)
+        done = 0
+        while done < 3000:
+            polygons = _lattice_arrangement(rng)
+            if not polygons:
+                continue
+            done += 1
+            assert sweep_matches_reference(polygons), polygons
+            pairs = list(itertools.combinations(polygons, 2))
+            seen["shared edge"] += any(
+                edges(a) & {(v, u) for u, v in edges(b)} for a, b in pairs
+            )
+            seen["touching vertex"] += any(set(a.vertices) & set(b.vertices) for a, b in pairs)
+            seen["vertical edge"] += any(u[0] == v[0] for p in polygons for u, v in edges(p))
+            seen["fraction"] += any(p.integer_form[0] > 1 for p in polygons)
+        assert min(seen.values()) >= 500, seen
+
+    def test_golden_realizations_match_reference_sampler(self):
+        c22 = parse_code(C22_TEXT)
+        for code in (c22, parse_code(C18B_TEXT), NeuralCode(c22.codewords | {fs("89")})):
+            r, _ = build_realization(code)
+            assert r.dimension == 2
+            assert sweep_matches_reference(r.regions.values())
+
+
+def _contract_realization(rng):
+    """(kind, realization): valid, possibly with coordinates too large for
+    floats, or broken in one of the ways validate must report."""
+    kind = rng.choice(["valid", "huge", "tiny", "bool key", "zero key", "str key", "mixed keys",
+                       "bool dimension", "empty interval", "star", "clockwise", "wrong type"])
+    dimension = 2 if kind in ("star", "clockwise") else rng.choice([1, 2])
+    if kind == "bool dimension":
+        dimension = 1
+
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+    def region(dim):
+        if dim == 1:
+            lo = rational()
+            return Interval(lo, lo + Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+        hull = oracles.strict_hull([(rational(), rational()) for _ in range(rng.randint(3, 6))])
+        return Polygon(hull if len(hull) >= 3 else [(0, 0), (1, 0), (0, 1)])
+
+    key = {"bool key": rng.choice([True, False]), "zero key": 0, "str key": "a",
+           "mixed keys": "b"}.get(kind, 1)
+    regions = {key: region(dimension)}
+    for k in range(2, rng.randint(2, 4) + (kind == "mixed keys")):
+        regions[k] = region(dimension)
+    if kind in ("huge", "tiny"):
+        s = Fraction(10**400) if kind == "huge" else Fraction(1, 10**400)
+        if dimension == 1:
+            regions[1] = Interval(regions[1].lo * s, regions[1].hi * s)
+        else:
+            regions[1] = Polygon((x * s, y * s) for x, y in regions[1].vertices)
+    elif kind == "empty interval":
+        x = rational()
+        regions[1] = Interval(x, x - rng.randint(0, 2))
+    elif kind == "star":
+        regions[1] = Polygon(PENTAGRAM)
+    elif kind == "clockwise":
+        regions[1] = Polygon(reversed(regions[1].vertices))
+    elif kind == "wrong type":
+        regions[1] = region(3 - dimension)
+    return kind, Realization(True if kind == "bool dimension" else dimension, regions)
+
+
+class TestContract:
+    def test_realize_layer_returns_or_raises_value_error(self):
+        """Every entry point of the realize layer returns, or raises
+        ValueError, on valid and broken realizations alike; whatever validate
+        accepts round-trips through JSON to an equal realization."""
+        import random
+
+        def value_or_none(call, *args):
+            try:
+                return call(*args)
+            except ValueError:
+                return None
+
+        rng = random.Random(113)
+        kinds = set()
+        for _ in range(400):
+            kind, r = _contract_realization(rng)
+            kinds.add(kind)
+            problems = validate(r)
+            assert all(type(p) is str for p in problems)
+            assert bool(problems) == (kind not in ("valid", "huge", "tiny")), (kind, problems)
+            code = value_or_none(code_of_realization, r)
+            assert (code is None) == bool(problems)
+            ok, diff = verify_realization(r, NeuralCode([]) if code is None else code)
+            assert ok == (not problems) and diff.validation == tuple(problems)
+            svg = value_or_none(render_svg, r)
+            assert (svg is None) == (bool(problems) or kind == "huge")
+            doc = value_or_none(r.to_json)
+            back = None if doc is None else value_or_none(
+                realization_from_json, json.loads(json.dumps(doc))
+            )
+            if not problems:
+                assert back == r and code_of_realization(back) == code
+        assert len(kinds) == 12
+
+
 class TestSerialization:
     def test_json_round_trip(self, c22):
         r, _ = build_realization(c22)
@@ -517,11 +669,53 @@ class TestSerialization:
          "neuron 2: region type does not match dimension"),
         (Realization(2, {1: Polygon(PENTAGRAM)}), "neuron 1: not strictly convex"),
         (Realization(3, {}), "dimension 3 unsupported"),
-    ], ids=["no-vertices", "interval-in-2d", "polygon-in-1d", "star", "dimension-3"])
+        (Realization(True, {1: Interval(0, 1)}), "dimension True unsupported"),
+        (Realization(1, {0: Interval(0, 1)}), "neuron 0: index is not a positive integer"),
+        (Realization(2, {False: Polygon([(0, 0), (1, 0), (0, 1)])}),
+         "neuron False: index is not a positive integer"),
+        (Realization(1, {"a": Interval(0, 1)}), "neuron 'a': index is not a positive integer"),
+        (Realization(1, {1: Interval(0, 1), "b": Interval(2, 3)}),
+         "neuron 'b': index is not a positive integer"),
+    ], ids=["no-vertices", "interval-in-2d", "polygon-in-1d", "star", "dimension-3",
+            "dimension-bool", "neuron-zero", "neuron-bool", "neuron-str", "neuron-mixed"])
     def test_svg_refuses_what_validate_refuses(self, r, problem):
-        # these raised ZeroDivisionError or AttributeError, or drew a star
+        # each of these once raised ZeroDivisionError, AttributeError or
+        # TypeError, or was drawn
         with pytest.raises(ValueError, match=re.escape(problem)):
             render_svg(r)
+
+    @pytest.mark.parametrize("r", [
+        Realization(True, {1: Interval(0, 1)}),
+        Realization(1, {0: Interval(0, 1)}),
+        Realization(1, {"a": Interval(0, 1)}),
+        Realization(1, {1: Interval(0, 1), "b": Interval(2, 3)}),
+    ], ids=["dimension-bool", "neuron-zero", "neuron-str", "neuron-mixed"])
+    def test_what_json_refuses_does_not_verify(self, r):
+        # validate once passed all but the mixed keys, whose sort raised TypeError,
+        # although realization_from_json refuses each of them
+        problems = validate(r)
+        assert problems
+        assert verify_realization(r, parse_code("1")) == (False, VerifyDiff((), (), tuple(problems)))
+        with pytest.raises(ValueError, match="degenerate realization"):
+            code_of_realization(r)
+        with pytest.raises(ValueError):
+            realization_from_json(json.loads(json.dumps(r.to_json())))
+
+    @pytest.mark.parametrize("r", [
+        Realization(1, {1: Interval(0, Fraction(10**400))}),
+        Realization(2, {1: Polygon([(0, 0), (10**400, 0), (0, 1)])}),
+        Realization(2, {1: Polygon([(0, 0), (1, 0), (0, 1)]),
+                        2: Polygon([(-(10**13), 0), (0, -1), (0, 1)])}),
+    ], ids=["interval", "polygon", "past-the-bound"])
+    def test_svg_refuses_coordinates_too_far_to_draw(self, r):
+        # these verify, but float() raised OverflowError on the first two
+        assert verify_realization(r, code_of_realization(r))[0]
+        with pytest.raises(ValueError, match="exceeds 1e\\+12 in magnitude"):
+            render_svg(r)
+
+    def test_svg_draws_up_to_the_bound(self):
+        r = Realization(1, {1: Interval(-(10**12), 10**12)})
+        assert render_svg(r).startswith("<svg")
 
     def test_svg_smoke(self, c22):
         r, _ = build_realization(c22)

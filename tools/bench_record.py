@@ -8,10 +8,11 @@ in turn so that a drift of the machine's speed spreads over all of them.
 It runs the checkout at --root (default: the repository holding this
 script) and reads each run's last stdout line, the JSON result.  Any run
 that is not correct or has failed requests stops the recording, and
-nothing is written.  The file holds, per workload and seed, the median,
-minimum and maximum of every end-to-end metric, with the run count,
-the seconds per run, the Python version, the CPU count and the tree
-measured (see _tree).
+nothing is written.  The file holds, per workload and seed, every run's
+value of every end-to-end metric in run order, so that a bimodal metric
+shows its clusters, and their median, minimum and maximum, with the run
+count, the seconds per run, the Python version, the CPU count and the
+tree measured (see _tree).
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ def parse_run(text: str) -> tuple:
 def summarize(outputs: dict) -> dict:
     """The recorded figures of the runs' stdout texts, keyed (workload, seed).
 
-    Per case and metric: its unit and the median, minimum and maximum over
-    the runs.  Also the Python version and CPU count the runs report,
+    Per case and metric: its unit, each run's value in run order, and the
+    median, minimum and maximum over the runs.  Also the Python version and CPU count the runs report,
     which must agree across runs.  RunFailed on any run parse_run refuses.
     """
     machines = set()
@@ -83,6 +84,7 @@ def summarize(outputs: dict) -> dict:
         workloads.setdefault(workload, {})[str(seed)] = {
             name: {
                 "unit": units[name],
+                "values": got,
                 "median": statistics.median(got),
                 "min": min(got),
                 "max": max(got),
