@@ -79,8 +79,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--meta", action="store_true", help="prepend a commented header")
         return p
 
-    p = add_code_cmd("decide", "decide convexity and print certificates")
-    p.add_argument("--json", action="store_true", help="emit the full report document")
+    add_code_cmd("decide", "decide convexity and print certificates")
 
     p = add_code_cmd("analyze", "print the full structural analysis")
     p.add_argument("--json", action="store_true", help="emit the full report document")
@@ -94,8 +93,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true", help="emit the verification diff as JSON")
     p.add_argument("--meta", action="store_true", help="prepend a commented header")
 
-    p = add_code_cmd("nerve", "classify the nerve of the maximal codewords")
+    # a nerve is the same at every sprocket budget, so nerve takes no --budget
+    p = sub.add_parser("nerve", help="classify the nerve of the maximal codewords")
+    p.add_argument("code", help="code text")
     p.add_argument("--json", action="store_true", help="emit the classification as JSON")
+    p.add_argument("--meta", action="store_true", help="prepend a commented header")
 
     p = sub.add_parser("atlas", help="enumerate small codes and their verdicts as CSV")
     p.add_argument("--neurons", type=int, default=DEFAULT_NEURON_CAP,
@@ -120,7 +122,7 @@ def _parse_code_arg(text: str) -> NeuralCode:
         raise SystemExit(EXIT_INPUT_ERROR)
 
 
-def _meta_line(args) -> str:
+def _meta_line(args: argparse.Namespace) -> str:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return f"# convexcodes {__version__} {args.command} {stamp}"
 
@@ -131,20 +133,16 @@ def _print_verdict(verdict: Verdict, certificates) -> None:
         print(f"  {cert.text()}")
 
 
-def _cmd_decide(args) -> int:
+def _cmd_decide(args: argparse.Namespace) -> int:
     code = _parse_code_arg(args.code)
     if args.meta:
         print(_meta_line(args))
-    if args.json:
-        report = analyze(code, budget=args.budget)
-        print(json.dumps(report.to_json(), indent=2))
-        return _VERDICT_EXIT[report.verdict]
     verdict, certificates = decide(code, budget=args.budget)
     _print_verdict(verdict, certificates)
     return _VERDICT_EXIT[verdict]
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> int:
     code = _parse_code_arg(args.code)
     report = analyze(code, budget=args.budget)
     if args.meta:
@@ -183,7 +181,7 @@ def _cmd_analyze(args) -> int:
     return _VERDICT_EXIT[report.verdict]
 
 
-def _cmd_realize(args) -> int:
+def _cmd_realize(args: argparse.Namespace) -> int:
     code = _parse_code_arg(args.code)
     if args.meta:
         print(_meta_line(args))
@@ -194,8 +192,6 @@ def _cmd_realize(args) -> int:
         print(f"convexcodes: realization requires a CONVEX code, verdict is "
               f"{verdict.value}", file=sys.stderr)
         return _VERDICT_EXIT[verdict]
-    # parse_code sets n to the largest index used, so build_realization's
-    # unused-neuron check cannot fail here
     built = _build(s)
     if built is None:
         _print_verdict(verdict, certificates)
@@ -221,7 +217,7 @@ def _cmd_realize(args) -> int:
     return EXIT_CONVEX
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     code = _parse_code_arg(args.code)
     try:
         with open(args.realization, "r", encoding="utf-8") as fh:
@@ -243,13 +239,13 @@ def _cmd_verify(args) -> int:
         print("mismatch:")
         for label, words in (("missing", diff.missing), ("extra", diff.extra)):
             if words:
-                print(f"  {label}: " + ",".join(format_word(w) or "{}" for w in words))
+                print(f"  {label}: " + ",".join(format_word(w) for w in words))
         for problem in diff.validation:
             print(f"  validation: {problem}")
     return EXIT_CONVEX if ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_nerve(args) -> int:
+def _cmd_nerve(args: argparse.Namespace) -> int:
     s = CodeStructure(_parse_code_arg(args.code))
     facets, cls = s.facets, s.classified
     m = len(facets)
@@ -276,7 +272,7 @@ def _cmd_nerve(args) -> int:
     return EXIT_CONVEX
 
 
-def _cmd_atlas(args) -> int:
+def _cmd_atlas(args: argparse.Namespace) -> int:
     if (args.neurons > DEFAULT_NEURON_CAP or args.facets > DEFAULT_FACET_CAP) and not args.unsafe:
         print(
             f"convexcodes: --neurons {args.neurons} / --facets {args.facets} exceeds the "

@@ -89,19 +89,18 @@ class _Frozen:
 
 
 class NeuralCode(_Frozen):
-    """An immutable neural code: a set of codewords plus a neuron count.
+    """An immutable neural code: a set of codewords on neurons 1..n.
 
-    The empty codeword is added at construction if absent.  n defaults to the
-    maximum index present; a larger n may be declared explicitly and is legal
-    for all code-level operations, but realization operations reject codes
-    whose declared top index appears in no codeword.
+    The empty codeword is added at construction if absent.  n is the
+    largest index present (0 for {∅}); a neuron below it that no codeword
+    uses is silent, and its region in a realization is empty.
     """
 
-    _fields = ("codewords", "n")
+    _fields = ("codewords",)
     codewords: frozenset
     n: int
 
-    def __init__(self, codewords: Iterable[Iterable[int]], n: Optional[int] = None):
+    def __init__(self, codewords: Iterable[Iterable[int]]):
         words = set()
         for w in codewords:
             word = frozenset(w)
@@ -110,13 +109,8 @@ class NeuralCode(_Frozen):
                     raise ValueError(f"neuron index must be a positive integer, got {i!r}")
             words.add(word)
         words.add(EMPTY)
-        top = max((max(w) for w in words if w), default=0)
-        if n is None:
-            n = top
-        elif n < top:
-            raise ValueError(f"declared n={n} is below the maximum index {top}")
         object.__setattr__(self, "codewords", frozenset(words))
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", max((max(w) for w in words if w), default=0))
 
     def __contains__(self, word) -> bool:
         return frozenset(word) in self.codewords
@@ -148,7 +142,7 @@ def parse_code(text: str) -> NeuralCode:
     as "{1,3,12}".  Duplicates are deduplicated and the empty codeword is
     always added; n is the maximum index present.
 
-    Mixing compact tokens with braced tokens that declare an index of 10 or
+    Mixing compact tokens with braced tokens that hold an index of 10 or
     more is refused as ambiguous, as is any digit 0.
     """
     words = []
@@ -251,7 +245,7 @@ def relabel(code: NeuralCode, perm: tuple) -> NeuralCode:
         wrong = True
     if wrong:
         raise ValueError(f"not a permutation of 1..{len(perm)}: {tuple(perm)}")
-    return NeuralCode([relabel_word(w, perm) for w in code.codewords], n=code.n)
+    return NeuralCode([relabel_word(w, perm) for w in code.codewords])
 
 
 class CanonicalForm(NamedTuple):
@@ -264,28 +258,27 @@ class CanonicalForm(NamedTuple):
 # factorials; 8! is one cell of up to 8 neurons
 _RELABEL_CAP = 40320
 
-# declared neurons canonicalize accepts: its permutation has one entry per
-# declared neuron, so its memory grows with n (about 40 MB at this bound)
+# the largest neuron index canonicalize accepts: its permutation has one
+# entry per neuron 1..n, so its memory grows with n (about 40 MB at this bound)
 _CANONICAL_MAX_N = 2**20
 
 
 def canonicalize(code: NeuralCode) -> CanonicalForm:
     """Lexicographically least code over neuron relabelings.
 
-    The support is packed (see _pack) and relabeled onto 1..s, and declared
-    neurons outside it take the next labels in index order.  Exact for a
-    support of at most 8 neurons (exact=True): a branch-and-bound search
-    over all relabelings of the support (see _least_relabeling) returns the
-    least code and, among the relabelings that reach it, the
+    The support is packed (see _pack) and relabeled onto 1..s, and the
+    silent neurons below code.n take the next labels in index order.  Exact
+    for a support of at most 8 neurons (exact=True): a branch-and-bound
+    search over all relabelings of the support (see _least_relabeling)
+    returns the least code and, among the relabelings that reach it, the
     lexicographically least permutation.  Beyond that exact=False: the
     support gets _profile_relabeling, which does not depend on the labels
     while its profile cells admit at most 8! assignments.  Idempotent in
-    both regimes.  ValueError when code.n exceeds 2**20 (_CANONICAL_MAX_N).
+    both regimes.  ValueError when code.n, the largest index, exceeds 2**20
+    (_CANONICAL_MAX_N).
     """
     if code.n > _CANONICAL_MAX_N:
-        raise ValueError(
-            f"canonicalize takes at most {_CANONICAL_MAX_N} declared neurons, got n={code.n}"
-        )
+        raise ValueError(f"canonicalize takes neuron indices up to {_CANONICAL_MAX_N}, got {code.n}")
     packed = _pack(w for w in code.codewords if w)
     images = _least_relabeling(packed.masks)
     if images is None:

@@ -228,9 +228,9 @@ class Report(NamedTuple):
 def analyze(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Report:
     """Aggregate view: structure, verdict, certificates, realization.
 
-    The realization field is filled only when the verdict is CONVEX, every
-    declared neuron appears in some codeword, and the code falls in a
-    constructive family; it is re-verified before being reported.
+    The realization field is filled only when the verdict is CONVEX and the
+    code falls in a constructive family; it is re-verified before being
+    reported.
     Raises ValueError on a negative budget.
     """
     _check_budget(budget)
@@ -262,10 +262,7 @@ def analyze(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Report:
         sprocket_json = {"found": False, "budget": budget}
 
     realization_json = None
-    # an unused declared neuron would need an empty region, which
-    # build_realization refuses; such codes get no realization
-    all_neurons_used = code.n == max(code.support(), default=0)
-    if verdict is Verdict.CONVEX and all_neurons_used:
+    if verdict is Verdict.CONVEX:
         from .realize import builders, verify_realization
 
         built = builders._build(s)

@@ -76,26 +76,19 @@ def build_realization(
 ) -> Optional[Tuple[Realization, str]]:
     """Build a verified-by-construction realization, or None if not covered.
 
-    Raises ValueError on a negative budget, when the code is not decided
-    CONVEX, or when the declared neuron count exceeds the largest index
-    actually used (an unused neuron would need an empty region).
+    Raises ValueError on a negative budget or when the code is not decided
+    CONVEX.
     """
     _check_budget(budget)
     s = CodeStructure(code)
     verdict, _ = _decide(s, [budget])
     if verdict is not Verdict.CONVEX:
         raise ValueError(f"realization requires a CONVEX code, verdict is {verdict.value}")
-    support = code.support()
-    if code.n > (max(support) if support else 0):
-        raise ValueError(
-            "declared neuron count exceeds the largest used index; "
-            "an unused neuron cannot receive a nonempty region"
-        )
     return _build(s)
 
 
 def _build(s: CodeStructure) -> Optional[Tuple[Realization, str]]:
-    """Realization of a code already decided CONVEX, every declared neuron used."""
+    """Realization of a code already decided CONVEX."""
     if len(s.components) > 1:
         return _glue(s.components)
     return _build_connected(s)

@@ -103,7 +103,8 @@ class Realization(NamedTuple):
 
     def to_json(self) -> dict:
         """The document realization_from_json reads back; ValueError on a
-        neuron index that is not a positive integer, which it cannot hold."""
+        neuron index that is not a positive integer or a region that is
+        neither an Interval nor a Polygon, which it cannot hold."""
         for neuron in self.regions:
             if not _is_neuron(neuron):
                 raise ValueError(f"neuron index must be a positive integer, got {neuron!r}")
@@ -112,8 +113,10 @@ class Realization(NamedTuple):
             region = self.regions[neuron]
             if isinstance(region, Interval):
                 rows.append({"neuron": neuron, "interval": region.to_json()})
-            else:
+            elif isinstance(region, Polygon):
                 rows.append({"neuron": neuron, "polygon": region.to_json()})
+            else:
+                raise ValueError(f"neuron {neuron}: region is neither an Interval nor a Polygon")
         return {"dimension": self.dimension, "regions": rows}
 
 

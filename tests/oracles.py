@@ -861,7 +861,7 @@ def reference_canonicalize(code, optima=None, cells=None):
     if optima is not None:
         optima[:] = ties
     words = (frozenset(best[i - 1] for i in w) for w in code.codewords)
-    return CanonicalForm(NeuralCode(words, n=n), tuple(best), True)
+    return CanonicalForm(NeuralCode(words), tuple(best), True)
 
 
 def reference_enumerate_facet_antichains(max_neurons, num_facets):

@@ -291,7 +291,7 @@ def random_bounded_code(rng):
         sub = frozenset(i for i in f if rng.random() < 0.5)
         if sub and rng.random() < 0.5:
             words.add(sub)
-    return NeuralCode(words, n=n)
+    return NeuralCode(words)
 
 
 class TestRandomSoundness:

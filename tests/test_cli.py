@@ -87,19 +87,24 @@ class TestDecideCommand:
         jsonschema.validate(doc, report_schema)
         assert doc["sprocket"] == {"found": False, "budget": 0}
 
-    def test_json_report_validates(self, capsys, report_schema):
+    def test_no_json_flag(self, capsys):
+        # the report document is analyze --json's
         status, out, _ = run(capsys, "decide", C22_TEXT, "--json")
+        assert status == 5 and out == ""
+
+
+class TestAnalyzeCommand:
+    def test_json_report_validates(self, capsys, report_schema):
+        status, out, _ = run(capsys, "analyze", C22_TEXT, "--json")
         assert status == 0
         doc = json.loads(out)
         jsonschema.validate(doc, report_schema)
         assert doc["verdict"] == "CONVEX"
 
     def test_byte_determinism(self, capsys):
-        outs = {run(capsys, "decide", C24_TEXT, "--json")[1] for _ in range(3)}
+        outs = {run(capsys, "analyze", C24_TEXT, "--json")[1] for _ in range(3)}
         assert len(outs) == 1
 
-
-class TestAnalyzeCommand:
     def test_json_validates(self, capsys, report_schema):
         status, out, _ = run(capsys, "analyze", C26_CORRECTED_TEXT, "--json")
         assert status == 2
@@ -259,6 +264,12 @@ class TestNerveCommand:
         doc = json.loads(out)
         assert doc["class"] == "L22"
         assert doc["contractible"] is True
+
+    def test_no_budget_flag(self, capsys):
+        # the nerve does not depend on the sprocket budget
+        status, out, err = run(capsys, "nerve", C22_TEXT, "--budget", "7")
+        assert status == 5 and out == ""
+        assert "unrecognized arguments: --budget 7" in err
 
 
 class TestAtlasCommand:

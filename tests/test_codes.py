@@ -200,10 +200,14 @@ class TestMaxIntersectionComplete:
 
 class TestCanonicalize:
     def test_single_neuron_relabel(self):
-        # relabeling moves the used neuron to 1; n stays as declared
+        # relabeling moves the used neuron to 1 and the silent neuron 1 to 2
         out = canonicalize(parse_code("{2}"))
-        assert out.code.codewords == {frozenset(), fs("1")}
-        assert out.code.n == 2
+        assert out == (parse_code("1"), (2, 1), True)
+
+    def test_silent_neurons_do_not_count(self):
+        # both codes are the codewords 12,13 up to relabeling, on top index 5 and 3
+        forms = {canonicalize(parse_code(text)).code for text in ("25,35", "12,13")}
+        assert forms == {parse_code("12,13")}
 
     def test_symmetric_fixed_point(self):
         code = parse_code("12, 13")
@@ -236,22 +240,25 @@ class TestRelabel:
             relabel(NeuralCode([fs("12")]), (1,))
 
     def test_longer_permutation_keeps_n(self):
-        assert relabel(NeuralCode([fs("12")]), (2, 1, 3)) == NeuralCode([fs("12")], n=2)
+        assert relabel(NeuralCode([fs("12")]), (2, 1, 3)) == NeuralCode([fs("12")])
+
+    def test_onto_a_larger_index(self):
+        # n follows the images: neuron 1 becomes 3, so the code's n is 3
+        assert relabel(parse_code("1"), (3, 2, 1)) == parse_code("3")
 
 
 def _random_code(rng, n):
-    """Random code declaring n neurons, sometimes with twins or unused neurons."""
-    used = n - rng.randint(1, 2) if n > 2 and rng.random() < 0.15 else n
+    """Random code on neurons up to n, sometimes with twins or with one or
+    two neurons below n kept silent."""
+    silent = rng.sample(range(1, n), rng.randint(1, 2)) if n > 2 and rng.random() < 0.15 else []
+    live = [i for i in range(1, n + 1) if i not in silent]
     density = rng.uniform(0.2, 0.7)
-    words = [
-        {i for i in range(1, used + 1) if rng.random() < density}
-        for _ in range(rng.randint(0, 9))
-    ]
-    if used >= 2 and rng.random() < 0.4:
+    words = [{i for i in live if rng.random() < density} for _ in range(rng.randint(0, 9))]
+    if len(live) >= 2 and rng.random() < 0.4:
         # neuron b lies in exactly the codewords of neuron a
-        a, b = rng.sample(range(1, used + 1), 2)
+        a, b = rng.sample(live, 2)
         words = [(w - {b}) | ({b} if a in w else set()) for w in words]
-    return NeuralCode(words, n=n)
+    return NeuralCode(words)
 
 
 def _masks(code):
@@ -262,8 +269,8 @@ def _masks(code):
 def _support_reference(code):
     """The exact canonical form from the n! scan on the support alone.
 
-    The support is renumbered 1..s in index order and scanned; declared
-    neurons outside it take the labels after s, in index order.
+    The support is renumbered 1..s in index order and scanned; the silent
+    neurons below code.n take the labels after s, in index order.
     """
     support = sorted(code.support())
     rank = {i: k for k, i in enumerate(support, start=1)}
@@ -286,26 +293,24 @@ def _random_cells(rng, n):
 class TestCanonicalizeAgainstReference:
     """The branch-and-bound search returns what the n! scan returned."""
 
-    # codes per declared neuron count; the reference scan costs n! per code
+    # codes per neuron bound; the reference scan costs n! per code
     COUNTS = {1: 100, 2: 200, 3: 300, 4: 400, 5: 532, 6: 400, 7: 60, 8: 8}
 
     def test_seeded_random_codes(self):
         rng = random.Random(20141)
         cell_rng = random.Random(2014)
-        checked = twins = unused = 0
+        checked = twins = silent = 0
         for n, count in self.COUNTS.items():
             for _ in range(count):
                 code = _random_code(rng, n)
                 assert canonicalize(code) == reference_canonicalize(code), code
-                # the masks know neurons up to the highest one used
-                top = NeuralCode(code.codewords)
-                if 1 <= top.n <= 7:
-                    cells = _random_cells(cell_rng, top.n)
-                    want = reference_canonicalize(top, cells=cells).permutation
-                    assert _least_relabeling(_masks(top), cells) == want, (top, cells)
+                if 1 <= code.n <= 7:
+                    cells = _random_cells(cell_rng, code.n)
+                    want = reference_canonicalize(code, cells=cells).permutation
+                    assert _least_relabeling(_masks(code), cells) == want, (code, cells)
                 checked += 1
                 support = code.support()
-                unused += len(support) < n
+                silent += len(support) < code.n
                 twins += any(
                     all((a in w) == (b in w) for w in code.codewords)
                     for a in support
@@ -313,7 +318,7 @@ class TestCanonicalizeAgainstReference:
                     if a < b
                 )
         assert checked >= 2000
-        assert twins >= 200 and unused >= 100
+        assert twins >= 200 and silent >= 100
 
     @pytest.mark.parametrize("max_neurons,num_facets", [(6, 4), (5, 5), (7, 3)])
     def test_atlas_codes_under_random_relabelings(self, max_neurons, num_facets):
@@ -348,12 +353,12 @@ class TestCanonicalizeAgainstReference:
 class TestCanonicalizeAboveCap:
     """Above 8 used neurons the least relabeling is over its cap, and
     canonicalize uses the support's profile relabeling: still one code per
-    relabeling class, with unused declared neurons on the last labels.  A
-    code declaring 9 or 10 neurons but using at most 8 stays exact."""
+    relabeling class, with silent neurons on the last labels.  A code on
+    neurons up to 9 or 10 but using at most 8 stays exact."""
 
     def test_nine_and_ten_neurons_under_random_relabelings(self):
         rng = random.Random(9010)
-        checked = unused = exact = 0
+        checked = silent = exact = 0
         for k in range(400):
             n = 9 + k % 2
             code = _random_code(rng, n)
@@ -366,28 +371,29 @@ class TestCanonicalizeAboveCap:
                 support = copy.support()
                 assert out.exact is (len(support) <= 8)
                 assert relabel(copy, out.permutation) == out.code
-                assert canonicalize(out.code) == (out.code, tuple(range(1, n + 1)), out.exact)
+                s = len(support)
+                assert canonicalize(out.code) == (out.code, tuple(range(1, s + 1)), out.exact)
                 if not out.exact:
                     relabeled, _inverse = reference_search_relabeling(copy)
-                    assert out.code == NeuralCode(relabeled.codewords, n=n), copy
-                elif copy_index == 0 and len(support) <= 7:
+                    assert out.code == relabeled, copy
+                elif copy_index == 0 and s <= 7:
                     assert out == _support_reference(copy), copy
-                spare = [out.permutation[i - 1] for i in range(1, n + 1) if i not in support]
-                assert spare == list(range(len(support) + 1, n + 1)), copy
+                spare = [out.permutation[i - 1] for i in range(1, copy.n + 1) if i not in support]
+                assert spare == list(range(s + 1, copy.n + 1)), copy
                 forms.add(out.code)
             assert len(forms) == 1, code
             checked += 1
-            unused += len(code.support()) < n
+            silent += len(code.support()) < code.n
             exact += out.exact
-        assert checked >= 300 and unused >= 50 and exact >= 50
+        assert checked >= 300 and silent >= 50 and exact >= 50
 
 
 class TestCanonicalizeLargeLabels:
     """canonicalize packs the support, so label values cost nothing; only
-    the declared n, one permutation entry per neuron, is bounded."""
+    the largest index n, one permutation entry per neuron, is bounded."""
 
     def test_sparse_support_is_exact(self):
-        code = NeuralCode([{10}, {2}, {1, 2, 5, 6, 10}, {8}], n=13)
+        code = NeuralCode([{10}, {2}, {1, 2, 5, 6, 10}, {8}])
         out = canonicalize(code)
         assert out.exact
         assert format_code(out.code) == "1,2,3,12456"
@@ -401,14 +407,14 @@ class TestCanonicalizeLargeLabels:
             words = [
                 {i for i in support if rng.random() < 0.4} for _ in range(rng.randint(1, 6))
             ]
-            code = NeuralCode(words, n=n)
+            code = NeuralCode(words)
             assert canonicalize(code) == _support_reference(code), code
 
     @pytest.mark.parametrize("top", [_CANONICAL_MAX_N + 1, 10**7, 10**12])
     def test_larger_n_refused_at_once(self, top):
         # 10**7 took seconds and gigabytes, and 10**12 raised MemoryError
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="declared neurons"):
+        with pytest.raises(ValueError, match="neuron indices up to"):
             canonicalize(NeuralCode([{top}, {2, top}]))
         assert time.perf_counter() - start < 0.5
 

@@ -345,14 +345,12 @@ class TestAnalyze:
             "realization",
         }
 
-    def test_unused_declared_neuron_gets_no_realization(self):
-        # neurons 4 and 5 are declared but appear in no codeword, so no
-        # region can realize them; analyze reports that instead of raising
-        code = NeuralCode([{1, 2}, {2, 3}, {2}], n=5)
-        doc = analyze(code).to_json()
-        assert doc["verdict"] == "CONVEX"
-        assert doc["realization"] is None
-        assert analyze(NeuralCode(code.codewords)).to_json()["realization"] is not None
+    def test_silent_neurons_get_a_realization(self):
+        # neurons 1, 3 and 4 appear in no codeword, so their regions are
+        # empty and the realization lists none for them
+        doc = analyze(parse_code("25, 56, 5")).to_json()
+        assert (doc["verdict"], doc["neurons"]) == ("CONVEX", 6)
+        assert [row["neuron"] for row in doc["realization"]["regions"]] == [2, 5, 6]
 
     def test_realization_attached_when_buildable(self, c22):
         doc = analyze(c22).to_json()

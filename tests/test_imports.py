@@ -11,10 +11,13 @@ under the comment that keeps names importable for the benchmark tracer.
 Exempt from the definition check are the names in the package's __all__,
 dunder methods, which Python calls itself, the module hooks __getattr__
 and __dir__ (PEP 562), and methods that a standard-library base calls
-(OVERRIDES).
+(OVERRIDES).  A method is read only through a receiver whose class the
+code does not show or is related to the method's class by inheritance, so
+another class's attribute of the same name does not keep it.
 """
 
 import ast
+import builtins
 import os
 import re
 import subprocess
@@ -31,6 +34,7 @@ MODULE_HOOKS = {"__getattr__", "__dir__"}
 # methods that override a standard-library base and are called by it:
 # argparse calls error() on a bad command line
 OVERRIDES = {"_Parser.error"}
+BUILTINS = set(dir(builtins))
 
 
 def _exported(tree) -> set:
@@ -109,13 +113,155 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = (*_FUNCTIONS, ast.ClassDef, ast.Lambda)
+
+
+class _AttributeReads(ast.NodeVisitor):
+    """(class, name) of each attribute read, the class being the receiver's
+    class where the code shows it and None elsewhere.
+
+    A receiver shows its class when it is self (or cls) in one of the
+    class's methods, the class's own name, a call of the class or of a
+    module-level function annotated to return it, or a name that its
+    function or module annotates with the class or binds only to such a
+    call.
+    """
+
+    def __init__(self, classes: dict):
+        self.classes = classes  # class name -> the names of its bases
+        self.returns: dict = {}  # function name -> the class it returns
+        self.scopes: list = []
+        self.owner = None  # the class whose body is being visited
+        self.reads: set = set()
+
+    def annotated(self, node):
+        """The class an annotation names, as C, "C" or Optional[C]: "" for
+        another generic, a dotted name or a builtin, which is no class of
+        the package."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node = ast.parse(node.value, mode="eval").body
+        if isinstance(node, ast.Subscript):
+            if not (isinstance(node.value, ast.Name) and node.value.id == "Optional"):
+                return ""
+            node = node.slice
+        if isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and node.id in BUILTINS:
+            return ""
+        return node.id if isinstance(node, ast.Name) and node.id in self.classes else None
+
+    def class_of(self, node):
+        """The class of an expression's value, where the code shows it."""
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            name = node.func.id
+            return name if name in self.classes else self.returns.get(name)
+        if isinstance(node, ast.Name):
+            if node.id in self.classes:
+                return node.id
+            for scope in reversed(self.scopes):
+                if node.id in scope:
+                    return scope[node.id]
+        return None
+
+    def _scope(self, body, bindings: list) -> dict:
+        """Each name the scope binds -> its class, None unless each of its
+        bindings shows that class.  bindings holds the parameters' already;
+        assignments and nested definitions in body are added."""
+        shown = {}  # id of an assigned Name -> the class its assignment shows
+        todo = list(body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, _SCOPES):
+                if not isinstance(node, ast.Lambda):
+                    bindings.append((node.name, None))
+                continue
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                shown[id(node.targets[0])] = self.class_of(node.value)
+            elif isinstance(node, ast.AnnAssign):
+                shown[id(node.target)] = self.annotated(node.annotation)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bindings.append((node.id, shown.get(id(node))))
+            todo += ast.iter_child_nodes(node)
+        classes: dict = {}
+        for name, cls in bindings:
+            classes.setdefault(name, set()).add(cls)
+        return {name: each.pop() if len(each) == 1 else None for name, each in classes.items()}
+
+    def visit_Module(self, node):
+        self.scopes.append(self._scope(node.body, []))
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    def visit_ClassDef(self, node):
+        outer, self.owner = self.owner, node.name
+        self.generic_visit(node)
+        self.owner = outer
+
+    def visit_FunctionDef(self, node):
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        typed = [(a.arg, self.annotated(a.annotation)) for a in params if a is not None]
+        if self.owner is not None and typed:
+            typed[0] = (typed[0][0], self.owner)
+        outer, self.owner = self.owner, None
+        self.scopes.append(self._scope(node.body, typed))
+        self.generic_visit(node)
+        self.scopes.pop()
+        self.owner = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Attribute(self, node):
+        self.reads.add((self.class_of(node.value), node.attr))
+        self.generic_visit(node)
+
+
+def _lineage(classes: dict, name: str) -> set:
+    """name and every class it derives from, among the given classes."""
+    out, todo = set(), [name]
+    while todo:
+        cls = todo.pop()
+        if cls not in out:
+            out.add(cls)
+            todo += classes.get(cls, ())
+    return out
+
+
 def unused_definitions(sources: dict, exported: set) -> list:
     """(module, line, name) of each module-level function or class that is
     not exported, and of each non-dunder method of a module-level class,
-    that no module reads, by name or as an attribute."""
+    that no module reads, by name or as an attribute.
+
+    A method counts as read only through a receiver whose class is unknown
+    or is related to its own class by inheritance (see _AttributeReads), so
+    a read of another class's attribute of the same name does not count.
+    """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = _reads(trees.values())
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    tops = [node for tree in trees.values() for node in tree.body]
+    classes = {
+        node.name: [base.id for base in node.bases if isinstance(base, ast.Name)]
+        for node in tops
+        if isinstance(node, ast.ClassDef)
+    }
+    visitor = _AttributeReads(classes)
+    visitor.returns = {
+        node.name: visitor.annotated(node.returns)
+        for node in tops
+        if isinstance(node, _FUNCTIONS) and node.returns is not None
+    }
+    for tree in trees.values():
+        visitor.visit(tree)
+    readers: dict = {}
+    for cls, name in visitor.reads:
+        readers.setdefault(name, set()).add(cls)
+
+    def method_read(cls: str, name: str) -> bool:
+        return any(
+            other is None or cls in _lineage(classes, other) or other in _lineage(classes, cls)
+            for other in readers.get(name, ())
+        )
+
+    kinds = (*_FUNCTIONS, ast.ClassDef)
     out = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -127,9 +273,9 @@ def unused_definitions(sources: dict, exported: set) -> list:
                 out += [
                     (module, item.lineno, f"{node.name}.{item.name}")
                     for item in node.body
-                    if isinstance(item, kinds[:2])
+                    if isinstance(item, _FUNCTIONS)
                     and not _is_dunder(item.name)
-                    and item.name not in read
+                    and not method_read(node.name, item.name)
                     and f"{node.name}.{item.name}" not in OVERRIDES
                 ]
     return out
@@ -156,19 +302,33 @@ def test_guard_catches_an_unused_definition():
             "def __getattr__(name): pass\n"
             "def __dir__(): pass\n"
             "def __setattr__(name, value): pass\n"
+            "class Code:\n"
+            "    def facets(self): return 0\n"
+            "    def support(self): return self.words()\n"
+            "    def words(self): return 0\n"
+            "class Structure:\n"
+            "    def facets(self): return 1\n"
+            "    def missing(self): return 2\n"
+            "def structure() -> 'Structure': return Structure()\n"
         ),
         "b.py": (
-            "from .a import dead, Used\n"
+            "import argparse\n"
+            "from .a import dead, Used, Code, Structure, structure\n"
             "import a\n"
             "def only_as_attribute(): pass\n"
             "x = Used()\n"
             "a.only_as_attribute\n"
-            "x.read_method()\n"
+            "def show(s: Structure, args: argparse.Namespace, code: Optional['Code'], thing):\n"
+            "    return s.facets, args.facets, code.support(), thing.read_method()\n"
+            "show(Structure(), None, Code(), x)\n"
+            "structure().missing()\n"
         ),
     }
+    # Code.facets is dead: the facets read are Structure's and a Namespace's;
+    # thing's class is unknown, so its read counts for Unused.read_method
     assert unused_definitions(sources, {"public"}) == [
         ("a.py", 3, "dead"), ("a.py", 5, "Unused"), ("a.py", 6, "Unused.method"),
-        ("a.py", 11, "__setattr__"),
+        ("a.py", 11, "__setattr__"), ("a.py", 13, "Code.facets"),
     ]
 
 

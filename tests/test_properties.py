@@ -29,9 +29,7 @@ def words(n=6, max_words=8):
 
 
 def codes(n=6, max_words=8):
-    return words(n, max_words).map(
-        lambda ws: NeuralCode(set(ws) | {frozenset()}, n=n)
-    )
+    return words(n, max_words).map(NeuralCode)
 
 
 def permutations(n):
@@ -40,7 +38,7 @@ def permutations(n):
 
 @given(codes())
 def test_parse_format_round_trip(code):
-    assert parse_code(format_code(code, verbose=True)) == NeuralCode(code.codewords)
+    assert parse_code(format_code(code, verbose=True)) == code
 
 
 @given(codes())

@@ -78,6 +78,14 @@ class TestBuildChain:
         assert cells_left_to_right(r) == [fs("12"), fs("2"), fs("23")]
         assert verify_realization(r, code)[0]
 
+    def test_silent_neurons_get_no_region(self):
+        # a neuron in no codeword has the empty region, so none is built for
+        # it: here 1, 3 and 4, below the top index 6
+        code = parse_code("25, 56, 5")
+        r, _ = build_realization(code)
+        assert set(r.regions) == {2, 5, 6}
+        assert verify_realization(r, code)[0]
+
 
 class TestBuildFamilies:
     def test_c18a_chain(self, c18a):
@@ -123,12 +131,6 @@ class TestBuildRefusals:
         # but the constructions only cover minimal codes
         code = NeuralCode(c22.codewords | {fs("357")})
         assert build_realization(code) is None
-
-    def test_declared_unused_neuron_rejected(self):
-        # an unused declared neuron would need an empty open region
-        code = NeuralCode([frozenset(), fs("12")], n=3)
-        with pytest.raises(ValueError):
-            build_realization(code)
 
 
 class TestCodeOfRealization:
@@ -523,7 +525,8 @@ def _contract_realization(rng):
     """(kind, realization): valid, possibly with coordinates too large for
     floats, or broken in one of the ways validate must report."""
     kind = rng.choice(["valid", "huge", "tiny", "bool key", "zero key", "str key", "mixed keys",
-                       "bool dimension", "empty interval", "star", "clockwise", "wrong type"])
+                       "bool dimension", "empty interval", "star", "clockwise", "wrong type",
+                       "not a region"])
     dimension = 2 if kind in ("star", "clockwise") else rng.choice([1, 2])
     if kind == "bool dimension":
         dimension = 1
@@ -558,6 +561,8 @@ def _contract_realization(rng):
         regions[1] = Polygon(reversed(regions[1].vertices))
     elif kind == "wrong type":
         regions[1] = region(3 - dimension)
+    elif kind == "not a region":
+        regions[1] = (rational(), rational())
     return kind, Realization(True if kind == "bool dimension" else dimension, regions)
 
 
@@ -594,7 +599,7 @@ class TestContract:
             )
             if not problems:
                 assert back == r and code_of_realization(back) == code
-        assert len(kinds) == 12
+        assert len(kinds) == 13
 
 
 class TestSerialization:
@@ -619,6 +624,11 @@ class TestSerialization:
         assert doc["dimension"] == 1
         for row in doc["regions"]:
             assert set(row) == {"neuron", "interval"}
+
+    def test_json_refuses_what_is_not_a_region(self):
+        # a tuple region once raised AttributeError for its missing to_json
+        with pytest.raises(ValueError, match="neuron 1: region is neither an Interval nor a Polygon"):
+            Realization(1, {1: (0, 1)}).to_json()
 
     @pytest.mark.parametrize("doc, message", [
         ([], "realization must be a JSON object, got list"),

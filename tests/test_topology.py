@@ -444,7 +444,7 @@ class TestLabelsAreNotCosts:
 
     def test_canonicalize_far_labels(self):
         # the relabeling search runs on the packed support, not on the
-        # declared n: these 8 used neurons get the exact form
+        # label values: these 8 used neurons get the exact form
         code = minimal_code(collapse_family(6))
         far = NeuralCode(_shifted(code.codewords, 10**6))
         start = time.perf_counter()

@@ -115,10 +115,10 @@ def test_realization_record():
 VALUES = [
     (
         NeuralCode([{1, 2}, {2}]),
-        NeuralCode([{2}, {2, 1}, ()], n=2),
-        (frozenset({frozenset(), fs("2"), fs("12")}), 2),
-        "NeuralCode(codewords=frozenset({frozenset(), frozenset({2}), frozenset({1, 2})}), n=2)",
-        "n",
+        NeuralCode([{2}, {2, 1}, ()]),
+        (frozenset({frozenset(), fs("2"), fs("12")}),),
+        "NeuralCode(codewords=frozenset({frozenset(), frozenset({2}), frozenset({1, 2})}))",
+        "codewords",
     ),
     (
         SimplicialComplex([{1, 2}, {2}]),
