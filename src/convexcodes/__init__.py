@@ -24,7 +24,6 @@ from .codes import (
 from .decider import Certificate, Report, Verdict, analyze, decide
 from .topology import (
     INDETERMINATE,
-    SimplicialComplex,
     classify_small_complex,
     has_local_obstruction,
     is_link_contractible,
@@ -89,7 +88,6 @@ __all__ = [
     "Polygon",
     "Realization",
     "Report",
-    "SimplicialComplex",
     "SprocketCandidate",
     "Verdict",
     "analyze",

@@ -24,7 +24,7 @@ from .atlas import (
     write_atlas_csv,
 )
 from .codes import CodeParseError, NeuralCode, format_code, format_word, parse_code
-from .decider import Verdict, _decide, analyze, decide
+from .decider import Certificate, Verdict, _decide, analyze, decide
 from .realize import realization_from_json, render_svg, verify_realization
 from .realize.builders import _build
 from .topology import CodeStructure
@@ -127,7 +127,7 @@ def _meta_line(args: argparse.Namespace) -> str:
     return f"# convexcodes {__version__} {args.command} {stamp}"
 
 
-def _print_verdict(verdict: Verdict, certificates) -> None:
+def _print_verdict(verdict: Verdict, certificates: List[Certificate]) -> None:
     print(verdict.value)
     for cert in certificates:
         print(f"  {cert.text()}")

@@ -198,7 +198,7 @@ class Report(NamedTuple):
     path_of_facets: tuple
     sprocket: Optional[dict]
     verdict: Verdict
-    certificates: tuple
+    certificates: Tuple[Certificate, ...]
     realization: Optional[dict]
 
     def to_json(self) -> dict:

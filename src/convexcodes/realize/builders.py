@@ -315,18 +315,20 @@ def _glue(components: list) -> Optional[Tuple[Realization, str]]:
     offset = 0
     for piece, _tag in pieces:
         rs = piece.regions
-        if dimension == 2 and piece.dimension == 1:
-            rs = {k: Polygon(_box(iv.lo, 0, iv.hi, 1)) for k, iv in rs.items()}
         if dimension == 1:
             lo = min(iv.lo for iv in rs.values())
             hi = max(iv.hi for iv in rs.values())
             dx = offset - lo
             regions.update({k: Interval(iv.lo + dx, iv.hi + dx) for k, iv in rs.items()})
         else:
-            lo = min(x for poly in rs.values() for x, _y in poly.vertices)
-            hi = max(x for poly in rs.values() for x, _y in poly.vertices)
+            # a piece on the line becomes boxes over the unit strip
+            polygons: Dict[int, Polygon] = rs if piece.dimension == 2 else {
+                k: Polygon(_box(iv.lo, 0, iv.hi, 1)) for k, iv in rs.items()
+            }
+            lo = min(x for poly in polygons.values() for x, _y in poly.vertices)
+            hi = max(x for poly in polygons.values() for x, _y in poly.vertices)
             dx = offset - lo
-            regions.update({k: Polygon((x + dx, y) for x, y in poly.vertices) for k, poly in rs.items()})
+            regions.update({k: Polygon((x + dx, y) for x, y in poly.vertices) for k, poly in polygons.items()})
         offset += (hi - lo) + 1
     tag = "DisconnectedGlue(" + ",".join(tag for _r, tag in pieces) + ")"
     return (Realization(dimension=dimension, regions=regions), tag)

@@ -99,7 +99,7 @@ Region = Union[Interval, Polygon]
 
 class Realization(NamedTuple):
     dimension: int
-    regions: dict  # neuron -> Region
+    regions: Dict[int, Region]  # neuron -> its region
 
     def to_json(self) -> dict:
         """The document realization_from_json reads back; ValueError on a
@@ -143,8 +143,17 @@ def _json_list(value, name: str, length=None) -> list:
     return value
 
 
+# Python refuses a number of more than 4,300 digits; a decimal exponent is
+# held to the same bound, since Fraction builds 10**exponent in full
+_MAX_EXPONENT = 4300
+
+
 def _json_rational(value) -> Fraction:
     try:
+        if type(value) is str and "e" in value.lower():
+            exponent = int(value.lower().rpartition("e")[2])
+            if abs(exponent) > _MAX_EXPONENT:
+                raise ValueError(f"decimal exponent beyond ±{_MAX_EXPONENT}")
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as err:
         raise ValueError(f"malformed number {value!r}: {err}") from err
@@ -156,9 +165,10 @@ def realization_from_json(doc) -> Realization:
     Malformed: a document that is not an object; a missing field
     (dimension, regions, a region's neuron, or both its interval and its
     polygon); a list of the wrong shape; a zero denominator, a non-finite
-    number or a value that is not a number; a neuron below 1 or given two
-    regions; or a neuron or dimension that is not a JSON integer (floats,
-    strings and booleans are refused, not truncated or converted).
+    number, a decimal exponent beyond ±4,300 or a value that is not a
+    number; a neuron below 1 or given two regions; or a neuron or dimension
+    that is not a JSON integer (floats, strings and booleans are refused,
+    not truncated or converted).
     """
     dimension = _json_int(_json_field(doc, "dimension", "realization"), "dimension")
     regions: Dict[int, Region] = {}

@@ -7,7 +7,9 @@ as translucent fills with a neuron label at the centroid.
 
 from __future__ import annotations
 
-from .geometry import Realization, validate
+from typing import Dict
+
+from .geometry import Polygon, Realization, validate
 
 _PALETTE = [
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
@@ -37,7 +39,8 @@ def render_svg(realization: Realization) -> str:
         coordinates = [c for iv in regions for c in (iv.lo, iv.hi)]
         draw = _render_1d
     else:
-        coordinates = [c for poly in regions for v in poly.vertices for c in v]
+        polygons: Dict[int, Polygon] = realization.regions
+        coordinates = [c for poly in polygons.values() for v in poly.vertices for c in v]
         draw = _render_2d
     if any(abs(c) > _MAX_COORDINATE for c in coordinates):
         raise ValueError(f"a coordinate exceeds {_MAX_COORDINATE:.0e} in magnitude, too far to draw")
@@ -74,9 +77,10 @@ def _render_1d(r: Realization) -> str:
 
 
 def _render_2d(r: Realization) -> str:
-    neurons = sorted(r.regions)
-    xs = [float(x) for poly in r.regions.values() for x, _y in poly.vertices]
-    ys = [float(y) for poly in r.regions.values() for _x, y in poly.vertices]
+    polygons: Dict[int, Polygon] = r.regions
+    neurons = sorted(polygons)
+    xs = [float(x) for poly in polygons.values() for x, _y in poly.vertices]
+    ys = [float(y) for poly in polygons.values() for _x, y in poly.vertices]
     lo_x, hi_x = min(xs, default=0.0), max(xs, default=0.0)
     lo_y, hi_y = min(ys, default=0.0), max(ys, default=0.0)
     width = (hi_x - lo_x) * _SCALE + 2 * _PAD
@@ -91,7 +95,7 @@ def _render_2d(r: Realization) -> str:
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">'
     ]
     for i, k in enumerate(neurons):
-        poly = r.regions[k]
+        poly = polygons[k]
         pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in
                        (to_px(x, y) for x, y in poly.vertices))
         parts.append(

@@ -5,8 +5,8 @@ contractibility of links, mandatory faces, minimal codes, local
 obstructions, and the Path-of-Facets test.
 
 Nerves and faces are held as position masks only (bit p is vertex p + 1);
-the pipeline builds no SimplicialComplex, which only the public nerve()
-returns.  Nerves are built from facets only: the maximal occurrence masks
+a complex is its facets, and only the public nerve() turns them into
+frozensets.  Nerves are built from facets only: the maximal occurrence masks
 of the input's elements are the nerve's facets, so no face list is formed
 on the way.  Every mask here is laid out by codes._pack, one bit per label
 present, so its size does not grow with the labels' values.
@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Dict, Iterable, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from .codes import (
     EMPTY,
     Codeword,
     NeuralCode,
-    _Frozen,
     _indices,
     _intersections,
     _mask_key,
@@ -71,27 +70,6 @@ class _IndeterminateType:
 
 
 INDETERMINATE = _IndeterminateType()
-
-
-class SimplicialComplex(_Frozen):
-    """A complex given by its facets (an antichain of nonempty vertex sets)."""
-
-    _fields = ("facets",)
-    facets: tuple
-
-    def __init__(self, faces: Iterable[Iterable[int]]):
-        packed = _pack(faces)
-        if not all(packed.masks):
-            raise ValueError("faces must be nonempty")
-        facets = sort_words(map(packed.word, _maximal_masks(packed.masks)))
-        object.__setattr__(self, "facets", tuple(facets))
-
-    @property
-    def vertices(self) -> frozenset:
-        out = set()
-        for f in self.facets:
-            out |= f
-        return frozenset(out)
 
 
 def _occurrences(rows: Iterable[int]) -> Dict[int, int]:
@@ -122,8 +100,9 @@ def _positions(mask: int) -> frozenset:
     return frozenset(p + 1 for p in _indices(mask))
 
 
-def nerve(sets: Iterable[Iterable[int]]) -> SimplicialComplex:
-    """Nerve of a list of nonempty sets, on vertex labels 1..m.
+def nerve(sets: Iterable[Iterable[int]]) -> tuple:
+    """The facets of the nerve of a list of nonempty sets, on vertex labels
+    1..m, as a tuple of frozensets in word_sort_key order.
 
     A subset S of positions is a face iff the sets indexed by S have a
     common element.  Built from the dual without listing faces (see
@@ -131,7 +110,7 @@ def nerve(sets: Iterable[Iterable[int]]) -> SimplicialComplex:
     the distinct occurrence masks, where enumerating faces costs 2^m when
     all m sets share a point.
     """
-    return SimplicialComplex(map(_positions, _nerve_masks(_pack(sets).masks)))
+    return tuple(map(_positions, sorted(_nerve_masks(_pack(sets).masks), key=_mask_key)))
 
 
 def _components(masks: list) -> list:
@@ -322,20 +301,25 @@ def _build_class_table() -> Dict[frozenset, tuple]:
 _CLASS_TABLE = _build_class_table()
 
 
-def classify_small_complex(sc: SimplicialComplex) -> ClassifiedNerve:
-    """Identify the L1..L28 class of a complex on 1..4 vertices.
+def classify_small_complex(facets: Iterable[Codeword]) -> ClassifiedNerve:
+    """Identify the L1..L28 class of the complex whose faces lie in the
+    given nonempty sets, on 1..4 vertices; a set inside another adds
+    nothing and is dropped.
 
     A lookup in a table of all labeled complexes on 1..4 vertices, built once
     at import from the reference catalog and its literal set of contractible
-    classes: the sorted input vertices are relabeled 1..k and the facet set
-    is the key.  The witness relabeling is the lexicographically least valid
-    one (as the tuple of reference labels assigned to the sorted input
-    vertices), and contractible is the class's entry in that set.
+    classes: the sorted input vertices are relabeled 1..k and the set of
+    maximal masks is the key.  The witness relabeling is the
+    lexicographically least valid one (as the tuple of reference labels
+    assigned to the sorted input vertices), and contractible is the class's
+    entry in that set.
     """
-    labels, masks = _pack(sc.facets)
+    labels, masks = _pack(facets)
+    if not all(masks):
+        raise ValueError("faces must be nonempty")
     if not 1 <= len(labels) <= 4:
         raise ValueError(f"classification requires 1..4 vertices, got {len(labels)}")
-    class_id, images, contractible = _CLASS_TABLE[frozenset(masks)]
+    class_id, images, contractible = _CLASS_TABLE[frozenset(_maximal_masks(masks))]
     return ClassifiedNerve(class_id, tuple(zip(labels, images)), contractible)
 
 
@@ -534,7 +518,7 @@ class CodeStructure:
         return not mand.undecided and self.code.codewords == mand | {EMPTY}
 
     @cached_property
-    def components(self) -> list:
+    def components(self) -> List[CodeStructure]:
         """Per nerve component, the structure of the codewords below its facets.
 
         Neuron labels are kept; [self] when the nerve is connected.

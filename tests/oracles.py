@@ -7,10 +7,10 @@ Nothing imports the package's classification table or the arrangement
 code under test, with the exceptions below.  Two reference searches reuse
 package data: the classification scan reads the L1..L28 reference catalog
 (not the lookup table built from it, nor its set of contractible classes;
-REFERENCE_COMPLEXES holds the catalog as complexes), and the sprocket
-search reuses the
-package's predicates (nerve classification, the canonical L24
-construction and is_sprocket) around the search loop it checks.  The
+REFERENCE_COMPLEXES holds the catalog as sorted facet tuples), and the
+sprocket search reuses the package's predicates (nerve classification,
+the canonical L24 construction and is_sprocket) around the search loop
+it checks.  The
 face-enumerating nerve, the recursive collapse search and the link test
 built on them (facet-difference sets, then connected with Euler
 characteristic 1, then the collapse search) are the code the mask-only
@@ -159,10 +159,9 @@ def reference_nerve(sets):
     """Nerve of a list of nonempty sets, on vertex labels 1..m.
 
     A subset S of positions is a face iff the sets indexed by S have a
-    common element.  Returned by its facets.
+    common element.  Every face is listed; the maximal ones are returned,
+    as a tuple in word_sort_key order.
     """
-    from convexcodes.topology import SimplicialComplex
-
     sl = [frozenset(s) for s in sets]
     if any(not s for s in sl):
         raise ValueError("nerve input sets must be nonempty")
@@ -182,7 +181,16 @@ def reference_nerve(sets):
                         faces[key] = bigger
                         nxt[key] = bigger
         frontier = nxt
-    return SimplicialComplex(faces.keys())
+    return _maximal_sorted(faces)
+
+
+def _maximal_sorted(sets):
+    """The inclusion-maximal members of a collection of frozensets, as a
+    tuple in word_sort_key order."""
+    from convexcodes.codes import sort_words
+
+    sets = set(sets)
+    return tuple(sort_words(f for f in sets if not any(f < g for g in sets)))
 
 
 def reference_is_collapsible(faces, budget=200_000):
@@ -263,11 +271,11 @@ def reference_is_link_contractible(facets, sigma):
     if diffs == [frozenset()]:
         return False
     link_nerve = reference_nerve(diffs)
-    if len(link_nerve.vertices) <= 4:
-        return contractible_small(link_nerve.facets)
-    if not is_connected(link_nerve.facets) or euler_characteristic(link_nerve.facets) != 1:
+    if len(frozenset().union(*link_nerve)) <= 4:
+        return contractible_small(link_nerve)
+    if not is_connected(link_nerve) or euler_characteristic(link_nerve) != 1:
         return False
-    coll = reference_is_collapsible(face_poset(link_nerve.facets))
+    coll = reference_is_collapsible(face_poset(link_nerve))
     if coll:
         return True
     # non-collapsible or budget exhausted: cannot conclude at this size
@@ -275,34 +283,35 @@ def reference_is_link_contractible(facets, sigma):
 
 
 def _reference_complexes():
-    from convexcodes.topology import _REF, SimplicialComplex
+    from convexcodes.topology import _REF
 
-    return {name: SimplicialComplex(facets) for name, facets in _REF.items()}
+    return {name: _maximal_sorted(map(frozenset, facets)) for name, facets in _REF.items()}
 
 
 # the L1..L28 reference catalog of convexcodes.topology, one complex per class
 REFERENCE_COMPLEXES = _reference_complexes()
 
 
-def reference_classify_small_complex(sc):
-    """Permutation-scan classification of a complex on 1..4 vertices.
+def reference_classify_small_complex(faces):
+    """Permutation-scan classification of the complex whose faces lie in
+    the given sets, on 1..4 vertices.
 
     The loop convexcodes.topology.classify_small_complex replaced with a
-    table lookup: every reference class on as many vertices as sc times
-    every relabeling in lex order, so the first hit is the least witness.
+    table lookup: every reference class on as many vertices times every
+    relabeling in lex order, so the first hit is the least witness.
     Contractibility comes from contractible_small on the reference facets.
     """
     from convexcodes.topology import ClassifiedNerve
 
-    verts = sorted(sc.vertices)
+    input_facets = frozenset(_maximal_sorted(map(frozenset, faces)))
+    verts = sorted(frozenset().union(*input_facets))
     k = len(verts)
     if not 1 <= k <= 4:
         raise ValueError(f"classification requires 1..4 vertices, got {k}")
-    input_facets = frozenset(sc.facets)
     for class_id, reference in REFERENCE_COMPLEXES.items():
-        if len(reference.vertices) != k:
+        if len(frozenset().union(*reference)) != k:
             continue
-        ref = frozenset(reference.facets)
+        ref = frozenset(reference)
         for images in permutations(range(1, k + 1)):
             mapping = dict(zip(verts, images))
             mapped = frozenset(frozenset(mapping[v] for v in f) for f in input_facets)

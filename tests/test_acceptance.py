@@ -20,7 +20,6 @@ from convexcodes import (
     NeuralCode,
     Polygon,
     Realization,
-    SimplicialComplex,
     Verdict,
     build_realization,
     canonical_l24_sprocket,
@@ -187,22 +186,17 @@ class TestFourVertexClassification:
         four_vertex_classes = {f"L{i}" for i in range(9, 29)}
         seen = set()
         for family in all_complexes_on(4):
-            got = classify_small_complex(SimplicialComplex(family))
+            got = classify_small_complex(family)
             assert got.class_id in four_vertex_classes
             seen.add(got.class_id)
 
             mapping = dict(got.relabeling)
-            relabeled = SimplicialComplex(
-                frozenset(mapping[v] for v in f) for f in family
-            )
-            reference = REFERENCE_COMPLEXES[got.class_id]
-            assert set(relabeled.facets) == set(reference.facets)
+            relabeled = {frozenset(mapping[v] for v in f) for f in family}
+            assert relabeled == set(REFERENCE_COMPLEXES[got.class_id])
 
             for perm in itertools.permutations(range(1, 5)):
                 image = dict(zip(range(1, 5), perm))
-                permuted = SimplicialComplex(
-                    frozenset(image[v] for v in f) for f in family
-                )
+                permuted = [frozenset(image[v] for v in f) for f in family]
                 assert classify_small_complex(permuted).class_id == got.class_id
         assert seen == four_vertex_classes
 
@@ -210,12 +204,12 @@ class TestFourVertexClassification:
 class TestContractibilityCrossCheck:
     def test_reference_table_matches_collapsibility_oracle(self):
         for name, sc in REFERENCE_COMPLEXES.items():
-            expected = oracles.contractible_small(sc.facets)
+            expected = oracles.contractible_small(sc)
             assert classify_small_complex(sc).contractible == expected, name
             if expected:
                 # contractible requires connected with Euler characteristic 1
-                assert oracles.is_connected(sc.facets), name
-                assert oracles.euler_characteristic(sc.facets) == 1, name
+                assert oracles.is_connected(sc), name
+                assert oracles.euler_characteristic(sc) == 1, name
 
     def test_path_of_facets_iff_contractible_meet_link(self):
         """On 1,000 random facet triples the path criterion matches the link."""

@@ -22,7 +22,6 @@ import pytest
 
 from convexcodes import (
     NeuralCode,
-    SimplicialComplex,
     Verdict,
     classify_small_complex,
     decide,
@@ -211,7 +210,6 @@ def test_mask_faces_match_frozenset_reference(census):
         assert set(map(s.packed.word, s.max_intersections)) == faces, code
         assert max_intersection_faces(facets) == faces, code
         assert is_max_intersection_complete(code) == (not missing, frozenset(missing)), code
-        assert SimplicialComplex(code.codewords - {frozenset()}).facets == tuple(facets), code
     # labels that cannot be ordered keep the order _pack found them in
     unordered = [{"a", 1, (2,)}, {1, "b"}, {"a", 1, "b"}, {(2,), "b"}]
     for sets in (unordered, [{1, 2}, {1, 2}, {2, 3}], []):

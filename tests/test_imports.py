@@ -13,7 +13,9 @@ dunder methods, which Python calls itself, the module hooks __getattr__
 and __dir__ (PEP 562), and methods that a standard-library base calls
 (OVERRIDES).  A method is read only through a receiver whose class the
 code does not show or is related to the method's class by inheritance, so
-another class's attribute of the same name does not keep it.
+another class's attribute of the same name does not keep it.  The class of
+a receiver is followed through annotations, calls, attributes, subscripts
+and loops over annotated containers (see _AttributeReads).
 """
 
 import ast
@@ -115,76 +117,182 @@ def _is_dunder(name: str) -> bool:
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPES = (*_FUNCTIONS, ast.ClassDef, ast.Lambda)
+# typing generics whose one argument is the element type
+_ELEMENTS = {"List", "Iterable", "Iterator"}
+# the type of a name bound to one of the package's modules
+MODULE = ("module",)
+
+
+def _elements(kind):
+    """The type of an element of a value of this type, where it shows."""
+    if isinstance(kind, tuple) and kind[0] in ("iter", "dict"):
+        return kind[1]
+    return None
+
+
+def _classes(kind) -> list:
+    """The classes a value of this type may be an instance of: [None] when
+    unknown, [""] for a container, a module or a value of no package class."""
+    if kind is None or isinstance(kind, str):
+        return [kind]
+    if kind[0] == "union":
+        return [cls for member in kind[1] for cls in _classes(member)]
+    return [""]
 
 
 class _AttributeReads(ast.NodeVisitor):
     """(class, name) of each attribute read, the class being the receiver's
     class where the code shows it and None elsewhere.
 
-    A receiver shows its class when it is self (or cls) in one of the
-    class's methods, the class's own name, a call of the class or of a
-    module-level function annotated to return it, or a name that its
-    function or module annotates with the class or binds only to such a
-    call.
+    A type is None when unknown, a class name ("" for no class of the
+    package), or a tuple: ("union", types), ("iter", element type),
+    ("tuple", types), ("dict", key type, value type) or MODULE.  Types come
+    from self in a class's methods; from annotations (C, "C", Optional,
+    Union, Tuple, List, Iterable, Iterator, Dict and the module's type
+    aliases); from calls of a class, or of a function or method annotated
+    to return a type; from the annotations and properties of a receiver's
+    class; from subscripts and dict views; from loop and comprehension
+    targets over a container; and from tuple unpacking.  Reads through a
+    union count for each member.
     """
 
-    def __init__(self, classes: dict):
+    def __init__(self, classes: dict, aliases: dict, modules: set):
         self.classes = classes  # class name -> the names of its bases
-        self.returns: dict = {}  # function name -> the class it returns
+        self.aliases = aliases  # module-level alias name -> its value
+        self.modules = modules  # the stems of the package's modules
+        self.returns: dict = {}  # function name -> the type it returns
+        self.members: dict = {}  # (class, name) -> ("field" or "method", type)
         self.scopes: list = []
         self.owner = None  # the class whose body is being visited
         self.reads: set = set()
 
     def annotated(self, node):
-        """The class an annotation names, as C, "C" or Optional[C]: "" for
-        another generic, a dotted name or a builtin, which is no class of
-        the package."""
+        """The type an annotation names: "" for a generic it does not know,
+        a dotted name or a builtin, which are no class of the package."""
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             node = ast.parse(node.value, mode="eval").body
         if isinstance(node, ast.Subscript):
-            if not (isinstance(node.value, ast.Name) and node.value.id == "Optional"):
-                return ""
-            node = node.slice
+            name = node.value.id if isinstance(node.value, ast.Name) else ""
+            args = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+            kinds = tuple(map(self.annotated, args))
+            if name == "Optional":
+                return kinds[0]
+            if name == "Union":
+                return ("union", kinds)
+            if name in _ELEMENTS:
+                return ("iter", kinds[0])
+            if name == "Dict":
+                return ("dict", *kinds)
+            if name == "Tuple":
+                if isinstance(args[-1], ast.Constant) and args[-1].value is Ellipsis:
+                    return ("iter", kinds[0])
+                return ("tuple", kinds)
+            return ""
         if isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and node.id in BUILTINS:
             return ""
-        return node.id if isinstance(node, ast.Name) and node.id in self.classes else None
+        if isinstance(node, ast.Name):
+            if node.id in self.classes:
+                return node.id
+            if node.id in self.aliases:
+                return self.annotated(self.aliases[node.id])
+        return None
 
-    def class_of(self, node):
-        """The class of an expression's value, where the code shows it."""
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            name = node.func.id
-            return name if name in self.classes else self.returns.get(name)
+    def member(self, owner, name: str, called: bool):
+        """The type of owner.name, or of owner.name(...) when called."""
+        if owner == MODULE:
+            return self.returns.get(name) if called else None
+        if isinstance(owner, tuple) and owner[0] == "dict" and called:
+            views = {"values": ("iter", owner[2]), "items": ("iter", ("tuple", owner[1:]))}
+            return views.get(name)
+        kind, value = self.members.get((owner, name), (None, None))
+        return value if kind == ("method" if called else "field") else None
+
+    def type_of(self, node):
+        """The type of an expression's value, where the code shows it."""
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                return func.id if func.id in self.classes else self.returns.get(func.id)
+            if isinstance(func, ast.Attribute):
+                return self.member(self.type_of(func.value), func.attr, True)
+            return None
         if isinstance(node, ast.Name):
             if node.id in self.classes:
                 return node.id
             for scope in reversed(self.scopes):
                 if node.id in scope:
                     return scope[node.id]
+            return None
+        if isinstance(node, ast.Attribute):
+            return self.member(self.type_of(node.value), node.attr, False)
+        if isinstance(node, ast.Subscript) and not isinstance(node.slice, ast.Slice):
+            owner = self.type_of(node.value)
+            if isinstance(owner, tuple) and owner[0] == "dict":
+                return owner[2]
+            return _elements(owner)
         return None
 
-    def _scope(self, body, bindings: list) -> dict:
-        """Each name the scope binds -> its class, None unless each of its
-        bindings shows that class.  bindings holds the parameters' already;
-        assignments and nested definitions in body are added."""
-        shown = {}  # id of an assigned Name -> the class its assignment shows
-        todo = list(body)
-        while todo:
-            node = todo.pop()
+    def _bind(self, target, kind, shown: dict):
+        """Record the type each Name in an assignment target receives."""
+        if isinstance(target, ast.Name):
+            shown[id(target)] = kind
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            parts = [_elements(kind)] * len(target.elts)
+            if isinstance(kind, tuple) and kind[0] == "tuple" and len(kind[1]) == len(parts):
+                parts = kind[1]
+            for sub, part in zip(target.elts, parts):
+                self._bind(sub, part, shown)
+
+    def _bindings(self, nodes: list, bindings: list) -> dict:
+        """Each name the scope binds -> its type, None unless each of its
+        bindings shows that type.  bindings holds the parameters' already;
+        assignments, loop targets, imports of the package's modules and
+        nested definitions among nodes are added."""
+        bindings = list(bindings)
+        shown = {}  # id of an assigned Name -> the type its binding shows
+        for node in nodes:
             if isinstance(node, _SCOPES):
                 if not isinstance(node, ast.Lambda):
                     bindings.append((node.name, None))
-                continue
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                shown[id(node.targets[0])] = self.class_of(node.value)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    self._bind(target, self.type_of(node.value), shown)
             elif isinstance(node, ast.AnnAssign):
                 shown[id(node.target)] = self.annotated(node.annotation)
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                self._bind(node.target, _elements(self.type_of(node.iter)), shown)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if alias.name in self.modules:
+                        bindings.append((name, MODULE))
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 bindings.append((node.id, shown.get(id(node))))
-            todo += ast.iter_child_nodes(node)
-        classes: dict = {}
-        for name, cls in bindings:
-            classes.setdefault(name, set()).add(cls)
-        return {name: each.pop() if len(each) == 1 else None for name, each in classes.items()}
+        kinds: dict = {}
+        for name, kind in bindings:
+            kinds.setdefault(name, set()).add(kind)
+        return {name: each.pop() if len(each) == 1 else None for name, each in kinds.items()}
+
+    def _scope(self, body, bindings: list) -> dict:
+        """_bindings of the scope's own nodes (each listed before its
+        children), repeated until it settles: a binding's type may depend
+        on another name of the same scope, as a loop variable's on the list
+        it runs over, and each pass reads the types the pass before found."""
+        nodes, todo = [], list(body)
+        while todo:
+            node = todo.pop()
+            nodes.append(node)
+            if not isinstance(node, _SCOPES):
+                todo += ast.iter_child_nodes(node)
+        scope: dict = {}
+        for _ in range(8):
+            self.scopes.append(scope)
+            settled = self._bindings(nodes, bindings)
+            self.scopes.pop()
+            if settled == scope:
+                break
+            scope = settled
+        return scope
 
     def visit_Module(self, node):
         self.scopes.append(self._scope(node.body, []))
@@ -211,7 +319,8 @@ class _AttributeReads(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Attribute(self, node):
-        self.reads.add((self.class_of(node.value), node.attr))
+        for cls in _classes(self.type_of(node.value)):
+            self.reads.add((cls, node.attr))
         self.generic_visit(node)
 
 
@@ -224,6 +333,14 @@ def _lineage(classes: dict, name: str) -> set:
             out.add(cls)
             todo += classes.get(cls, ())
     return out
+
+
+def _is_property(node) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id in ("property", "cached_property")
+        or isinstance(d, ast.Attribute) and d.attr == "cached_property"
+        for d in node.decorator_list
+    )
 
 
 def unused_definitions(sources: dict, exported: set) -> list:
@@ -243,12 +360,30 @@ def unused_definitions(sources: dict, exported: set) -> list:
         for node in tops
         if isinstance(node, ast.ClassDef)
     }
-    visitor = _AttributeReads(classes)
+    aliases = {
+        node.targets[0].id: node.value
+        for node in tops
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name) and isinstance(node.value, (ast.Subscript, ast.Name))
+    }
+    # a package's name is its directory's; the root package's is never imported by name
+    paths = map(Path, sources)
+    modules = {p.parent.name if p.stem == "__init__" else p.stem for p in paths} - {""}
+    visitor = _AttributeReads(classes, aliases, modules)
     visitor.returns = {
         node.name: visitor.annotated(node.returns)
         for node in tops
         if isinstance(node, _FUNCTIONS) and node.returns is not None
     }
+    for node in tops:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    kind = ("field", visitor.annotated(item.annotation))
+                    visitor.members[node.name, item.target.id] = kind
+                elif isinstance(item, _FUNCTIONS):
+                    kind = ("field" if _is_property(item) else "method", visitor.annotated(item.returns))
+                    visitor.members[node.name, item.name] = kind
     for tree in trees.values():
         visitor.visit(tree)
     readers: dict = {}
@@ -281,8 +416,22 @@ def unused_definitions(sources: dict, exported: set) -> list:
     return out
 
 
+# (module, class, method): a dead method added to the package, one at a time
+DEAD_METHODS = [
+    ("codes.py", "NeuralCode", "to_json"),
+    ("codes.py", "NeuralCode", "missing"),
+    ("codes.py", "NeuralCode", "code"),
+    ("realize/geometry.py", "Interval", "vertices"),
+    ("decider.py", "Report", "text"),
+]
+
+
+def _package_sources() -> dict:
+    return {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+
+
 def test_no_unused_module_definitions():
-    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    sources = _package_sources()
     exported = _exported(ast.parse(sources["__init__.py"]))
     assert exported
     assert unused_definitions(sources, exported) == []
@@ -306,6 +455,7 @@ def test_guard_catches_an_unused_definition():
             "    def facets(self): return 0\n"
             "    def support(self): return self.words()\n"
             "    def words(self): return 0\n"
+            "    def missing(self): return 3\n"
             "class Structure:\n"
             "    def facets(self): return 1\n"
             "    def missing(self): return 2\n"
@@ -322,14 +472,31 @@ def test_guard_catches_an_unused_definition():
             "    return s.facets, args.facets, code.support(), thing.read_method()\n"
             "show(Structure(), None, Code(), x)\n"
             "structure().missing()\n"
+            "def each(rows: Tuple['Structure', ...], by: Dict[int, Structure]):\n"
+            "    for row in rows:\n"
+            "        row.missing()\n"
+            "    for k, v in by.items():\n"
+            "        v.missing()\n"
+            "    return [v.missing() for v in by.values()], by[0].missing()\n"
+            "each((), {})\n"
         ),
     }
     # Code.facets is dead: the facets read are Structure's and a Namespace's;
-    # thing's class is unknown, so its read counts for Unused.read_method
+    # Code.missing too, as each element read is a Structure; thing's class
+    # is unknown, so its read counts for Unused.read_method
     assert unused_definitions(sources, {"public"}) == [
         ("a.py", 3, "dead"), ("a.py", 5, "Unused"), ("a.py", 6, "Unused.method"),
-        ("a.py", 11, "__setattr__"), ("a.py", 13, "Code.facets"),
+        ("a.py", 11, "__setattr__"), ("a.py", 13, "Code.facets"), ("a.py", 16, "Code.missing"),
     ]
+    # each once survived alone, read through a loop variable over a
+    # container whose element class the check did not follow
+    package = _package_sources()
+    exported = _exported(ast.parse(package["__init__.py"]))
+    for module, cls, name in DEAD_METHODS:
+        header = re.search(rf"^class {cls}\b.*:\n", package[module], re.M).end()
+        text = package[module]
+        patched = {**package, module: f"{text[:header]}    def {name}(self): return 0\n{text[header:]}"}
+        assert [found[2] for found in unused_definitions(patched, exported)] == [f"{cls}.{name}"]
 
 
 def unread_exports(exported: set, sources: dict, texts: list) -> list:
@@ -344,7 +511,7 @@ def unread_exports(exported: set, sources: dict, texts: list) -> list:
 
 def test_exported_names_are_used():
     """Each name in __all__ is read in src/ or named by the README or perfbench/."""
-    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    sources = _package_sources()
     exported = _exported(ast.parse(sources["__init__.py"]))
     texts = [(ROOT / "README.md").read_text()]
     texts += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
@@ -418,7 +585,7 @@ sys.setprofile(watch)
 import convexcodes
 sys.setprofile(None)
 from convexcodes import topology
-checks = (topology.is_collapsible, topology._acyclic, topology.SimplicialComplex.__init__)
+checks = (topology.is_collapsible, topology._acyclic, topology.nerve)
 print(sorted(f.__qualname__ for f in checks if f.__code__ in seen))
 print(hasattr(topology, "REFERENCE_COMPLEXES"))
 """
@@ -426,6 +593,6 @@ print(hasattr(topology, "REFERENCE_COMPLEXES"))
 
 def test_import_runs_no_contractibility_check():
     """The nerve catalog's contractible classes are a literal: importing the
-    package runs no collapse search, no homology and builds no
-    SimplicialComplex (tests/test_topology.py checks the literal)."""
+    package runs no collapse search, no homology and no nerve
+    (tests/test_topology.py checks the literal)."""
     assert _run_cold(IMPORT_WORK) == ["[]", "False"]

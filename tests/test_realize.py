@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -600,6 +601,20 @@ class TestContract:
             if not problems:
                 assert back == r and code_of_realization(back) == code
         assert len(kinds) == 13
+
+    @pytest.mark.parametrize("end", ["1e10000000", "1e-10000000"])
+    def test_huge_decimal_exponent_refused_at_once(self, end):
+        # Fraction would build 10**(10**7) first, which takes seconds
+        doc = {"dimension": 1, "regions": [{"neuron": 1, "interval": ["0", end]}]}
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(f"malformed number {end!r}")):
+            realization_from_json(doc)
+        assert time.perf_counter() - start < 0.5
+
+    def test_exponent_at_the_bound_accepted(self):
+        doc = {"dimension": 1, "regions": [{"neuron": 1, "interval": ["1e-4300", "1e4300"]}]}
+        interval = realization_from_json(doc).regions[1]
+        assert (interval.lo, interval.hi) == (Fraction(1, 10**4300), Fraction(10**4300))
 
 
 class TestSerialization:

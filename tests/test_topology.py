@@ -12,7 +12,6 @@ import pytest
 from convexcodes import (
     INDETERMINATE,
     NeuralCode,
-    SimplicialComplex,
     Verdict,
     analyze,
     atlas_rows,
@@ -28,7 +27,10 @@ from convexcodes import (
     path_of_facets,
     relabel,
 )
+import convexcodes.atlas
+import convexcodes.cli
 import convexcodes.codes
+import convexcodes.realize.builders
 import convexcodes.topology
 from convexcodes.codes import _pack
 from convexcodes.topology import (
@@ -62,18 +64,18 @@ class TestNerve:
         order = facets_of(c22)
         t1 = frozenset(order.index(f) + 1 for f in [fs("134"), fs("1357"), fs("356")])
         t2 = frozenset(order.index(f) + 1 for f in [fs("1357"), fs("356"), fs("257")])
-        assert set(sc.facets) == {t1, t2}
+        assert set(sc) == {t1, t2}
         assert classify_small_complex(sc).class_id == "L22"
 
     def test_c24_simplex_plus_edges(self, c24):
         sc = nerve(facets_of(c24))
         assert classify_small_complex(sc).class_id == "L24"
-        assert sum(1 for f in sc.facets if len(f) == 3) == 1
-        assert sum(1 for f in sc.facets if len(f) == 2) == 3
+        assert sum(1 for f in sc if len(f) == 3) == 1
+        assert sum(1 for f in sc if len(f) == 2) == 3
 
     def test_single_set(self):
         sc = nerve([fs("12")])
-        assert set(sc.facets) == {frozenset({1})}
+        assert sc == (frozenset({1}),)
         assert classify_small_complex(sc).class_id == "L1"
 
     def test_empty_input_set_rejected(self):
@@ -91,7 +93,7 @@ class TestNerveAgainstReference:
         checked = 0
         for size in range(4):
             for sets in itertools.product(subsets, repeat=size):
-                assert nerve(sets).facets == oracles.reference_nerve(sets).facets, sets
+                assert nerve(sets) == oracles.reference_nerve(sets), sets
                 checked += 1
         assert checked == 1 + 15 + 15**2 + 15**3
 
@@ -107,8 +109,8 @@ class TestNerveAgainstReference:
                 for _ in range(k)
             ]
             want = oracles.reference_nerve(sets)
-            assert nerve(sets).facets == want.facets, sets
-            wide += max(map(len, want.facets)) >= 5
+            assert nerve(sets) == want, sets
+            wide += max(map(len, want)) >= 5
         assert wide >= 300
 
     def test_labels_shifted_by_a_billion(self):
@@ -120,11 +122,11 @@ class TestNerveAgainstReference:
                 for _ in range(rng.randint(1, 8))
             ]
             far = _shifted(sets, 10**9)
-            assert nerve(far).facets == oracles.reference_nerve(far).facets == nerve(sets).facets
+            assert nerve(far) == oracles.reference_nerve(far) == nerve(sets)
 
     def test_any_hashable_elements(self):
         # elements that cannot be ordered against each other are fine too
-        assert nerve([{"a", 1}, {"a"}, {(2, 3)}]).facets == (frozenset({3}), frozenset({1, 2}))
+        assert nerve([{"a", 1}, {"a"}, {(2, 3)}]) == (frozenset({3}), frozenset({1, 2}))
 
 
 class TestLinkFacetSets:
@@ -154,12 +156,12 @@ class TestLinkFacetSets:
 
 class TestClassify:
     def test_hollow_triangle(self):
-        got = classify_small_complex(SimplicialComplex([fs("12"), fs("13"), fs("23")]))
+        got = classify_small_complex([fs("12"), fs("13"), fs("23")])
         assert got.class_id == "L7"
         assert not got.contractible
 
     def test_filled_triangle(self):
-        got = classify_small_complex(SimplicialComplex([fs("123")]))
+        got = classify_small_complex([fs("123")])
         assert got.class_id == "L8"
         assert got.contractible
 
@@ -172,15 +174,21 @@ class TestClassify:
         sc = nerve(facets_of(c22))
         got = classify_small_complex(sc)
         mapping = dict(got.relabeling)
-        relabeled = SimplicialComplex(
-            frozenset(mapping[v] for v in f) for f in sc.facets
-        )
-        reference = REFERENCE_COMPLEXES[got.class_id]
-        assert set(relabeled.facets) == set(reference.facets)
+        relabeled = {frozenset(mapping[v] for v in f) for f in sc}
+        assert relabeled == set(REFERENCE_COMPLEXES[got.class_id])
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            classify_small_complex(SimplicialComplex([fs("12345")]))
+            classify_small_complex([fs("12345")])
+        with pytest.raises(ValueError):
+            classify_small_complex([])
+
+    def test_any_family_of_sets(self):
+        # a set inside another adds nothing: the edge {1, 2} with its vertex {1}
+        assert classify_small_complex([{1, 2}, {1}]) == ("L3", ((1, 1), (2, 2)), True)
+        assert classify_small_complex(iter([fs("12"), fs("12"), fs("2")])).class_id == "L3"
+        with pytest.raises(ValueError, match="nonempty"):
+            classify_small_complex([fs("12"), frozenset()])
 
 
 class TestContractibleSmall:
@@ -189,23 +197,23 @@ class TestContractibleSmall:
     comes from."""
 
     def test_point(self):
-        assert classify_small_complex(SimplicialComplex([fs("1")])).contractible
+        assert classify_small_complex([fs("1")]).contractible
 
     def test_two_points(self):
-        assert not classify_small_complex(SimplicialComplex([fs("1"), fs("2")])).contractible
+        assert not classify_small_complex([fs("1"), fs("2")]).contractible
 
     def test_path_on_three(self):
-        assert classify_small_complex(SimplicialComplex([fs("12"), fs("23")])).contractible
+        assert classify_small_complex([fs("12"), fs("23")]).contractible
 
     def test_table_matches_collapsibility_oracle(self):
         """Every reference class agrees with the independent oracle."""
         for name, sc in REFERENCE_COMPLEXES.items():
-            expected = oracles.contractible_small(sc.facets)
+            expected = oracles.contractible_small(sc)
             got = classify_small_complex(sc)
             assert (got.class_id, got.contractible) == (name, expected), name
             if got.contractible:
-                assert oracles.is_connected(sc.facets)
-                assert oracles.euler_characteristic(sc.facets) == 1
+                assert oracles.is_connected(sc)
+                assert oracles.euler_characteristic(sc) == 1
 
     def test_contractible_literal_matches_collapse_and_homology(self):
         """The literal set the import reads in place of running the checks:
@@ -222,7 +230,7 @@ class TestContractibleSmall:
     def test_internal_collapse_search_agrees_with_oracle(self):
         # is_collapsible consumes the full face set, not the facet antichain
         for name, sc in REFERENCE_COMPLEXES.items():
-            assert is_collapsible(oracles.face_poset(sc.facets)) == oracles.is_collapsible(sc.facets), name
+            assert is_collapsible(oracles.face_poset(sc)) == oracles.is_collapsible(sc), name
 
 
 class TestLinkContractible:
@@ -343,7 +351,7 @@ class TestCollapseSearch:
 
     def test_matches_recursive_search_at_every_budget(self):
         rng = random.Random(3)
-        complexes = [sc.facets for sc in REFERENCE_COMPLEXES.values()]
+        complexes = list(REFERENCE_COMPLEXES.values())
         while len(complexes) < 80:
             complexes.append(_random_antichain(rng, rng.randint(2, 5), rng.randint(4, 5)))
         exhausted = 0
@@ -581,7 +589,7 @@ class TestClassificationExhaustive:
         seen = set()
         for k in (1, 2, 3):
             for family in all_complexes_on(k):
-                cls = classify_small_complex(SimplicialComplex(family)).class_id
+                cls = classify_small_complex(family).class_id
                 assert int(cls[1:]) <= 8
                 seen.add(cls)
         assert seen == {f"L{i}" for i in range(1, 9)}
@@ -589,17 +597,17 @@ class TestClassificationExhaustive:
     def test_four_vertices_hit_l9_to_l28(self):
         seen = set()
         for family in all_complexes_on(4):
-            cls = classify_small_complex(SimplicialComplex(family)).class_id
+            cls = classify_small_complex(family).class_id
             assert 9 <= int(cls[1:]) <= 28
             seen.add(cls)
         assert seen == {f"L{i}" for i in range(9, 29)}
 
     def test_classification_permutation_invariant_on_three_vertices(self):
         for family in all_complexes_on(3):
-            base = classify_small_complex(SimplicialComplex(family)).class_id
+            base = classify_small_complex(family).class_id
             for perm in itertools.permutations((1, 2, 3)):
                 mapped = [frozenset(perm[v - 1] for v in f) for f in family]
-                got = classify_small_complex(SimplicialComplex(mapped)).class_id
+                got = classify_small_complex(mapped).class_id
                 assert got == base
 
     def test_table_matches_permutation_scan_under_random_labels(self):
@@ -611,14 +619,21 @@ class TestClassificationExhaustive:
             k = len(frozenset().union(*family))
             for _ in range(4):
                 labels = rng.sample(range(1, 60), k)
-                sc = SimplicialComplex(
-                    frozenset(labels[v - 1] for v in f) for f in family
-                )
+                sc = [frozenset(labels[v - 1] for v in f) for f in family]
                 got = classify_small_complex(sc)
                 want = oracles.reference_classify_small_complex(sc)
                 assert got.class_id == want.class_id, family
                 assert got.relabeling == want.relabeling, family
                 assert got.contractible == want.contractible, family
+
+    def test_every_face_listed_classifies_as_the_facets(self):
+        """Each of the 126 labeled complexes, given by all of its faces."""
+        for k in (1, 2, 3, 4):
+            for family in all_complexes_on(k):
+                faces = sorted(oracles.face_poset(family), key=sorted)
+                got = classify_small_complex(faces)
+                assert got == classify_small_complex(family), family
+                assert got == oracles.reference_classify_small_complex(faces), family
 
 
 def test_indeterminate_refuses_truth_coercion():
@@ -681,25 +696,72 @@ class TestHomologyDecidesLinks:
             acyclic = _acyclic(faces)
             assert acyclic == oracles.is_acyclic_gf2(facets), facets
             if len(frozenset().union(*facets)) <= 4:
-                assert acyclic == classify_small_complex(SimplicialComplex(facets)).contractible, facets
+                assert acyclic == classify_small_complex(facets).contractible, facets
             if acyclic:
                 assert is_collapsible(map(_positions, faces)), facets
             checked += 1
         assert checked == 7579
 
 
+# a square-in-square disk: outer square 1..4, inner square 5..8, and these
+# triangles.  With neuron i for the i-th triangle and neuron 11 in every
+# facet, the facet of vertex v holds the triangles at v, so the link of {11}
+# is, up to homotopy, the nerve of those sets: the disk itself.  No vertex of
+# the disk is dominated.
+_DISK_TRIANGLES = ["125", "256", "236", "367", "347", "478", "148", "158", "567", "578"]
+_DISK_FACETS = [
+    frozenset({i for i, t in enumerate(_DISK_TRIANGLES, start=1) if str(v) in t} | {11})
+    for v in range(1, 9)
+]
+
+
+class TestCollapseDecidesLinks:
+    """A link whose strong core keeps more than four sets, connected and
+    acyclic, is settled by the collapse search."""
+
+    FACETS = _DISK_FACETS
+
+    def test_strong_core_keeps_every_row(self):
+        assert len(convexcodes.topology._strong_core(_pack(f - {11} for f in self.FACETS).masks)) == 8
+
+    def test_link_is_contractible_by_one_collapse_search(self, monkeypatch):
+        calls = []
+        search = convexcodes.topology.is_collapsible
+
+        def counting(faces, budget=200_000):
+            calls.append(budget)
+            return search(faces, budget)
+
+        monkeypatch.setattr(convexcodes.topology, "is_collapsible", counting)
+        assert is_link_contractible(self.FACETS, {11}) is True
+        assert len(calls) == 1
+
+    def test_structure_agrees_with_reference(self):
+        s = CodeStructure(NeuralCode(self.FACETS))
+        sigma = 1 << s.packed.labels.index(11)
+        assert s.link_contractible(sigma) is True
+        assert oracles.reference_is_link_contractible(self.FACETS, {11}) is True
+
+
 class TestMasksOnly:
-    """Nerves and faces stay masks: the pipeline builds no SimplicialComplex."""
+    """Nerves and faces stay masks: the pipeline never calls the public nerve."""
 
     def test_pipeline_builds_no_complex(self, monkeypatch, c24, c22, w3):
         built = []
-        init = SimplicialComplex.__init__
 
-        def counting(self, faces):
-            built.append(faces)
-            init(self, faces)
+        def counting(sets):
+            built.append(sets)
+            return nerve(sets)
 
-        monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+        # every module that imports nerve holds its own binding of the name
+        patched = []
+        for module in list(sys.modules.values()):
+            if getattr(module, "nerve", None) is nerve and module.__name__.startswith("convexcodes"):
+                monkeypatch.setattr(module, "nerve", counting)
+                patched.append(module.__name__.split(".", 1)[-1])
+        assert sorted(patched) == [
+            "atlas", "cli", "convexcodes", "decider", "realize.builders", "topology", "wheels",
+        ]
         for code in (c24, c22, w3):
             decide(code)
             analyze(code)

@@ -2,10 +2,10 @@
 
 Records are typing.NamedTuple: they compare and hash as the tuple of their
 fields, so they also equal a plain tuple with the same fields, and they
-iterate and unpack.  NeuralCode, SimplicialComplex, Interval and Polygon
-are plain classes: equal only to an instance of the same class with equal
-fields, hashed as the tuple of their fields, and closed to assignment and
-deletion.  CodeStructure compares by identity.
+iterate and unpack.  NeuralCode, Interval and Polygon are plain classes:
+equal only to an instance of the same class with equal fields, hashed as
+the tuple of their fields, and closed to assignment and deletion.
+CodeStructure compares by identity.
 """
 
 from fractions import Fraction
@@ -20,7 +20,6 @@ from convexcodes import (
     Polygon,
     Realization,
     Report,
-    SimplicialComplex,
     SprocketCandidate,
     Verdict,
 )
@@ -119,13 +118,6 @@ VALUES = [
         (frozenset({frozenset(), fs("2"), fs("12")}),),
         "NeuralCode(codewords=frozenset({frozenset(), frozenset({2}), frozenset({1, 2})}))",
         "codewords",
-    ),
-    (
-        SimplicialComplex([{1, 2}, {2}]),
-        SimplicialComplex([{2, 1}]),
-        ((fs("12"),),),
-        "SimplicialComplex(facets=(frozenset({1, 2}),))",
-        "facets",
     ),
     (
         Interval(Fraction(1, 2), 2),
