@@ -189,12 +189,12 @@ def format_code(code: NeuralCode, verbose: bool = False, braced: bool = False) -
     The empty codeword prints as "{}" only in verbose mode and is omitted
     otherwise.  braced forces braced form for every codeword (used by CSV).
     """
-    use_braces = braced or code.support() and max(code.support()) > 9
+    use_braces = braced or code.n > 9
     parts = []
     for w in sort_words(code.codewords):
         if not w and not verbose:
             continue
-        parts.append(format_word(w, braced=bool(use_braces)))
+        parts.append(format_word(w, braced=use_braces))
     return ",".join(parts)
 
 

@@ -18,7 +18,7 @@ import itertools
 from enum import Enum
 from typing import List, NamedTuple, Optional, Tuple
 
-from .codes import EMPTY, NeuralCode, Codeword, format_word, sort_words
+from .codes import EMPTY, NeuralCode, Codeword, _mask_key, format_word, sort_words
 from .topology import INDETERMINATE, CodeStructure, path_of_facets
 from .wheels import (
     DEFAULT_BUDGET,
@@ -135,11 +135,8 @@ def _decide(s: CodeStructure, box: list) -> Tuple[Verdict, List[Certificate]]:
     """
     obs = s.obstruction
     if obs is INDETERMINATE:
-        und = s.mandatory.undecided
-        return (
-            Verdict.UNKNOWN,
-            [Certificate(KIND_INDETERMINATE_CONTRACTIBILITY, faces=tuple(sort_words(und)))],
-        )
+        faces = tuple(map(s.packed.word, s.undecided))
+        return (Verdict.UNKNOWN, [Certificate(KIND_INDETERMINATE_CONTRACTIBILITY, faces=faces)])
     if obs is not None:
         return (Verdict.NONCONVEX, [Certificate(KIND_LOCAL_OBSTRUCTION, face=obs)])
 
@@ -235,20 +232,18 @@ def analyze(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Report:
     """
     _check_budget(budget)
     s = CodeStructure(code)
-    facets, cls, mand = s.facets, s.classified, s.mandatory
+    facets, cls = s.facets, s.classified
     m = len(facets)
+    mandatory = tuple(map(s.packed.word, sorted(s.mandatory, key=_mask_key)))
 
     pof_rows = []
-    for i, j, k in itertools.combinations(range(1, m + 1), 3):
-        triple = (facets[i - 1], facets[j - 1], facets[k - 1])
-        witness = path_of_facets(*triple)
-        positions = (i, j, k)
+    for positions in itertools.combinations(range(1, m + 1), 3):
+        triple = [facets[p - 1] for p in positions]
+        path = path_of_facets(*triple)
         pof_rows.append(
             {
-                "facets": [i, j, k],
-                "witness": [positions[witness.a - 1], positions[witness.b - 1], positions[witness.c - 1]]
-                if witness is not None
-                else None,
+                "facets": list(positions),
+                "witness": [positions[triple.index(f)] for f in path] if path is not None else None,
             }
         )
 
@@ -282,8 +277,8 @@ def analyze(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Report:
         facets=tuple(facets),
         nerve_class=cls.class_id if cls else None,
         nerve_relabeling=tuple(ref for _pos, ref in cls.relabeling) if cls else None,
-        mandatory_faces=tuple(sort_words(mand)),
-        minimal_code=None if mand.undecided else tuple(sort_words(mand | {EMPTY})),
+        mandatory_faces=mandatory,
+        minimal_code=None if s.undecided else (EMPTY, *mandatory),
         missing_max_intersections=tuple(map(s.packed.word, s.missing)),
         path_of_facets=tuple(pof_rows),
         sprocket=sprocket_json,

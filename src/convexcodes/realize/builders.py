@@ -107,10 +107,10 @@ def _build_connected(s: CodeStructure) -> Optional[Tuple[Realization, str]]:
         f1, f2 = facets
         return (_chain([f1, f1 & f2, f2]), "PoFChain1D")
     if m == 3:
-        pof = path_of_facets(*facets)
-        if pof is None:
+        path = path_of_facets(*facets)
+        if path is None:
             return None
-        fa, fb, fc = facets[pof.a - 1], facets[pof.b - 1], facets[pof.c - 1]
+        fa, fb, fc = path
         return (_chain([fa, fa & fb, fb, fb & fc, fc]), "PoFChain1D")
     class_id = s.classified.class_id
     if class_id == "L18":
@@ -125,13 +125,12 @@ def _build_connected(s: CodeStructure) -> Optional[Tuple[Realization, str]]:
 # --- L18: filled triangle (refs 1,2,3) plus pendant edge {2,4} ---
 
 def _build_l18(by_ref) -> Optional[Tuple[Realization, str]]:
-    triangle = (by_ref[1], by_ref[2], by_ref[3])
     attach, f4 = by_ref[2], by_ref[4]
-    pof = path_of_facets(*triangle)
-    if pof is None:
+    path = path_of_facets(by_ref[1], by_ref[2], by_ref[3])
+    if path is None:
         return None  # triple intersection is mandatory; code is only
         # max-intersection complete, no figure covers it
-    fa, fb, fc = triangle[pof.a - 1], triangle[pof.b - 1], triangle[pof.c - 1]
+    fa, fb, fc = path
     if attach == fa:
         return (_chain([f4, f4 & fa, fa, fa & fb, fb, fb & fc, fc]), "L18Case1")
     if attach == fc:
@@ -182,10 +181,10 @@ _L21_TENT = {
 
 def _build_l21(by_ref) -> Optional[Tuple[Realization, str]]:
     g1, g2, g3, f4 = by_ref[1], by_ref[2], by_ref[3], by_ref[4]
-    pof = path_of_facets(g1, g2, g3)
-    if pof is None:
+    path = path_of_facets(g1, g2, g3)
+    if path is None:
         return None
-    middle = (g1, g2, g3)[pof.b - 1]
+    middle = path[1]
     if middle == g1:
         # pendant meets both chain ends: tent over the chain g2|g1|g3
         roles = {"m": g1, "q": g2, "r": g3, "w": f4}
@@ -241,11 +240,8 @@ _L22_CASE3B = {
 
 def _pof_middle(end: Codeword, shared: list):
     """Path-of-Facets middle of the triangle (end, shared0, shared1)."""
-    triple = (end, shared[0], shared[1])
-    pof = path_of_facets(*triple)
-    if pof is None:
-        return None
-    return triple[pof.b - 1]
+    path = path_of_facets(end, shared[0], shared[1])
+    return None if path is None else path[1]
 
 
 def _build_l22(code: NeuralCode, by_ref) -> Optional[Tuple[Realization, str]]:

@@ -40,7 +40,6 @@ from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from .codes import (
-    EMPTY,
     Codeword,
     NeuralCode,
     _indices,
@@ -48,7 +47,7 @@ from .codes import (
     _mask_key,
     _maximal_masks,
     _pack,
-    sort_words,
+    _Packing,
 )
 
 
@@ -402,21 +401,6 @@ def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
     return _link_contractible(masks, s)
 
 
-class MandatoryFaces(frozenset):
-    """Set of mandatory faces, plus any candidates left undecided.
-
-    Behaves as a plain frozenset of the decided mandatory faces; undecided
-    is empty whenever the complex has at most four facets.
-    """
-
-    undecided: frozenset
-
-    def __new__(cls, faces, undecided=frozenset()):
-        self = super().__new__(cls, faces)
-        self.undecided = frozenset(undecided)
-        return self
-
-
 class CodeStructure:
     """The facts the pipeline reads about one code, each derived once.
 
@@ -434,12 +418,14 @@ class CodeStructure:
     (nerve_masks), which the class table and the component split read.
     """
 
+    code: NeuralCode
+
     def __init__(self, code: NeuralCode):
         self.code = code
         self._links: dict = {}
 
     @cached_property
-    def packed(self):
+    def packed(self) -> _Packing:
         """The nonempty codewords packed by codes._pack: packed.labels are
         the neurons in bit order, and packed.masks are the words' masks."""
         return _pack(w for w in self.code.codewords if w)
@@ -488,16 +474,26 @@ class CodeStructure:
         return self._links[sigma]
 
     @cached_property
-    def mandatory(self) -> MandatoryFaces:
-        """Facets plus every max-intersection face with non-contractible link."""
-        out, undecided = set(self.facets), set()
+    def mandatory(self) -> set:
+        """The masks of the facets and of the max-intersection faces whose
+        link is not contractible.  The same scan sets undecided."""
+        out, undecided = set(self.facet_masks), []
         for sigma in self.max_intersections:
             res = self.link_contractible(sigma)
             if res is INDETERMINATE:
-                undecided.add(self.packed.word(sigma))
+                undecided.append(sigma)
             elif not res:
-                out.add(self.packed.word(sigma))
-        return MandatoryFaces(out, undecided)
+                out.add(sigma)
+        self.undecided = sorted(undecided, key=_mask_key)
+        return out
+
+    @cached_property
+    def undecided(self) -> list:
+        """The max-intersection masks whose link is INDETERMINATE, in
+        canonical order; set by the scan of mandatory, which runs first.
+        Empty whenever the code has at most four facets."""
+        self.mandatory
+        return self.undecided
 
     @cached_property
     def obstruction(self):
@@ -514,8 +510,7 @@ class CodeStructure:
     @cached_property
     def is_minimal(self) -> bool:
         """Whether the code is exactly its mandatory faces plus the empty word."""
-        mand = self.mandatory
-        return not mand.undecided and self.code.codewords == mand | {EMPTY}
+        return not self.undecided and self.mandatory == set(self.packed.masks)
 
     @cached_property
     def components(self) -> List[CodeStructure]:
@@ -534,24 +529,29 @@ class CodeStructure:
         return out
 
 
-def mandatory_faces(facets: Iterable[Codeword]) -> MandatoryFaces:
+def mandatory_faces(facets: Iterable[Codeword]) -> frozenset:
     """All faces with non-contractible link of the complex with these facets.
 
     Only facets and max-intersection faces can qualify, so only those are
-    scanned.  Facets are always mandatory.
+    scanned.  Facets are always mandatory.  ValueError, naming the faces,
+    when the contractibility of some link is unresolved (possible only
+    beyond four facets).
     """
-    return CodeStructure(NeuralCode(facets)).mandatory
+    s = CodeStructure(NeuralCode(facets))
+    if s.undecided:
+        raise ValueError(
+            "mandatory faces are undetermined: contractibility unresolved for "
+            + ", ".join(str(sorted(s.packed.word(sigma))) for sigma in s.undecided)
+        )
+    return frozenset(map(s.packed.word, s.mandatory))
 
 
 def minimal_code(facets: Iterable[Codeword]) -> NeuralCode:
-    """The code containing exactly the mandatory faces and the empty word."""
-    faces = mandatory_faces(facets)
-    if faces.undecided:
-        raise ValueError(
-            "minimal code is undetermined: contractibility unresolved for "
-            + ", ".join(str(sorted(f)) for f in sort_words(faces.undecided))
-        )
-    return NeuralCode(faces)
+    """The code containing exactly the mandatory faces and the empty word.
+
+    ValueError as mandatory_faces when some link is unresolved.
+    """
+    return NeuralCode(mandatory_faces(facets))
 
 
 def has_local_obstruction(code: NeuralCode):
@@ -565,35 +565,18 @@ def has_local_obstruction(code: NeuralCode):
     return CodeStructure(code).obstruction
 
 
-class PathOfFacetsWitness(NamedTuple):
-    """Witness (a, b, c): positions of the three facets with b the middle.
-
-    (F_a & F_b) - F_c and (F_b & F_c) - F_a are nonempty while
-    (F_a & F_c) - F_b is empty; a < c.
-    """
-
-    a: int
-    b: int
-    c: int
-
-
-def path_of_facets(f1: Codeword, f2: Codeword, f3: Codeword) -> Optional[PathOfFacetsWitness]:
+def path_of_facets(f1: Codeword, f2: Codeword, f3: Codeword) -> Optional[tuple]:
     """Path-of-Facets test for three facets.
 
-    Returns the witness when exactly one of the three pairwise-difference
-    sets is empty, None otherwise.
+    Returns the facets as the path (F_a, F_b, F_c) when exactly one of the
+    three pairwise-difference sets is empty, None otherwise.  The middle
+    facet F_b is the one omitted from that difference: (F_a & F_b) - F_c
+    and (F_b & F_c) - F_a are nonempty while (F_a & F_c) - F_b is empty.
+    F_a comes before F_c among the arguments.
     """
     fs = [frozenset(f1), frozenset(f2), frozenset(f3)]
     if len(set(fs)) != 3 or any(a < b for a in fs for b in fs):
         raise ValueError("facets must be three distinct incomparable sets")
-    # position b is the facet omitted from the empty difference
-    empties = []
-    for b in (1, 2, 3):
-        a, c = [i for i in (1, 2, 3) if i != b]
-        if not (fs[a - 1] & fs[c - 1]) - fs[b - 1]:
-            empties.append(b)
-    if len(empties) != 1:
-        return None
-    b = empties[0]
-    a, c = [i for i in (1, 2, 3) if i != b]
-    return PathOfFacetsWitness(a, b, c)
+    f1, f2, f3 = fs
+    paths = [(a, b, c) for a, b, c in ((f2, f1, f3), (f1, f2, f3), (f1, f3, f2)) if not (a & c) - b]
+    return paths[0] if len(paths) == 1 else None

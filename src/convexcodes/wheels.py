@@ -38,61 +38,6 @@ class SprocketCandidate(NamedTuple):
         return {name: sorted(word) for name, word in zip(self._fields, self)}
 
 
-def _check_wheel(code: NeuralCode, s1, s2, s3, tau) -> Optional[str]:
-    # a set is a face iff some nonempty codeword holds it, that is iff its
-    # trunk holds a nonempty word (any() skips the empty one, which is falsy)
-    u = s1 | s2 | s3
-    tu = trunk(code, u)
-    if not any(tu):
-        return "P(i)"
-    if trunk(code, s1 | s2) != tu or trunk(code, s1 | s3) != tu or trunk(code, s2 | s3) != tu:
-        return "P(i)"
-    if any(trunk(code, u | tau)):
-        return "P(ii)"
-    if not all(any(trunk(code, sigma | tau)) for sigma in (s1, s2, s3)):
-        return "P(iii)"
-    return None
-
-
-def _check_witnesses(code: NeuralCode, cand: SprocketCandidate) -> Optional[str]:
-    if not (
-        trunk(code, cand.sigma1 | cand.tau) <= trunk(code, cand.rho1)
-        and trunk(code, cand.sigma3 | cand.tau) <= trunk(code, cand.rho3)
-    ):
-        return "S(1)"
-    if not trunk(code, cand.tau) <= trunk(code, cand.rho1) | trunk(code, cand.rho3):
-        return "S(2)"
-    if not trunk(code, cand.rho1 | cand.rho3 | cand.tau) <= trunk(code, cand.sigma2):
-        return "S(3)"
-    return None
-
-
-def _emits(code: NeuralCode, cand: SprocketCandidate) -> bool:
-    """Whether the search may return cand: is_sprocket on the code and
-    _witnesses_cover_exactly.  These are the literal frozenset trunk
-    checks, so they replay the mask search independently."""
-    return (
-        _check_wheel(code, *cand[:4]) is None
-        and _check_witnesses(code, cand) is None
-        and _witnesses_cover_exactly(code, cand)
-    )
-
-
-def _witnesses_cover_exactly(code: NeuralCode, cand: SprocketCandidate) -> bool:
-    """Both witness trunks sit inside Tk(tau), so S(2) is an equality.
-
-    The search refuses to emit candidates without this property.  The bare
-    S conditions accept tuples whose witnesses reach outside Tk(tau), and
-    such tuples exist even in codes with verified convex realizations, so
-    they certify nothing.  Every closed-form construction here has
-    tau <= rho1 & rho3, which implies this containment, and the
-    nonconvexity argument needs the witness trunks to split Tk(tau) into
-    exactly two parts.
-    """
-    tk_tau = trunk(code, cand.tau)
-    return trunk(code, cand.rho1) <= tk_tau and trunk(code, cand.rho3) <= tk_tau
-
-
 def is_sprocket(code: NeuralCode, cand: SprocketCandidate) -> Tuple[bool, Optional[str]]:
     """Partial-wheel conditions P(i)-P(iii) plus the trunk-witness
     conditions S(1)-S(3).
@@ -100,14 +45,46 @@ def is_sprocket(code: NeuralCode, cand: SprocketCandidate) -> Tuple[bool, Option
     P(i): the union u of the sigmas is a face and every pairwise union has
     the same trunk as u.  P(ii): u with tau is not a face.  P(iii): each
     sigma with tau is a face.  A face is a set some nonempty codeword
-    holds; non-faces are not errors, they just fail.  Failure reports the
-    first broken condition in the order P(i), P(ii), P(iii), S(1), S(2),
-    S(3).
+    holds, that is one whose trunk holds a nonempty word (any() skips the
+    empty one, which is falsy); non-faces are not errors, they just fail.
+    Failure reports the first broken condition in the order P(i), P(ii),
+    P(iii), S(1), S(2), S(3).
     """
-    failed = _check_wheel(code, *cand[:4])
-    if failed is None:
-        failed = _check_witnesses(code, cand)
+    s1, s2, s3, tau, rho1, rho3 = cand
+    u = s1 | s2 | s3
+    tu = trunk(code, u)
+    if not any(tu) or any(trunk(code, pair) != tu for pair in (s1 | s2, s1 | s3, s2 | s3)):
+        failed = "P(i)"
+    elif any(trunk(code, u | tau)):
+        failed = "P(ii)"
+    elif not all(any(trunk(code, sigma | tau)) for sigma in (s1, s2, s3)):
+        failed = "P(iii)"
+    elif not trunk(code, s1 | tau) <= trunk(code, rho1) or not trunk(code, s3 | tau) <= trunk(code, rho3):
+        failed = "S(1)"
+    elif not trunk(code, tau) <= trunk(code, rho1) | trunk(code, rho3):
+        failed = "S(2)"
+    elif not trunk(code, rho1 | rho3 | tau) <= trunk(code, s2):
+        failed = "S(3)"
+    else:
+        failed = None
     return (failed is None, failed)
+
+
+def _emits(code: NeuralCode, cand: SprocketCandidate) -> bool:
+    """Whether the search may return cand: is_sprocket on the code, and both
+    witness trunks inside Tk(tau), so S(2) is an equality.
+
+    These are the literal frozenset trunk checks, so they replay the mask
+    search independently.  The bare S conditions accept tuples whose
+    witnesses reach outside Tk(tau), and such tuples exist even in codes
+    with verified convex realizations, so they certify nothing.  Every
+    closed-form construction here has tau <= rho1 & rho3, which implies
+    the containment, and the nonconvexity argument needs the witness
+    trunks to split Tk(tau) into exactly two parts.
+    """
+    return is_sprocket(code, cand)[0] and (
+        trunk(code, cand.rho1) | trunk(code, cand.rho3) <= trunk(code, cand.tau)
+    )
 
 
 def canonical_l24_sprocket(code: NeuralCode) -> Optional[SprocketCandidate]:
@@ -131,12 +108,11 @@ def canonical_l24_sprocket(code: NeuralCode) -> Optional[SprocketCandidate]:
 
 def _l24_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
     by_ref = s.by_ref
-    triangle = (by_ref[1], by_ref[2], by_ref[3])
     f4 = by_ref[4]
-    pof = path_of_facets(*triangle)
-    if pof is None:
+    path = path_of_facets(by_ref[1], by_ref[2], by_ref[3])
+    if path is None:
         return None
-    f1, f2, f3 = triangle[pof.a - 1], triangle[pof.b - 1], triangle[pof.c - 1]
+    f1, f2, f3 = path
     cand = SprocketCandidate(
         sigma1=f1 & f4,
         sigma2=f2 & f4,
@@ -411,7 +387,7 @@ def find_sprocket(
     admits every tau.
 
     Emitted candidates satisfy a condition beyond is_sprocket: both
-    witness trunks must lie inside Tk(tau) (see _witnesses_cover_exactly).
+    witness trunks must lie inside Tk(tau) (see _emits).
     Candidates passing the bare S conditions but reaching outside Tk(tau)
     occur even in convex codes, so the search treats them as noise.
 
@@ -446,7 +422,7 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
     # witness rho, so every one is searched.  Only the taus _l24_taus admits
     # can have a triple, so the pool is built only when there is one.
     admitted = _l24_taus(s)
-    pool = _Pool(s) if admitted else None
+    pool: Optional[_Pool] = _Pool(s) if admitted else None
     size = len(pool.words) if pool else len(_candidate_pool(s.max_intersections))
     per_tau = size * size * (size + 1) // 2
     triples = {tau: pool.triples(tau) for tau in admitted}

@@ -822,29 +822,22 @@ def reference_canonicalize(code, optima=None, cells=None):
     """Least code over all n! relabelings, first strict-< hit in lex order.
 
     When a list is passed as optima, it is filled with every relabeling
-    that reaches the least code, in lex order.  An ordered partition of
-    1..n passed as cells restricts the scan to the relabelings that give
-    the first cell's neurons the first labels, and so on.
+    that reaches the least code, in lex order.  When an ordered partition
+    of 1..n is passed as cells, the same scan also keeps the first strict-<
+    hit among the relabelings that give the first cell's neurons the first
+    labels, and so on, and the result is the pair (form, that relabeling).
     """
     from convexcodes.codes import CanonicalForm, NeuralCode
 
     n = code.n
-    if n == 0:
-        return CanonicalForm(code, (), True)
     if n > 8:
         raise ValueError("reference scan limited to 8 neurons")
-    if cells is None:
-        scan = permutations(range(1, n + 1))
-    else:
-        block = {}  # neuron -> the labels its cell owns
-        first = 1
-        for cell in cells:
-            labels = range(first, first + len(cell))
-            block.update((i, labels) for i in cell)
-            first += len(cell)
-        scan = (
-            p for p in permutations(range(1, n + 1)) if all(p[i - 1] in block[i] for i in block)
-        )
+    block = {}  # neuron -> the labels its cell owns
+    first = 1
+    for cell in cells or ():
+        labels = range(first, first + len(cell))
+        block.update((i, labels) for i in cell)
+        first += len(cell)
     # A code's key is its words sorted by (size, sorted labels).  Relabeling
     # keeps every word's size, so all the keys have the same sizes in the
     # same places, and they compare as the relabeled words sorted within
@@ -853,10 +846,10 @@ def reference_canonicalize(code, optima=None, cells=None):
     for w in code.codewords:
         by_size.setdefault(len(w), []).append([i - 1 for i in w])
     groups = [by_size[size] for size in sorted(by_size)]
-    best_key = None
-    best = None
+    best_key = best = None
+    cell_key = cell_best = None
     ties = []
-    for images in scan:
+    for images in permutations(range(1, n + 1)):
         image = images.__getitem__
         key = []
         for group in groups:
@@ -867,10 +860,16 @@ def reference_canonicalize(code, optima=None, cells=None):
             ties = [images]
         elif key == best_key:
             ties.append(images)
+        if cells is not None and (cell_key is None or key < cell_key) and all(
+            images[i - 1] in block[i] for i in block
+        ):
+            cell_key = key
+            cell_best = images
     if optima is not None:
         optima[:] = ties
     words = (frozenset(best[i - 1] for i in w) for w in code.codewords)
-    return CanonicalForm(NeuralCode(words), tuple(best), True)
+    form = CanonicalForm(NeuralCode(words), tuple(best), True)
+    return form if cells is None else (form, tuple(cell_best))
 
 
 def reference_enumerate_facet_antichains(max_neurons, num_facets):

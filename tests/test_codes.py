@@ -303,11 +303,15 @@ class TestCanonicalizeAgainstReference:
         for n, count in self.COUNTS.items():
             for _ in range(count):
                 code = _random_code(rng, n)
-                assert canonicalize(code) == reference_canonicalize(code), code
                 if 1 <= code.n <= 7:
+                    # one scan gives the least code and the least relabeling
+                    # that respects a random ordered partition
                     cells = _random_cells(cell_rng, code.n)
-                    want = reference_canonicalize(code, cells=cells).permutation
-                    assert _least_relabeling(_masks(code), cells) == want, (code, cells)
+                    want, within = reference_canonicalize(code, cells=cells)
+                    assert _least_relabeling(_masks(code), cells) == within, (code, cells)
+                else:
+                    want = reference_canonicalize(code)
+                assert canonicalize(code) == want, code
                 checked += 1
                 support = code.support()
                 silent += len(support) < code.n

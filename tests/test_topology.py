@@ -21,6 +21,7 @@ from convexcodes import (
     has_local_obstruction,
     is_link_contractible,
     mandatory_faces,
+    max_intersection_faces,
     maximal_codewords,
     minimal_code,
     nerve,
@@ -487,7 +488,8 @@ class TestMandatoryFaces:
         assert got == expected
 
     def test_single_facet(self):
-        assert set(mandatory_faces([fs("123")])) == {fs("123")}
+        faces = mandatory_faces([fs("123")])
+        assert type(faces) is frozenset and faces == {fs("123")}
 
 
 class TestMinimalCode:
@@ -532,12 +534,12 @@ class TestLocalObstruction:
 
 class TestPathOfFacets:
     def test_c24_triangle(self):
-        w = path_of_facets(fs("123"), fs("1246"), fs("145"))
-        assert tuple(w) == (1, 2, 3)
+        path = path_of_facets(fs("123"), fs("1246"), fs("145"))
+        assert path == (fs("123"), fs("1246"), fs("145"))
 
     def test_c22_triangle(self):
-        w = path_of_facets(fs("134"), fs("1357"), fs("356"))
-        assert tuple(w) == (1, 2, 3)
+        path = path_of_facets(fs("134"), fs("1357"), fs("356"))
+        assert path == (fs("134"), fs("1357"), fs("356"))
 
     def test_no_witness(self):
         assert path_of_facets(fs("12"), fs("13"), fs("23")) is None
@@ -557,11 +559,14 @@ class TestPathOfFacets:
             f1, f2, f3 = sorted(fac, key=sorted)
             if any(a <= b for a in (f1, f2, f3) for b in (f1, f2, f3) if a is not b):
                 continue
-            w = path_of_facets(f1, f2, f3)
-            if w is None:
+            path = path_of_facets(f1, f2, f3)
+            if path is None:
                 continue
-            trio = (f1, f2, f3)
-            a, b, c = (trio[i - 1] for i in w)
+            # the facets themselves, the middle second and the ends in
+            # argument order; seed 11 puts the middle at each position
+            a, b, c = path
+            assert sorted(path, key=sorted) == [f1, f2, f3]
+            assert [f1, f2, f3].index(a) < [f1, f2, f3].index(c)
             assert (a & b) - c
             assert (b & c) - a
             assert not (a & c) - b
@@ -741,6 +746,65 @@ class TestCollapseDecidesLinks:
         sigma = 1 << s.packed.labels.index(11)
         assert s.link_contractible(sigma) is True
         assert oracles.reference_is_link_contractible(self.FACETS, {11}) is True
+
+
+def _dunce_triangles() -> list:
+    """A dunce hat: a triangle whose three sides are all the edge path
+    1, 2, 3, 1, so its boundary cycle is b below, filled by an inner ring
+    4..12 and a centre 13."""
+    b = [1, 2, 3, 1, 2, 3, 1, 3, 2]
+    out = []
+    for i in range(9):
+        j = (i + 1) % 9
+        out += [{b[i], b[j], 4 + i}, {b[j], 4 + i, 4 + j}, {4 + i, 4 + j, 13}]
+    return out
+
+
+# With neuron t for the t-th triangle and neuron 100 in every facet, the
+# facet of vertex v holds the triangles at v, so the link of {100} is, up to
+# homotopy, the dunce hat: contractible, and so acyclic over GF(2), but no
+# edge is free, so the collapse search cannot start.
+_DUNCE_FACETS = [
+    frozenset({t for t, tri in enumerate(_dunce_triangles(), start=1) if v in tri} | {100})
+    for v in range(1, 14)
+]
+
+
+class TestDunceHatLink:
+    """A link that neither homology nor the collapse search settles: every
+    path that reports an undecided link is reached through it."""
+
+    FACETS = _DUNCE_FACETS
+    # the facets and every max-intersection face but {100}, which is missing
+    CODE = NeuralCode([*_DUNCE_FACETS, *max_intersection_faces(_DUNCE_FACETS) - {frozenset({100})}])
+
+    def test_strong_core_keeps_every_row(self):
+        assert len(convexcodes.topology._strong_core(_pack(f - {100} for f in self.FACETS).masks)) == 13
+
+    def test_link_is_indeterminate(self):
+        assert is_link_contractible(self.FACETS, {100}) is INDETERMINATE
+        s = CodeStructure(NeuralCode(self.FACETS))
+        assert s.undecided == [1 << s.packed.labels.index(100)]
+        assert not s.is_minimal
+
+    def test_minimal_code_and_mandatory_faces_refuse(self):
+        for call in (minimal_code, mandatory_faces):
+            with pytest.raises(ValueError, match=r"unresolved for \[100\]$"):
+                call(self.FACETS)
+
+    def test_code_missing_the_face_is_unknown(self):
+        assert has_local_obstruction(self.CODE) is INDETERMINATE
+        verdict, certs = decide(self.CODE)
+        assert verdict is Verdict.UNKNOWN
+        assert [c.text() for c in certs] == [
+            "IndeterminateContractibility: contractibility unresolved for {100}"
+        ]
+        report = analyze(self.CODE)
+        assert report.minimal_code is None
+        assert set(report.mandatory_faces) == set(self.FACETS) | {
+            f for f in max_intersection_faces(self.FACETS) if f != frozenset({100})
+            and is_link_contractible(self.FACETS, f) is False
+        }
 
 
 class TestMasksOnly:

@@ -24,7 +24,7 @@ from convexcodes import (
     Verdict,
 )
 from convexcodes.realize.geometry import VerifyDiff
-from convexcodes.topology import ClassifiedNerve, CodeStructure, PathOfFacetsWitness
+from convexcodes.topology import ClassifiedNerve, CodeStructure
 
 from conftest import fs
 
@@ -64,7 +64,6 @@ RECORDS = [
         ("L22", ((1, 2), (2, 1)), True),
         "ClassifiedNerve(class_id='L22', relabeling=((1, 2), (2, 1)), contractible=True)",
     ),
-    (PathOfFacetsWitness, (1, 2, 3), "PathOfFacetsWitness(a=1, b=2, c=3)"),
     (
         VerifyDiff,
         ((fs("12"),), (), ("neuron 1: empty interval",)),
