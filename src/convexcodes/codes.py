@@ -71,7 +71,7 @@ class _Frozen:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._key() == _Frozen._key(other)
         return NotImplemented
 
     def __hash__(self):

@@ -226,8 +226,8 @@ def analyze(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Report:
     """Aggregate view: structure, verdict, certificates, realization.
 
     The realization field is filled only when the verdict is CONVEX and the
-    code falls in a constructive family; it is re-verified before being
-    reported.
+    code falls in a constructive family; the builders verify it against the
+    code before it is reported.
     Raises ValueError on a negative budget.
     """
     _check_budget(budget)
@@ -258,18 +258,12 @@ def analyze(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Report:
 
     realization_json = None
     if verdict is Verdict.CONVEX:
-        from .realize import builders, verify_realization
+        from .realize import builders
 
         built = builders._build(s)
         if built is not None:
             realization, tag = built
-            ok, _diff = verify_realization(realization, code)
-            if not ok:
-                raise AssertionError(
-                    f"builder produced an invalid realization ({tag}); this is a bug"
-                )
-            realization_json = realization.to_json()
-            realization_json["construction"] = tag
+            realization_json = {**realization.to_json(), "construction": tag}
 
     return Report(
         neurons=code.n,

@@ -21,8 +21,8 @@ neuron's region is looked up by its membership pattern across the four
 facets, and each case's pattern table was derived so that the union of
 atoms a pattern must cover is itself convex.  Codes outside these
 families (including codes convex only via max-intersection completeness
-and codes strictly containing their minimal code) get None: no artifact
-is emitted that cannot be verified.
+and codes strictly containing their minimal code) get None.  Every
+realization is verified against its code before it leaves this module.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from ..codes import Codeword, NeuralCode, word_sort_key
 from ..decider import Verdict, _decide
 from ..topology import CodeStructure, path_of_facets
-from ..wheels import DEFAULT_BUDGET, _check_budget
-from .geometry import Interval, Polygon, Realization
+from .geometry import Interval, Polygon, Realization, verify_realization
 
 # not called here: kept importable because the benchmark tracer patches these names
 from ..decider import decide
@@ -71,27 +70,33 @@ def _from_patterns(roles: Dict[str, Codeword], table: Dict[frozenset, list]) -> 
     return Realization(dimension=2, regions=regions)
 
 
-def build_realization(
-    code: NeuralCode, budget: int = DEFAULT_BUDGET
-) -> Optional[Tuple[Realization, str]]:
-    """Build a verified-by-construction realization, or None if not covered.
+def build_realization(code: NeuralCode) -> Optional[Tuple[Realization, str]]:
+    """A realization of the code, verified against it, and its construction
+    tag; None if no constructive family covers the code.
 
-    Raises ValueError on a negative budget or when the code is not decided
-    CONVEX.
+    No CONVEX verdict rests on the sprocket search, so the code is decided
+    with none.  Raises ValueError naming the verdict when it is not CONVEX.
     """
-    _check_budget(budget)
     s = CodeStructure(code)
-    verdict, _ = _decide(s, [budget])
+    verdict, _ = _decide(s, [0])
     if verdict is not Verdict.CONVEX:
-        raise ValueError(f"realization requires a CONVEX code, verdict is {verdict.value}")
+        raise ValueError(f"realization requires a CONVEX code, verdict with no sprocket search is {verdict.value}")
     return _build(s)
 
 
 def _build(s: CodeStructure) -> Optional[Tuple[Realization, str]]:
-    """Realization of a code already decided CONVEX."""
-    if len(s.components) > 1:
-        return _glue(s.components)
-    return _build_connected(s)
+    """Realization of a code already decided CONVEX, verified against the
+    code by recomputing the code it generates.
+
+    Raises AssertionError naming the construction when the check fails,
+    which is a bug in that construction.
+    """
+    built = _glue(s.components) if len(s.components) > 1 else _build_connected(s)
+    if built is not None:
+        realization, tag = built
+        if not verify_realization(realization, s.code)[0]:
+            raise AssertionError(f"builder produced an invalid realization ({tag}); this is a bug")
+    return built
 
 
 def _build_connected(s: CodeStructure) -> Optional[Tuple[Realization, str]]:
@@ -299,10 +304,11 @@ def _glue(components: list) -> Optional[Tuple[Realization, str]]:
     # Each component of a CONVEX code decides CONVEX too: the decomposition
     # branch demands it, and every other CONVEX branch holds per component,
     # whose links and missing faces are those of the whole code.  So the
-    # pieces are built without deciding again.
+    # pieces are built without deciding again.  Every component is
+    # connected, and the glued whole is verified once.
     pieces = []
     for sub in components:
-        built = _build(sub)
+        built = _build_connected(sub)
         if built is None:
             return None
         pieces.append(built)

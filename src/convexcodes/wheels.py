@@ -10,8 +10,8 @@ reported candidate can be replayed independently.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from functools import cached_property
 from typing import NamedTuple, Optional, Tuple
 
 from .codes import Codeword, NeuralCode, _indices, _profile_relabeling, format_word, trunk
@@ -148,53 +148,37 @@ def _candidate_pool(faces) -> set:
     return pool
 
 
-class _Filled(dict):
-    """A per-call cache that fills a missing key with fill(key)."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        hit = self[key] = self.fill(key)
-        return hit
-
-
-class _Columns:
-    """Which of a list of masks hold, or meet, a given mask.
+def _lookups(masks: list) -> tuple:
+    """(holding, meeting): which of a list of masks hold, or meet, a given mask.
 
     Bit b's column (from _occurrences) is the mask of the positions i whose
-    masks[i] has bit b.  So holding[t], the positions whose mask contains
-    t, is the AND of t's columns, and meeting[t], the positions whose mask
+    masks[i] has bit b.  So holding(t), the positions whose mask contains
+    t, is the AND of t's columns, and meeting(t), the positions whose mask
     meets t, is their OR.  The columns are built on the first lookup, and
-    both maps are filled on lookup.
+    both functions cache their answers.
     """
+    everyone = (1 << len(masks)) - 1
+    columns = functools.cache(lambda: _occurrences(masks))
 
-    def __init__(self, masks: list):
-        self.masks = masks
-        self.everyone = (1 << len(masks)) - 1
-        self.holding = _Filled(self._holding)
-        self.meeting = _Filled(self._meeting)
-
-    @cached_property
-    def columns(self) -> dict:
-        return _occurrences(self.masks)
-
-    def _holding(self, t: int) -> int:
-        hit = self.everyone
+    @functools.cache
+    def holding(t: int) -> int:
+        hit, column = everyone, columns()
         while t:
             low = t & -t
-            hit &= self.columns.get(low, 0)
+            hit &= column.get(low, 0)
             t ^= low
         return hit
 
-    def _meeting(self, t: int) -> int:
-        hit = 0
+    @functools.cache
+    def meeting(t: int) -> int:
+        hit, column = 0, columns()
         while t:
             low = t & -t
-            hit |= self.columns.get(low, 0)
+            hit |= column.get(low, 0)
             t ^= low
         return hit
+
+    return holding, meeting
 
 
 class _Pool:
@@ -204,7 +188,7 @@ class _Pool:
     structure's packed bits, in no particular order; words are their
     neuron sets and trunk_masks their trunks.  A trunk is the mask of
     positions in the structure's packed nonempty codewords, so the trunk of
-    a mask m is trunks[m] (the codewords holding it), the trunk of a union
+    a mask m is trunks(m) (the codewords holding it), the trunk of a union
     is the AND of the trunks, and trunk containment is a & ~b == 0.
     in_facets[i] is the set of facets holding masks[i] (bit j for facet j),
     so a union of candidates is a face iff the AND of their in_facets is
@@ -213,20 +197,20 @@ class _Pool:
 
     def __init__(self, s: CodeStructure):
         self.facet_masks = s.facet_masks
-        self.trunks = _Columns(s.packed.masks).holding
+        self.trunks = _lookups(s.packed.masks)[0]
         self.masks = list(_candidate_pool(s.max_intersections))
         self.words = list(map(s.packed.word, self.masks))
-        self.trunk_masks = [self.trunks[m] for m in self.masks]
+        self.trunk_masks = list(map(self.trunks, self.masks))
         self.in_facets = [
             sum(1 << j for j, f in enumerate(self.facet_masks) if m & ~f == 0)
             for m in self.masks
         ]
-        # inside[at]: the words held by some facet of the facet set at
-        self.inside = _Columns(self.in_facets).meeting
-        # the words whose trunk holds, or meets, a given trunk
-        self.by_trunk = _Columns(self.trunk_masks)
-        # meets[m]: the words meeting m
-        self.meets = _Columns(self.masks).meeting
+        # inside(at): the words held by some facet of the facet set at
+        self.inside = _lookups(self.in_facets)[1]
+        # holds_trunk(t), meets_trunk(t): the words whose trunk holds, or meets, t
+        self.holds_trunk, self.meets_trunk = _lookups(self.trunk_masks)
+        # meets(m): the words meeting m
+        self.meets = _lookups(self.masks)[1]
 
     def triples(self, tau: int) -> list:
         """The (i1, i2, i3) whose words pass P(i)-P(iii) and _hub_spoke_pattern
@@ -241,31 +225,32 @@ class _Pool:
         indices is tested once and stands for its three mirror pairs.
         """
         inside, in_facets, meets = self.inside, self.in_facets, self.meets
-        trunk_masks, by_trunk, masks = self.trunk_masks, self.by_trunk, self.masks
+        trunk_masks, masks = self.trunk_masks, self.masks
+        holds_trunk, meets_trunk = self.holds_trunk, self.meets_trunk
         meet = at_tau = 0
         for j, f in enumerate(self.facet_masks):
             meet |= (f & tau != 0) << j
             at_tau |= (tau & ~f == 0) << j
         clear = ((1 << len(self.facet_masks)) - 1) & ~meet
         # sigma|tau is a face (P(iii)), and a facet missing tau holds sigma
-        live = inside[at_tau] & inside[clear]
+        live = inside(at_tau) & inside(clear)
         out = []
         for i1 in _indices(live):
             at1, tk1 = in_facets[i1], trunk_masks[i1]
             # -(2 << i) keeps the bits above bit i
-            live2 = live & ~meets[masks[i1]] & inside[at1 & clear] & -(2 << i1)
+            live2 = live & ~meets(masks[i1]) & inside(at1 & clear) & -(2 << i1)
             for i2 in _indices(live2):
                 at12, tk2 = at1 & in_facets[i2], trunk_masks[i2]
                 # u is a face and no facet holding it meets tau; Tk(s3)
                 # holds Tk(s1|s2) and misses the rest of Tk(s1) | Tk(s2)
                 live3 = (
                     live2
-                    & ~meets[masks[i2]]
+                    & ~meets(masks[i2])
                     & -(2 << i2)
-                    & inside[at12 & clear]
-                    & ~inside[at12 & meet]
-                    & by_trunk.holding[tk1 & tk2]
-                    & ~by_trunk.meeting[tk1 ^ tk2]
+                    & inside(at12 & clear)
+                    & ~inside(at12 & meet)
+                    & holds_trunk(tk1 & tk2)
+                    & ~meets_trunk(tk1 ^ tk2)
                 )
                 for i3 in _indices(live3):
                     if _hub_spoke_pattern(self.facet_masks, masks[i1], masks[i2], masks[i3], tau):
@@ -314,7 +299,7 @@ def _l24_taus(s: CodeStructure) -> set:
 
     Only these taus can have a triple that _Pool.triples keeps.  Such a
     triple has a hub facet g holding sigma1|sigma2|sigma3 and disjoint from
-    tau (the inside[at12 & clear] test), and each sigma_j has a spoke facet
+    tau (the inside(at12 & clear) test), and each sigma_j has a spoke facet
     fj holding sigma_j|tau (P(iii)).  _hub_spoke_pattern makes g & fj & fk
     empty for j != k.  Pool words are nonempty, so g & fj holds sigma_j and
     g shares an edge with fj; then fj != fk, as g & fj & fj is not empty.
@@ -446,7 +431,7 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
     # the search stops with the budget at 0, where the step-by-step loop
     # would have stopped.
     for tau in sorted(s.missing, key=lambda t: order(s.packed.word(t))):
-        tk_tau = trunks[tau]
+        tk_tau = trunks(tau)
         rhos = [r for r in range(size) if pool_trunks[r] & ~tk_tau == 0]
         rhos.sort(key=rank.__getitem__)
         walk = []
@@ -487,7 +472,7 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
                     if (
                         t3 & ~tr3
                         or tk_tau & ~(tr1 | tr3)
-                        or trunks[masks[r1] | masks[r3] | tau] & ~t2
+                        or trunks(masks[r1] | masks[r3] | tau) & ~t2
                     ):
                         continue
                     box[0] = left

@@ -10,7 +10,6 @@ from convexcodes import (
     Verdict,
     analyze,
     atlas_rows,
-    build_realization,
     canonical_l24_sprocket,
     classify_small_complex,
     decide,
@@ -276,9 +275,8 @@ class TestNegativeBudget:
             lambda code: analyze(code, budget=-3),
             lambda code: find_sprocket(code, budget=-1),
             lambda code: atlas_rows(3, 2, budget=-1),
-            lambda code: build_realization(code, budget=-1),
         ],
-        ids=["decide", "analyze", "find_sprocket", "atlas_rows", "build_realization"],
+        ids=["decide", "analyze", "find_sprocket", "atlas_rows"],
     )
     def test_rejected(self, c26_corrected, call):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -426,6 +426,7 @@ DEAD_METHODS = [
     ("realize/geometry.py", "Polygon", "word"),
     ("topology.py", "ClassifiedNerve", "support"),
     ("decider.py", "Report", "triples"),
+    ("topology.py", "ClassifiedNerve", "_key"),
 ]
 
 
@@ -493,8 +494,8 @@ def test_guard_catches_an_unused_definition():
     ]
     # each once survived alone, read through a loop variable over a
     # container whose element class the check did not follow, or through a
-    # receiver with no annotation (CodeStructure.packed and .code, and the
-    # sprocket search's pool)
+    # receiver with no annotation (CodeStructure.packed and .code, the
+    # sprocket search's pool, and the other operand of _Frozen.__eq__)
     package = _package_sources()
     exported = _exported(ast.parse(package["__init__.py"]))
     for module, cls, name in DEAD_METHODS:

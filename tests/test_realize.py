@@ -11,6 +11,7 @@ from convexcodes import (
     NeuralCode,
     Polygon,
     Realization,
+    analyze,
     build_realization,
     code_of_realization,
     parse_code,
@@ -18,6 +19,7 @@ from convexcodes import (
     render_svg,
     verify_realization,
 )
+from convexcodes import cli
 from convexcodes.realize import VerifyDiff, format_rational, validate
 
 import oracles
@@ -233,11 +235,45 @@ class TestVerify:
             return validate(r)
 
         monkeypatch.setattr(geometry, "validate", counting)
-        r, _ = build_realization(c22)
-        assert verify_realization(r, c22)[0]
+        r, _ = build_realization(c22)  # the builders verify what they build
         assert len(calls) == 1
-        assert code_of_realization(r) == c22
+        assert verify_realization(r, c22)[0]
         assert len(calls) == 2
+        assert code_of_realization(r) == c22
+        assert len(calls) == 3
+
+
+class TestEveryRealizationVerifies:
+    """A realization leaves the package only once it has been verified
+    against its code: a construction that builds the wrong arrangement is
+    a bug, and every public way to a realization raises on it."""
+
+    @pytest.fixture
+    def broken_l22(self, monkeypatch):
+        import convexcodes.realize.builders as builders
+
+        # one interval: the code {∅, 1}, not C22
+        wrong = (Realization(1, {1: Interval(0, 1)}), "L22Case2b")
+        monkeypatch.setattr(builders, "_build_l22", lambda code, by_ref: wrong)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            build_realization,
+            analyze,
+            lambda code: cli.main(["realize", C22_TEXT]),
+        ],
+        ids=["build_realization", "analyze", "cli realize"],
+    )
+    def test_a_wrong_construction_raises(self, c22, broken_l22, call, capsys):
+        with pytest.raises(AssertionError, match=r"invalid realization \(L22Case2b\)"):
+            call(c22)
+        assert capsys.readouterr().out == ""
+
+    def test_glued_realizations_are_verified_whole(self, c22, broken_l22):
+        code = NeuralCode(c22.codewords | {fs("89")})
+        with pytest.raises(AssertionError, match=r"\(DisconnectedGlue\(PoFChain1D,L22Case2b\)\)"):
+            build_realization(code)
 
 
 def _random_polygon(rng):
