@@ -14,9 +14,7 @@ from .codes import (
     canonicalize,
     format_code,
     format_word,
-    is_max_intersection_complete,
     max_intersection_faces,
-    maximal_codewords,
     parse_code,
     relabel,
     trunk,
@@ -27,7 +25,9 @@ from .topology import (
     classify_small_complex,
     has_local_obstruction,
     is_link_contractible,
+    is_max_intersection_complete,
     mandatory_faces,
+    maximal_codewords,
     minimal_code,
     nerve,
     path_of_facets,

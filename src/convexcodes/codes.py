@@ -3,8 +3,11 @@
 A codeword is a finite set of neuron indices (positive integers, 1-based).
 A neural code is a finite set of codewords that always contains the empty
 codeword.  Everything downstream (nerve classification, obstructions,
-realizations) is built over these two types plus the facet combinatorics
-defined here: maximal codewords, trunks, and intersections of facets.
+realizations) is built over these two types.  A code's facets and missing
+faces are derived once, by topology.CodeStructure; this module holds the
+bitmask routines it packs and closes codes with (_pack, _maximal_masks,
+_intersections), trunks, and the facet intersections of any sets of
+labels (max_intersection_faces).
 
 All values are immutable and all operations are pure functions.
 """
@@ -121,13 +124,6 @@ class NeuralCode(_Frozen):
     def __len__(self) -> int:
         return len(self.codewords)
 
-    def support(self) -> Codeword:
-        """All neuron indices that appear in some codeword."""
-        out = set()
-        for w in self.codewords:
-            out |= w
-        return frozenset(out)
-
 
 # token scanner for parse_code: braced lists, compact digit strings, separators
 _TOKEN = re.compile(r"(?P<ws>[\s,;]+)|(?P<brace>\{[^{}]*\})|(?P<compact>[0-9]+)|(?P<bad>.)")
@@ -198,12 +194,6 @@ def format_code(code: NeuralCode, verbose: bool = False, braced: bool = False) -
     return ",".join(parts)
 
 
-def maximal_codewords(code: NeuralCode) -> list:
-    """The inclusion-maximal nonempty codewords, sorted canonically."""
-    packed = _pack(w for w in code.codewords if w)
-    return sort_words(map(packed.word, _maximal_masks(packed.masks)))
-
-
 def trunk(code: NeuralCode, sigma: Iterable[int]) -> frozenset:
     """All codewords containing sigma."""
     s = frozenset(sigma)
@@ -214,14 +204,6 @@ def max_intersection_faces(facets: Iterable[Codeword]) -> frozenset:
     """All nonempty intersections of two or more facets (see _intersections)."""
     packed = _pack(facets)
     return frozenset(map(packed.word, _intersections(packed.masks)))
-
-
-def is_max_intersection_complete(code: NeuralCode) -> tuple:
-    """(True, empty set) iff every max-intersection face is a codeword."""
-    packed = _pack(w for w in code.codewords if w)
-    faces = _intersections(_maximal_masks(packed.masks)) - set(packed.masks)
-    missing = frozenset(map(packed.word, faces))
-    return (not missing, missing)
 
 
 def relabel_word(word: Codeword, perm: tuple) -> Codeword:

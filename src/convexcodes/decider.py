@@ -143,7 +143,7 @@ def _decide(s: CodeStructure, box: list) -> Tuple[Verdict, List[Certificate]]:
     if not s.missing:
         return (Verdict.CONVEX, [Certificate(KIND_MAX_INTERSECTION_COMPLETE)])
 
-    m = len(s.facets)
+    m = len(s.facet_masks)
     if m <= 3:
         return (Verdict.CONVEX, [_theorem_cert("<=3-maximal")])
 
@@ -168,7 +168,7 @@ def _decide(s: CodeStructure, box: list) -> Tuple[Verdict, List[Certificate]]:
         for sub in s.components:
             verdict, _ = _decide(sub, box)
             statuses.append(verdict)
-            payload.append((tuple(sorted(sub.code.support())), verdict.value))
+            payload.append((sub.packed.labels, verdict.value))
         cert = Certificate(KIND_DISCONNECTED_DECOMPOSITION, components=tuple(payload))
         if all(v is Verdict.CONVEX for v in statuses):
             return (Verdict.CONVEX, [cert])

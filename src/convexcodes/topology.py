@@ -1,15 +1,19 @@
-"""Simplicial topology for small complexes.
+"""Simplicial topology for small complexes, and the facts about a code.
 
 Links, nerves, the 28-class catalog of complexes on up to four vertices,
-contractibility of links, mandatory faces, minimal codes, local
-obstructions, and the Path-of-Facets test.
+contractibility of links, a code's facets and missing max-intersection
+faces, mandatory faces, minimal codes, local obstructions, and the
+Path-of-Facets test.  CodeStructure is the one place where a code's facets,
+max-intersection faces and link scan are derived; the public helpers on
+codes read it.
 
-Nerves and faces are held as position masks only (bit p is vertex p + 1);
-a complex is its facets, and only the public nerve() turns them into
-frozensets.  Nerves are built from facets only: the maximal occurrence masks
-of the input's elements are the nerve's facets, so no face list is formed
-on the way.  Every mask here is laid out by codes._pack, one bit per label
-present, so its size does not grow with the labels' values.
+Nerves and faces are held as position masks (bit p is vertex p + 1); a
+complex is its facets.  They become frozensets only where a result leaves
+(nerve()) and where is_collapsible, which takes sets, searches a large
+link's faces.  Nerves are built from facets only: the maximal occurrence
+masks of the input's elements are the nerve's facets, so no face list is
+formed on the way.  Every mask here is laid out by codes._pack, one bit per
+label present, so its size does not grow with the labels' values.
 
 Classification on at most four vertices is one dictionary lookup: at import
 every relabeling of every reference class is expanded into a table of all
@@ -27,10 +31,11 @@ runs none of them.
 Links are cut from facet masks (rows f & ~sigma) by one routine,
 _link_contractible.  More than four rows are first reduced by strong
 collapses, which keep the homotopy type; a core of at most four rows is
-read from the table.  Only a larger core lists its faces, once, as masks:
-it is non-contractible when disconnected or not acyclic over GF(2),
-contractible when an elementary-collapse search (run from an explicit
-stack) succeeds, and INDETERMINATE otherwise.
+read from the table.  A larger core whose nerve is the boundary of a
+simplex is a sphere, so non-contractible.  Any other larger core lists its
+faces, once, as masks: it is non-contractible when disconnected or not
+acyclic over GF(2), contractible when an elementary-collapse search (run
+from an explicit stack) succeeds, and INDETERMINATE otherwise.
 """
 
 from __future__ import annotations
@@ -355,11 +360,13 @@ def _link_contractible(facet_masks: list, sigma: int):
     nonzero unless sigma is itself a facet.  More than four rows are first
     reduced by dominance (see _strong_core), which keeps that homotopy type.
     Exact when at most four rows are left (table lookup).  Otherwise the
-    core's nerve is False when disconnected or when its GF(2) homology is
-    not that of a point (_acyclic), True when an elementary-collapse search
-    on its faces succeeds, and INDETERMINATE when neither settles it.  The
-    link of a facet has empty geometric realization and counts as
-    non-contractible, which is what makes facets mandatory.
+    core's nerve is False when its facets are the k sets of k - 1 of its k
+    rows (the boundary of a simplex, a sphere), when disconnected or when
+    its GF(2) homology is not that of a point (_acyclic), True when an
+    elementary-collapse search on its faces succeeds, and INDETERMINATE
+    when neither settles it.  The link of a facet has empty geometric
+    realization and counts as non-contractible, which is what makes facets
+    mandatory.
     """
     rows = [f & ~sigma for f in facet_masks if not sigma & ~f]
     if rows == [0]:
@@ -369,6 +376,8 @@ def _link_contractible(facet_masks: list, sigma: int):
     nerve_masks = _nerve_masks(rows)
     if len(rows) <= 4:
         return _CLASS_TABLE[frozenset(nerve_masks)][2]
+    if len(nerve_masks) == len(rows) and all(m.bit_count() == len(rows) - 1 for m in nerve_masks):
+        return False
     if len(_components(nerve_masks)) > 1:
         return False
     faces = _faces(nerve_masks)
@@ -404,18 +413,22 @@ def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
 class CodeStructure:
     """The facts the pipeline reads about one code, each derived once.
 
-    Built at the top of each public entry point and passed down for that
-    call only; it is never stored on the code or in a module-level cache.
-    Every field is computed on first read, so an early exit pays only for
-    what it read.  The code is packed into bitmasks once (packed, laid out
-    by codes._pack), and the facets, the max-intersection faces and the
-    missing faces are found on those masks (facet_masks, max_intersections,
-    missing); a mask becomes a word only where a result leaves the
-    pipeline.  Links are cut from facet_masks by _link_contractible,
-    memoized per face mask and shared by the obstruction scan and the
-    mandatory faces; the sprocket search and its trunks read their masks
-    from there too, and the nerve is held only as masks of facet positions
-    (nerve_masks), which the class table and the component split read.
+    The only place where a code's facets, max-intersection faces, missing
+    faces and link scan are derived: the public maximal_codewords,
+    is_max_intersection_complete, mandatory_faces and has_local_obstruction
+    read one.  Built at the top of each public entry point and passed down
+    for that call only; it is never stored on the code or in a module-level
+    cache.  Every field is a cached property computed on first read from
+    the fields it names, so an early exit pays only for what it read.  The
+    code is packed into bitmasks once (packed, laid out by codes._pack), and
+    the facets, the max-intersection faces and the missing faces are found
+    on those masks (facet_masks, max_intersections, missing); a mask becomes
+    a word (facets, packed.word) only where a result leaves the pipeline.
+    Links are cut from facet_masks by _link_contractible, memoized per face
+    mask and shared by the obstruction scan, mandatory and undecided; the
+    sprocket search and its trunks read their masks from there too, and the
+    nerve is held only as masks of facet positions (nerve_masks), which the
+    class table and the component split read.
     """
 
     code: NeuralCode
@@ -457,7 +470,7 @@ class CodeStructure:
     @cached_property
     def classified(self) -> Optional[ClassifiedNerve]:
         """The nerve's class for one to four facets, else None."""
-        if not 1 <= len(self.facets) <= 4:
+        if not 1 <= len(self.facet_masks) <= 4:
             return None
         class_id, images, contractible = _CLASS_TABLE[frozenset(self.nerve_masks)]
         return ClassifiedNerve(class_id, tuple(enumerate(images, start=1)), contractible)
@@ -476,24 +489,17 @@ class CodeStructure:
     @cached_property
     def mandatory(self) -> set:
         """The masks of the facets and of the max-intersection faces whose
-        link is not contractible.  The same scan sets undecided."""
-        out, undecided = set(self.facet_masks), []
-        for sigma in self.max_intersections:
-            res = self.link_contractible(sigma)
-            if res is INDETERMINATE:
-                undecided.append(sigma)
-            elif not res:
-                out.add(sigma)
-        self.undecided = sorted(undecided, key=_mask_key)
-        return out
+        link is not contractible."""
+        faces = self.max_intersections
+        return {*self.facet_masks, *[f for f in faces if self.link_contractible(f) is False]}
 
     @cached_property
     def undecided(self) -> list:
         """The max-intersection masks whose link is INDETERMINATE, in
-        canonical order; set by the scan of mandatory, which runs first.
-        Empty whenever the code has at most four facets."""
-        self.mandatory
-        return self.undecided
+        canonical order.  Empty whenever the code has at most four facets,
+        as every link is then read from the class table."""
+        faces = self.max_intersections
+        return sorted([f for f in faces if self.link_contractible(f) is INDETERMINATE], key=_mask_key)
 
     @cached_property
     def obstruction(self):
@@ -527,6 +533,18 @@ class CodeStructure:
             masks = [m for m in self.packed.masks if any(m & ~f == 0 for f in below)]
             out.append(CodeStructure(NeuralCode(map(self.packed.word, masks))))
         return out
+
+
+def maximal_codewords(code: NeuralCode) -> list:
+    """The inclusion-maximal nonempty codewords, sorted canonically."""
+    return CodeStructure(code).facets
+
+
+def is_max_intersection_complete(code: NeuralCode) -> tuple:
+    """(True, empty set) iff every max-intersection face is a codeword, else
+    (False, the missing faces)."""
+    s = CodeStructure(code)
+    return (not s.missing, frozenset(map(s.packed.word, s.missing)))
 
 
 def mandatory_faces(facets: Iterable[Codeword]) -> frozenset:

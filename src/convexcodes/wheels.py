@@ -385,7 +385,7 @@ def find_sprocket(
 def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
     """find_sprocket on a code's structure, spending from box[0] in place."""
     code = s.code
-    if len(s.facets) == 4 and s.classified.class_id == "L24":
+    if len(s.facet_masks) == 4 and s.classified.class_id == "L24":
         cand = _l24_sprocket(s)
         if cand is not None:
             return cand

@@ -23,6 +23,11 @@ def fs(compact: str) -> frozenset:
     return frozenset(int(ch) for ch in compact)
 
 
+def support(code: NeuralCode) -> frozenset:
+    """All neuron indices that appear in some codeword of the code."""
+    return frozenset().union(*code.codewords)
+
+
 def collapse_family(m: int) -> list:
     """m facets {1,50,100+i} (i < m-2), {1,60,200}, {1,50,60}.
 

@@ -530,7 +530,7 @@ def reference_patterns_2d(forms):
 
 def reference_tie_groups(code):
     """The support split by two-round occurrence profile, in profile order."""
-    support = sorted(code.support())
+    support = sorted(frozenset().union(*code.codewords))
     words = [w for w in code.codewords if w]
     prof1 = {
         i: tuple(sorted(len(w) for w in words if i in w)) for i in support
@@ -561,7 +561,7 @@ def reference_search_relabeling(code):
     """
     from convexcodes.codes import _RELABEL_CAP, NeuralCode, sort_words, word_sort_key
 
-    if not code.support():
+    if not frozenset().union(*code.codewords):
         return code, {}
     groups = reference_tie_groups(code)
     total = 1
@@ -573,7 +573,7 @@ def reference_search_relabeling(code):
     else:
         pools = [list(permutations(g)) for g in groups]
 
-    support = sorted(code.support())
+    support = sorted(frozenset().union(*code.codewords))
     best = None
     for combo in product(*pools):
         mapping = {}

@@ -7,7 +7,7 @@ import pytest
 from convexcodes import parse_code
 from convexcodes.atlas import atlas_rows, enumerate_facet_antichains, write_atlas_csv
 
-from conftest import W3_TEXT, fs
+from conftest import W3_TEXT, fs, support
 from oracles import reference_enumerate_facet_antichains
 
 
@@ -116,7 +116,7 @@ class TestAtlasRows:
         assert all(r.minimal for r in rows)
         for r in rows:
             code = parse_code(r.code)
-            assert code.n == r.neurons or not code.support()
+            assert code.n == r.neurons or not support(code)
 
     def test_single_nonconvex_row_is_the_literature_code(self):
         rows, skipped = atlas_rows(6, 4)

@@ -27,7 +27,7 @@ from convexcodes.codes import (
 )
 from convexcodes.topology import minimal_code
 
-from conftest import fs
+from conftest import fs, support
 from oracles import reference_canonicalize, reference_search_relabeling
 
 
@@ -272,12 +272,12 @@ def _support_reference(code):
     The support is renumbered 1..s in index order and scanned; the silent
     neurons below code.n take the labels after s, in index order.
     """
-    support = sorted(code.support())
-    rank = {i: k for k, i in enumerate(support, start=1)}
+    labels = sorted(support(code))
+    rank = {i: k for k, i in enumerate(labels, start=1)}
     small = reference_canonicalize(NeuralCode({rank[i] for i in w} for w in code.codewords))
-    label = {i: small.permutation[rank[i] - 1] for i in support}
+    label = {i: small.permutation[rank[i] - 1] for i in labels}
     unused = [i for i in range(1, code.n + 1) if i not in rank]
-    label.update(zip(unused, itertools.count(len(support) + 1)))
+    label.update(zip(unused, itertools.count(len(labels) + 1)))
     perm = tuple(label[i] for i in range(1, code.n + 1))
     return CanonicalForm(relabel(code, perm), perm, True)
 
@@ -313,12 +313,12 @@ class TestCanonicalizeAgainstReference:
                     want = reference_canonicalize(code)
                 assert canonicalize(code) == want, code
                 checked += 1
-                support = code.support()
-                silent += len(support) < code.n
+                labels = support(code)
+                silent += len(labels) < code.n
                 twins += any(
                     all((a in w) == (b in w) for w in code.codewords)
-                    for a in support
-                    for b in support
+                    for a in labels
+                    for b in labels
                     if a < b
                 )
         assert checked >= 2000
@@ -372,22 +372,22 @@ class TestCanonicalizeAboveCap:
                 rng.shuffle(images)
                 copy = relabel(code, tuple(images))
                 out = canonicalize(copy)
-                support = copy.support()
-                assert out.exact is (len(support) <= 8)
+                labels = support(copy)
+                assert out.exact is (len(labels) <= 8)
                 assert relabel(copy, out.permutation) == out.code
-                s = len(support)
+                s = len(labels)
                 assert canonicalize(out.code) == (out.code, tuple(range(1, s + 1)), out.exact)
                 if not out.exact:
                     relabeled, _inverse = reference_search_relabeling(copy)
                     assert out.code == relabeled, copy
                 elif copy_index == 0 and s <= 7:
                     assert out == _support_reference(copy), copy
-                spare = [out.permutation[i - 1] for i in range(1, copy.n + 1) if i not in support]
+                spare = [out.permutation[i - 1] for i in range(1, copy.n + 1) if i not in labels]
                 assert spare == list(range(s + 1, copy.n + 1)), copy
                 forms.add(out.code)
             assert len(forms) == 1, code
             checked += 1
-            silent += len(code.support()) < code.n
+            silent += len(support(code)) < code.n
             exact += out.exact
         assert checked >= 300 and silent >= 50 and exact >= 50
 

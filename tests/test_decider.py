@@ -24,8 +24,10 @@ from convexcodes import (
     relabel,
 )
 from convexcodes.codes import max_intersection_faces, sort_words
+from convexcodes.decider import _decide
+from convexcodes.topology import CodeStructure
 
-from conftest import fs
+from conftest import collapse_family, fs, support
 from test_wheels import _seeded_search_codes
 
 
@@ -297,7 +299,7 @@ class TestOneBudgetPerCall:
         assert len(maximal_codewords(code)) == 6
         assert decide(code, budget=10_000) == (Verdict.UNKNOWN, [])
         assert spent == [726]
-        top = max(code.support())
+        top = max(support(code))
         for copies in (2, 3):
             words = {frozenset(i + k * top for i in w) for w in code.codewords for k in range(copies)}
             spent.clear()
@@ -378,3 +380,19 @@ class TestAnalyze:
             assert counts, "analyze computed no link"
             repeated = {key: n for key, n in counts.items() if n > 1}
             assert not repeated, repeated
+
+
+class TestDecideReadsOnlyWhatItPrints:
+    def test_wide_codes_unpack_no_facet(self, c22, c24, c26_corrected):
+        # on five or more facets decide prints no facet and needs no
+        # mandatory face, so it neither unpacks the one nor scans for the other
+        codes = [c for c in _seeded_search_codes(3, 100) if len(maximal_codewords(c)) >= 5]
+        codes += [minimal_code(collapse_family(m)) for m in (5, 6)]
+        # three whose nerve splits, so the decomposition certificate is built
+        codes += [NeuralCode(c22.codewords | {fs("89")}), NeuralCode(c24.codewords | {fs("89")})]
+        codes += [NeuralCode(c26_corrected.codewords | {fs("67")})]
+        assert len(codes) >= 20
+        for code in codes:
+            s = CodeStructure(code)
+            assert _decide(s, [10**4]) == decide(code, budget=10**4), code
+            assert not {"facets", "mandatory", "undecided"} & s.__dict__.keys(), code

@@ -46,11 +46,22 @@ from convexcodes.topology import (
 
 import oracles
 from oracles import REFERENCE_COMPLEXES
-from conftest import collapse_family, fs
+from conftest import collapse_family, fs, support
 
 
 def facets_of(code):
     return maximal_codewords(code)
+
+
+def _run_script(script, timeout):
+    """The stdout of a child Python running script on this package."""
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=timeout
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def _shifted(sets, by):
@@ -375,13 +386,7 @@ class TestCollapseSearch:
             "sys.setrecursionlimit(150)\n"
             "print(is_collapsible(faces))\n"
         )
-        path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "True\n"
+        assert _run_script(script, timeout=60) == "True\n"
 
     @pytest.mark.parametrize("m", [12, 16, 40])
     def test_collapse_family_public_calls(self, m):
@@ -408,6 +413,22 @@ class TestCollapseSearch:
         start = time.perf_counter()
         minimal_code(facets)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n", range(16, 25))
+    def test_sphere_link_lists_no_faces(self, n):
+        # the link of {n+1} in the facets [n+1] - {j}, j <= n, is the nerve
+        # of the n sets [n] - {j}: the boundary of a simplex, a sphere, read
+        # off its nerve facets.  Listing its 2^n faces took 3 s at n = 18; a
+        # child process fails at its timeout where the suite would hang
+        script = (
+            "import time\n"
+            "from convexcodes import is_link_contractible\n"
+            f"facets = [set(range(1, {n + 2})) - {{j}} for j in range(1, {n + 1})]\n"
+            "start = time.perf_counter()\n"
+            f"print(is_link_contractible(facets, {{{n + 1}}}), time.perf_counter() - start)\n"
+        )
+        value, seconds = _run_script(script, timeout=10).split()
+        assert value == "False" and float(seconds) < 0.1
 
 
 class TestLabelsAreNotCosts:
@@ -459,7 +480,7 @@ class TestLabelsAreNotCosts:
         start = time.perf_counter()
         out = canonicalize(far)
         assert time.perf_counter() - start < 1.0
-        assert len(far.support()) == 8 and out.exact is True
+        assert len(support(far)) == 8 and out.exact is True
         assert out.code.codewords == canonicalize(code).code.codewords
         assert relabel(far, out.permutation) == out.code
 

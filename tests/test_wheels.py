@@ -18,6 +18,7 @@ from convexcodes import (
     decide,
     find_sprocket,
     is_sprocket,
+    maximal_codewords,
     minimal_code,
     parse_code,
     relabel,
@@ -27,14 +28,13 @@ from convexcodes.codes import (
     EMPTY,
     _profile_relabeling,
     max_intersection_faces,
-    maximal_codewords,
     relabel_word,
     sort_words,
 )
 from convexcodes.topology import CodeStructure
 from convexcodes.wheels import _find_sprocket, _l24_taus, _Pool
 
-from conftest import C26_CORRECTED_TEXT, collapse_family, fs
+from conftest import C26_CORRECTED_TEXT, collapse_family, fs, support
 from oracles import (
     reference_find_sprocket,
     reference_search_relabeling,
@@ -252,8 +252,8 @@ def _seeded_search_codes(seed, count):
 
 def _shuffled(rng, code):
     """The code with its support relabeled by a random permutation of 1..s."""
-    support = sorted(code.support())
-    image = dict(zip(support, rng.sample(range(1, len(support) + 1), len(support))))
+    labels = sorted(support(code))
+    image = dict(zip(labels, rng.sample(range(1, len(labels) + 1), len(labels))))
     return NeuralCode(frozenset(image[i] for i in w) for w in code.codewords)
 
 
