@@ -58,6 +58,30 @@ class CodeParseError(ValueError):
         self.position = position
 
 
+class _cached:
+    """An attribute computed by the decorated method on first read and
+    stored in the instance __dict__, which later reads find first.
+
+    functools.cached_property without its lock, which Python 3.10 and 3.11
+    take on every first read; 3.12 dropped it, and this class can go with
+    3.11.  No lock is needed: a CodeStructure lives for one call in one
+    thread, and a region's integer form is a pure function of the region,
+    so two threads reading it at once compute equal values and return the
+    one stored first.  Storing into __dict__ bypasses __setattr__, so a
+    _Frozen class can hold such an attribute, which is not one of its
+    _fields.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.func.__name__, self.func(instance))
+
+
 class _Frozen:
     """Base of the immutable value classes, whose __init__ sets each field
     named in _fields with object.__setattr__.

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import List, NamedTuple, Optional, Tuple
 
 from .codes import EMPTY, NeuralCode, Codeword, _mask_key, format_word, sort_words
-from .topology import INDETERMINATE, CodeStructure, path_of_facets
+from .topology import INDETERMINATE, CodeStructure, _path_of_facets
 from .wheels import (
     DEFAULT_BUDGET,
     SprocketCandidate,
@@ -237,13 +237,13 @@ def analyze(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Report:
     mandatory = tuple(map(s.packed.word, sorted(s.mandatory, key=_mask_key)))
 
     pof_rows = []
+    masks = s.facet_masks
     for positions in itertools.combinations(range(1, m + 1), 3):
-        triple = [facets[p - 1] for p in positions]
-        path = path_of_facets(*triple)
+        path = _path_of_facets(*[masks[p - 1] for p in positions])
         pof_rows.append(
             {
                 "facets": list(positions),
-                "witness": [positions[triple.index(f)] for f in path] if path is not None else None,
+                "witness": None if path is None else [positions[i] for i in path],
             }
         )
 

@@ -23,6 +23,12 @@ atoms a pattern must cover is itself convex.  Codes outside these
 families (including codes convex only via max-intersection completeness
 and codes strictly containing their minimal code) get None.  Every
 realization is verified against its code before it leaves this module.
+
+The regions are templates built once, when the module is imported: every
+pattern table is a table of Polygons, and a chain's cells take their
+Intervals from one table of spans.  Regions are immutable, so the
+realizations of different codes share them, and each template's
+integer_form is computed once.
 """
 
 from __future__ import annotations
@@ -43,6 +49,14 @@ def _box(x0, y0, x1, y1) -> list:
     return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
 
 
+def _polygons(table: Dict[frozenset, list]) -> Dict[frozenset, Polygon]:
+    return {pattern: Polygon(vertices) for pattern, vertices in table.items()}
+
+
+# the span of cells lo..hi-1 of a chain of at most seven cells
+_SPANS = {(lo, hi): Interval(lo, hi) for hi in range(8) for lo in range(hi)}
+
+
 def _chain(cells: List[Codeword]) -> Realization:
     """One open unit interval per cell; each neuron spans its cells."""
     regions: Dict[int, Interval] = {}
@@ -51,11 +65,11 @@ def _chain(cells: List[Codeword]) -> Realization:
         idxs = [i for i, cell in enumerate(cells) if neuron in cell]
         if idxs[-1] - idxs[0] + 1 != len(idxs):
             raise AssertionError(f"chain cells for neuron {neuron} are not contiguous")
-        regions[neuron] = Interval(idxs[0], idxs[-1] + 1)
+        regions[neuron] = _SPANS[idxs[0], idxs[-1] + 1]
     return Realization(dimension=1, regions=regions)
 
 
-def _from_patterns(roles: Dict[str, Codeword], table: Dict[frozenset, list]) -> Realization:
+def _from_patterns(roles: Dict[str, Codeword], table: Dict[frozenset, Polygon]) -> Realization:
     """Assign each neuron the polygon of its facet-membership pattern."""
     regions: Dict[int, Polygon] = {}
     support = set().union(*roles.values())
@@ -66,7 +80,7 @@ def _from_patterns(roles: Dict[str, Codeword], table: Dict[frozenset, list]) -> 
                 f"neuron {neuron} has facet pattern {sorted(pattern)}, "
                 "impossible in this case"
             )
-        regions[neuron] = Polygon(table[pattern])
+        regions[neuron] = table[pattern]
     return Realization(dimension=2, regions=regions)
 
 
@@ -129,6 +143,20 @@ def _build_connected(s: CodeStructure) -> Optional[Tuple[Realization, str]]:
 
 # --- L18: filled triangle (refs 1,2,3) plus pendant edge {2,4} ---
 
+_L18_T = _polygons({
+    frozenset("a"): _box(0, 0, 1, 1),
+    frozenset("ab"): _box(0, 0, 4, 1),
+    frozenset("abc"): _box(0, 0, 7, 1),
+    frozenset("b"): _box(3, 0, 4, 1),
+    frozenset("bc"): _box(3, 0, 7, 1),
+    frozenset("c"): _box(6, 0, 7, 1),
+    # the pendant-only region sits strictly inside the lower reach of
+    # the attachment overlap, so their open intersection is the F4 cell
+    frozenset("bp"): _box(3, -2, 4, 1),
+    frozenset("p"): _box(3, -2, 4, -1),
+})
+
+
 def _build_l18(by_ref) -> Optional[Tuple[Realization, str]]:
     attach, f4 = by_ref[2], by_ref[4]
     path = path_of_facets(by_ref[1], by_ref[2], by_ref[3])
@@ -142,24 +170,12 @@ def _build_l18(by_ref) -> Optional[Tuple[Realization, str]]:
         return (_chain([f4, f4 & fc, fc, fc & fb, fb, fb & fa, fa]), "L18Case3")
     # pendant on the chain middle: T shape, pendant hangs below
     roles = {"a": fa, "b": fb, "c": fc, "p": f4}
-    table = {
-        frozenset("a"): _box(0, 0, 1, 1),
-        frozenset("ab"): _box(0, 0, 4, 1),
-        frozenset("abc"): _box(0, 0, 7, 1),
-        frozenset("b"): _box(3, 0, 4, 1),
-        frozenset("bc"): _box(3, 0, 7, 1),
-        frozenset("c"): _box(6, 0, 7, 1),
-        # the pendant-only region sits strictly inside the lower reach of
-        # the attachment overlap, so their open intersection is the F4 cell
-        frozenset("bp"): _box(3, -2, 4, 1),
-        frozenset("p"): _box(3, -2, 4, -1),
-    }
-    return (_from_patterns(roles, table), "L18Case2")
+    return (_from_patterns(roles, _L18_T), "L18Case2")
 
 
 # --- L21: filled triangle (refs 1,2,3), pendant vertex 4 joined to 2 and 3 ---
 
-_L21_HOUSE = {
+_L21_HOUSE = _polygons({
     frozenset("p"): [(-2, 0), (0, 1), (-2, 1)],
     frozenset("pq"): [(-2, 0), (0, 0), (2, 1), (-2, 1)],
     frozenset("pqr"): [(-2, 0), (4, 0), (4, 1), (-2, 1)],
@@ -169,9 +185,9 @@ _L21_HOUSE = {
     frozenset("qw"): [(0, 0), (4, 2), (0, 2)],
     frozenset("rw"): [(4, 0), (4, 2), (0, 2)],
     frozenset("w"): [(2, 1), (4, 2), (0, 2)],
-}
+})
 
-_L21_TENT = {
+_L21_TENT = _polygons({
     frozenset("q"): [(0, 0), (4, 0), (12, 4), (4, 4)],
     frozenset("mq"): [(0, 0), (16, 0), (16, 4), (4, 4)],
     frozenset("mqr"): [(0, 0), (28, 0), (24, 4), (4, 4)],
@@ -181,7 +197,7 @@ _L21_TENT = {
     frozenset("qw"): [(0, 0), (4, 0), (20, 8), (8, 8)],
     frozenset("rw"): [(24, 0), (28, 0), (20, 8), (8, 8)],
     frozenset("w"): [(14, 5), (20, 8), (8, 8)],
-}
+})
 
 
 def _build_l21(by_ref) -> Optional[Tuple[Realization, str]]:
@@ -206,7 +222,7 @@ def _build_l21(by_ref) -> Optional[Tuple[Realization, str]]:
 
 # --- L22: filled triangles {1,2,3} and {2,3,4} sharing the edge {2,3} ---
 
-_L22_CASE2B = {
+_L22_CASE2B = _polygons({
     frozenset({1}): _box(0, 0, 2, 2),
     frozenset({1, 3}): _box(0, 0, 8, 2),
     frozenset({1, 2, 3}): [(0, 0), (8, 0), (10, 2), (0, 2)],
@@ -216,9 +232,9 @@ _L22_CASE2B = {
     frozenset({2, 3, 4}): [(6, -2), (10, 2), (6, 2)],
     frozenset({3, 4}): [(6, -2), (8, 0), (8, 2), (6, 2)],
     frozenset({4}): [(6, -2), (7, -1), (6, -1)],
-}
+})
 
-_L22_CASE3A = {
+_L22_CASE3A = _polygons({
     frozenset({1}): [(3, 2), (4, 3), (2, 3)],
     frozenset({1, 2}): [(5, 0), (7, 0), (7, 1), (6, 3), (2, 3)],
     frozenset({1, 3}): [(0, 0), (1, 0), (4, 3), (1, 3), (0, 1)],
@@ -229,9 +245,9 @@ _L22_CASE3A = {
     frozenset({2, 3, 4}): _box(0, 0, 11, 1),
     frozenset({3}): [(0, 0), (1, 0), (2, 1), (0, 1)],
     frozenset({4}): _box(9, 0, 11, 1),
-}
+})
 
-_L22_CASE3B = {
+_L22_CASE3B = _polygons({
     frozenset({1}): _box(0, -2, 6, -1),
     frozenset({1, 2, 3}): _box(0, -2, 6, 1),
     frozenset({2}): _box(4, 0, 6, 1),
@@ -240,7 +256,7 @@ _L22_CASE3B = {
     frozenset({2, 4}): _box(4, 0, 10, 1),
     frozenset({3}): _box(0, 0, 2, 1),
     frozenset({4}): _box(8, 0, 10, 1),
-}
+})
 
 
 def _pof_middle(end: Codeword, shared: list):

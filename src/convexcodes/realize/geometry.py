@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, NamedTuple, Tuple, Union
 
-from ..codes import NeuralCode, _Frozen, sort_words
+from ..codes import NeuralCode, _Frozen, _cached, sort_words
 
 
 def format_rational(x: Fraction) -> str:
@@ -49,7 +49,7 @@ class Interval(_Frozen):
         object.__setattr__(self, "lo", Fraction(lo))
         object.__setattr__(self, "hi", Fraction(hi))
 
-    @functools.cached_property
+    @_cached
     def integer_form(self) -> Tuple[int, tuple]:
         """(q, (lo × q, hi × q)), q the least common denominator of the ends;
         like Polygon.integer_form, not a field."""
@@ -71,7 +71,7 @@ class Polygon(_Frozen):
         vs = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
         object.__setattr__(self, "vertices", vs)
 
-    @functools.cached_property
+    @_cached
     def integer_form(self) -> Tuple[int, tuple]:
         """(q, vertices × q), q the least common denominator of the
         coordinates, without repeats: a vertex equal to the one before it,

@@ -41,7 +41,6 @@ from an explicit stack) succeeds, and INDETERMINATE otherwise.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from .codes import (
@@ -53,6 +52,7 @@ from .codes import (
     _maximal_masks,
     _pack,
     _Packing,
+    _cached,
 )
 
 
@@ -418,12 +418,13 @@ class CodeStructure:
     is_max_intersection_complete, mandatory_faces and has_local_obstruction
     read one.  Built at the top of each public entry point and passed down
     for that call only; it is never stored on the code or in a module-level
-    cache.  Every field is a cached property computed on first read from
-    the fields it names, so an early exit pays only for what it read.  The
-    code is packed into bitmasks once (packed, laid out by codes._pack), and
-    the facets, the max-intersection faces and the missing faces are found
-    on those masks (facet_masks, max_intersections, missing); a mask becomes
-    a word (facets, packed.word) only where a result leaves the pipeline.
+    cache, so no two threads share one.  Every field is a codes._cached
+    attribute, computed without a lock on first read from the fields it
+    names, so an early exit pays only for what it read.  The code is packed into
+    bitmasks once (packed, laid out by codes._pack), and the facets, the
+    max-intersection faces and the missing faces are found on those masks
+    (facet_masks, max_intersections, missing); a mask becomes a word
+    (facets, packed.word) only where a result leaves the pipeline.
     Links are cut from facet_masks by _link_contractible, memoized per face
     mask and shared by the obstruction scan, mandatory and undecided; the
     sprocket search and its trunks read their masks from there too, and the
@@ -437,37 +438,37 @@ class CodeStructure:
         self.code = code
         self._links: dict = {}
 
-    @cached_property
+    @_cached
     def packed(self) -> _Packing:
         """The nonempty codewords packed by codes._pack: packed.labels are
         the neurons in bit order, and packed.masks are the words' masks."""
         return _pack(w for w in self.code.codewords if w)
 
-    @cached_property
+    @_cached
     def facet_masks(self) -> list:
         """The maximal masks of packed, in the canonical order of their words."""
         return sorted(_maximal_masks(self.packed.masks), key=_mask_key)
 
-    @cached_property
+    @_cached
     def facets(self) -> list:
         return list(map(self.packed.word, self.facet_masks))
 
-    @cached_property
+    @_cached
     def max_intersections(self) -> set:
         """The masks of the nonempty intersections of two or more facets."""
         return _intersections(self.facet_masks)
 
-    @cached_property
+    @_cached
     def missing(self) -> list:
         """The max-intersection masks that are not codewords, in canonical order."""
         return sorted(self.max_intersections - set(self.packed.masks), key=_mask_key)
 
-    @cached_property
+    @_cached
     def nerve_masks(self) -> list:
         """The nerve's facets as masks of facet positions (bit p is facets[p])."""
         return _nerve_masks(self.facet_masks)
 
-    @cached_property
+    @_cached
     def classified(self) -> Optional[ClassifiedNerve]:
         """The nerve's class for one to four facets, else None."""
         if not 1 <= len(self.facet_masks) <= 4:
@@ -475,7 +476,7 @@ class CodeStructure:
         class_id, images, contractible = _CLASS_TABLE[frozenset(self.nerve_masks)]
         return ClassifiedNerve(class_id, tuple(enumerate(images, start=1)), contractible)
 
-    @cached_property
+    @_cached
     def by_ref(self) -> dict:
         """Reference vertex label -> facet, for a classified nerve."""
         return {ref: self.facets[pos - 1] for pos, ref in self.classified.relabeling}
@@ -486,14 +487,14 @@ class CodeStructure:
             self._links[sigma] = _link_contractible(self.facet_masks, sigma)
         return self._links[sigma]
 
-    @cached_property
+    @_cached
     def mandatory(self) -> set:
         """The masks of the facets and of the max-intersection faces whose
         link is not contractible."""
         faces = self.max_intersections
         return {*self.facet_masks, *[f for f in faces if self.link_contractible(f) is False]}
 
-    @cached_property
+    @_cached
     def undecided(self) -> list:
         """The max-intersection masks whose link is INDETERMINATE, in
         canonical order.  Empty whenever the code has at most four facets,
@@ -501,7 +502,7 @@ class CodeStructure:
         faces = self.max_intersections
         return sorted([f for f in faces if self.link_contractible(f) is INDETERMINATE], key=_mask_key)
 
-    @cached_property
+    @_cached
     def obstruction(self):
         """See has_local_obstruction."""
         saw_undecided = False
@@ -513,12 +514,12 @@ class CodeStructure:
                 return self.packed.word(sigma)
         return INDETERMINATE if saw_undecided else None
 
-    @cached_property
+    @_cached
     def is_minimal(self) -> bool:
         """Whether the code is exactly its mandatory faces plus the empty word."""
         return not self.undecided and self.mandatory == set(self.packed.masks)
 
-    @cached_property
+    @_cached
     def components(self) -> List[CodeStructure]:
         """Per nerve component, the structure of the codewords below its facets.
 
@@ -583,6 +584,18 @@ def has_local_obstruction(code: NeuralCode):
     return CodeStructure(code).obstruction
 
 
+# a Path-of-Facets path as argument positions, keyed by its one empty
+# difference: bit 0 for (b & c) - a, bit 1 for (a & c) - b, bit 2 for (a & b) - c
+_PATHS = {1: (1, 0, 2), 2: (0, 1, 2), 4: (0, 2, 1)}
+
+
+def _path_of_facets(a: int, b: int, c: int) -> Optional[tuple]:
+    """The Path-of-Facets test on three facet masks: the path as the
+    positions of its facets among the arguments (0 for a, 1 for b, 2 for
+    c), or None.  See path_of_facets."""
+    return _PATHS.get((not b & c & ~a) | (not a & c & ~b) << 1 | (not a & b & ~c) << 2)
+
+
 def path_of_facets(f1: Codeword, f2: Codeword, f3: Codeword) -> Optional[tuple]:
     """Path-of-Facets test for three facets.
 
@@ -590,11 +603,13 @@ def path_of_facets(f1: Codeword, f2: Codeword, f3: Codeword) -> Optional[tuple]:
     three pairwise-difference sets is empty, None otherwise.  The middle
     facet F_b is the one omitted from that difference: (F_a & F_b) - F_c
     and (F_b & F_c) - F_a are nonempty while (F_a & F_c) - F_b is empty.
-    F_a comes before F_c among the arguments.
+    F_a comes before F_c among the arguments.  ValueError unless the facets
+    are three distinct incomparable sets.  The test runs on their packed
+    masks (_path_of_facets), as analyze runs it on a code's facet masks.
     """
     fs = [frozenset(f1), frozenset(f2), frozenset(f3)]
-    if len(set(fs)) != 3 or any(a < b for a in fs for b in fs):
+    masks = _pack(fs).masks
+    if any(a & ~b == 0 for a, b in itertools.permutations(masks, 2)):
         raise ValueError("facets must be three distinct incomparable sets")
-    f1, f2, f3 = fs
-    paths = [(a, b, c) for a, b, c in ((f2, f1, f3), (f1, f2, f3), (f1, f3, f2)) if not (a & c) - b]
-    return paths[0] if len(paths) == 1 else None
+    path = _path_of_facets(*masks)
+    return None if path is None else tuple(map(fs.__getitem__, path))

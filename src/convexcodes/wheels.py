@@ -14,7 +14,7 @@ import functools
 import itertools
 from typing import NamedTuple, Optional, Tuple
 
-from .codes import Codeword, NeuralCode, _indices, _profile_relabeling, format_word, trunk
+from .codes import Codeword, NeuralCode, _indices, _maximal_masks, _profile_relabeling, format_word, trunk
 from .topology import CodeStructure, _occurrences, path_of_facets
 
 # not called here: kept importable because the benchmark tracer patches these names
@@ -139,9 +139,11 @@ _POOL_SUBSET_BOUND = 3
 
 
 def _candidate_pool(faces) -> set:
-    """The face masks given, and their subsets of at most _POOL_SUBSET_BOUND bits."""
+    """The face masks given, and their subsets of at most _POOL_SUBSET_BOUND
+    bits.  A subset of a face lies in a maximal face, so only the maximal
+    faces are expanded."""
     pool = set(faces)
-    for face in faces:
+    for face in _maximal_masks(faces):
         bits = [1 << k for k in _indices(face)]
         for r in range(1, min(len(bits), _POOL_SUBSET_BOUND) + 1):
             pool.update(map(sum, itertools.combinations(bits, r)))

@@ -21,10 +21,11 @@ validator reuse only the package's value types, and the atlas one its
 codeword order.  The facet scan and the max-intersection closure are the
 frozenset versions that the mask routines of codes replaced, and the
 reference sprocket searches read their facets and max-intersection faces
-from these two.  The validator is the Fraction code that the integer
-forms of realize.geometry replaced, with its own star rule.  The 2-D
-arrangement sampler is the one the column sweep replaced: it tests each
-sample against every edge of every polygon.
+from these two; the frozenset Path-of-Facets test is the one the mask
+routine of topology replaced.  The validator is the Fraction code that
+the integer forms of realize.geometry replaced, with its own star rule.
+The 2-D arrangement sampler is the one the column sweep replaced: it
+tests each sample against every edge of every polygon.
 """
 
 from fractions import Fraction
@@ -623,6 +624,19 @@ def reference_max_intersection_faces(facets):
                     nxt.add(y)
         frontier = nxt
     return frozenset(found)
+
+
+def reference_path_of_facets(f1, f2, f3):
+    """The Path-of-Facets test on frozensets, which the mask routine of
+    topology replaced: the path (F_a, F_b, F_c) of the arguments whose
+    difference (F_a & F_c) - F_b alone is empty, else None; ValueError
+    unless the facets are three distinct incomparable sets."""
+    fs = [frozenset(f1), frozenset(f2), frozenset(f3)]
+    if len(set(fs)) != 3 or any(a < b for a in fs for b in fs):
+        raise ValueError("facets must be three distinct incomparable sets")
+    f1, f2, f3 = fs
+    paths = [(a, b, c) for a, b, c in ((f2, f1, f3), (f1, f2, f3), (f1, f3, f2)) if not (a & c) - b]
+    return paths[0] if len(paths) == 1 else None
 
 
 def _reference_queries(c):

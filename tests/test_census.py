@@ -31,15 +31,20 @@ from convexcodes import (
     maximal_codewords,
     minimal_code,
     nerve,
+    path_of_facets,
     relabel,
 )
 from convexcodes.atlas import _facet_cells
-from convexcodes.codes import sort_words
+from convexcodes.codes import _indices, sort_words
 from convexcodes.topology import CodeStructure
-from convexcodes.wheels import _emits
+from convexcodes.wheels import _POOL_SUBSET_BOUND, _candidate_pool, _emits
 
 from conftest import collapse_family
-from oracles import reference_max_intersection_faces, reference_maximal_codewords
+from oracles import (
+    reference_max_intersection_faces,
+    reference_maximal_codewords,
+    reference_path_of_facets,
+)
 from test_wheels import _seeded_search_codes
 
 BUDGET = 10**4
@@ -214,6 +219,39 @@ def test_mask_faces_match_frozenset_reference(census):
     unordered = [{"a", 1, (2,)}, {1, "b"}, {"a", 1, "b"}, {(2,), "b"}]
     for sets in (unordered, [{1, 2}, {1, 2}, {2, 3}], []):
         assert max_intersection_faces(sets) == reference_max_intersection_faces(sets), sets
+
+
+def test_path_of_facets_matches_frozenset_reference(census):
+    # every ordered facet triple of the census codes, through the public
+    # call, which packs its facets and runs the mask routine
+    _, minimal, supersets = census
+    triples = {
+        triple
+        for e in minimal + supersets
+        for triple in itertools.permutations(reference_maximal_codewords(e["code"]), 3)
+    }
+    assert len(triples) > 20_000
+    for triple in triples:
+        assert path_of_facets(*triple) == reference_path_of_facets(*triple), triple
+
+
+def test_candidate_pool_expands_maximal_faces_only(census):
+    # the pool once took the small subsets of every max-intersection face;
+    # each such subset lies in a maximal one, so the pool is the same set
+    def every_face_pool(faces):
+        pool = set(faces)
+        for face in faces:
+            bits = [1 << k for k in _indices(face)]
+            for r in range(1, min(len(bits), _POOL_SUBSET_BOUND) + 1):
+                pool.update(map(sum, itertools.combinations(bits, r)))
+        return pool
+
+    _, minimal, supersets = census
+    codes = [e["code"] for e in minimal + supersets] + _seeded_search_codes(2026, 40)
+    codes += [NeuralCode(collapse_family(m)) for m in range(5, 13)]
+    for code in codes:
+        faces = CodeStructure(code).max_intersections
+        assert _candidate_pool(faces) == every_face_pool(faces), code
 
 
 def test_builder_arrangements_match_reference_sampler(census):

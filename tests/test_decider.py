@@ -28,7 +28,8 @@ from convexcodes.decider import _decide
 from convexcodes.topology import CodeStructure
 
 from conftest import collapse_family, fs, support
-from test_wheels import _seeded_search_codes
+from oracles import reference_path_of_facets
+from test_wheels import _benchmark_generator, _seeded_search_codes
 
 
 class TestDecideGoldens:
@@ -362,6 +363,23 @@ class TestAnalyze:
         verdict, certs = decide(c26_corrected)
         assert doc["verdict"] == verdict.value
         assert len(doc["certificates"]) == len(certs)
+
+    def test_path_of_facets_rows_match_frozenset_reference(self):
+        # analyze runs the test on the facet masks; each row's witness is
+        # the frozenset reference's path, as positions of the code's facets
+        gen = _benchmark_generator()
+        requests = [r for r in gen.four_facet_requests(0) if r["op"] == "analyze"]
+        seen = Counter()
+        for request in requests:
+            doc = analyze(parse_code(request["code"]), budget=gen.SPROCKET_BUDGET).to_json()
+            facets = [frozenset(f) for f in doc["facets"]]
+            for row in doc["path_of_facets"]:
+                triple = [facets[p - 1] for p in row["facets"]]
+                path = reference_path_of_facets(*triple)
+                witness = None if path is None else [row["facets"][triple.index(f)] for f in path]
+                assert row["witness"] == witness, (request["code"], row)
+                seen[witness is None] += 1
+        assert len(requests) == 408 and min(seen.values()) >= 300, seen
 
     def test_each_link_computed_once(self, monkeypatch, c22, c24, w3, c26_corrected):
         # the obstruction scan, the mandatory faces, the L24 branch and the

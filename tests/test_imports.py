@@ -336,11 +336,7 @@ def _lineage(classes: dict, name: str) -> set:
 
 
 def _is_property(node) -> bool:
-    return any(
-        isinstance(d, ast.Name) and d.id in ("property", "cached_property")
-        or isinstance(d, ast.Attribute) and d.attr == "cached_property"
-        for d in node.decorator_list
-    )
+    return any(isinstance(d, ast.Name) and d.id in ("property", "_cached") for d in node.decorator_list)
 
 
 def unused_definitions(sources: dict, exported: set) -> list:
@@ -432,6 +428,19 @@ DEAD_METHODS = [
 
 def _package_sources() -> dict:
     return {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+
+
+def test_no_functools_cached_property():
+    """Fields computed on first read are codes._cached, which takes no lock;
+    functools.cached_property takes one on Python 3.10 and 3.11, and the
+    definition check above reads only the names it knows."""
+    for module, source in _package_sources().items():
+        names = {
+            getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        }
+        assert "cached_property" not in names, module
 
 
 def test_no_unused_module_definitions():

@@ -276,6 +276,52 @@ class TestEveryRealizationVerifies:
             build_realization(code)
 
 
+class TestSharedTemplates:
+    """The builders hand out regions built once at import; a region is
+    immutable, so realizations share them, and its integer form is a
+    field computed once."""
+
+    def test_integer_form_leaves_a_region_immutable(self):
+        for region, field in ((Polygon(PENTAGRAM), "vertices"), (Interval(0, 1), "lo")):
+            assert region.integer_form is region.integer_form
+            assert "integer_form" in vars(region)
+            for name in (field, "integer_form"):
+                with pytest.raises(AttributeError):
+                    setattr(region, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(region, name)
+
+    def test_every_template_validates(self):
+        import convexcodes.realize.builders as builders
+
+        tables = [
+            builders._L18_T, builders._L21_HOUSE, builders._L21_TENT,
+            builders._L22_CASE2B, builders._L22_CASE3A, builders._L22_CASE3B,
+        ]
+        regions = [region for table in tables for region in table.values()]
+        assert all(isinstance(region, Polygon) for region in regions)
+        assert all(isinstance(span, Interval) for span in builders._SPANS.values())
+        for dimension, region in [(2, r) for r in regions] + [(1, r) for r in builders._SPANS.values()]:
+            assert validate(Realization(dimension, {1: region})) == [], region
+
+    def test_realizations_share_regions_and_each_verifies(self, c22, monkeypatch):
+        import convexcodes.realize.builders as builders
+
+        verified = []
+
+        def counting(realization, code):
+            verified.append(realization)
+            return verify_realization(realization, code)
+
+        monkeypatch.setattr(builders, "verify_realization", counting)
+        (first, tag), (second, _) = build_realization(c22), build_realization(c22)
+        assert tag == "L22Case2b" and verified == [first, second]
+        assert first.regions.keys() == second.regions.keys()
+        assert all(first.regions[k] is second.regions[k] for k in first.regions)
+        templates = builders._L22_CASE2B.values()
+        assert all(any(r is t for t in templates) for r in first.regions.values())
+
+
 def _random_polygon(rng):
     """A seeded rational vertex list, valid or broken in one of the ways
     validate must tell apart."""

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,8 @@ import convexcodes.cli
 import convexcodes.codes
 import convexcodes.realize.builders
 import convexcodes.topology
-from convexcodes.codes import _pack
+import convexcodes.wheels
+from convexcodes.codes import _cached, _pack
 from convexcodes.topology import (
     _CONTRACTIBLE,
     _REF,
@@ -569,6 +571,24 @@ class TestPathOfFacets:
         with pytest.raises(ValueError):
             path_of_facets(fs("1"), fs("12"), fs("13"))
 
+    def test_matches_frozenset_reference(self):
+        # seeded triples on five neurons: equal and nested sets, which must
+        # raise, and triples with and without a path all occur
+        rng = random.Random(29)
+        seen = Counter()
+        for _ in range(2000):
+            triple = [frozenset(i for i in range(1, 6) if rng.random() < 0.5) for _ in range(3)]
+            try:
+                expected = oracles.reference_path_of_facets(*triple)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    path_of_facets(*triple)
+                seen["equal" if len(set(triple)) < 3 else "nested"] += 1
+                continue
+            assert path_of_facets(*triple) == expected, triple
+            seen["none" if expected is None else "path"] += 1
+        assert min(seen[k] for k in ("equal", "nested", "none", "path")) >= 100, seen
+
     def test_witness_invariant(self):
         rng = random.Random(11)
         for _ in range(120):
@@ -828,6 +848,44 @@ class TestDunceHatLink:
         }
 
 
+class TestCachedFields:
+    """Every CodeStructure field is a codes._cached attribute: computed on its
+    first read, once per structure, and stored on the instance."""
+
+    FIELDS = [name for name, value in vars(CodeStructure).items() if isinstance(value, _cached)]
+
+    def test_class_access_returns_the_field(self):
+        assert len(self.FIELDS) == 13
+        for name in self.FIELDS:
+            field = getattr(CodeStructure, name)
+            assert isinstance(field, _cached) and field.func.__name__ == name
+            assert field.__doc__ == field.func.__doc__
+
+    def test_each_field_computed_once(self, monkeypatch, c22, c24, w3):
+        calls = Counter()  # (structure, field) -> computations
+
+        def counting(func):
+            def field(self):
+                calls[self, func.__name__] += 1
+                return func(self)
+
+            field.__name__ = func.__name__
+            return _cached(field)
+
+        for name in self.FIELDS:
+            monkeypatch.setattr(CodeStructure, name, counting(getattr(CodeStructure, name).func))
+        for code in (c22, c24, w3):
+            analyze(code)
+            s = CodeStructure(code)
+            for _ in range(2):
+                values = [getattr(s, name) for name in self.FIELDS]
+            assert all(vars(s)[name] is value for name, value in zip(self.FIELDS, values))
+        for m in (6, 9, 12):
+            decide(NeuralCode(collapse_family(m)))
+        assert {name for _s, name in calls} == set(self.FIELDS)
+        assert set(calls.values()) == {1}
+
+
 class TestMasksOnly:
     """Nerves and faces stay masks: the pipeline never calls the public nerve."""
 
@@ -857,11 +915,17 @@ class TestMasksOnly:
 
     def test_one_packing_per_structure(self, monkeypatch, c22, c24, w3):
         # links are cut from the structure's facet masks: _pack runs once
-        # per structure whose packed is read, and never per link
-        packs, structures, links = [], [], []
+        # per structure whose packed is read, and never per link; the public
+        # path_of_facets, which the builders and the L24 sprocket call on
+        # facets, packs its three arguments once per call
+        packs, structures, links, paths = [], [], [], []
         pack = convexcodes.codes._pack
         packed = CodeStructure.__dict__["packed"]
         link = convexcodes.topology._link_contractible
+
+        def counting_path(*facets):
+            paths.append(facets)
+            return path_of_facets(*facets)
 
         def counting_pack(sets):
             packs.append(sets)
@@ -881,9 +945,11 @@ class TestMasksOnly:
             monkeypatch.setattr(module, "_pack", counting_pack)
         monkeypatch.setattr(CodeStructure, "packed", reading)
         monkeypatch.setattr(convexcodes.topology, "_link_contractible", counting_link)
+        for module in (convexcodes.wheels, convexcodes.realize.builders):
+            monkeypatch.setattr(module, "path_of_facets", counting_path)
         for code in (c24, c22, w3):
             analyze(code)
         for m in (6, 9, 12):
             decide(NeuralCode(collapse_family(m)))
-        assert links and structures
-        assert len(packs) == len(structures)
+        assert links and structures and paths
+        assert len(packs) == len(structures) + len(paths)
