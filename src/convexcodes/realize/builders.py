@@ -16,28 +16,32 @@ Each family instantiates a fixed integer-coordinate layout:
   codewords.
 - DisconnectedGlue: side-by-side translates of recursively built pieces.
 
-Every region is a single interval or convex polygon per neuron: a
-neuron's region is looked up by its membership pattern across the four
-facets, and each case's pattern table was derived so that the union of
-atoms a pattern must cover is itself convex.  Codes outside these
-families (including codes convex only via max-intersection completeness
-and codes strictly containing their minimal code) get None.  Every
-realization is verified against its code before it leaves this module.
+A row is a chain: its facets in path order, each owning a cell, with one
+cell between neighbours for their meet, so k facets make 2k - 1 cells.
+Every other region is a single convex polygon per neuron: a neuron's
+region is looked up by its membership pattern across the four facets,
+and each case's pattern table was derived so that the union of atoms a
+pattern must cover is itself convex.  Codes outside these families
+(including codes convex only via max-intersection completeness and codes
+strictly containing their minimal code) get None.  Every realization is
+verified against its code before it leaves this module.
 
-The regions are templates built once, when the module is imported: every
-pattern table is a table of Polygons, and a chain's cells take their
-Intervals from one table of spans.  Regions are immutable, so the
-realizations of different codes share them, and each template's
-integer_form is computed once.
+The builders read the structure's facet masks and run the Path-of-Facets
+test on them (_path_of_facets); a mask becomes a neuron only where a
+region is assigned to it.  The regions are templates built once, when
+the module is imported: every pattern table is a table of Polygons, and
+a chain's cells take their Intervals from one table of spans.  Regions
+are immutable, so the realizations of different codes share them, and
+each template's integer_form is computed once.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..codes import Codeword, NeuralCode, word_sort_key
+from ..codes import NeuralCode, _mask_key
 from ..decider import Verdict, _decide
-from ..topology import CodeStructure, path_of_facets
+from ..topology import CodeStructure, _path_of_facets
 from .geometry import Interval, Polygon, Realization, verify_realization
 
 # not called here: kept importable because the benchmark tracer patches these names
@@ -57,24 +61,25 @@ def _polygons(table: Dict[frozenset, list]) -> Dict[frozenset, Polygon]:
 _SPANS = {(lo, hi): Interval(lo, hi) for hi in range(8) for lo in range(hi)}
 
 
-def _chain(cells: List[Codeword]) -> Realization:
-    """One open unit interval per cell; each neuron spans its cells."""
+def _chain(s: CodeStructure, path: List[int]) -> Realization:
+    """One open unit interval per cell of the chain of these facet masks,
+    in path order: facet i owns cell 2i and the meet of facets i and i + 1
+    cell 2i + 1, so a neuron held by facets i..j spans cells 2i..2j."""
     regions: Dict[int, Interval] = {}
-    support = set().union(*cells)
-    for neuron in support:
-        idxs = [i for i, cell in enumerate(cells) if neuron in cell]
-        if idxs[-1] - idxs[0] + 1 != len(idxs):
+    for k, neuron in enumerate(s.packed.labels):
+        held = [i for i, facet in enumerate(path) if facet >> k & 1]
+        if held[-1] - held[0] + 1 != len(held):
             raise AssertionError(f"chain cells for neuron {neuron} are not contiguous")
-        regions[neuron] = _SPANS[idxs[0], idxs[-1] + 1]
+        regions[neuron] = _SPANS[2 * held[0], 2 * held[-1] + 1]
     return Realization(dimension=1, regions=regions)
 
 
-def _from_patterns(roles: Dict[str, Codeword], table: Dict[frozenset, Polygon]) -> Realization:
-    """Assign each neuron the polygon of its facet-membership pattern."""
+def _from_patterns(s: CodeStructure, roles: Dict, table: Dict[frozenset, Polygon]) -> Realization:
+    """Assign each neuron the polygon of its pattern: the roles whose facet
+    masks hold it."""
     regions: Dict[int, Polygon] = {}
-    support = set().union(*roles.values())
-    for neuron in support:
-        pattern = frozenset(role for role, facet in roles.items() if neuron in facet)
+    for k, neuron in enumerate(s.packed.labels):
+        pattern = frozenset(role for role, facet in roles.items() if facet >> k & 1)
         if pattern not in table:
             raise AssertionError(
                 f"neuron {neuron} has facet pattern {sorted(pattern)}, "
@@ -114,30 +119,26 @@ def _build(s: CodeStructure) -> Optional[Tuple[Realization, str]]:
 
 
 def _build_connected(s: CodeStructure) -> Optional[Tuple[Realization, str]]:
-    facets = s.facets
+    facets = s.facet_masks
     m = len(facets)
     if m > 4 or not s.is_minimal:
         return None
-    if m <= 1:
-        # the empty code {∅} gets no regions, one facet a single interval
-        return (_chain(facets), "PoFChain1D")
-    if m == 2:
-        # two overlapping facets
-        f1, f2 = facets
-        return (_chain([f1, f1 & f2, f2]), "PoFChain1D")
+    if m <= 2:
+        # the empty code {∅} gets no regions, one facet a single interval,
+        # and two overlapping facets are a chain in either order
+        return (_chain(s, facets), "PoFChain1D")
     if m == 3:
-        path = path_of_facets(*facets)
+        path = _path_of_facets(*facets)
         if path is None:
             return None
-        fa, fb, fc = path
-        return (_chain([fa, fa & fb, fb, fb & fc, fc]), "PoFChain1D")
+        return (_chain(s, [facets[p] for p in path]), "PoFChain1D")
     class_id = s.classified.class_id
     if class_id == "L18":
-        return _build_l18(s.by_ref)
+        return _build_l18(s)
     if class_id == "L21":
-        return _build_l21(s.by_ref)
+        return _build_l21(s)
     if class_id == "L22":
-        return _build_l22(s.code, s.by_ref)
+        return _build_l22(s)
     return None
 
 
@@ -157,20 +158,21 @@ _L18_T = _polygons({
 })
 
 
-def _build_l18(by_ref) -> Optional[Tuple[Realization, str]]:
-    attach, f4 = by_ref[2], by_ref[4]
-    path = path_of_facets(by_ref[1], by_ref[2], by_ref[3])
+def _build_l18(s: CodeStructure) -> Optional[Tuple[Realization, str]]:
+    triangle, f4 = [s.by_ref[1], s.by_ref[2], s.by_ref[3]], s.by_ref[4]
+    path = _path_of_facets(*triangle)
     if path is None:
         return None  # triple intersection is mandatory; code is only
         # max-intersection complete, no figure covers it
-    fa, fb, fc = path
-    if attach == fa:
-        return (_chain([f4, f4 & fa, fa, fa & fb, fb, fb & fc, fc]), "L18Case1")
-    if attach == fc:
-        return (_chain([f4, f4 & fc, fc, fc & fb, fb, fb & fa, fa]), "L18Case3")
+    fa, fb, fc = (triangle[p] for p in path)
+    # the pendant attaches to reference vertex 2, position 1 of the triangle
+    if path[0] == 1:
+        return (_chain(s, [f4, fa, fb, fc]), "L18Case1")
+    if path[2] == 1:
+        return (_chain(s, [f4, fc, fb, fa]), "L18Case3")
     # pendant on the chain middle: T shape, pendant hangs below
     roles = {"a": fa, "b": fb, "c": fc, "p": f4}
-    return (_from_patterns(roles, _L18_T), "L18Case2")
+    return (_from_patterns(s, roles, _L18_T), "L18Case2")
 
 
 # --- L21: filled triangle (refs 1,2,3), pendant vertex 4 joined to 2 and 3 ---
@@ -200,24 +202,23 @@ _L21_TENT = _polygons({
 })
 
 
-def _build_l21(by_ref) -> Optional[Tuple[Realization, str]]:
-    g1, g2, g3, f4 = by_ref[1], by_ref[2], by_ref[3], by_ref[4]
-    path = path_of_facets(g1, g2, g3)
+def _build_l21(s: CodeStructure) -> Optional[Tuple[Realization, str]]:
+    g1, g2, g3, f4 = s.by_ref[1], s.by_ref[2], s.by_ref[3], s.by_ref[4]
+    path = _path_of_facets(g1, g2, g3)
     if path is None:
         return None
-    middle = path[1]
-    if middle == g1:
+    if path[1] == 0:
         # pendant meets both chain ends: tent over the chain g2|g1|g3
         roles = {"m": g1, "q": g2, "r": g3, "w": f4}
-        return (_from_patterns(roles, _L21_TENT), "L21CaseB1")
+        return (_from_patterns(s, roles, _L21_TENT), "L21CaseB1")
     # pendant meets the chain middle and the right end: house
-    if middle == g2:
+    if path[1] == 1:
         roles = {"p": g1, "q": g2, "r": g3, "w": f4}
         tag = "L21CaseB2"
     else:
         roles = {"p": g1, "q": g3, "r": g2, "w": f4}
         tag = "L21CaseB3"
-    return (_from_patterns(roles, _L21_HOUSE), tag)
+    return (_from_patterns(s, roles, _L21_HOUSE), tag)
 
 
 # --- L22: filled triangles {1,2,3} and {2,3,4} sharing the edge {2,3} ---
@@ -259,50 +260,42 @@ _L22_CASE3B = _polygons({
 })
 
 
-def _pof_middle(end: Codeword, shared: list):
-    """Path-of-Facets middle of the triangle (end, shared0, shared1)."""
-    path = path_of_facets(end, shared[0], shared[1])
-    return None if path is None else path[1]
+def _shared_middle(end: int, shared: list) -> tuple:
+    """The two shared facet masks, the middle one first, of the
+    Path-of-Facets path through end and both of them."""
+    path = _path_of_facets(end, *shared)
+    if path is None or path[1] == 0:
+        raise AssertionError("absent triple forces a shared Path-of-Facets middle")
+    return shared[path[1] - 1], shared[2 - path[1]]
 
 
-def _build_l22(code: NeuralCode, by_ref) -> Optional[Tuple[Realization, str]]:
-    x, y = by_ref[1], by_ref[4]
-    shared = [by_ref[2], by_ref[3]]
-    tx = x & shared[0] & shared[1]
-    ty = y & shared[0] & shared[1]
-    tx_in, ty_in = tx in code.codewords, ty in code.codewords
+def _build_l22(s: CodeStructure) -> Optional[Tuple[Realization, str]]:
+    x, y = s.by_ref[1], s.by_ref[4]
+    shared = [s.by_ref[2], s.by_ref[3]]
+    tx_in = (x & shared[0] & shared[1]) in s.packed.masks
+    ty_in = (y & shared[0] & shared[1]) in s.packed.masks
     if tx_in and ty_in:
         return None  # both triples mandatory; only completeness applies
     if not tx_in and not ty_in:
-        f1, f4 = sorted((x, y), key=word_sort_key)
-        return _l22_case2(f1, f4, shared)
+        f1, f4 = sorted((x, y), key=_mask_key)
+        return _l22_case2(s, f1, f4, shared)
     if tx_in:
-        return _l22_case3(x, y, shared, "L22Case3")
-    return _l22_case3(y, x, shared, "L22Case4")
+        return _l22_case3(s, x, y, shared, "L22Case3")
+    return _l22_case3(s, y, x, shared, "L22Case4")
 
 
-def _l22_case2(f1, f4, shared) -> Optional[Tuple[Realization, str]]:
-    m1 = _pof_middle(f1, shared)
-    m4 = _pof_middle(f4, shared)
-    if m1 not in shared or m4 not in shared:
-        raise AssertionError("absent triple forces a shared Path-of-Facets middle")
-    f3 = m1
-    f2 = shared[1] if f3 == shared[0] else shared[0]
-    if m4 == f2:
-        cells = [f1, f1 & f3, f3, f2 & f3, f2, f2 & f4, f4]
-        return (_chain(cells), "L22Case2a")
+def _l22_case2(s: CodeStructure, f1, f4, shared) -> Optional[Tuple[Realization, str]]:
+    f3, f2 = _shared_middle(f1, shared)
+    if _shared_middle(f4, shared)[0] == f2:
+        return (_chain(s, [f1, f3, f2, f4]), "L22Case2a")
     roles = {1: f1, 2: f2, 3: f3, 4: f4}
-    return (_from_patterns(roles, _L22_CASE2B), "L22Case2b")
+    return (_from_patterns(s, roles, _L22_CASE2B), "L22Case2b")
 
 
-def _l22_case3(f1, f4, shared, base_tag) -> Optional[Tuple[Realization, str]]:
-    m4 = _pof_middle(f4, shared)
-    if m4 not in shared:
-        raise AssertionError("absent triple forces a shared Path-of-Facets middle")
-    f2 = m4
-    f3 = shared[1] if f2 == shared[0] else shared[0]
-    d12 = (f1 & f2) - f3
-    d13 = (f1 & f3) - f2
+def _l22_case3(s: CodeStructure, f1, f4, shared, base_tag) -> Optional[Tuple[Realization, str]]:
+    f2, f3 = _shared_middle(f4, shared)
+    d12 = f1 & f2 & ~f3
+    d13 = f1 & f3 & ~f2
     if d12 and d13:
         table, sub = _L22_CASE3A, "a"
     elif not d12 and not d13:
@@ -311,7 +304,7 @@ def _l22_case3(f1, f4, shared, base_tag) -> Optional[Tuple[Realization, str]]:
         raise AssertionError("present triple excludes a one-sided collapse")
     roles = {1: f1, 2: f2, 3: f3, 4: f4}
     tag = base_tag + sub if base_tag == "L22Case3" else base_tag
-    return (_from_patterns(roles, table), tag)
+    return (_from_patterns(s, roles, table), tag)
 
 
 # --- disconnected nerves: build pieces, translate into disjoint boxes ---

@@ -13,7 +13,15 @@ complex is its facets.  They become frozensets only where a result leaves
 link's faces.  Nerves are built from facets only: the maximal occurrence
 masks of the input's elements are the nerve's facets, so no face list is
 formed on the way.  Every mask here is laid out by codes._pack, one bit per
-label present, so its size does not grow with the labels' values.
+label present, so its size does not grow with the labels' values.  A
+code's own masks (CodeStructure.packed) become sets of neurons where a
+result is formed: its facets and reported faces, a sprocket's faces
+(wheels) and the neurons the builders give regions (realize.builders).
+Besides, each nerve component's codewords become a code of their own,
+and the generic sprocket search orders its taus by their words.  The
+Path-of-Facets test (_path_of_facets), the builders' cases and the L24
+sprocket's triangle read facet masks; only the public path_of_facets
+packs its arguments.
 
 Classification on at most four vertices is one dictionary lookup: at import
 every relabeling of every reference class is expanded into a table of all
@@ -427,7 +435,8 @@ class CodeStructure:
     (facets, packed.word) only where a result leaves the pipeline.
     Links are cut from facet_masks by _link_contractible, memoized per face
     mask and shared by the obstruction scan, mandatory and undecided; the
-    sprocket search and its trunks read their masks from there too, and the
+    sprocket search and its trunks read their masks from there too, the L24
+    sprocket and the builders read facet masks (by_ref), and the
     nerve is held only as masks of facet positions (nerve_masks), which the
     class table and the component split read.
     """
@@ -478,8 +487,8 @@ class CodeStructure:
 
     @_cached
     def by_ref(self) -> dict:
-        """Reference vertex label -> facet, for a classified nerve."""
-        return {ref: self.facets[pos - 1] for pos, ref in self.classified.relabeling}
+        """Reference vertex label -> facet mask, for a classified nerve."""
+        return {ref: self.facet_masks[pos - 1] for pos, ref in self.classified.relabeling}
 
     def link_contractible(self, sigma: int):
         """_link_contractible of the face with mask sigma, memoized."""

@@ -15,7 +15,7 @@ import itertools
 from typing import NamedTuple, Optional, Tuple
 
 from .codes import Codeword, NeuralCode, _indices, _maximal_masks, _profile_relabeling, format_word, trunk
-from .topology import CodeStructure, _occurrences, path_of_facets
+from .topology import CodeStructure, _occurrences, _path_of_facets
 
 # not called here: kept importable because the benchmark tracer patches these names
 from .topology import classify_small_complex, nerve
@@ -107,20 +107,13 @@ def canonical_l24_sprocket(code: NeuralCode) -> Optional[SprocketCandidate]:
 
 
 def _l24_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
-    by_ref = s.by_ref
-    f4 = by_ref[4]
-    path = path_of_facets(by_ref[1], by_ref[2], by_ref[3])
+    triangle, f4 = [s.by_ref[1], s.by_ref[2], s.by_ref[3]], s.by_ref[4]
+    path = _path_of_facets(*triangle)
     if path is None:
         return None
-    f1, f2, f3 = path
-    cand = SprocketCandidate(
-        sigma1=f1 & f4,
-        sigma2=f2 & f4,
-        sigma3=f3 & f4,
-        tau=f1 & f2 & f3,
-        rho1=f1 & f2,
-        rho3=f3 & f2,
-    )
+    f1, f2, f3 = (triangle[p] for p in path)
+    faces = (f1 & f4, f2 & f4, f3 & f4, f1 & f2 & f3, f1 & f2, f3 & f2)
+    cand = SprocketCandidate(*map(s.packed.word, faces))
     return cand if _emits(s.code, cand) else None
 
 

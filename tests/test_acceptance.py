@@ -9,7 +9,9 @@ externally promised outcomes, at the promised scale, under the promised
 time bounds.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import time
 from collections import Counter
@@ -111,7 +113,9 @@ class TestRealizationRoundTrips:
     diff, and reproduce the target text exactly.
     """
 
-    def _round_trip(self, code):
+    def _round_trip(self, code, lines=None):
+        """The construction tag, or None when the builder refuses; each
+        realization's JSON line is appended to lines when it is given."""
         built = build_realization(code)
         if built is None:
             verdict, certs = decide(code)
@@ -123,6 +127,8 @@ class TestRealizationRoundTrips:
         assert ok
         assert not diff.missing and not diff.extra
         assert format_code(code_of_realization(realization)) == format_code(code)
+        if lines is not None:
+            lines.append(json.dumps({**realization.to_json(), "construction": tag}, sort_keys=True) + "\n")
         return tag
 
     def test_benchmark_codes_round_trip(self, c22, c18a, c18b):
@@ -133,16 +139,17 @@ class TestRealizationRoundTrips:
     def test_all_small_constructive_codes_round_trip(self):
         start = time.monotonic()
 
+        lines = []  # every realization built, in build order
         chain_tags = Counter()
         path_free = Counter()
         for facets in enumerate_facet_antichains(7, 3):
             if path_of_facets(*facets) is None:
                 # connected path-free triples are complete and refuse;
                 # disconnected ones split into coverable pieces and glue
-                tag = self._round_trip(minimal_code(facets))
+                tag = self._round_trip(minimal_code(facets), lines)
                 path_free[tag.split("(")[0] if tag else "refused"] += 1
                 continue
-            tag = self._round_trip(minimal_code(facets))
+            tag = self._round_trip(minimal_code(facets), lines)
             chain_tags[tag or "refused"] += 1
         # a path of facets forces a non-mandatory meet, so refusal is impossible
         assert chain_tags == {"PoFChain1D": 50}
@@ -154,7 +161,7 @@ class TestRealizationRoundTrips:
             if class_id not in ("L18", "L21", "L22"):
                 continue
             code = minimal_code(facets)
-            tag = self._round_trip(code)
+            tag = self._round_trip(code, lines)
             family_tags[(class_id, tag or "refused")] += 1
             if tag is not None:
                 # verified convex constructions must never admit a sprocket
@@ -175,6 +182,11 @@ class TestRealizationRoundTrips:
             ("L22", "L22Case4"): 9,
             ("L22", "refused"): 50,
         }
+        # the regions of every construction, pinned byte for byte
+        assert len(lines) == 166
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+            "ac442bf486df320874332b6a08d567fcdddfca1acb0d05dc01e64f8024048750"
+        )
 
         assert time.monotonic() - start < 120
 

@@ -36,11 +36,13 @@ def run_output(setup_s, pass_s, correct=True, failed=0, python="3.11.7", cpus=2)
 
 def test_median_min_max_per_case_and_metric():
     outputs = {
-        ("four-facet", 0): [run_output(0.010, 0.15), run_output(0.012, 0.14),
-                            run_output(0.011, 0.17)],
-        ("wide", 7919): [run_output(0.009, 0.04), run_output(0.013, 0.05)],
-        # a pass time with two modes per process: the run values show both
-        ("atlas", 0): [run_output(0.010, p) for p in (0.151, 0.223, 0.148, 0.219, 0.152)],
+        ("four-facet", 0): [(run_output(0.010, 0.15), 6.1), (run_output(0.012, 0.14), 6.4),
+                            (run_output(0.011, 0.17), 5.9)],
+        ("wide", 7919): [(run_output(0.009, 0.04), 5.5), (run_output(0.013, 0.05), 5.3)],
+        # a pass time with two modes per process: the run values show both,
+        # and the CPU seconds show whether the slow mode is CPU work
+        ("atlas", 0): [(run_output(0.010, p), c) for p, c in
+                       ((0.151, 6.0), (0.223, 6.1), (0.148, 5.8), (0.219, 6.2), (0.152, 6.0))],
     }
     got = bench_record.summarize(outputs)
     assert got["python"] == "3.11.7" and got["cpus"] == 2
@@ -49,13 +51,22 @@ def test_median_min_max_per_case_and_metric():
                     "median": 0.011, "min": 0.010, "max": 0.012},
         "pass_s": {"unit": "s", "values": [0.15, 0.14, 0.17],
                    "median": 0.15, "min": 0.14, "max": 0.17},
+        "cpu_s": {"unit": "s", "values": [6.1, 6.4, 5.9],
+                  "median": 6.1, "min": 5.9, "max": 6.4},
     }
     assert got["workloads"]["wide"]["7919"]["setup_s"] == {
         "unit": "s", "values": [0.009, 0.013], "median": 0.011, "min": 0.009, "max": 0.013,
     }
+    assert got["workloads"]["wide"]["7919"]["cpu_s"] == {
+        "unit": "s", "values": [5.5, 5.3], "median": 5.4, "min": 5.3, "max": 5.5,
+    }
     assert got["workloads"]["atlas"]["0"]["pass_s"] == {
         "unit": "s", "values": [0.151, 0.223, 0.148, 0.219, 0.152],
         "median": 0.152, "min": 0.148, "max": 0.223,
+    }
+    assert got["workloads"]["atlas"]["0"]["cpu_s"] == {
+        "unit": "s", "values": [6.0, 6.1, 5.8, 6.2, 6.0],
+        "median": 6.0, "min": 5.8, "max": 6.2,
     }
 
 
@@ -67,13 +78,13 @@ def test_median_min_max_per_case_and_metric():
     ('{"correct": true, "failed": 0, "metrics": {}}\n', "not the output of perfbench/run.py"),
 ], ids=["not-correct", "failed-requests", "crashed", "empty", "no-header"])
 def test_a_bad_run_is_refused(text, message):
-    outputs = {("atlas", 0): [run_output(0.01, 0.1), text]}
+    outputs = {("atlas", 0): [(run_output(0.01, 0.1), 5.0), (text, 5.0)]}
     with pytest.raises(bench_record.RunFailed, match=message):
         bench_record.summarize(outputs)
 
 
 def test_runs_on_different_machines_are_refused():
-    outputs = {("atlas", 0): [run_output(0.01, 0.1), run_output(0.01, 0.1, cpus=4)]}
+    outputs = {("atlas", 0): [(run_output(0.01, 0.1), 5.0), (run_output(0.01, 0.1, cpus=4), 5.0)]}
     with pytest.raises(bench_record.RunFailed, match="disagree"):
         bench_record.summarize(outputs)
 

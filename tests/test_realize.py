@@ -254,7 +254,7 @@ class TestEveryRealizationVerifies:
 
         # one interval: the code {∅, 1}, not C22
         wrong = (Realization(1, {1: Interval(0, 1)}), "L22Case2b")
-        monkeypatch.setattr(builders, "_build_l22", lambda code, by_ref: wrong)
+        monkeypatch.setattr(builders, "_build_l22", lambda s: wrong)
 
     @pytest.mark.parametrize(
         "call",

@@ -32,9 +32,7 @@ from convexcodes import (
 import convexcodes.atlas
 import convexcodes.cli
 import convexcodes.codes
-import convexcodes.realize.builders
 import convexcodes.topology
-import convexcodes.wheels
 from convexcodes.codes import _cached, _pack
 from convexcodes.topology import (
     _CONTRACTIBLE,
@@ -914,18 +912,13 @@ class TestMasksOnly:
         assert len(built) == 0
 
     def test_one_packing_per_structure(self, monkeypatch, c22, c24, w3):
-        # links are cut from the structure's facet masks: _pack runs once
-        # per structure whose packed is read, and never per link; the public
-        # path_of_facets, which the builders and the L24 sprocket call on
-        # facets, packs its three arguments once per call
-        packs, structures, links, paths = [], [], [], []
+        # links are cut from the structure's facet masks, and the builders
+        # and the L24 sprocket read them too: _pack runs once per structure
+        # whose packed is read, and never per link or per facet triple
+        packs, structures, links = [], [], []
         pack = convexcodes.codes._pack
         packed = CodeStructure.__dict__["packed"]
         link = convexcodes.topology._link_contractible
-
-        def counting_path(*facets):
-            paths.append(facets)
-            return path_of_facets(*facets)
 
         def counting_pack(sets):
             packs.append(sets)
@@ -945,11 +938,9 @@ class TestMasksOnly:
             monkeypatch.setattr(module, "_pack", counting_pack)
         monkeypatch.setattr(CodeStructure, "packed", reading)
         monkeypatch.setattr(convexcodes.topology, "_link_contractible", counting_link)
-        for module in (convexcodes.wheels, convexcodes.realize.builders):
-            monkeypatch.setattr(module, "path_of_facets", counting_path)
         for code in (c24, c22, w3):
             analyze(code)
         for m in (6, 9, 12):
             decide(NeuralCode(collapse_family(m)))
-        assert links and structures and paths
-        assert len(packs) == len(structures) + len(paths)
+        assert links and structures
+        assert len(packs) == len(structures)

@@ -6,11 +6,13 @@ Runs `perfbench/run.py --trace 0 --seconds 5` five times on each of the
 workloads four-facet, wide and atlas at seeds 0 and 7919, taking the cases
 in turn so that a drift of the machine's speed spreads over all of them.
 It runs the checkout at --root (default: the repository holding this
-script) and reads each run's last stdout line, the JSON result.  Any run
-that is not correct or has failed requests stops the recording, and
-nothing is written.  The file holds, per workload and seed, every run's
-value of every end-to-end metric in run order, so that a bimodal metric
-shows its clusters, and their median, minimum and maximum, with the run
+script) and reads each run's last stdout line, the JSON result, and the
+CPU time (user plus system) that the run and the processes it waited for
+spent.  Any run that is not correct or has failed requests stops the
+recording, and nothing is written.  The file holds, per workload and
+seed, every run's value of every end-to-end metric and its cpu_s in run
+order, so that a bimodal metric shows its clusters and whether its modes
+come from CPU work, and their median, minimum and maximum, with the run
 count, the seconds per run, the Python version, the CPU count and the
 tree measured (see _tree).
 """
@@ -21,6 +23,7 @@ import argparse
 import hashlib
 import json
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -64,23 +67,26 @@ def parse_run(text: str) -> tuple:
 
 
 def summarize(outputs: dict) -> dict:
-    """The recorded figures of the runs' stdout texts, keyed (workload, seed).
+    """The recorded figures of the runs, keyed (workload, seed), each run a
+    (stdout text, CPU seconds) pair.
 
-    Per case and metric: its unit, each run's value in run order, and the
-    median, minimum and maximum over the runs.  Also the Python version and CPU count the runs report,
-    which must agree across runs.  RunFailed on any run parse_run refuses.
+    Per case and metric, cpu_s included: its unit, each run's value in run
+    order, and the median, minimum and maximum over the runs.  Also the
+    Python version and CPU count the runs report, which must agree across
+    runs.  RunFailed on any run parse_run refuses.
     """
     machines = set()
     workloads: dict = {}
-    for (workload, seed), texts in outputs.items():
+    for (workload, seed), runs in outputs.items():
         values: dict = {}
-        units: dict = {}
-        for text in texts:
+        units: dict = {"cpu_s": "s"}
+        for text, cpu_s in runs:
             python, cpus, metrics = parse_run(text)
             machines.add((python, cpus))
             for name, metric in metrics.items():
                 values.setdefault(name, []).append(metric["value"])
                 units[name] = metric["unit"]
+            values.setdefault("cpu_s", []).append(cpu_s)
         workloads.setdefault(workload, {})[str(seed)] = {
             name: {
                 "unit": units[name],
@@ -95,6 +101,12 @@ def summarize(outputs: dict) -> dict:
         raise RunFailed(f"runs disagree on python and CPU count: {sorted(machines)}")
     ((python, cpus),) = machines
     return {"python": python, "cpus": cpus, "workloads": workloads}
+
+
+def _children_cpu_s() -> float:
+    """User plus system seconds of the waited-for child processes so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def _git(root: Path, *args: str) -> bytes:
@@ -129,11 +141,13 @@ def main(argv=None) -> int:
     outputs: dict = {(w, s): [] for w in WORKLOADS for s in SEEDS}
     for run in range(RUNS):
         for workload, seed in outputs:
+            cpu_before = _children_cpu_s()
             done = subprocess.run(
                 [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                  "--seconds", str(SECONDS), "--trace", "0"],
                 cwd=root, capture_output=True, text=True,
             )
+            cpu_s = _children_cpu_s() - cpu_before
             try:
                 if done.returncode != 0:
                     raise RunFailed(f"run.py exited {done.returncode}: {done.stderr.strip()}")
@@ -141,7 +155,7 @@ def main(argv=None) -> int:
             except RunFailed as err:
                 print(f"bench_record: {workload} seed {seed}: {err}", file=sys.stderr)
                 return 1
-            outputs[workload, seed].append(done.stdout)
+            outputs[workload, seed].append((done.stdout, cpu_s))
             print(f"run {run + 1}/{RUNS}: {workload} seed {seed}", file=sys.stderr)
     try:
         summary = summarize(outputs)
