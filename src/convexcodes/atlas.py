@@ -181,9 +181,9 @@ def atlas_rows(
         except ValueError:
             skipped += 1
             continue
-        s = CodeStructure(code)
+        s = CodeStructure(code, [budget])
         nerve_class = s.classified.class_id if s.classified is not None else ""
-        verdict, certificates = _decide(s, [budget])
+        verdict, certificates = _decide(s)
         certificate = certificates[0].kind if certificates else ""
         sprocket = ""
         for cert in certificates:

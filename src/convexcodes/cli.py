@@ -186,8 +186,8 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     code = _parse_code_arg(args.code)
     if args.meta:
         print(_meta_line(args))
-    s = CodeStructure(code)
-    verdict, certificates = _decide(s, [args.budget])
+    s = CodeStructure(code, [args.budget])
+    verdict, certificates = _decide(s)
     if verdict is not Verdict.CONVEX:
         _print_verdict(verdict, certificates)
         print(f"convexcodes: realization requires a CONVEX code, verdict is "

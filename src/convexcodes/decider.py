@@ -6,10 +6,12 @@ run first and unconditionally), max-intersection completeness, the
 3-maximal theorem, the nerve-class theorems for 4-maximal codes with the
 canonical sprocket on minimal L24 codes that are not complete, and for
 five or more facets component decomposition and the bounded sprocket
-search, whose one budget the components share.  UNKNOWN is a terminal
-honest answer for the open cases, never a timeout disguise: certificates
-list what was established, and the sprocket search reports its budget in
-analyze().
+search.  Its budget is one per call: each entry point builds the call's
+CodeStructure around a one-item box holding it, and the components share
+that box.  UNKNOWN is a terminal honest answer for the open cases, never a
+timeout disguise: certificates list what was established.  When no
+sprocket is found, analyze() reports the budget it was given, not the
+budget the search spent.
 """
 
 from __future__ import annotations
@@ -112,14 +114,15 @@ def decide(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Tuple[Verdict, Lis
     budget.
     """
     _check_budget(budget)
-    return _decide(CodeStructure(code), [budget])
+    return _decide(CodeStructure(code, [budget]))
 
 
-def _decide(s: CodeStructure, box: list) -> Tuple[Verdict, List[Certificate]]:
-    """decide on a code's structure; every sprocket search spends from box[0].
+def _decide(s: CodeStructure) -> Tuple[Verdict, List[Certificate]]:
+    """decide on a code's structure; every sprocket search spends from s.box.
 
-    Each public entry point makes one box per call, so the nerve components
-    of a code share its budget.
+    Each public entry point builds one structure per call around a box
+    holding its budget, and the nerve components share that box, so they
+    share the budget.
 
     A minimal L24 code that reaches the L24 branch satisfies Path-of-Facets
     on its triangle F1, F2, F3, so it goes straight to the canonical
@@ -166,7 +169,7 @@ def _decide(s: CodeStructure, box: list) -> Tuple[Verdict, List[Certificate]]:
         statuses = []
         payload = []
         for sub in s.components:
-            verdict, _ = _decide(sub, box)
+            verdict, _ = _decide(sub)
             statuses.append(verdict)
             payload.append((sub.packed.labels, verdict.value))
         cert = Certificate(KIND_DISCONNECTED_DECOMPOSITION, components=tuple(payload))
@@ -175,7 +178,7 @@ def _decide(s: CodeStructure, box: list) -> Tuple[Verdict, List[Certificate]]:
         if any(v is Verdict.NONCONVEX for v in statuses):
             return (Verdict.NONCONVEX, [cert])
         return (Verdict.UNKNOWN, [cert])
-    cand = _find_sprocket(s, box)
+    cand = _find_sprocket(s)
     if cand is not None:
         return (Verdict.NONCONVEX, [Certificate(KIND_SPROCKET, candidate=cand)])
     return (Verdict.UNKNOWN, [])
@@ -231,7 +234,7 @@ def analyze(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Report:
     Raises ValueError on a negative budget.
     """
     _check_budget(budget)
-    s = CodeStructure(code)
+    s = CodeStructure(code, [budget])
     facets, cls = s.facets, s.classified
     m = len(facets)
     mandatory = tuple(map(s.packed.word, sorted(s.mandatory, key=_mask_key)))
@@ -247,7 +250,7 @@ def analyze(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Report:
             }
         )
 
-    verdict, certs = _decide(s, [budget])
+    verdict, certs = _decide(s)
 
     sprocket_json = None
     for cert in certs:

@@ -97,7 +97,7 @@ def build_realization(code: NeuralCode) -> Optional[Tuple[Realization, str]]:
     with none.  Raises ValueError naming the verdict when it is not CONVEX.
     """
     s = CodeStructure(code)
-    verdict, _ = _decide(s, [0])
+    verdict, _ = _decide(s)
     if verdict is not Verdict.CONVEX:
         raise ValueError(f"realization requires a CONVEX code, verdict with no sprocket search is {verdict.value}")
     return _build(s)

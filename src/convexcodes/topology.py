@@ -439,13 +439,27 @@ class CodeStructure:
     sprocket and the builders read facet masks (by_ref), and the
     nerve is held only as masks of facet positions (nerve_masks), which the
     class table and the component split read.
+
+    box is the call's one-item sprocket budget, [0] unless the entry point
+    gives one (decide, analyze, find_sprocket, atlas_rows and the realize
+    command each make one per call).  The structures derived from this one
+    (components, and the cone-peeled code of the sprocket search) share
+    it, and every search step is taken from it by spend.
     """
 
     code: NeuralCode
 
-    def __init__(self, code: NeuralCode):
+    def __init__(self, code: NeuralCode, box: Optional[list] = None):
         self.code = code
+        self.box = [0] if box is None else box
         self._links: dict = {}
+
+    def spend(self, n: int) -> bool:
+        """Take n search steps from box; when fewer are left, empty the box
+        and return False."""
+        left = self.box[0]
+        self.box[0] -= min(n, left)
+        return n <= left
 
     @_cached
     def packed(self) -> _Packing:
@@ -532,7 +546,8 @@ class CodeStructure:
     def components(self) -> List[CodeStructure]:
         """Per nerve component, the structure of the codewords below its facets.
 
-        Neuron labels are kept; [self] when the nerve is connected.
+        Neuron labels are kept, and the components share this structure's
+        box; [self] when the nerve is connected.
         """
         parts = _components(self.nerve_masks)
         if len(parts) <= 1:
@@ -541,7 +556,7 @@ class CodeStructure:
         for part in parts:
             below = [self.facet_masks[p] for p in _indices(part)]
             masks = [m for m in self.packed.masks if any(m & ~f == 0 for f in below)]
-            out.append(CodeStructure(NeuralCode(map(self.packed.word, masks))))
+            out.append(CodeStructure(NeuralCode(map(self.packed.word, masks)), self.box))
         return out
 
 

@@ -196,10 +196,9 @@ class _Pool:
         self.masks = list(_candidate_pool(s.max_intersections))
         self.words = list(map(s.packed.word, self.masks))
         self.trunk_masks = list(map(self.trunks, self.masks))
-        self.in_facets = [
-            sum(1 << j for j, f in enumerate(self.facet_masks) if m & ~f == 0)
-            for m in self.masks
-        ]
+        # holding(m), meeting(m): the facets that hold, or meet, m
+        self.holding, self.meeting = _lookups(self.facet_masks)
+        self.in_facets = list(map(self.holding, self.masks))
         # inside(at): the words held by some facet of the facet set at
         self.inside = _lookups(self.in_facets)[1]
         # holds_trunk(t), meets_trunk(t): the words whose trunk holds, or meets, t
@@ -222,10 +221,7 @@ class _Pool:
         inside, in_facets, meets = self.inside, self.in_facets, self.meets
         trunk_masks, masks = self.trunk_masks, self.masks
         holds_trunk, meets_trunk = self.holds_trunk, self.meets_trunk
-        meet = at_tau = 0
-        for j, f in enumerate(self.facet_masks):
-            meet |= (f & tau != 0) << j
-            at_tau |= (tau & ~f == 0) << j
+        at_tau, meet = self.holding(tau), self.meeting(tau)
         clear = ((1 << len(self.facet_masks)) - 1) & ~meet
         # sigma|tau is a face (P(iii)), and a facet missing tau holds sigma
         live = inside(at_tau) & inside(clear)
@@ -346,9 +342,11 @@ def find_sprocket(
     The budget counts search steps: one per (sigma1, sigma2, sigma3)
     triple that passes the mirror filter (sigma3 not before sigma1 in the
     canonical order) and one per (rho1, rho3) pair tried for a partial
-    wheel matching _hub_spoke_pattern.  Cone peeling spends from the same
-    budget.  The generic enumeration runs in two phases on bitmasks.  Every
-    missing tau is a pool word and its own witness rho, so each is searched.
+    wheel matching _hub_spoke_pattern.  The budget is the box of the
+    call's CodeStructure, and the cone-peeled code's structure shares it,
+    so cone peeling spends from the same budget.  The generic enumeration
+    runs in two phases on bitmasks.  Every missing tau is a pool word and
+    its own witness rho, so each is searched.
     The first phase, in no particular order, finds for each tau the triples
     that can reach the witnesses (_Pool.triples).  Such a triple has a hub
     facet disjoint from tau and three spoke facets holding tau that induce
@@ -374,11 +372,11 @@ def find_sprocket(
     Raises ValueError on a negative budget.
     """
     _check_budget(budget)
-    return _find_sprocket(CodeStructure(code), [budget])
+    return _find_sprocket(CodeStructure(code, [budget]))
 
 
-def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
-    """find_sprocket on a code's structure, spending from box[0] in place."""
+def _find_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
+    """find_sprocket on a code's structure, spending from its box (s.spend)."""
     code = s.code
     if len(s.facet_masks) == 4 and s.classified.class_id == "L24":
         cand = _l24_sprocket(s)
@@ -390,7 +388,7 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
         common = frozenset.intersection(*nonempty)
         if common:
             stripped = NeuralCode(w - common for w in code.codewords)
-            cand = _find_sprocket(CodeStructure(stripped), box)
+            cand = _find_sprocket(CodeStructure(stripped, s.box))
             if cand is not None and _emits(code, cand):
                 return cand
 
@@ -406,9 +404,8 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
     size = len(pool.words) if pool else len(_candidate_pool(s.max_intersections))
     per_tau = size * size * (size + 1) // 2
     triples = {tau: pool.triples(tau) for tau in admitted}
-    left = box[0]
     if not any(triples.values()):
-        box[0] = left - min(left, len(s.missing) * per_tau)
+        s.spend(len(s.missing) * per_tau)
         return None
 
     words, masks, pool_trunks, trunks = pool.words, pool.masks, pool.trunk_masks, pool.trunks
@@ -444,25 +441,19 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
         done = 0  # triples of this tau charged so far
         for number, i1, i2, i3 in walk:
             need = number + 1 - done
-            if left < need:
-                box[0] = min(left, 0)
+            if not s.spend(need):
                 return None
-            left -= need
             done += need
             t1, t3, t2 = pool_trunks[i1] & tk_tau, pool_trunks[i3] & tk_tau, pool_trunks[i2]
             for r1 in rhos:
                 tr1 = pool_trunks[r1]
                 if t1 & ~tr1:  # S(1) fails for every rho3
-                    if left < len(rhos):
-                        box[0] = min(left, 0)
+                    if not s.spend(len(rhos)):
                         return None
-                    left -= len(rhos)
                     continue
                 for r3 in rhos:
-                    if left <= 0:
-                        box[0] = left
+                    if not s.spend(1):
                         return None
-                    left -= 1
                     tr3 = pool_trunks[r3]
                     if (
                         t3 & ~tr3
@@ -470,17 +461,12 @@ def _find_sprocket(s: CodeStructure, box: list) -> Optional[SprocketCandidate]:
                         or trunks(masks[r1] | masks[r3] | tau) & ~t2
                     ):
                         continue
-                    box[0] = left
                     cand = SprocketCandidate(
                         words[i1], words[i2], words[i3], s.packed.word(tau), words[r1], words[r3]
                     )
                     if not _emits(code, cand):
                         raise AssertionError("bitmask sprocket failed replay on the code")
                     return cand
-        need = per_tau - done
-        if left < need:
-            box[0] = min(left, 0)
+        if not s.spend(per_tau - done):
             return None
-        left -= need
-    box[0] = left
     return None

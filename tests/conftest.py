@@ -47,12 +47,12 @@ def sprocket_spends(monkeypatch) -> list:
     spent = []
     search = convexcodes.decider._find_sprocket
 
-    def counting(s, box):
-        before = box[0]
+    def counting(s):
+        before = s.box[0]
         try:
-            return search(s, box)
+            return search(s)
         finally:
-            spent.append(before - box[0])
+            spent.append(before - s.box[0])
 
     monkeypatch.setattr(convexcodes.decider, "_find_sprocket", counting)
     return spent

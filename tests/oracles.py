@@ -732,8 +732,9 @@ def reference_wheel_triples(code):
 def reference_find_sprocket(code, box):
     """Bounded sprocket search, one budget step per condition evaluation.
 
-    Same contract as convexcodes.wheels._find_sprocket: box is a one-item
-    list holding the remaining budget and is decremented in place.
+    Same contract as convexcodes.wheels._find_sprocket, whose structure
+    holds the box: box is a one-item list holding the remaining budget and
+    is decremented in place.
     """
     from convexcodes.codes import NeuralCode, sort_words, word_sort_key
     from convexcodes.topology import classify_small_complex, nerve

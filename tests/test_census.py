@@ -10,31 +10,32 @@ cover every four-facet minimal code and every superset of it by missing
 max-intersection faces, with no cap on the number of neurons.
 
 The per-class table of (verdict, first certificate kind) is pinned: a
-change to it is a change in the mathematics, not in speed.  The same codes
-then carry metamorphic soundness checks.
+change to it is a change in the mathematics, not in speed.  Per code, the
+ledger (tools/ledger.py) pins the verdict, the first certificate kind and
+a digest of the analyze report.  The same codes then carry metamorphic
+soundness checks.
 """
 
+import importlib.util
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from convexcodes import (
     NeuralCode,
     Verdict,
-    classify_small_complex,
+    analyze,
     decide,
     is_max_intersection_complete,
     is_sprocket,
     max_intersection_faces,
     maximal_codewords,
-    minimal_code,
-    nerve,
     path_of_facets,
     relabel,
 )
-from convexcodes.atlas import _facet_cells
 from convexcodes.codes import _indices, sort_words
 from convexcodes.topology import CodeStructure
 from convexcodes.wheels import _POOL_SUBSET_BOUND, _candidate_pool, _emits
@@ -47,61 +48,32 @@ from oracles import (
 )
 from test_wheels import _seeded_search_codes
 
-BUDGET = 10**4
-FACETS = 4
-# the cells and facet permutations enumerate_facet_antichains uses
-CELLS, ORBIT = _facet_cells(FACETS)
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "ledger.py"
+_spec = importlib.util.spec_from_file_location("ledger", TOOL)
+ledger = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ledger)
+
+BUDGET = ledger.BUDGET
 
 
-def census_patterns():
-    """The count of labeled antichain patterns, and the representatives' facets.
-
-    A pattern is a 0/1 vector over CELLS, one neuron per marked cell, the
-    neurons numbered in cell order.  It is kept when its facets form an
-    antichain, and it represents its orbit when no facet permutation maps
-    it onto a lexicographically smaller vector: the rule
-    enumerate_facet_antichains applies to count vectors.
-    """
-    labeled, representatives = 0, []
-    for bits in range(1 << len(CELLS)):
-        marked = [cell for c, cell in enumerate(CELLS) if bits >> c & 1]
-        facets = [
-            frozenset(n for n, cell in enumerate(marked, start=1) if i in cell)
-            for i in range(FACETS)
-        ]
-        if any(a <= b for a, b in itertools.permutations(facets, 2)):
-            continue
-        labeled += 1
-        v = tuple(bits >> c & 1 for c in range(len(CELLS)))
-        if not any(g(v) < v for g in ORBIT):
-            representatives.append(facets)
-    return labeled, representatives
-
-
-def _decided(code, minimal=None):
-    verdict, certs = decide(code, budget=BUDGET)
-    class_id = classify_small_complex(nerve(maximal_codewords(code))).class_id
+def _analyzed(code, minimal=None):
+    report = analyze(code, BUDGET)
     return {
         "code": code,
-        "class": class_id,
-        "verdict": verdict,
-        "certs": certs,
+        "class": report.nerve_class,
+        "verdict": report.verdict,
+        "certs": list(report.certificates),
+        "report": report,
         "minimal": minimal,  # the entry of the minimal code, for a superset
     }
 
 
 @pytest.fixture(scope="module")
 def census():
-    labeled, representatives = census_patterns()
-    minimal, supersets = [], []
-    for facets in representatives:
-        code = minimal_code(facets)
-        entry = _decided(code)
-        minimal.append(entry)
-        missing = sort_words(max_intersection_faces(facets) - code.codewords)
-        for r in range(1, len(missing) + 1):
-            for extra in itertools.combinations(missing, r):
-                supersets.append(_decided(NeuralCode(code.codewords | set(extra)), entry))
+    """The census of tools/ledger.py, each code analyzed once."""
+    labeled, minimal, supersets = ledger.census()
+    minimal = list(map(_analyzed, minimal))
+    supersets = [_analyzed(code, minimal[i]) for code, i in supersets]
     return labeled, minimal, supersets
 
 
@@ -153,6 +125,24 @@ class TestFourFacetCensus:
         )
         assert dict(got) == CENSUS_TABLE
         assert len({cls for cls, _, _ in got}) == 20
+
+    def test_ledger(self, census):
+        # every census report, byte for byte, against tests/ledger/census.tsv;
+        # a change that moves one re-records with tools/ledger.py --write
+        _, minimal, supersets = census
+        got = [ledger.line(e["code"], e["report"]) for e in minimal + supersets]
+        changes = ledger.moved(ledger.read(), got)
+        assert not changes, "\n".join([f"{len(changes)} codes moved:", *changes])
+
+    def test_ledger_names_each_moved_code(self):
+        recorded = ["1\tCONVEX\tMaxIntersectionComplete\t00", "2\tUNKNOWN\t-\t11", "3\tCONVEX\t-\t22"]
+        got = ["1\tCONVEX\tMaxIntersectionComplete\t01", "2\tNONCONVEX\tSprocket\t12", "4\tCONVEX\t-\t33"]
+        assert ledger.moved(recorded, got) == [
+            "1: report moved",
+            "2: UNKNOWN - -> NONCONVEX Sprocket",
+            "4: not recorded, now CONVEX -",
+            "3: recorded CONVEX -, now absent",
+        ]
 
     def test_where_the_open_cases_and_theorems_sit(self):
         def classes(verdict_or_kind):

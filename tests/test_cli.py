@@ -160,9 +160,9 @@ class TestRealizeCommand:
         original = convexcodes.decider._decide
         calls = []
 
-        def counting(s, budget):
+        def counting(s):
             calls.append(s.code)
-            return original(s, budget)
+            return original(s)
 
         # every module that can reach the decider; the codes are connected,
         # so no component recursion adds calls

@@ -411,6 +411,6 @@ class TestDecideReadsOnlyWhatItPrints:
         codes += [NeuralCode(c26_corrected.codewords | {fs("67")})]
         assert len(codes) >= 20
         for code in codes:
-            s = CodeStructure(code)
-            assert _decide(s, [10**4]) == decide(code, budget=10**4), code
+            s = CodeStructure(code, [10**4])
+            assert _decide(s) == decide(code, budget=10**4), code
             assert not {"facets", "mandatory", "undecided"} & s.__dict__.keys(), code

@@ -160,8 +160,19 @@ class TestFindSprocket:
         built = _count_pools(monkeypatch)
         box = [100]
         for text in ("123, 12, 13, 23, 1, 2, 3", "12, 23, 2"):
-            assert _find_sprocket(CodeStructure(parse_code(text)), box) is None
+            assert _find_sprocket(CodeStructure(parse_code(text), box)) is None
         assert (built, box) == ([], [100])
+
+    def test_default_box_is_empty(self):
+        # a structure built without a box has no budget, so the generic
+        # search it needs for this code's sprocket stops at once
+        code = _seeded_search_codes(6, 3)[2]
+        assert len(maximal_codewords(code)) == 5
+        assert decide(code)[1][0].kind == "Sprocket"
+        s = CodeStructure(code)
+        assert _find_sprocket(s) is None
+        assert s.box == [0]
+        assert _find_sprocket(CodeStructure(code, [10**6])) == find_sprocket(code)
 
     def test_no_pool_without_l24_tau(self, sprocket_spends, monkeypatch):
         # C26 (L26) misses max-intersection faces, but none lies inside an
@@ -279,8 +290,9 @@ def _relabeled(code):
 
 def _run(search, code, budget):
     box = [budget]
-    # the bitmask search reads the code's structure, the reference the code
-    got = search(CodeStructure(code) if search is _find_sprocket else code, box)
+    # the bitmask search reads the code's structure, which holds the box,
+    # and the reference reads the code and the box
+    got = search(CodeStructure(code, box)) if search is _find_sprocket else search(code, box)
     return (None if got is None else tuple(got)), box[0]
 
 
