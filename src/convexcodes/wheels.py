@@ -282,40 +282,29 @@ def _hub_spoke_pattern(facets, s1: int, s2: int, s3: int, tau: int) -> bool:
 def _l24_taus(s: CodeStructure) -> set:
     """The masks of the missing taus that sit inside an induced L24 of the nerve.
 
-    A missing tau passes when some facet g disjoint from tau and three
-    facets f1, f2, f3 holding tau induce L24 in the nerve: g shares an edge
-    with each fj, and no triangle of the nerve passes through g and two of
-    them.  The nerve's edges and triangles are read from s.nerve_masks once,
-    so each test is a set lookup.
+    In facet traces: a missing tau passes when some facet g disjoint from
+    tau has three pairwise disjoint nonempty traces g & f on facets f
+    holding tau.  A nonempty trace is an edge of the nerve between g and
+    f, and two disjoint traces g & a, g & b are a missing triangle
+    {g, a, b}, so such g and f1, f2, f3 induce L24 with tau in the
+    triangle's intersection.
 
     Only these taus can have a triple that _Pool.triples keeps.  Such a
     triple has a hub facet g holding sigma1|sigma2|sigma3 and disjoint from
     tau (the inside(at12 & clear) test), and each sigma_j has a spoke facet
-    fj holding sigma_j|tau (P(iii)).  _hub_spoke_pattern makes g & fj & fk
-    empty for j != k.  Pool words are nonempty, so g & fj holds sigma_j and
-    g shares an edge with fj; then fj != fk, as g & fj & fj is not empty.
-    So g, f1, f2, f3 are distinct (g misses the nonempty tau, which every fj
-    holds) and induce L24, with tau in the triangle's intersection.
+    fj holding sigma_j|tau (P(iii)).  Pool words are nonempty, so the trace
+    g & fj holds sigma_j, and _hub_spoke_pattern makes the traces on fj
+    and fk disjoint for j != k.
     """
-    edges, triangles = set(), set()
-    for face in s.nerve_masks:
-        vertices = [1 << p for p in _indices(face)]
-        edges.update(a | b for a, b in itertools.combinations(vertices, 2))
-        triangles.update(a | b | c for a, b, c in itertools.combinations(vertices, 3))
-    facet_masks = s.facet_masks
     out = set()
     for tau in s.missing:
-        holding = [1 << j for j, f in enumerate(facet_masks) if tau & ~f == 0]
-        for j, g in enumerate(facet_masks):
-            if g & tau:  # g would make a triangle with any two spokes
+        spokes = [f for f in s.facet_masks if tau & ~f == 0]
+        for g in s.facet_masks:
+            if g & tau:  # every trace on a spoke would hold g & tau
                 continue
-            g = 1 << j
-            spokes = [f for f in holding if g | f in edges]
+            traces = [g & f for f in spokes if g & f]
             if any(
-                g | a | b not in triangles
-                and g | a | c not in triangles
-                and g | b | c not in triangles
-                for a, b, c in itertools.combinations(spokes, 3)
+                not (a & b or a & c or b & c) for a, b, c in itertools.combinations(traces, 3)
             ):
                 out.add(tau)
                 break
@@ -351,8 +340,8 @@ def find_sprocket(
     that can reach the witnesses (_Pool.triples).  Such a triple has a hub
     facet disjoint from tau and three spoke facets holding tau that induce
     L24 in the nerve (the lemma of _l24_taus), so the phase runs only on
-    the taus passing that test of the nerve, and builds the candidate pool
-    only when one passes.  If no triple is found, the order cannot matter:
+    the taus that _l24_taus admits by their facet traces, and builds the
+    candidate pool only when one passes.  If no triple is found, the order cannot matter:
     every triple of every tau is charged at once and the search returns
     None without computing the relabeling.  Otherwise the second phase
     ranks the words and the taus in the canonical order and walks the

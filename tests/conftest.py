@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import sys
 from pathlib import Path
@@ -7,6 +8,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from convexcodes import NeuralCode, parse_code
+
+# tools/ledger.py as a module, loaded once for every test of a ledger
+_spec = importlib.util.spec_from_file_location(
+    "ledger", Path(__file__).resolve().parents[1] / "tools" / "ledger.py"
+)
+ledger = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ledger)
 
 # running examples used across test modules
 C22_TEXT = "134, 1357, 257, 356, 13, 35, 57"
@@ -26,6 +34,14 @@ def fs(compact: str) -> frozenset:
 def support(code: NeuralCode) -> frozenset:
     """All neuron indices that appear in some codeword of the code."""
     return frozenset().union(*code.codewords)
+
+
+def assert_ledger(name: str, got: list) -> None:
+    """The lines got against the recorded tests/ledger/<name>.tsv, each
+    moved code named; a change that moves one on purpose re-records with
+    tools/ledger.py --write."""
+    changes = ledger.moved(ledger.read(name), got)
+    assert not changes, "\n".join([f"{len(changes)} codes moved:", *changes])
 
 
 def collapse_family(m: int) -> list:

@@ -22,8 +22,11 @@ codeword order.  The facet scan and the max-intersection closure are the
 frozenset versions that the mask routines of codes replaced, and the
 reference sprocket searches read their facets and max-intersection faces
 from these two; the frozenset Path-of-Facets test is the one the mask
-routine of topology replaced.  The validator is the Fraction code that
-the integer forms of realize.geometry replaced, with its own star rule.
+routine of topology replaced, and the nerve test of the sprocket search's
+taus is the one the facet-trace test of wheels replaced: it reads the
+facets, missing faces and nerve of the package's CodeStructure.  The
+validator is the Fraction code that the integer forms of realize.geometry
+replaced, with its own star rule.
 The 2-D arrangement sampler is the one the column sweep replaced: it
 tests each sample against every edge of every polygon.
 """
@@ -637,6 +640,40 @@ def reference_path_of_facets(f1, f2, f3):
     f1, f2, f3 = fs
     paths = [(a, b, c) for a, b, c in ((f2, f1, f3), (f1, f2, f3), (f1, f3, f2)) if not (a & c) - b]
     return paths[0] if len(paths) == 1 else None
+
+
+def reference_l24_taus(s):
+    """The masks of the missing taus of structure s that sit inside an
+    induced L24 of the nerve, by the edge and triangle sets of the nerve
+    (s.nerve_masks) that the facet-trace test of wheels._l24_taus replaced:
+    some facet g disjoint from tau shares an edge with three facets
+    holding tau, and no triangle of the nerve passes through g and two of
+    them."""
+    from convexcodes.codes import _indices
+
+    edges, triangles = set(), set()
+    for face in s.nerve_masks:
+        vertices = [1 << p for p in _indices(face)]
+        edges.update(a | b for a, b in combinations(vertices, 2))
+        triangles.update(a | b | c for a, b, c in combinations(vertices, 3))
+    facet_masks = s.facet_masks
+    out = set()
+    for tau in s.missing:
+        holding = [1 << j for j, f in enumerate(facet_masks) if tau & ~f == 0]
+        for j, g in enumerate(facet_masks):
+            if g & tau:  # g would make a triangle with any two spokes
+                continue
+            g = 1 << j
+            spokes = [f for f in holding if g | f in edges]
+            if any(
+                g | a | b not in triangles
+                and g | a | c not in triangles
+                and g | b | c not in triangles
+                for a, b, c in combinations(spokes, 3)
+            ):
+                out.add(tau)
+                break
+    return out
 
 
 def _reference_queries(c):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import itertools
@@ -7,8 +8,14 @@ import pytest
 from convexcodes import parse_code
 from convexcodes.atlas import atlas_rows, enumerate_facet_antichains, write_atlas_csv
 
-from conftest import W3_TEXT, fs, support
+from conftest import W3_TEXT, assert_ledger, fs, ledger, support
 from oracles import reference_enumerate_facet_antichains
+
+
+@pytest.fixture(scope="module")
+def rows_of():
+    """atlas_rows, each size built once for the module's tests."""
+    return functools.cache(atlas_rows)
 
 
 def antichain_classes_bruteforce(max_neurons, k):
@@ -118,8 +125,8 @@ class TestAtlasRows:
             code = parse_code(r.code)
             assert code.n == r.neurons or not support(code)
 
-    def test_single_nonconvex_row_is_the_literature_code(self):
-        rows, skipped = atlas_rows(6, 4)
+    def test_single_nonconvex_row_is_the_literature_code(self, rows_of):
+        rows, skipped = rows_of(6, 4)
         assert skipped == 0
         assert len(rows) == 287
         bad = [r for r in rows if r.verdict == "NONCONVEX"]
@@ -135,20 +142,25 @@ class TestAtlasRows:
         literature = [fs("123"), fs("145"), fs("246"), fs("1356")]
         assert class_key(got) == class_key(literature)
 
-    def test_w3_collapses_onto_that_row(self):
+    def test_w3_collapses_onto_that_row(self, rows_of):
         from convexcodes import canonicalize, format_code, minimal_code, maximal_codewords
 
-        rows, _ = atlas_rows(6, 4)
+        rows, _ = rows_of(6, 4)
         bad = next(r for r in rows if r.verdict == "NONCONVEX")
         w3 = parse_code(W3_TEXT)
         canonical = canonicalize(minimal_code(maximal_codewords(w3))).code
         assert format_code(canonical, verbose=True, braced=True) == bad.code
 
-    def test_l9_to_l23_rows_all_convex(self):
-        rows, _ = atlas_rows(6, 4)
+    def test_l9_to_l23_rows_all_convex(self, rows_of):
+        rows, _ = rows_of(6, 4)
         for r in rows:
             if 9 <= int(r.nerve_class[1:]) <= 23:
                 assert r.verdict == "CONVEX", r.code
+
+    def test_ledger(self, rows_of):
+        # every 6x4 and 5x5 row's analyze report at the ledger's budget,
+        # byte for byte, against tests/ledger/atlas.tsv
+        assert_ledger("atlas", ledger.lines(ledger.atlas_codes(rows_of)))
 
 
 class TestCsv:
@@ -176,8 +188,8 @@ class TestCsv:
         write_atlas_csv(rows, buf, skipped=skipped, meta="generated for tests")
         assert buf.getvalue().startswith("# generated for tests\n")
 
-    def test_summary_block_counts(self):
-        rows, skipped = atlas_rows(6, 4)
+    def test_summary_block_counts(self, rows_of):
+        rows, skipped = rows_of(6, 4)
         buf = io.StringIO()
         write_atlas_csv(rows, buf, skipped=skipped)
         text = buf.getvalue()
@@ -189,10 +201,10 @@ class TestCsv:
         (5, 5, "986dc8954592e5d8ba4d9c3b2c01443fe6639bf5f4f1d62b3dd0e39fa28840f3"),
         (6, 5, "79399714cb4b0607e4f170dbd38123bae33c1587c50fb374eebebe42e8de4880"),
     ])
-    def test_csv_bytes_pinned(self, max_neurons, num_facets, digest):
+    def test_csv_bytes_pinned(self, max_neurons, num_facets, digest, rows_of):
         # sha256 of the CSV as first written by the n! canonical-form scan;
         # 6x5 as first written with no configuration skipped
-        rows, skipped = atlas_rows(max_neurons, num_facets)
+        rows, skipped = rows_of(max_neurons, num_facets)
         buf = io.StringIO()
         write_atlas_csv(rows, buf, skipped=skipped)
         assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest

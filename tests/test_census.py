@@ -16,11 +16,9 @@ a digest of the analyze report.  The same codes then carry metamorphic
 soundness checks.
 """
 
-import importlib.util
 import itertools
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -33,25 +31,23 @@ from convexcodes import (
     is_sprocket,
     max_intersection_faces,
     maximal_codewords,
+    minimal_code,
+    parse_code,
     path_of_facets,
     relabel,
 )
 from convexcodes.codes import _indices, sort_words
 from convexcodes.topology import CodeStructure
-from convexcodes.wheels import _POOL_SUBSET_BOUND, _candidate_pool, _emits
+from convexcodes.wheels import _POOL_SUBSET_BOUND, _candidate_pool, _emits, _l24_taus
 
-from conftest import collapse_family
+from conftest import assert_ledger, collapse_family, ledger
 from oracles import (
+    reference_l24_taus,
     reference_max_intersection_faces,
     reference_maximal_codewords,
     reference_path_of_facets,
 )
-from test_wheels import _seeded_search_codes
-
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "ledger.py"
-_spec = importlib.util.spec_from_file_location("ledger", TOOL)
-ledger = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ledger)
+from test_wheels import _benchmark_generator, _seeded_search_codes
 
 BUDGET = ledger.BUDGET
 
@@ -130,9 +126,7 @@ class TestFourFacetCensus:
         # every census report, byte for byte, against tests/ledger/census.tsv;
         # a change that moves one re-records with tools/ledger.py --write
         _, minimal, supersets = census
-        got = [ledger.line(e["code"], e["report"]) for e in minimal + supersets]
-        changes = ledger.moved(ledger.read(), got)
-        assert not changes, "\n".join([f"{len(changes)} codes moved:", *changes])
+        assert_ledger("census", [ledger.line(e["code"], e["report"]) for e in minimal + supersets])
 
     def test_ledger_names_each_moved_code(self):
         recorded = ["1\tCONVEX\tMaxIntersectionComplete\t00", "2\tUNKNOWN\t-\t11", "3\tCONVEX\t-\t22"]
@@ -242,6 +236,41 @@ def test_candidate_pool_expands_maximal_faces_only(census):
     for code in codes:
         faces = CodeStructure(code).max_intersections
         assert _candidate_pool(faces) == every_face_pool(faces), code
+
+
+def test_l24_taus_match_nerve_reference(census):
+    # the facet-trace test admits exactly the taus that the nerve's edge
+    # and triangle sets admit, on the census, seeded 4-6-facet codes, the
+    # collapse family and the benchmark's analyze and decide requests
+    _, minimal, supersets = census
+    codes = [e["code"] for e in minimal + supersets] + _seeded_search_codes(2026, 40)
+    codes += [NeuralCode(collapse_family(m)) for m in range(5, 13)]
+    gen = _benchmark_generator()
+    codes += [
+        parse_code(req["code"])
+        for workload in ("four-facet", "wide")
+        for seed in (0, 7919)
+        for req in gen.GENERATORS[workload](seed)
+        if "code" in req
+    ]
+    # those hold 38 codes that admit a tau; the minimal code of an L24
+    # family grown by a random fifth facet, or a superset of it, admits one
+    # in more than a quarter of cases, with the fifth facet as hub, spoke
+    # or neither
+    rng = random.Random(32)
+    for _ in range(300):
+        facets = gen.l24_family(rng, 8) + [frozenset(rng.sample(range(1, 10), rng.randint(2, 5)))]
+        if not any(a <= b for a, b in itertools.permutations(facets, 2)):
+            code = minimal_code(facets)
+            extra = [f for f in sort_words(max_intersection_faces(facets)) if rng.random() < 0.5]
+            codes += [code, NeuralCode(code.codewords | frozenset(extra))]
+    admitting = 0
+    for code in codes:
+        s = CodeStructure(code)
+        got = _l24_taus(s)
+        assert got == reference_l24_taus(s), code
+        admitting += bool(got)
+    assert admitting >= 100
 
 
 def test_builder_arrangements_match_reference_sampler(census):

@@ -1,10 +1,9 @@
 import contextlib
+import functools
 import io
 import itertools
 import math
 import random
-import types
-from pathlib import Path
 
 import convexcodes.cli
 
@@ -34,7 +33,7 @@ from convexcodes.codes import (
 from convexcodes.topology import CodeStructure
 from convexcodes.wheels import _find_sprocket, _l24_taus, _Pool
 
-from conftest import C26_CORRECTED_TEXT, collapse_family, fs, support
+from conftest import C26_CORRECTED_TEXT, collapse_family, fs, ledger, support
 from oracles import (
     reference_find_sprocket,
     reference_search_relabeling,
@@ -281,6 +280,16 @@ def _grown(c24, w3):
     ]
 
 
+# The two codes among the first 100 of _seeded_search_codes at each seed
+# 0-39 and 2026 whose sprocket only the generic search finds (seed 6 #2 and
+# seed 23 #78), with the steps the search spends on each from a budget of
+# 10^4 and the sprocket it returns
+GENERIC_HITS = {
+    "2,6,7,15,17,23,24,27,47,147,156,247,2346,12357": (1615, "((6,3,4,1), rho=(5,17))"),
+    "2,4,16,37,56,57,156,237,457,1246,3567": (72, "((4,6,2,7), rho=(57,3))"),
+}
+
+
 def _relabeled(code):
     """The (relabeled code, inverse map) pair reference_search_relabeling returns."""
     label = _profile_relabeling(CodeStructure(code).packed)
@@ -354,7 +363,8 @@ class TestOrderFreePhase:
     def test_survivors_match_reference(self, c22, c24, c26_corrected, d28, w3):
         hits = 0
         goldens = [c22, c24, c26_corrected, d28, w3] + _grown(c24, w3)
-        for code in goldens + _seeded_search_codes(2026, 40):
+        generic = list(map(parse_code, GENERIC_HITS))
+        for code in goldens + _seeded_search_codes(2026, 40) + generic:
             facets = maximal_codewords(code)
             expected = reference_wheel_triples(code)
             for s1, s2, s3, tau in expected:
@@ -473,14 +483,17 @@ class TestSearchAgainstReference:
         800 steps, which bounds the quadratic cost of rerunning the
         reference at each budget.  The sample holds searches of both
         phases: some end in the order-free charge, which computes no
-        relabeling, and some reach the ordered walk, which does.
+        relabeling, and some reach the ordered walk, which does.  After
+        the grown codes comes the 72-step code of GENERIC_HITS, a
+        five-facet code whose sprocket no closed form finds.
         """
         relabelings = _count_relabelings(monkeypatch)
         seeded = [
             c for c in _seeded_search_codes(3, 40) if len(maximal_codewords(c)) >= 5
         ]
+        generic = "2,4,16,37,56,57,156,237,457,1246,3567"
         spent, walked = [], []
-        for code in _grown(c24, w3) + seeded:
+        for code in _grown(c24, w3) + [parse_code(generic)] + seeded:
             _words, left = _run(reference_find_sprocket, code, self.FULL)
             used = self.FULL - left
             if not 0 < used <= 800:
@@ -498,6 +511,8 @@ class TestSearchAgainstReference:
         # the grown codes find their sprocket on the walk; some seeded code
         # spends its budget in the order-free charge
         assert all(walked[:6]) and not all(walked[6:])
+        # the generic hit is checked at each of its 74 budgets, and walks
+        assert (spent[6], walked[6]) == (GENERIC_HITS[generic][0], True)
 
     def test_golden_codes(self, c22, c24, c26_corrected, d28, w3):
         rng = random.Random(11)
@@ -506,6 +521,12 @@ class TestSearchAgainstReference:
         for code in _grown(c24, w3):
             hit, used = self._check(code, rng)
             assert hit and used > 0
+        # the codes whose sprocket only the generic search finds, on sampled
+        # budgets: every budget of the 1,615-step one would take seconds
+        for text, (steps, sprocket) in GENERIC_HITS.items():
+            code = parse_code(text)
+            assert self._check(code, rng) == (True, steps)
+            assert find_sprocket(code, self.FULL).text() == sprocket
 
     def test_seeded_four_to_six_facet_codes(self):
         rng = random.Random(12)
@@ -556,12 +577,14 @@ class TestSearchAgainstReference:
         assert any(_relabeled(c) != got for c, got in zip(copies, capped))
 
 
+@functools.cache
 def _benchmark_generator():
-    """perfbench/gen.py as a module, executed from its source so that
-    nothing is written next to it."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    gen = types.ModuleType("perfbench_gen")
-    exec(compile(path.read_text(), str(path), "exec"), gen.__dict__)
+    """perfbench/gen.py as a module (ledger.benchmark_generator, so that
+    nothing is written next to it), one for the session.  Its GENERATORS
+    build each request list once: a list is fixed by its workload and seed,
+    and building one takes up to 1.6 s."""
+    gen = ledger.benchmark_generator()
+    gen.GENERATORS = {name: functools.cache(make) for name, make in gen.GENERATORS.items()}
     return gen
 
 

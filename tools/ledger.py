@@ -1,19 +1,29 @@
-"""Record or check the census ledger, tests/ledger/census.tsv.
+"""Record or check the verdict ledgers, tests/ledger/<set>.tsv.
 
     python3 tools/ledger.py [--write]
 
-The census is every four-facet minimal code up to twin neurons, and every
-superset of one by its missing max-intersection faces (tests/test_census.py
-says why that covers them all): 2,757 codes.  The ledger has one line per
-code, tab-separated: the code's text (format_code), the verdict of
-analyze(code, BUDGET), its first certificate kind ("-" when there is none)
-and the first 16 hex digits of the sha256 of
-json.dumps(report.to_json(), sort_keys=True).  So a change that moves any
-byte of any census report moves a line, and the line names the code.
+There are four sets of codes:
 
-Without --write the census is analyzed, compared with the recorded file,
-and each moved code printed with its old and new verdict and kind; the exit
-status is 1 when any moved.  --write records the file anew.
+- census: every four-facet minimal code up to twin neurons, and every
+  superset of one by its missing max-intersection faces
+  (tests/test_census.py says why that covers them all);
+- atlas: the codes of atlas_rows(6, 4) and atlas_rows(5, 5), in row order;
+- wide: the codes of the benchmark's wide requests at seeds 0 and 7919,
+  from perfbench/gen.py executed from its source, so that nothing is
+  written next to it;
+- nword: for N = 3..12, the code whose codewords are [N] - {j}, j = 1..N.
+
+A ledger has one line per distinct code text, tab-separated: the code's
+text (format_code), the verdict of analyze(code, BUDGET), its first
+certificate kind ("-" when there is none) and the first 16 hex digits of
+the sha256 of json.dumps(report.to_json(), sort_keys=True).  So a change
+that moves any byte of any report moves a line, and the line names the
+code.
+
+Without --write every set is analyzed, compared with its recorded file,
+and each moved code printed with its set and its old and new verdict and
+kind; the exit status is 1 when any moved.  --write records every file
+anew.
 """
 
 from __future__ import annotations
@@ -23,20 +33,24 @@ import hashlib
 import itertools
 import json
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from convexcodes import NeuralCode, analyze, format_code, max_intersection_faces, minimal_code
-from convexcodes.atlas import _facet_cells
+from convexcodes import NeuralCode, analyze, format_code, max_intersection_faces, minimal_code, parse_code
+from convexcodes.atlas import _facet_cells, atlas_rows
 from convexcodes.codes import sort_words
 
-LEDGER = ROOT / "tests" / "ledger" / "census.tsv"
+LEDGERS = ROOT / "tests" / "ledger"
 BUDGET = 10**4
 FACETS = 4
 # the cells and facet permutations enumerate_facet_antichains uses
 CELLS, ORBIT = _facet_cells(FACETS)
+ATLAS_SIZES = ((6, 4), (5, 5))
+WIDE_SEEDS = (0, 7919)
+NWORD_SIZES = range(3, 13)
 
 
 def census_patterns() -> tuple:
@@ -80,6 +94,44 @@ def census() -> tuple:
     return labeled, minimal, supersets
 
 
+def census_codes() -> list:
+    """The census codes, minimal codes first."""
+    _, minimal, supersets = census()
+    return minimal + [code for code, _ in supersets]
+
+
+def atlas_codes(rows_of=atlas_rows) -> list:
+    """The codes of the atlas rows at ATLAS_SIZES, rows_of(n, k) giving them."""
+    return [parse_code(row.code) for n, k in ATLAS_SIZES for row in rows_of(n, k)[0]]
+
+
+def benchmark_generator() -> types.ModuleType:
+    """perfbench/gen.py as a module, executed from its source so that
+    nothing is written next to it."""
+    path = ROOT / "perfbench" / "gen.py"
+    gen = types.ModuleType("perfbench_gen")
+    exec(compile(path.read_text(), str(path), "exec"), gen.__dict__)
+    return gen
+
+
+def wide_codes(gen=None) -> list:
+    """The codes of the wide requests at WIDE_SEEDS, in request order, from
+    gen, perfbench/gen.py as a module (benchmark_generator() by default)."""
+    wide = (gen or benchmark_generator()).GENERATORS["wide"]
+    return [parse_code(req["code"]) for seed in WIDE_SEEDS for req in wide(seed)]
+
+
+def nword_codes() -> list:
+    """For each N in NWORD_SIZES, the code {[N] - {j} : j = 1..N}."""
+    return [
+        NeuralCode(frozenset(range(1, n + 1)) - {j} for j in range(1, n + 1))
+        for n in NWORD_SIZES
+    ]
+
+
+SETS = {"census": census_codes, "atlas": atlas_codes, "wide": wide_codes, "nword": nword_codes}
+
+
 def line(code: NeuralCode, report) -> str:
     """The ledger line of a code and its analyze report."""
     kind = report.certificates[0].kind if report.certificates else "-"
@@ -88,11 +140,17 @@ def line(code: NeuralCode, report) -> str:
     return "\t".join((format_code(code), report.verdict.value, kind, digest))
 
 
-def compute() -> list:
-    """The ledger lines of the census, minimal codes first."""
-    _, minimal, supersets = census()
-    codes = minimal + [code for code, _ in supersets]
-    return [line(code, analyze(code, BUDGET)) for code in codes]
+def lines(codes) -> list:
+    """The ledger lines of the codes, one per distinct code text, in the
+    order the texts first occur."""
+    seen = set()
+    out = []
+    for code in codes:
+        text = format_code(code)
+        if text not in seen:
+            seen.add(text)
+            out.append(line(code, analyze(code, BUDGET)))
+    return out
 
 
 def moved(recorded: list, got: list) -> list:
@@ -113,25 +171,33 @@ def moved(recorded: list, got: list) -> list:
     return out
 
 
-def read() -> list:
-    """The recorded ledger lines."""
-    return LEDGER.read_text().splitlines()
+def path(name: str) -> Path:
+    """The file of the named set's ledger."""
+    return LEDGERS / f"{name}.tsv"
+
+
+def read(name: str) -> list:
+    """The recorded lines of the named set's ledger."""
+    return path(name).read_text().splitlines()
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true", help="record the ledger anew")
+    parser.add_argument("--write", action="store_true", help="record every ledger anew")
     args = parser.parse_args(argv)
-    got = compute()
-    if args.write:
-        LEDGER.write_text("".join(ln + "\n" for ln in got))
-        print(f"wrote {len(got)} lines to {LEDGER.relative_to(ROOT)}")
-        return 0
-    changes = moved(read(), got)
-    for change in changes:
-        print(change)
-    print(f"{len(changes)} of {len(got)} codes moved")
-    return 1 if changes else 0
+    total = 0
+    for name, codes in SETS.items():
+        got = lines(codes())
+        if args.write:
+            path(name).write_text("".join(ln + "\n" for ln in got))
+            print(f"wrote {len(got)} lines to {path(name).relative_to(ROOT)}")
+            continue
+        changes = moved(read(name), got)
+        for change in changes:
+            print(f"{name}: {change}")
+        print(f"{name}: {len(changes)} of {len(got)} codes moved")
+        total += len(changes)
+    return 1 if total else 0
 
 
 if __name__ == "__main__":
