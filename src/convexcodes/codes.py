@@ -5,9 +5,9 @@ A neural code is a finite set of codewords that always contains the empty
 codeword.  Everything downstream (nerve classification, obstructions,
 realizations) is built over these two types.  A code's facets and missing
 faces are derived once, by topology.CodeStructure; this module holds the
-bitmask routines it packs and closes codes with (_pack, _maximal_masks,
-_intersections), trunks, and the facet intersections of any sets of
-labels (max_intersection_faces).
+bitmask routines it packs, reads and closes codes with (_pack, _indices,
+_maximal_masks, _intersections), trunks, and the facet intersections of
+any sets of labels (max_intersection_faces).
 
 All values are immutable and all operations are pure functions.
 """
@@ -324,18 +324,35 @@ def _pack(sets) -> _Packing:
     return _Packing(tuple(labels), [sum(map(bit.__getitem__, s)) for s in sets])
 
 
-def _indices(mask: int):
-    """The positions of the bits set in mask, lowest first."""
+# _BYTE_BITS[m] is _indices(m) for m < 2**8, built by doubling: entry
+# m + 2**p is entry m with p appended
+_BYTE_BITS = [()]
+for _p in range(8):
+    _BYTE_BITS += [bits + (_p,) for bits in _BYTE_BITS]
+del _p
+
+
+def _indices(mask: int) -> tuple:
+    """The positions of the bits set in mask, lowest first, as a tuple.
+
+    A mask below 2**8 is one read of _BYTE_BITS.  A larger one is taken
+    apart lowest bit first, one step per set bit, so a sparse mask costs
+    its set bits and not its width.
+    """
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
 def _mask_key(mask: int) -> tuple:
     """word_sort_key of a mask's word when its bits follow its labels' order,
     as _pack lays out labels it can sort: by size, then by bit positions."""
-    return (mask.bit_count(), [*_indices(mask)])
+    return (mask.bit_count(), _indices(mask))
 
 
 def _maximal_masks(masks: Iterable[int]) -> list:

@@ -36,14 +36,22 @@ this size, as every non-contractible complex on four vertices has a
 nonzero reduced homology group) and an independent oracle; the import
 runs none of them.
 
-Links are cut from facet masks (rows f & ~sigma) by one routine,
-_link_contractible.  More than four rows are first reduced by strong
-collapses, which keep the homotopy type; a core of at most four rows is
-read from the table.  A larger core whose nerve is the boundary of a
-simplex is a sphere, so non-contractible.  Any other larger core lists its
-faces, once, as masks: it is non-contractible when disconnected or not
-acyclic over GF(2), contractible when an elementary-collapse search (run
-from an explicit stack) succeeds, and INDETERMINATE otherwise.
+Links are decided by one routine, _link_contractible, on the facet masks
+and their cells (per element, the positions of the facets holding it;
+CodeStructure.cells, and the cells of its own packing for the public
+is_link_contractible).  The link of sigma is, up to homotopy, the nerve of
+the rows f & ~sigma over the facets f holding sigma, and that nerve's faces
+are the traces of the cells on those holders, so a link on at most four
+holders is settled from the traces with no row formed: a cone when an
+element outside sigma lies in every holder, two holders or fewer are not
+contractible, three are a path or not, and four are read from the table.
+More than four rows are first reduced by strong collapses, which keep the
+homotopy type; a core of at most four rows is read from the table.  A
+larger core whose nerve is the boundary of a simplex is a sphere, so
+non-contractible.  Any other larger core lists its faces, once, as masks:
+it is non-contractible when disconnected or not acyclic over GF(2),
+contractible when an elementary-collapse search (run from an explicit
+stack) succeeds, and INDETERMINATE otherwise.
 """
 
 from __future__ import annotations
@@ -359,28 +367,53 @@ def _strong_core(rows: list) -> list:
         rows = [r & keep for r in rows]
 
 
-def _link_contractible(facet_masks: list, sigma: int):
+def _link_contractible(facet_masks: list, cells, sigma: int):
     """True/False for contractibility of the link of sigma, else INDETERMINATE.
 
-    facet_masks is an antichain of masks and sigma the mask of one of its
-    faces.  The link is homotopy-equivalent to the nerve of the rows
-    f & ~sigma over the facets f holding sigma; they are distinct, and
-    nonzero unless sigma is itself a facet.  More than four rows are first
-    reduced by dominance (see _strong_core), which keeps that homotopy type.
-    Exact when at most four rows are left (table lookup).  Otherwise the
-    core's nerve is False when its facets are the k sets of k - 1 of its k
-    rows (the boundary of a simplex, a sphere), when disconnected or when
-    its GF(2) homology is not that of a point (_acyclic), True when an
-    elementary-collapse search on its faces succeeds, and INDETERMINATE
-    when neither settles it.  The link of a facet has empty geometric
-    realization and counts as non-contractible, which is what makes facets
-    mandatory.
+    facet_masks is an antichain of masks, cells the set of its elements'
+    occurrence masks (positions of the facets holding each element), and
+    sigma the mask of one of its faces.  The link is homotopy-equivalent to
+    the nerve of the rows f & ~sigma over the holders H of sigma (the facets
+    holding it).  That nerve's faces are the traces c & H of the cells of
+    the elements outside sigma, so one pass over the facets finds H and the
+    meet (AND) of the holders, and then:
+      - a meet other than sigma puts an element outside sigma in every
+        row: the link is a cone, True;
+      - one holder (sigma is a facet, whose link has empty geometric
+        realization and counts as non-contractible, which is what makes
+        facets mandatory) or two (two disjoint rows): False;
+      - three or four holders: the nerve's facets are the maximal traces
+        other than 0 and H.  Three holders are contractible exactly when
+        two traces are edges (a path); four have those traces squeezed
+        onto bits 0..3 and read from the class table.
+    More than four rows are first reduced by dominance (see _strong_core),
+    which keeps the homotopy type, and a core of at most four rows is read
+    from the table.  Otherwise the core's nerve is False when its facets
+    are the k sets of k - 1 of its k rows (the boundary of a simplex, a
+    sphere), when disconnected or when its GF(2) homology is not that of a
+    point (_acyclic), True when an elementary-collapse search on its faces
+    succeeds, and INDETERMINATE when neither settles it.
     """
-    rows = [f & ~sigma for f in facet_masks if not sigma & ~f]
-    if rows == [0]:
+    holders, meet = 0, -1
+    for pos, f in enumerate(facet_masks):
+        if not sigma & ~f:
+            holders |= 1 << pos
+            meet &= f
+    if meet != sigma:
+        return True
+    count = holders.bit_count()
+    if count <= 2:
         return False
-    if len(rows) > 4:
-        rows = _strong_core(rows)
+    if count <= 4:
+        traces = {c & holders for c in cells}
+        if count == 3:
+            # two edges on three vertices meet in one and cover every vertex
+            return sum(t.bit_count() == 2 for t in traces) == 2
+        traces = _maximal_masks(traces - {0, holders})
+        positions = _indices(holders)
+        squeezed = frozenset(sum((t >> p & 1) << i for i, p in enumerate(positions)) for t in traces)
+        return _CLASS_TABLE[squeezed][2]
+    rows = _strong_core([f & ~sigma for f in facet_masks if not sigma & ~f])
     nerve_masks = _nerve_masks(rows)
     if len(rows) <= 4:
         return _CLASS_TABLE[frozenset(nerve_masks)][2]
@@ -403,7 +436,8 @@ def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
     The complex is the one whose faces lie in the given sets; a set inside
     another adds nothing and is dropped.  The sets and sigma are packed
     together, so any hashable labels work, and _link_contractible decides
-    on the masks.  ValueError when sigma is empty or not a face.
+    on the masks and their cells.  ValueError when sigma is empty or not a
+    face.
     """
     sigma = frozenset(sigma)
     if not sigma:
@@ -415,7 +449,7 @@ def is_link_contractible(facets: Iterable[Codeword], sigma: Iterable[int]):
         # the packing's label order: sorted when the labels can be ordered
         face = [x for x in packed.labels if x in sigma]
         raise ValueError(f"{face} is not a face of the complex")
-    return _link_contractible(masks, s)
+    return _link_contractible(masks, {*_occurrences(masks).values()}, s)
 
 
 class CodeStructure:
@@ -433,12 +467,13 @@ class CodeStructure:
     max-intersection faces and the missing faces are found on those masks
     (facet_masks, max_intersections, missing); a mask becomes a word
     (facets, packed.word) only where a result leaves the pipeline.
-    Links are cut from facet_masks by _link_contractible, memoized per face
-    mask and shared by the obstruction scan, mandatory and undecided; the
-    sprocket search and its trunks read their masks from there too, the L24
-    sprocket and the builders read facet masks (by_ref), and the
-    nerve is held only as masks of facet positions (nerve_masks), which the
-    class table and the component split read.
+    The neurons' occurrence masks over the facets are found once (cells);
+    the nerve is held only as their maximal ones (nerve_masks), which the
+    class table and the component split read.  Links are decided from
+    facet_masks and cells by _link_contractible, memoized per face mask and
+    shared by the obstruction scan, mandatory and undecided; the sprocket
+    search and its trunks read their masks from there too, and the L24
+    sprocket and the builders read facet masks (by_ref).
 
     box is the call's one-item sprocket budget, [0] unless the entry point
     gives one (decide, analyze, find_sprocket, atlas_rows and the realize
@@ -487,9 +522,15 @@ class CodeStructure:
         return sorted(self.max_intersections - set(self.packed.masks), key=_mask_key)
 
     @_cached
+    def cells(self) -> set:
+        """The distinct occurrence masks of the neurons: per neuron, the
+        positions of the facets holding it (bit p is facets[p])."""
+        return {*_occurrences(self.facet_masks).values()}
+
+    @_cached
     def nerve_masks(self) -> list:
-        """The nerve's facets as masks of facet positions (bit p is facets[p])."""
-        return _nerve_masks(self.facet_masks)
+        """The nerve's facets as masks of facet positions: the maximal cells."""
+        return _maximal_masks(self.cells)
 
     @_cached
     def classified(self) -> Optional[ClassifiedNerve]:
@@ -507,7 +548,7 @@ class CodeStructure:
     def link_contractible(self, sigma: int):
         """_link_contractible of the face with mask sigma, memoized."""
         if sigma not in self._links:
-            self._links[sigma] = _link_contractible(self.facet_masks, sigma)
+            self._links[sigma] = _link_contractible(self.facet_masks, self.cells, sigma)
         return self._links[sigma]
 
     @_cached

@@ -29,6 +29,11 @@ validator is the Fraction code that the integer forms of realize.geometry
 replaced, with its own star rule.
 The 2-D arrangement sampler is the one the column sweep replaced: it
 tests each sample against every edge of every polygon.
+The row link test is the one the cell-trace cases of
+topology._link_contractible replaced: it cuts a link's rows and reuses
+the package's strong core, class table and larger-core routines.  The
+bit-position generator is the one the byte table of codes._indices
+replaced.
 """
 
 from fractions import Fraction
@@ -284,6 +289,54 @@ def reference_is_link_contractible(facets, sigma):
         return True
     # non-collapsible or budget exhausted: cannot conclude at this size
     return INDETERMINATE
+
+
+def reference_link_rows(facet_masks, sigma):
+    """The mask link test that the cell-trace routine of
+    topology._link_contractible replaced: it cuts the rows f & ~sigma of
+    the link of sigma and reads at most four of them, or their strong core,
+    from the class table.  It reuses the package's strong core, nerve masks,
+    class table, sphere, component, homology and collapse routines."""
+    from convexcodes.topology import (
+        _CLASS_TABLE,
+        INDETERMINATE,
+        _acyclic,
+        _components,
+        _faces,
+        _nerve_masks,
+        _positions,
+        _strong_core,
+        is_collapsible,
+    )
+
+    rows = [f & ~sigma for f in facet_masks if not sigma & ~f]
+    if rows == [0]:
+        return False
+    if len(rows) > 4:
+        rows = _strong_core(rows)
+    nerve_masks = _nerve_masks(rows)
+    if len(rows) <= 4:
+        return _CLASS_TABLE[frozenset(nerve_masks)][2]
+    if len(nerve_masks) == len(rows) and all(m.bit_count() == len(rows) - 1 for m in nerve_masks):
+        return False
+    if len(_components(nerve_masks)) > 1:
+        return False
+    faces = _faces(nerve_masks)
+    if not _acyclic(faces):
+        return False
+    if is_collapsible(map(_positions, faces)):
+        return True
+    # acyclic but not collapsible, or budget exhausted: cannot conclude
+    return INDETERMINATE
+
+
+def reference_indices(mask):
+    """The positions of the bits set in mask, lowest first: the generator
+    that codes._indices replaced."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _reference_complexes():

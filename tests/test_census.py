@@ -16,6 +16,7 @@ a digest of the analyze report.  The same codes then carry metamorphic
 soundness checks.
 """
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -27,6 +28,7 @@ from convexcodes import (
     Verdict,
     analyze,
     decide,
+    is_link_contractible,
     is_max_intersection_complete,
     is_sprocket,
     max_intersection_faces,
@@ -37,12 +39,13 @@ from convexcodes import (
     relabel,
 )
 from convexcodes.codes import _indices, sort_words
-from convexcodes.topology import CodeStructure
+from convexcodes.topology import CodeStructure, _link_contractible
 from convexcodes.wheels import _POOL_SUBSET_BOUND, _candidate_pool, _emits, _l24_taus
 
 from conftest import assert_ledger, collapse_family, ledger
 from oracles import (
     reference_l24_taus,
+    reference_link_rows,
     reference_max_intersection_faces,
     reference_maximal_codewords,
     reference_path_of_facets,
@@ -238,10 +241,11 @@ def test_candidate_pool_expands_maximal_faces_only(census):
         assert _candidate_pool(faces) == every_face_pool(faces), code
 
 
-def test_l24_taus_match_nerve_reference(census):
-    # the facet-trace test admits exactly the taus that the nerve's edge
-    # and triangle sets admit, on the census, seeded 4-6-facet codes, the
-    # collapse family and the benchmark's analyze and decide requests
+@pytest.fixture(scope="module")
+def oracle_codes(census):
+    """The codes the fast paths are checked on against their references:
+    the census, seeded 4-6-facet codes, the collapse family and the
+    benchmark's four-facet and wide analyze and decide requests."""
     _, minimal, supersets = census
     codes = [e["code"] for e in minimal + supersets] + _seeded_search_codes(2026, 40)
     codes += [NeuralCode(collapse_family(m)) for m in range(5, 13)]
@@ -253,6 +257,14 @@ def test_l24_taus_match_nerve_reference(census):
         for req in gen.GENERATORS[workload](seed)
         if "code" in req
     ]
+    return codes
+
+
+def test_l24_taus_match_nerve_reference(oracle_codes):
+    # the facet-trace test admits exactly the taus that the nerve's edge
+    # and triangle sets admit
+    codes = list(oracle_codes)
+    gen = _benchmark_generator()
     # those hold 38 codes that admit a tau; the minimal code of an L24
     # family grown by a random fifth facet, or a superset of it, admits one
     # in more than a quarter of cases, with the fifth facet as hub, spoke
@@ -271,6 +283,41 @@ def test_l24_taus_match_nerve_reference(census):
         assert got == reference_l24_taus(s), code
         admitting += bool(got)
     assert admitting >= 100
+
+
+def _link_case(facet_masks, sigma):
+    """Which branch of _link_contractible settles the link of sigma."""
+    holders = [f for f in facet_masks if not sigma & ~f]
+    if functools.reduce(int.__and__, holders) != sigma:
+        return "cone"
+    return "rows" if len(holders) > 4 else max(len(holders), 2)
+
+
+def test_links_match_row_reference(oracle_codes):
+    # the cell-trace link routine answers what the row routine it replaced
+    # answers, on the faces the pipeline asks about (facets and
+    # max-intersection faces) and on random faces of random antichains,
+    # through the structure's cells and through the public entry point
+    cases = Counter()
+    for code in oracle_codes:
+        s = CodeStructure(code)
+        for sigma in {*s.facet_masks, *s.max_intersections}:
+            got = _link_contractible(s.facet_masks, s.cells, sigma)
+            assert got is reference_link_rows(s.facet_masks, sigma), (code, sigma)
+            cases[_link_case(s.facet_masks, sigma)] += 1
+    # any nonempty face of random facets on at most 8 neurons; a face
+    # smaller than the meet of the facets holding it has a cone for its link
+    rng = random.Random(34)
+    for _ in range(5000):
+        facets = [frozenset(rng.sample(range(1, 9), rng.randint(1, 7))) for _ in range(rng.randint(1, 7))]
+        s = CodeStructure(NeuralCode(facets))
+        f = rng.choice(s.facet_masks)
+        sigma = rng.choice([b for b in range(1, f + 1) if not b & ~f])
+        got = _link_contractible(s.facet_masks, s.cells, sigma)
+        assert got is reference_link_rows(s.facet_masks, sigma), (facets, sigma)
+        assert is_link_contractible(s.facets, s.packed.word(sigma)) is got, (facets, sigma)
+        cases[_link_case(s.facet_masks, sigma)] += 1
+    assert min(cases[case] for case in ("cone", 2, 3, 4, "rows")) >= 50, cases
 
 
 def test_builder_arrangements_match_reference_sampler(census):

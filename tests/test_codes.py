@@ -21,14 +21,16 @@ from convexcodes.atlas import enumerate_facet_antichains
 from convexcodes.codes import (
     _CANONICAL_MAX_N,
     CanonicalForm,
+    _indices,
     _least_relabeling,
+    _mask_key,
     sort_words,
     word_sort_key,
 )
 from convexcodes.topology import minimal_code
 
 from conftest import fs, support
-from oracles import reference_canonicalize, reference_search_relabeling
+from oracles import reference_canonicalize, reference_indices, reference_search_relabeling
 
 
 class TestParse:
@@ -453,3 +455,26 @@ class TestLeastRelabelingCells:
 def test_sort_words_deterministic():
     words = [fs("21"), fs("3"), fs("1"), fs("123")]
     assert sort_words(words) == [fs("1"), fs("3"), fs("12"), fs("123")]
+
+
+class TestMaskBits:
+    """_indices reads a byte table below 2**8 and strips low bits above it;
+    both give the positions the reference generator yields, as tuples."""
+
+    MASKS = [*range(1 << 12), *map(random.Random(34).getrandbits, [200] * 1000)]
+
+    def test_indices_match_reference(self):
+        for mask in self.MASKS:
+            assert _indices(mask) == tuple(reference_indices(mask)), mask
+
+    def test_mask_key_orders_as_words(self):
+        # bit k stands for neuron k + 1; small and large masks sort together
+        words = {m: frozenset(p + 1 for p in reference_indices(m)) for m in self.MASKS}
+        got = sorted(self.MASKS, key=_mask_key)
+        assert [words[m] for m in got] == sort_words(words.values())
+
+    def test_sparse_mask_costs_its_bits(self):
+        mask = (1 << 10**6) | 1
+        start = time.perf_counter()
+        assert _indices(mask) == (0, 10**6)
+        assert time.perf_counter() - start < 0.1

@@ -387,9 +387,9 @@ class TestAnalyze:
         counts = Counter()
         real = convexcodes.topology._link_contractible
 
-        def counting(facet_masks, sigma):
+        def counting(facet_masks, cells, sigma):
             counts[(tuple(facet_masks), sigma)] += 1
-            return real(facet_masks, sigma)
+            return real(facet_masks, cells, sigma)
 
         monkeypatch.setattr(convexcodes.topology, "_link_contractible", counting)
         for code in (c22, c24, w3, c26_corrected):

@@ -853,7 +853,7 @@ class TestCachedFields:
     FIELDS = [name for name, value in vars(CodeStructure).items() if isinstance(value, _cached)]
 
     def test_class_access_returns_the_field(self):
-        assert len(self.FIELDS) == 13
+        assert len(self.FIELDS) == 14
         for name in self.FIELDS:
             field = getattr(CodeStructure, name)
             assert isinstance(field, _cached) and field.func.__name__ == name
@@ -928,9 +928,9 @@ class TestMasksOnly:
             structures.append(self)
             return packed.func(self)
 
-        def counting_link(facet_masks, sigma):
+        def counting_link(facet_masks, cells, sigma):
             links.append(sigma)
-            return link(facet_masks, sigma)
+            return link(facet_masks, cells, sigma)
 
         reading = functools.cached_property(counting_packed)
         reading.__set_name__(CodeStructure, "packed")
