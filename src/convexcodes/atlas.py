@@ -169,7 +169,8 @@ def atlas_rows(
     same labels.  A configuration is skipped only when its minimal code is
     undecidable (a link too large to classify), which cannot happen within
     the default caps.  Rows are unique by code text and deterministically
-    ordered.  Raises ValueError on a negative budget.
+    ordered.  Raises ValueError unless budget is a nonnegative int (a bool
+    is refused).
     """
     _check_budget(budget)
     rows: List[AtlasRow] = []

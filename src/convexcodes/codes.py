@@ -18,7 +18,7 @@ import itertools
 import math
 import operator
 import re
-from typing import Dict, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple
 
 # A codeword is represented as a frozenset of ints.  The empty codeword is
 # frozenset().
@@ -272,28 +272,26 @@ _CANONICAL_MAX_N = 2**20
 def canonicalize(code: NeuralCode) -> CanonicalForm:
     """Lexicographically least code over neuron relabelings.
 
-    The support is packed (see _pack) and relabeled onto 1..s, and the
-    silent neurons below code.n take the next labels in index order.  Exact
-    for a support of at most 8 neurons (exact=True): a branch-and-bound
-    search over all relabelings of the support (see _least_relabeling)
+    The support is packed (see _pack) and relabeled onto 1..s by
+    _least_relabeling, and the silent neurons below code.n take the next
+    labels in index order.  Exact for a support of at most 8 neurons
+    (exact=True): the search covers every relabeling of the support and
     returns the least code and, among the relabelings that reach it, the
     lexicographically least permutation.  Beyond that exact=False: the
-    support gets _profile_relabeling, which does not depend on the labels
-    while its profile cells admit at most 8! assignments.  Idempotent in
-    both regimes.  ValueError when code.n, the largest index, exceeds 2**20
-    (_CANONICAL_MAX_N).
+    search covers the relabelings that respect the support's profile cells
+    (_profile_cells), which do not depend on the labels, while they admit
+    at most 8! assignments, and takes the cells' own order above that.
+    Idempotent in both regimes.  ValueError when code.n, the largest
+    index, exceeds 2**20 (_CANONICAL_MAX_N).
     """
     if code.n > _CANONICAL_MAX_N:
         raise ValueError(f"canonicalize takes neuron indices up to {_CANONICAL_MAX_N}, got {code.n}")
     packed = _pack(w for w in code.codewords if w)
-    images = _least_relabeling(packed.masks)
-    if images is None:
-        label = _profile_relabeling(packed)
-    else:
-        label = dict(zip(packed.labels, images))
+    images, exact = _least_relabeling(packed.masks)
+    label = dict(zip(packed.labels, images))
     spare = itertools.count(len(label) + 1)
     perm = tuple(label[i] if i in label else next(spare) for i in range(1, code.n + 1))
-    return CanonicalForm(relabel(code, perm), perm, images is not None)
+    return CanonicalForm(relabel(code, perm), perm, exact)
 
 
 class _Packing(NamedTuple):
@@ -382,45 +380,42 @@ def _intersections(masks: list) -> set:
     return found
 
 
-def _profile_relabeling(packed: _Packing) -> Dict[int, int]:
-    """Label-invariant map from each packed label onto 1..s.
+def _profile_cells(masks: list) -> list:
+    """The neurons of a code split by a two-round occurrence profile.
 
-    packed holds the nonempty codewords of a code, as _pack gives them.
-    Labels are partitioned by a two-round occurrence profile and go, as
-    their bits, to _least_relabeling with the profile groups as its ordered
-    cells: the least relabeled code over profile-respecting assignments
-    wins, ties going to the least images.  Above that search's cap (judged
-    on the full count of assignments, 8!) the profile order itself, ties by
-    label, is used, and the map may depend on the labels.  The generic
-    sprocket search visits candidates in this order, and canonicalize falls
-    back to it above 8 neurons.
+    masks are the nonempty codewords as _pack gives them, bit k for
+    neuron k + 1.  A neuron's first profile is the sorted sizes of the
+    words holding it; its second adds, per word holding it, the sorted
+    ranks of its members' first profiles.  The cells are the neurons of
+    equal second profile, in profile order, each in bit order, so they do
+    not depend on the labels.  _least_relabeling takes them as its ordered
+    cells: the sprocket search orders its candidates so, and canonicalize
+    does above 8 neurons.
     """
-    support, masks = packed
-    occurs = [[m for m in masks if m >> k & 1] for k in range(len(support))]
+    n = max(masks, default=0).bit_length()  # the largest mask holds the highest bit
+    occurs = [[m for m in masks if m >> k & 1] for k in range(n)]
     prof1 = [tuple(sorted(m.bit_count() for m in occ)) for occ in occurs]
     rank1 = {p: r for r, p in enumerate(sorted(set(prof1)))}
-    ranks = {
-        m: tuple(sorted(rank1[prof1[k]] for k in range(len(support)) if m >> k & 1))
-        for m in masks
-    }
+    ranks = {m: tuple(sorted(rank1[prof1[k]] for k in _indices(m))) for m in masks}
     prof2 = [(p, tuple(sorted(ranks[m] for m in occ))) for p, occ in zip(prof1, occurs)]
-    ordered = sorted(range(len(support)), key=lambda k: (prof2[k], k))
-    groups = [[k + 1 for k in g] for _, g in itertools.groupby(ordered, key=prof2.__getitem__)]
-
-    images = _least_relabeling(masks, groups)
-    if images is None:
-        return {support[k]: label for label, k in enumerate(ordered, start=1)}
-    return dict(zip(support, images))
+    ordered = sorted(range(len(prof2)), key=lambda k: (prof2[k], k))
+    return [[k + 1 for k in g] for _, g in itertools.groupby(ordered, key=prof2.__getitem__)]
 
 
-def _least_relabeling(words: list, cells=None) -> Optional[tuple]:
-    """The least images tuple among the relabelings that give the least code.
+def _least_relabeling(words: list, cells=None) -> tuple:
+    """(images, exact): the least images tuple among the relabelings that
+    give the least code, and whether the search covered them all.
 
     words are the codewords of a code on neurons 1..n as bitmasks (bit
     i - 1 for neuron i), n being the highest neuron present.  cells is an
-    ordered partition of 1..n, None meaning one cell: the first cell's
-    neurons take the first labels, and so on.  Returns None when the
-    product of the cells' factorials exceeds _RELABEL_CAP.
+    ordered partition of 1..n: the first cell's neurons take the first
+    labels, and so on.  None means every relabeling, one cell; when that
+    cell passes _RELABEL_CAP (above 8 neurons) the search runs on the
+    _profile_cells instead and is not exact.  When the product of the
+    cells' factorials passes the cap, no search runs: the cells' own
+    order, ties by bit, is returned, not exact.  This is the one routine
+    that relabels a code; canonicalize and the sprocket search's order
+    read it.
 
     Branch and bound over label assignments: labels 1, 2, ... go to one
     neuron at a time, each from the cell that owns the label.  A word's key
@@ -440,16 +435,19 @@ def _least_relabeling(words: list, cells=None) -> Optional[tuple]:
     reached, which is what a lex-order scan of all cell-respecting
     permutations keeping only strict-< improvements returns.
     """
-    n = 0
-    for m in words:
-        n |= m
-    n = n.bit_length()
+    n = max(words, default=0).bit_length()  # the largest word holds the highest bit
+    exact = True
     if cells is None:
         cells = [range(1, n + 1)]
+        if math.factorial(min(n, 9)) > _RELABEL_CAP:
+            cells, exact = _profile_cells(words), False
     # stop at the cap, which any cell of 9 or more neurons passes alone
     counts = itertools.accumulate((math.factorial(min(len(c), 9)) for c in cells), int.__mul__)
     if any(count > _RELABEL_CAP for count in counts):
-        return None
+        images = [0] * n
+        for label, i in enumerate(itertools.chain(*map(sorted, cells)), start=1):
+            images[i - 1] = label
+        return tuple(images), False
     top = 1 << n
     word_set = set(words)
     occurs = [[k for k, m in enumerate(words) if m >> i & 1] for i in range(n)]
@@ -514,4 +512,4 @@ def _least_relabeling(words: list, cells=None) -> Optional[tuple]:
             search(depth + 1, free ^ 1 << i, r2)
 
     search(0, top - 1, [m.bit_count() * top + top - 1 for m in words])
-    return tuple(best[1])
+    return tuple(best[1]), exact

@@ -20,7 +20,7 @@ import itertools
 from enum import Enum
 from typing import List, NamedTuple, Optional, Tuple
 
-from .codes import EMPTY, NeuralCode, Codeword, _mask_key, format_word, sort_words
+from .codes import EMPTY, NeuralCode, Codeword, _mask_key, format_word
 from .topology import INDETERMINATE, CodeStructure, _path_of_facets
 from .wheels import (
     DEFAULT_BUDGET,
@@ -110,8 +110,8 @@ def decide(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Tuple[Verdict, Lis
     later convexity theorem can be applied to an obstructed code, and
     max-intersection completeness second so later branches may assume the
     code is not complete.  budget bounds the sprocket steps of the whole
-    call, every nerve component included.  Raises ValueError on a negative
-    budget.
+    call, every nerve component included.  Raises ValueError unless budget
+    is a nonnegative int (a bool is refused).
     """
     _check_budget(budget)
     return _decide(CodeStructure(code, [budget]))
@@ -231,7 +231,7 @@ def analyze(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Report:
     The realization field is filled only when the verdict is CONVEX and the
     code falls in a constructive family; the builders verify it against the
     code before it is reported.
-    Raises ValueError on a negative budget.
+    Raises ValueError unless budget is a nonnegative int (a bool is refused).
     """
     _check_budget(budget)
     s = CodeStructure(code, [budget])
@@ -270,7 +270,7 @@ def analyze(code: NeuralCode, budget: int = DEFAULT_BUDGET) -> Report:
 
     return Report(
         neurons=code.n,
-        codewords=tuple(sort_words(code.codewords)),
+        codewords=tuple(code),
         facets=tuple(facets),
         nerve_class=cls.class_id if cls else None,
         nerve_relabeling=tuple(ref for _pos, ref in cls.relabeling) if cls else None,

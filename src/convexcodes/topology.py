@@ -17,8 +17,9 @@ label present, so its size does not grow with the labels' values.  A
 code's own masks (CodeStructure.packed) become sets of neurons where a
 result is formed: its facets and reported faces, a sprocket's faces
 (wheels) and the neurons the builders give regions (realize.builders).
-Besides, each nerve component's codewords become a code of their own,
-and the generic sprocket search orders its taus by their words.  The
+Besides, each nerve component's codewords become a code of their own.
+The generic sprocket search orders its candidates by the canonical
+images of their bits, and a cone-peeled neuron set is formed once.  The
 Path-of-Facets test (_path_of_facets), the builders' cases and the L24
 sprocket's triangle read facet masks; only the public path_of_facets
 packs its arguments.

@@ -14,7 +14,9 @@ import functools
 import itertools
 from typing import NamedTuple, Optional, Tuple
 
-from .codes import Codeword, NeuralCode, _indices, _maximal_masks, _profile_relabeling, format_word, trunk
+from .codes import (
+    Codeword, NeuralCode, _indices, _least_relabeling, _maximal_masks, _profile_cells, format_word, trunk
+)
 from .topology import CodeStructure, _occurrences, _path_of_facets
 
 # not called here: kept importable because the benchmark tracer patches these names
@@ -121,9 +123,11 @@ DEFAULT_BUDGET = 10**6
 
 
 def _check_budget(budget: int) -> None:
-    """A budget counts search steps, so it is never negative; 0 is allowed."""
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    """A budget counts search steps, so it is an int, never negative; 0 is
+    allowed.  A bool, a float (nan and inf among them) or any other type
+    is refused as NeuralCode refuses it for a neuron index."""
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
+        raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
 
 
 # candidate faces for sigma/rho in the generic search: subsets of facet
@@ -180,11 +184,11 @@ class _Pool:
     """The generic search's candidate words, and its order-free first phase.
 
     masks are the sigma and rho candidates (_candidate_pool) over the
-    structure's packed bits, in no particular order; words are their
-    neuron sets and trunk_masks their trunks.  A trunk is the mask of
-    positions in the structure's packed nonempty codewords, so the trunk of
-    a mask m is trunks(m) (the codewords holding it), the trunk of a union
-    is the AND of the trunks, and trunk containment is a & ~b == 0.
+    structure's packed bits, in no particular order, and trunk_masks their
+    trunks.  A trunk is the mask of positions in the structure's packed
+    nonempty codewords, so the trunk of a mask m is trunks(m) (the
+    codewords holding it), the trunk of a union is the AND of the trunks,
+    and trunk containment is a & ~b == 0.
     in_facets[i] is the set of facets holding masks[i] (bit j for facet j),
     so a union of candidates is a face iff the AND of their in_facets is
     nonzero.
@@ -194,7 +198,6 @@ class _Pool:
         self.facet_masks = s.facet_masks
         self.trunks = _lookups(s.packed.masks)[0]
         self.masks = list(_candidate_pool(s.max_intersections))
-        self.words = list(map(s.packed.word, self.masks))
         self.trunk_masks = list(map(self.trunks, self.masks))
         # holding(m), meeting(m): the facets that hold, or meet, m
         self.holding, self.meeting = _lookups(self.facet_masks)
@@ -323,10 +326,12 @@ def find_sprocket(
     code, sigmas and rhos over subsets of facet intersections, in canonical
     order on (tau, sigma1, sigma2, sigma3, rho1, rho3).  The words keep the
     code's own labels; the canonical order is that of their images under
-    codes._profile_relabeling, so the outcome at a budget does not depend
-    on how the neurons are labeled.  That relabeling only sets the order:
-    the masks searched use the bits of the code's structure
-    (CodeStructure.packed).
+    codes._least_relabeling on the code's profile cells (_profile_cells),
+    so the outcome at a budget does not depend on how the neurons are
+    labeled.  That relabeling only sets the order: the masks searched use
+    the bits of the code's structure (CodeStructure.packed), and are
+    ranked by the images of their bits, so only the six faces of a hit
+    become words.
 
     The budget counts search steps: one per (sigma1, sigma2, sigma3)
     triple that passes the mirror filter (sigma3 not before sigma1 in the
@@ -344,7 +349,7 @@ def find_sprocket(
     candidate pool only when one passes.  If no triple is found, the order cannot matter:
     every triple of every tau is charged at once and the search returns
     None without computing the relabeling.  Otherwise the second phase
-    ranks the words and the taus in the canonical order and walks the
+    ranks the pool masks and the taus in the canonical order and walks the
     surviving triples in it; the triples skipped before each are charged
     in one step, so the budget spent is that of the step-by-step loop.
     The candidate or None returned at each budget, and the budget left,
@@ -358,7 +363,7 @@ def find_sprocket(
     Candidates passing the bare S conditions but reaching outside Tk(tau)
     occur even in convex codes, so the search treats them as noise.
 
-    Raises ValueError on a negative budget.
+    Raises ValueError unless budget is a nonnegative int (a bool is refused).
     """
     _check_budget(budget)
     return _find_sprocket(CodeStructure(code, [budget]))
@@ -372,14 +377,13 @@ def _find_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
         if cand is not None:
             return cand
 
-    nonempty = [w for w in code.codewords if w]
-    if nonempty:
-        common = frozenset.intersection(*nonempty)
-        if common:
-            stripped = NeuralCode(w - common for w in code.codewords)
-            cand = _find_sprocket(CodeStructure(stripped, s.box))
-            if cand is not None and _emits(code, cand):
-                return cand
+    common = functools.reduce(int.__and__, s.packed.masks, -1)
+    if common > 0:
+        peeled = s.packed.word(common)
+        stripped = NeuralCode(w - peeled for w in code.codewords)
+        cand = _find_sprocket(CodeStructure(stripped, s.box))
+        if cand is not None and _emits(code, cand):
+            return cand
 
     if not s.missing:
         return None  # no tau to search, so nothing is charged
@@ -390,19 +394,20 @@ def _find_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
     # can have a triple, so the pool is built only when there is one.
     admitted = _l24_taus(s)
     pool: Optional[_Pool] = _Pool(s) if admitted else None
-    size = len(pool.words) if pool else len(_candidate_pool(s.max_intersections))
+    size = len(pool.masks) if pool else len(_candidate_pool(s.max_intersections))
     per_tau = size * size * (size + 1) // 2
     triples = {tau: pool.triples(tau) for tau in admitted}
     if not any(triples.values()):
         s.spend(len(s.missing) * per_tau)
         return None
 
-    words, masks, pool_trunks, trunks = pool.words, pool.masks, pool.trunk_masks, pool.trunks
-    # visit candidates in the order sort_words gives on the canonical relabeling
-    label = _profile_relabeling(s.packed)
-    order = lambda w: (len(w), sorted(label[i] for i in w))
+    masks, pool_trunks, trunks = pool.masks, pool.trunk_masks, pool.trunks
+    # visit candidates in the order sort_words gives on their words under
+    # the canonical relabeling: by size, then by the sorted images of their bits
+    images, _exact = _least_relabeling(s.packed.masks, _profile_cells(s.packed.masks))
+    order = lambda m: (m.bit_count(), sorted(images[b] for b in _indices(m)))
     rank = [0] * size
-    for r, i in enumerate(sorted(range(size), key=lambda i: order(words[i]))):
+    for r, i in enumerate(sorted(range(size), key=lambda i: order(masks[i]))):
         rank[i] = r
     # A tau's triples are numbered in the order of the loops over sigma1,
     # sigma2 and sigma3, so a surviving triple charges itself and the
@@ -411,7 +416,7 @@ def _find_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
     # on rho1 is charged at once too.  If the budget cannot cover a charge,
     # the search stops with the budget at 0, where the step-by-step loop
     # would have stopped.
-    for tau in sorted(s.missing, key=lambda t: order(s.packed.word(t))):
+    for tau in sorted(s.missing, key=order):
         tk_tau = trunks(tau)
         rhos = [r for r in range(size) if pool_trunks[r] & ~tk_tau == 0]
         rhos.sort(key=rank.__getitem__)
@@ -420,7 +425,7 @@ def _find_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
             if rank[i1] > rank[i3]:
                 i1, i3 = i3, i1
             r1 = rank[i1]
-            # the tau's triples with sigma1 before words[i1] number
+            # the tau's triples with sigma1 before masks[i1] number
             # size * (size - r) summed over r < r1, and (r2, r3) after them
             # is number r2 * (size - r1) + r3 - r1
             before = size * (r1 * size - r1 * (r1 - 1) // 2)
@@ -450,9 +455,8 @@ def _find_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
                         or trunks(masks[r1] | masks[r3] | tau) & ~t2
                     ):
                         continue
-                    cand = SprocketCandidate(
-                        words[i1], words[i2], words[i3], s.packed.word(tau), words[r1], words[r3]
-                    )
+                    faces = (masks[i1], masks[i2], masks[i3], tau, masks[r1], masks[r3])
+                    cand = SprocketCandidate(*map(s.packed.word, faces))
                     if not _emits(code, cand):
                         raise AssertionError("bitmask sprocket failed replay on the code")
                     return cand

@@ -269,7 +269,7 @@ class TestCertificateText:
 
 class TestNegativeBudget:
     """A budget counts search steps; every entry point taking one rejects
-    a negative value instead of reporting it."""
+    a negative value, or one that is not an int, instead of reporting it."""
 
     @pytest.mark.parametrize(
         "call",
@@ -284,6 +284,24 @@ class TestNegativeBudget:
     def test_rejected(self, c26_corrected, call):
         with pytest.raises(ValueError, match="nonnegative"):
             call(c26_corrected)
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), True, 2.5])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda code, budget: decide(code, budget=budget),
+            lambda code, budget: analyze(code, budget=budget),
+            lambda code, budget: find_sprocket(code, budget=budget),
+            lambda code, budget: atlas_rows(3, 2, budget=budget),
+        ],
+        ids=["decide", "analyze", "find_sprocket", "atlas_rows"],
+    )
+    def test_not_an_integer_rejected(self, c26_corrected, call, budget):
+        # nan reached the report as "budget": NaN, which is not JSON, and inf
+        # left the search unbounded; an int that is not a bool is required,
+        # as NeuralCode requires of a neuron index
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            call(c26_corrected, budget)
 
     def test_zero_allowed(self, c24, c26_corrected):
         # the closed forms take no steps, so budget 0 still finds C24's sprocket

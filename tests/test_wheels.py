@@ -25,7 +25,9 @@ from convexcodes import (
 from convexcodes.codes import (
     _RELABEL_CAP,
     EMPTY,
-    _profile_relabeling,
+    _least_relabeling,
+    _Packing,
+    _profile_cells,
     max_intersection_faces,
     relabel_word,
     sort_words,
@@ -292,7 +294,9 @@ GENERIC_HITS = {
 
 def _relabeled(code):
     """The (relabeled code, inverse map) pair reference_search_relabeling returns."""
-    label = _profile_relabeling(CodeStructure(code).packed)
+    packed = CodeStructure(code).packed
+    images, _exact = _least_relabeling(packed.masks, _profile_cells(packed.masks))
+    label = dict(zip(packed.labels, images))
     relabeled = NeuralCode(frozenset(label[i] for i in w) for w in code.codewords)
     return relabeled, {new: old for old, new in label.items()}
 
@@ -341,17 +345,17 @@ def _count_pools(monkeypatch) -> list:
 
 def _count_relabelings(monkeypatch) -> list:
     """A one-item list counting the sprocket search's calls to
-    _profile_relabeling, which it makes only to order its second phase."""
+    _profile_cells, which it makes only to order its second phase."""
     import convexcodes.wheels
 
     calls = [0]
-    relabeling = convexcodes.wheels._profile_relabeling
+    cells = convexcodes.wheels._profile_cells
 
-    def counting(packed):
+    def counting(masks):
         calls[0] += 1
-        return relabeling(packed)
+        return cells(masks)
 
-    monkeypatch.setattr(convexcodes.wheels, "_profile_relabeling", counting)
+    monkeypatch.setattr(convexcodes.wheels, "_profile_cells", counting)
     return calls
 
 
@@ -382,7 +386,8 @@ class TestOrderFreePhase:
             for mask in s.missing:
                 tau = s.packed.word(mask)
                 for i1, i2, i3 in pool.triples(mask):
-                    got.append((frozenset({pool.words[i1], pool.words[i3]}), pool.words[i2], tau))
+                    s1, s2, s3 = (s.packed.word(pool.masks[i]) for i in (i1, i2, i3))
+                    got.append((frozenset({s1, s3}), s2, tau))
             # one of each mirror pair (s1, s2, s3), (s3, s2, s1), none twice
             assert len(got) == len(set(got)) and 2 * len(got) == len(expected)
             assert set(got) == {(frozenset({s1, s3}), s2, tau) for s1, s2, s3, tau in expected}
@@ -528,6 +533,23 @@ class TestSearchAgainstReference:
             assert self._check(code, rng) == (True, steps)
             assert find_sprocket(code, self.FULL).text() == sprocket
 
+    def test_generic_hit_forms_six_words(self, monkeypatch):
+        # the second phase ranks masks by the images of their bits, so only
+        # the hit's six faces become neuron sets
+        word = _Packing.word
+        calls = [0]
+
+        def counting(packed, mask):
+            calls[0] += 1
+            return word(packed, mask)
+
+        monkeypatch.setattr(_Packing, "word", counting)
+        for text, (steps, sprocket) in GENERIC_HITS.items():
+            calls[0] = 0
+            box = [self.FULL]
+            assert _find_sprocket(CodeStructure(parse_code(text), box)).text() == sprocket
+            assert (calls[0], self.FULL - box[0]) == (6, steps)
+
     def test_seeded_four_to_six_facet_codes(self):
         rng = random.Random(12)
         found = searched = 0
@@ -590,7 +612,7 @@ def _benchmark_generator():
 
 class TestStepTotals:
     """The sprocket steps one pass of the benchmark's request lists spends,
-    the calls to _profile_relabeling it makes and the candidate pools it
+    the calls to _profile_cells it makes and the candidate pools it
     builds.  A change to how the search counts or orders its steps moves
     the step totals even where no verdict changes.  The pool is built only
     for a search with a tau inside an induced L24 of the nerve, and the
