@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
 from .codes import canonicalize, format_code, sort_words
-from .decider import _decide
+from .decider import Certificate, _decide
 from .topology import CodeStructure, minimal_code
 from .wheels import DEFAULT_BUDGET, _check_budget
 
@@ -183,29 +183,22 @@ def atlas_rows(
             skipped += 1
             continue
         s = CodeStructure(code, [budget])
-        nerve_class = s.classified.class_id if s.classified is not None else ""
         verdict, certificates = _decide(s)
-        certificate = certificates[0].kind if certificates else ""
-        sprocket = ""
-        for cert in certificates:
-            if cert.candidate is not None:
-                sprocket = cert.candidate.text()
-                break
+        cert: Optional[Certificate] = certificates[0] if certificates else None  # at most one
         text = format_code(code, verbose=True, braced=True)
         if text in seen:
             raise AssertionError(f"duplicate atlas row: {text}")
         seen.add(text)
-        row = AtlasRow(
+        rows.append(AtlasRow(
             code=text,
             neurons=code.n,
             facet_count=num_facets,
-            nerve_class=nerve_class,
+            nerve_class=s.classified.class_id if s.classified is not None else "",
             minimal=True,
             verdict=verdict.value,
-            certificate=certificate,
-            sprocket=sprocket,
-        )
-        rows.append(row)
+            certificate=cert.kind if cert else "",
+            sprocket=cert.candidate.text() if cert and cert.candidate is not None else "",
+        ))
     return rows, skipped
 
 

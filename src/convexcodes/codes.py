@@ -3,9 +3,15 @@
 A codeword is a finite set of neuron indices (positive integers, 1-based).
 A neural code is a finite set of codewords that always contains the empty
 codeword.  Everything downstream (nerve classification, obstructions,
-realizations) is built over these two types.  A code's facets and missing
-faces are derived once, by topology.CodeStructure; this module holds the
-bitmask routines it packs, reads and closes codes with (_pack, _indices,
+realizations) is built over these two types.  A code is packed into
+bitmasks at most once: NeuralCode._packed packs it on its first read
+(_pack), and the codes the package builds for itself (minimal codes,
+nerve components, cone-peeled codes and canonical forms) are built from
+masks by _from_masks, which hands them their packing and skips the
+validation that the public constructor and relabel keep for outside
+input.  A code's facets and missing faces are derived once per call, by
+topology.CodeStructure, from that packing; this module holds the bitmask
+routines that pack, read and close codes (_pack, _indices,
 _maximal_masks, _intersections), trunks, and the facet intersections of
 any sets of labels (max_intersection_faces).
 
@@ -65,11 +71,11 @@ class _cached:
     functools.cached_property without its lock, which Python 3.10 and 3.11
     take on every first read; 3.12 dropped it, and this class can go with
     3.11.  No lock is needed: a CodeStructure lives for one call in one
-    thread, and a region's integer form is a pure function of the region,
-    so two threads reading it at once compute equal values and return the
-    one stored first.  Storing into __dict__ bypasses __setattr__, so a
-    _Frozen class can hold such an attribute, which is not one of its
-    _fields.
+    thread, and a code's packing and a region's integer form are pure
+    functions of the value, so two threads reading one at once compute
+    equal values and return the one stored first.  Storing into __dict__
+    bypasses __setattr__, so a _Frozen class can hold such an attribute,
+    which is not one of its _fields.
     """
 
     def __init__(self, func):
@@ -120,7 +126,9 @@ class NeuralCode(_Frozen):
 
     The empty codeword is added at construction if absent.  n is the
     largest index present (0 for {∅}); a neuron below it that no codeword
-    uses is silent, and its region in a realization is empty.
+    uses is silent, and its region in a realization is empty.  The code
+    keeps its packing (_packed), which takes no part in equality, hashing
+    or repr.
     """
 
     _fields = ("codewords",)
@@ -136,8 +144,13 @@ class NeuralCode(_Frozen):
                     raise ValueError(f"neuron index must be a positive integer, got {i!r}")
             words.add(word)
         words.add(EMPTY)
-        object.__setattr__(self, "codewords", frozenset(words))
-        object.__setattr__(self, "n", max((max(w) for w in words if w), default=0))
+        vars(self).update(codewords=frozenset(words), n=max((max(w) for w in words if w), default=0))
+
+    @_cached
+    def _packed(self) -> _Packing:
+        """The nonempty codewords packed by _pack, on first read; a code
+        that _from_masks builds is given its packing instead."""
+        return _pack(w for w in self.codewords if w)
 
     def __contains__(self, word) -> bool:
         return frozenset(word) in self.codewords
@@ -230,11 +243,6 @@ def max_intersection_faces(facets: Iterable[Codeword]) -> frozenset:
     return frozenset(map(packed.word, _intersections(packed.masks)))
 
 
-def relabel_word(word: Codeword, perm: tuple) -> Codeword:
-    """The word under a neuron permutation; perm[i-1] is the new label of i."""
-    return frozenset(perm[i - 1] for i in word)
-
-
 def relabel(code: NeuralCode, perm: tuple) -> NeuralCode:
     """Apply a neuron permutation; perm[i-1] is the new label of neuron i.
 
@@ -251,7 +259,7 @@ def relabel(code: NeuralCode, perm: tuple) -> NeuralCode:
         wrong = True
     if wrong:
         raise ValueError(f"not a permutation of 1..{len(perm)}: {tuple(perm)}")
-    return NeuralCode([relabel_word(w, perm) for w in code.codewords])
+    return NeuralCode([frozenset(perm[i - 1] for i in w) for w in code.codewords])
 
 
 class CanonicalForm(NamedTuple):
@@ -272,12 +280,13 @@ _CANONICAL_MAX_N = 2**20
 def canonicalize(code: NeuralCode) -> CanonicalForm:
     """Lexicographically least code over neuron relabelings.
 
-    The support is packed (see _pack) and relabeled onto 1..s by
-    _least_relabeling, and the silent neurons below code.n take the next
-    labels in index order.  Exact for a support of at most 8 neurons
-    (exact=True): the search covers every relabeling of the support and
-    returns the least code and, among the relabelings that reach it, the
-    lexicographically least permutation.  Beyond that exact=False: the
+    The support, as the code's packing, is relabeled onto 1..s by
+    _least_relabeling, whose images move the bits of its masks, and the
+    silent neurons below code.n take the next labels in index order.
+    Exact for a support of at most 8 neurons (exact=True): the search
+    covers every relabeling of the support and returns the least code
+    and, among the relabelings that reach it, the lexicographically least
+    permutation.  Beyond that exact=False: the
     search covers the relabelings that respect the support's profile cells
     (_profile_cells), which do not depend on the labels, while they admit
     at most 8! assignments, and takes the cells' own order above that.
@@ -286,12 +295,12 @@ def canonicalize(code: NeuralCode) -> CanonicalForm:
     """
     if code.n > _CANONICAL_MAX_N:
         raise ValueError(f"canonicalize takes neuron indices up to {_CANONICAL_MAX_N}, got {code.n}")
-    packed = _pack(w for w in code.codewords if w)
-    images, exact = _least_relabeling(packed.masks)
-    label = dict(zip(packed.labels, images))
+    labels, masks = code._packed
+    images, exact = _least_relabeling(masks)
+    label = dict(zip(labels, images))
     spare = itertools.count(len(label) + 1)
     perm = tuple(label[i] if i in label else next(spare) for i in range(1, code.n + 1))
-    return CanonicalForm(relabel(code, perm), perm, exact)
+    return CanonicalForm(_from_masks(images, masks), perm, exact)
 
 
 class _Packing(NamedTuple):
@@ -303,6 +312,28 @@ class _Packing(NamedTuple):
     def word(self, mask: int) -> frozenset:
         """The set of labels whose bits are set in mask."""
         return frozenset(map(self.labels.__getitem__, _indices(mask)))
+
+
+def _from_masks(labels: tuple, masks) -> NeuralCode:
+    """The code whose nonempty codewords are the words of the nonzero masks,
+    bit k standing for neuron labels[k], with its packing kept.
+
+    The packing is the one _pack gives for those words: the neurons held
+    take consecutive bits in ascending order, so a label that no mask
+    holds is dropped and labels may come in any order.  The neurons are
+    not validated again: the package builds such codes from the packing
+    of a code that was, for its nerve components, minimal codes,
+    canonical forms (labels are then the new labels of the bits) and
+    cone-peeled codes.
+    """
+    held = sorted({b for m in masks for b in _indices(m)}, key=labels.__getitem__)
+    bit = {b: 1 << k for k, b in enumerate(held)}  # bit b moves to bit[b]
+    masks = [*{sum(map(bit.__getitem__, _indices(m))) for m in masks} - {0}]
+    packed = _Packing(tuple(map(labels.__getitem__, held)), masks)
+    code = NeuralCode.__new__(NeuralCode)
+    words = frozenset([EMPTY, *map(packed.word, masks)])
+    vars(code).update(codewords=words, n=packed.labels[-1] if masks else 0, _packed=packed)
+    return code
 
 
 def _pack(sets) -> _Packing:

@@ -12,17 +12,23 @@ complex is its facets.  They become frozensets only where a result leaves
 (nerve()) and where is_collapsible, which takes sets, searches a large
 link's faces.  Nerves are built from facets only: the maximal occurrence
 masks of the input's elements are the nerve's facets, so no face list is
-formed on the way.  Every mask here is laid out by codes._pack, one bit per
-label present, so its size does not grow with the labels' values.  A
-code's own masks (CodeStructure.packed) become sets of neurons where a
-result is formed: its facets and reported faces, a sprocket's faces
-(wheels) and the neurons the builders give regions (realize.builders).
-Besides, each nerve component's codewords become a code of their own.
-The generic sprocket search orders its candidates by the canonical
-images of their bits, and a cone-peeled neuron set is formed once.  The
-Path-of-Facets test (_path_of_facets), the builders' cases and the L24
-sprocket's triangle read facet masks; only the public path_of_facets
-packs its arguments.
+formed on the way.  Every mask here is laid out as codes._pack lays it
+out, one bit per label present, so its size does not grow with the
+labels' values.  A code carries its own packing (NeuralCode._packed):
+packed once on the first read, or given at birth to the codes the
+package builds from masks (codes._from_masks).  Those are the minimal
+code (minimal_code, from the mandatory masks), each nerve component
+(CodeStructure.components, from the masks below its facets), the
+cone-peeled code of the sprocket search (wheels) and the canonical form
+(codes.canonicalize, which moves bits), so none of them is packed or
+validated again.  A code's masks become sets of neurons where a result
+is formed: its facets and reported faces, a sprocket's faces (wheels),
+the neurons the builders give regions (realize.builders) and the words
+of a code built from masks.  The Path-of-Facets test (_path_of_facets),
+the builders' cases and the L24 sprocket's triangle read facet masks;
+only the public helpers that take arbitrary sets (path_of_facets,
+nerve, classify_small_complex, is_link_contractible,
+max_intersection_faces) pack their arguments.
 
 Classification on at most four vertices is one dictionary lookup: at import
 every relabeling of every reference class is expanded into a table of all
@@ -63,6 +69,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional
 from .codes import (
     Codeword,
     NeuralCode,
+    _from_masks,
     _indices,
     _intersections,
     _mask_key,
@@ -123,7 +130,8 @@ def _positions(mask: int) -> frozenset:
 
 def nerve(sets: Iterable[Iterable[int]]) -> tuple:
     """The facets of the nerve of a list of nonempty sets, on vertex labels
-    1..m, as a tuple of frozensets in word_sort_key order.
+    1..m, as a tuple of frozensets by size, then lexicographically
+    (codes._mask_key on their masks).
 
     A subset S of positions is a face iff the sets indexed by S have a
     common element.  Built from the dual without listing faces (see
@@ -136,7 +144,7 @@ def nerve(sets: Iterable[Iterable[int]]) -> tuple:
 
 def _components(masks: list) -> list:
     """The vertex masks of the connected parts of the complex with these
-    facet masks, ordered by word_sort_key of their position sets."""
+    facet masks, ordered by size, then lexicographically (codes._mask_key)."""
     parts: list = []
     for m in masks:
         # the parts m meets are disjoint, so their sum is their union
@@ -463,11 +471,15 @@ class CodeStructure:
     for that call only; it is never stored on the code or in a module-level
     cache, so no two threads share one.  Every field is a codes._cached
     attribute, computed without a lock on first read from the fields it
-    names, so an early exit pays only for what it read.  The code is packed into
-    bitmasks once (packed, laid out by codes._pack), and the facets, the
-    max-intersection faces and the missing faces are found on those masks
-    (facet_masks, max_intersections, missing); a mask becomes a word
-    (facets, packed.word) only where a result leaves the pipeline.
+    names, so an early exit pays only for what it read.  packed is the
+    code's own packing (NeuralCode._packed), made once per code object,
+    not per call, and the facets, the max-intersection faces and the
+    missing faces are found on those masks (facet_masks,
+    max_intersections, missing); a mask becomes a word (facets,
+    packed.word) only where a result leaves the pipeline.  The structures
+    this one derives (components, and the cone-peeled code of the
+    sprocket search) hold codes built from its masks, which carry their
+    packing, so no call packs more than the code it was given.
     The neurons' occurrence masks over the facets are found once (cells);
     the nerve is held only as their maximal ones (nerve_masks), which the
     class table and the component split read.  Links are decided from
@@ -484,9 +496,13 @@ class CodeStructure:
     """
 
     code: NeuralCode
+    # the code's own packing: packed.labels are the neurons in bit order,
+    # packed.masks the nonempty words' masks
+    packed: _Packing
 
     def __init__(self, code: NeuralCode, box: Optional[list] = None):
         self.code = code
+        self.packed = code._packed
         self.box = [0] if box is None else box
         self._links: dict = {}
 
@@ -496,12 +512,6 @@ class CodeStructure:
         left = self.box[0]
         self.box[0] -= min(n, left)
         return n <= left
-
-    @_cached
-    def packed(self) -> _Packing:
-        """The nonempty codewords packed by codes._pack: packed.labels are
-        the neurons in bit order, and packed.masks are the words' masks."""
-        return _pack(w for w in self.code.codewords if w)
 
     @_cached
     def facet_masks(self) -> list:
@@ -588,8 +598,10 @@ class CodeStructure:
     def components(self) -> List[CodeStructure]:
         """Per nerve component, the structure of the codewords below its facets.
 
-        Neuron labels are kept, and the components share this structure's
-        box; [self] when the nerve is connected.
+        Each component's code is built from those masks (codes._from_masks),
+        so it is not packed again; neuron labels are kept, and the
+        components share this structure's box; [self] when the nerve is
+        connected.
         """
         parts = _components(self.nerve_masks)
         if len(parts) <= 1:
@@ -598,7 +610,7 @@ class CodeStructure:
         for part in parts:
             below = [self.facet_masks[p] for p in _indices(part)]
             masks = [m for m in self.packed.masks if any(m & ~f == 0 for f in below)]
-            out.append(CodeStructure(NeuralCode(map(self.packed.word, masks)), self.box))
+            out.append(CodeStructure(_from_masks(self.packed.labels, masks), self.box))
         return out
 
 
@@ -622,21 +634,22 @@ def mandatory_faces(facets: Iterable[Codeword]) -> frozenset:
     when the contractibility of some link is unresolved (possible only
     beyond four facets).
     """
+    return frozenset(filter(None, minimal_code(facets).codewords))
+
+
+def minimal_code(facets: Iterable[Codeword]) -> NeuralCode:
+    """The code containing exactly the mandatory faces and the empty word,
+    built from their masks in the facets' packing.
+
+    ValueError as mandatory_faces when some link is unresolved.
+    """
     s = CodeStructure(NeuralCode(facets))
     if s.undecided:
         raise ValueError(
             "mandatory faces are undetermined: contractibility unresolved for "
             + ", ".join(str(sorted(s.packed.word(sigma))) for sigma in s.undecided)
         )
-    return frozenset(map(s.packed.word, s.mandatory))
-
-
-def minimal_code(facets: Iterable[Codeword]) -> NeuralCode:
-    """The code containing exactly the mandatory faces and the empty word.
-
-    ValueError as mandatory_faces when some link is unresolved.
-    """
-    return NeuralCode(mandatory_faces(facets))
+    return _from_masks(s.packed.labels, s.mandatory)
 
 
 def has_local_obstruction(code: NeuralCode):

@@ -15,7 +15,7 @@ import itertools
 from typing import NamedTuple, Optional, Tuple
 
 from .codes import (
-    Codeword, NeuralCode, _indices, _least_relabeling, _maximal_masks, _profile_cells, format_word, trunk
+    Codeword, NeuralCode, _from_masks, _indices, _least_relabeling, _maximal_masks, _profile_cells, format_word, trunk
 )
 from .topology import CodeStructure, _occurrences, _path_of_facets
 
@@ -320,8 +320,9 @@ def find_sprocket(
     """Bounded sprocket search; None means not found within budget.
 
     Tries the closed-form L24 construction first, then cone peeling (a
-    neuron lying in every nonempty codeword is stripped, the smaller code
-    searched, and any hit revalidated against the original code), then a
+    neuron lying in every nonempty codeword is stripped, the smaller code,
+    built from the code's masks, searched, and any hit revalidated against
+    the original code), then a
     generic enumeration: tau over max-intersection faces missing from the
     code, sigmas and rhos over subsets of facet intersections, in canonical
     order on (tau, sigma1, sigma2, sigma3, rho1, rho3).  The words keep the
@@ -371,7 +372,6 @@ def find_sprocket(
 
 def _find_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
     """find_sprocket on a code's structure, spending from its box (s.spend)."""
-    code = s.code
     if len(s.facet_masks) == 4 and s.classified.class_id == "L24":
         cand = _l24_sprocket(s)
         if cand is not None:
@@ -379,10 +379,9 @@ def _find_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
 
     common = functools.reduce(int.__and__, s.packed.masks, -1)
     if common > 0:
-        peeled = s.packed.word(common)
-        stripped = NeuralCode(w - peeled for w in code.codewords)
+        stripped = _from_masks(s.packed.labels, [m & ~common for m in s.packed.masks])
         cand = _find_sprocket(CodeStructure(stripped, s.box))
-        if cand is not None and _emits(code, cand):
+        if cand is not None and _emits(s.code, cand):
             return cand
 
     if not s.missing:
@@ -402,8 +401,8 @@ def _find_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
         return None
 
     masks, pool_trunks, trunks = pool.masks, pool.trunk_masks, pool.trunks
-    # visit candidates in the order sort_words gives on their words under
-    # the canonical relabeling: by size, then by the sorted images of their bits
+    # visit candidates by size, then lexicographically, on their words
+    # under the canonical relabeling: by the sorted images of their bits
     images, _exact = _least_relabeling(s.packed.masks, _profile_cells(s.packed.masks))
     order = lambda m: (m.bit_count(), sorted(images[b] for b in _indices(m)))
     rank = [0] * size
@@ -457,7 +456,7 @@ def _find_sprocket(s: CodeStructure) -> Optional[SprocketCandidate]:
                         continue
                     faces = (masks[i1], masks[i2], masks[i3], tau, masks[r1], masks[r3])
                     cand = SprocketCandidate(*map(s.packed.word, faces))
-                    if not _emits(code, cand):
+                    if not _emits(s.code, cand):
                         raise AssertionError("bitmask sprocket failed replay on the code")
                     return cand
         if not s.spend(per_tau - done):

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import os
 import sys
@@ -53,6 +54,32 @@ def collapse_family(m: int) -> list:
     """
     raw = [frozenset({1, 50, 100 + i}) for i in range(m - 2)]
     return raw + [frozenset({1, 60, 200}), frozenset({1, 50, 60})]
+
+
+@contextlib.contextmanager
+def counting_packs():
+    """Within the block, counts["pack"] counts the calls of codes._pack and
+    counts["init"] the codes built by the validating NeuralCode.__init__;
+    the codes _from_masks builds call neither."""
+    import convexcodes.codes
+    import convexcodes.topology
+
+    counts = {"pack": 0, "init": 0}
+    pack, init = convexcodes.codes._pack, NeuralCode.__init__
+
+    def counting_pack(sets):
+        counts["pack"] += 1
+        return pack(sets)
+
+    def counting_init(self, codewords):
+        counts["init"] += 1
+        init(self, codewords)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (convexcodes.codes, convexcodes.topology):
+            patch.setattr(module, "_pack", counting_pack)
+        patch.setattr(NeuralCode, "__init__", counting_init)
+        yield counts
 
 
 @pytest.fixture

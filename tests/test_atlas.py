@@ -8,14 +8,24 @@ import pytest
 from convexcodes import parse_code
 from convexcodes.atlas import atlas_rows, enumerate_facet_antichains, write_atlas_csv
 
-from conftest import W3_TEXT, assert_ledger, fs, ledger, support
+from conftest import W3_TEXT, assert_ledger, counting_packs, fs, ledger, support
 from oracles import reference_enumerate_facet_antichains
 
 
 @pytest.fixture(scope="module")
 def rows_of():
-    """atlas_rows, each size built once for the module's tests."""
-    return functools.cache(atlas_rows)
+    """atlas_rows, each size built once for the module's tests; the build
+    of size (n, k) leaves its counting_packs counts in rows_of.counts."""
+
+    @functools.cache
+    def rows_of(max_neurons, num_facets):
+        with counting_packs() as counts:
+            built = atlas_rows(max_neurons, num_facets)
+        rows_of.counts[max_neurons, num_facets] = counts
+        return built
+
+    rows_of.counts = {}
+    return rows_of
 
 
 def antichain_classes_bruteforce(max_neurons, k):
@@ -161,6 +171,14 @@ class TestAtlasRows:
         # every 6x4 and 5x5 row's analyze report at the ledger's budget,
         # byte for byte, against tests/ledger/atlas.tsv
         assert_ledger("atlas", ledger.lines(ledger.atlas_codes(rows_of)))
+
+    def test_one_packing_per_row(self, rows_of):
+        # a row validates and packs its enumerated facets once, in
+        # minimal_code; the minimal code, its canonical form and the row's
+        # structure are built from masks and share that packing
+        for size in ledger.ATLAS_SIZES:
+            rows, _ = rows_of(*size)
+            assert rows_of.counts[size] == {"pack": len(rows), "init": len(rows)}, size
 
 
 class TestCsv:

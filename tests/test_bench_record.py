@@ -111,3 +111,65 @@ def test_tree_names_the_commit_and_the_uncommitted_diff(tmp_path):
     (tmp_path / "src" / "new.py").write_text("")
     with pytest.raises(bench_record.RunFailed, match="untracked"):
         bench_record._tree(tmp_path)
+
+
+def test_pairs_alternate_which_tree_runs_first():
+    assert bench_record.firsts(4) == ["change", "against", "change", "against"]
+    assert bench_record.PAIRS >= 10
+
+
+def test_paired_summary():
+    better = {"setup_s": "lower", "pass_s": "lower", "cpu_s": "lower"}
+    # four pairs: the change wins pass_s in three and ties one, and loses
+    # setup_s in one; the parent's atlas runs fall in both modes
+    change = [(run_output(0.010, p), c) for p, c in ((0.15, 6.0), (0.13, 5.0), (0.15, 6.6), (0.16, 6.0))]
+    against = [(run_output(s, p), c) for s, p, c in
+               ((0.010, 0.15, 6.0), (0.008, 0.15, 6.0), (0.010, 0.20, 6.0), (0.010, 0.20, 6.0))]
+    first = bench_record.firsts(4)
+    got = bench_record.paired(change, against, first, better, "atlas")
+    assert got["pairs"] == 4 and got["first"] == first
+    assert got["modes"] == {"change": ["fast"] * 4, "against": ["fast", "fast", "slow", "slow"]}
+    pass_s = got["metrics"]["pass_s"]
+    assert pass_s["better"] == "lower"
+    assert pass_s["ratios"] == pytest.approx([1.0, 0.13 / 0.15, 0.75, 0.8])
+    assert (pass_s["median"], pass_s["q1"], pass_s["q3"]) == pytest.approx(((0.8 + 0.13 / 0.15) / 2, 0.7875, 0.9))
+    assert pass_s["wins"] == 3
+    assert pass_s["change"] == pytest.approx({"median": 0.15, "q1": 0.145, "q3": 0.1525})
+    assert pass_s["against"] == pytest.approx({"median": 0.175, "q1": 0.15, "q3": 0.2})
+    setup_s = got["metrics"]["setup_s"]
+    assert setup_s["ratios"] == pytest.approx([1.0, 1.25, 1.0, 1.0]) and setup_s["wins"] == 0
+    cpu_s = got["metrics"]["cpu_s"]
+    assert cpu_s["ratios"] == pytest.approx([1.0, 5 / 6, 1.1, 1.0]) and cpu_s["wins"] == 1
+    # a metric where higher is better wins the other way, and only atlas has modes
+    better["pass_s"] = "higher"
+    got = bench_record.paired(change, against, first, better, "wide")
+    assert got["metrics"]["pass_s"]["wins"] == 0 and "modes" not in got
+
+
+def test_a_parent_metric_of_zero_is_refused():
+    better = {"setup_s": "lower", "pass_s": "lower", "cpu_s": "lower"}
+    runs = [(run_output(0.01, 0.1), 5.0), (run_output(0.01, 0.1), 5.0)]
+    zero = [(run_output(0.01, 0.0), 5.0), (run_output(0.01, 0.1), 5.0)]
+    with pytest.raises(bench_record.RunFailed, match="pass_s of the parent reads 0"):
+        bench_record.paired(runs, zero, bench_record.firsts(2), better, "four-facet")
+
+
+def test_checkout_extracts_the_commit(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "dest"
+    repo.mkdir()
+    dest.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c",
+                               "user.email=t@t", *args], check=True, capture_output=True).stdout
+    git("init", "-q")
+    (repo / "m.py").write_text("x = 1\n")
+    git("add", ".")
+    git("commit", "-qm", "base")
+    base = git("rev-parse", "HEAD").decode().strip()
+    (repo / "m.py").write_text("x = 2\n")
+    git("commit", "-qam", "change")
+    assert bench_record._checkout(repo, "HEAD~1", dest) == base
+    assert (dest / "m.py").read_text() == "x = 1\n"
+    assert not (dest / ".git").exists()
+    assert git("worktree", "list").decode().count("\n") == 1

@@ -27,7 +27,9 @@ from convexcodes import (
     NeuralCode,
     Verdict,
     analyze,
+    canonicalize,
     decide,
+    format_code,
     is_link_contractible,
     is_max_intersection_complete,
     is_sprocket,
@@ -40,7 +42,7 @@ from convexcodes import (
 )
 from convexcodes.codes import _indices, sort_words
 from convexcodes.topology import CodeStructure, _link_contractible
-from convexcodes.wheels import _POOL_SUBSET_BOUND, _candidate_pool, _emits, _l24_taus
+from convexcodes.wheels import _POOL_SUBSET_BOUND, _candidate_pool, _emits, _find_sprocket, _l24_taus
 
 from conftest import assert_ledger, collapse_family, ledger
 from oracles import (
@@ -318,6 +320,57 @@ def test_links_match_row_reference(oracle_codes):
         assert is_link_contractible(s.facets, s.packed.word(sigma)) is got, (facets, sigma)
         cases[_link_case(s.facet_masks, sigma)] += 1
     assert min(cases[case] for case in ("cone", 2, 3, 4, "rows")) >= 50, cases
+
+
+def test_codes_from_masks_match_the_constructor(oracle_codes, monkeypatch):
+    # each code the package builds from masks (canonical forms, minimal
+    # codes, nerve components and cone-peeled codes) is the code that the
+    # validating constructor gives on the words of the word-level path it
+    # replaced, with the packing _pack gives; oracle_codes holds the census
+    # (whose minimal codes are built from masks) and the wide ledger's codes
+    import convexcodes.wheels
+
+    def assert_same(got, ref):
+        # a frozenset prints its members in the order of its hash table,
+        # which hangs on the order they were added in, in NeuralCode(words)
+        # too; so the repr is ref's up to that order: the codewords alone
+        assert got == ref and hash(got) == hash(ref), ref
+        assert repr(got) == f"NeuralCode(codewords={got.codewords!r})", ref
+        assert got.n == ref.n and tuple(got) == tuple(ref), ref
+        assert format_code(got, verbose=True) == format_code(ref, verbose=True), ref
+        # ref is packed here by _pack; the mask order is no part of a packing
+        assert got._packed.labels == ref._packed.labels, ref
+        assert sorted(got._packed.masks) == sorted(ref._packed.masks), ref
+
+    peeled = []  # the codes the sprocket search peels, in call order
+    from_masks = convexcodes.wheels._from_masks
+
+    def recording(labels, masks):
+        peeled.append(from_masks(labels, masks))
+        return peeled[-1]
+
+    monkeypatch.setattr(convexcodes.wheels, "_from_masks", recording)
+    built = Counter()
+    for code in oracle_codes:
+        assert_same(code, NeuralCode(code.codewords))
+        form = canonicalize(code)
+        assert_same(form.code, relabel(code, form.permutation))
+        s = CodeStructure(code)
+        if not s.undecided:
+            assert_same(minimal_code(s.facets), NeuralCode(map(s.packed.word, s.mandatory)))
+            built["minimal"] += 1
+        if len(s.components) > 1:
+            for sub in s.components:
+                held = frozenset(sub.packed.labels)
+                assert_same(sub.code, NeuralCode(w for w in code.codewords if w <= held))
+                built["component"] += 1
+        common = frozenset.intersection(*(w for w in code.codewords if w)) if len(code) > 1 else None
+        if common:
+            peeled.clear()
+            _find_sprocket(s)  # its box is empty: it peels, then stops
+            assert_same(peeled[0], NeuralCode(w - common for w in code.codewords))
+            built["peeled"] += 1
+    assert min(built.values()) >= 50, built
 
 
 def test_builder_arrangements_match_reference_sampler(census):

@@ -26,6 +26,7 @@ from convexcodes import (
     maximal_codewords,
     minimal_code,
     nerve,
+    parse_code,
     path_of_facets,
     relabel,
 )
@@ -46,7 +47,7 @@ from convexcodes.topology import (
 
 import oracles
 from oracles import REFERENCE_COMPLEXES
-from conftest import collapse_family, fs, support
+from conftest import C22_TEXT, C24_TEXT, W3_TEXT, collapse_family, counting_packs, fs, support
 
 
 def facets_of(code):
@@ -853,7 +854,7 @@ class TestCachedFields:
     FIELDS = [name for name, value in vars(CodeStructure).items() if isinstance(value, _cached)]
 
     def test_class_access_returns_the_field(self):
-        assert len(self.FIELDS) == 14
+        assert len(self.FIELDS) == 13
         for name in self.FIELDS:
             field = getattr(CodeStructure, name)
             assert isinstance(field, _cached) and field.func.__name__ == name
@@ -911,36 +912,45 @@ class TestMasksOnly:
         atlas_rows(5, 5)
         assert len(built) == 0
 
-    def test_one_packing_per_structure(self, monkeypatch, c22, c24, w3):
-        # links are cut from the structure's facet masks, and the builders
-        # and the L24 sprocket read them too: _pack runs once per structure
-        # whose packed is read, and never per link or per facet triple
-        packs, structures, links = [], [], []
-        pack = convexcodes.codes._pack
-        packed = CodeStructure.__dict__["packed"]
-        link = convexcodes.topology._link_contractible
+    def test_one_packing_per_call(self, monkeypatch):
+        # decide and analyze pack a parsed code once per call in all: the
+        # nerve components, the cone-peeled codes and their structures are
+        # built from masks, and links, facet triples, the builders and the
+        # L24 sprocket read the structure's masks
+        structures, links = [], []
+        init, link = CodeStructure.__init__, convexcodes.topology._link_contractible
 
-        def counting_pack(sets):
-            packs.append(sets)
-            return pack(sets)
-
-        def counting_packed(self):
-            structures.append(self)
-            return packed.func(self)
+        def counting_init(self, code, box=None):
+            structures.append(code)
+            init(self, code, box)
 
         def counting_link(facet_masks, cells, sigma):
             links.append(sigma)
             return link(facet_masks, cells, sigma)
 
-        reading = functools.cached_property(counting_packed)
-        reading.__set_name__(CodeStructure, "packed")
-        for module in (convexcodes.codes, convexcodes.topology):
-            monkeypatch.setattr(module, "_pack", counting_pack)
-        monkeypatch.setattr(CodeStructure, "packed", reading)
+        monkeypatch.setattr(CodeStructure, "__init__", counting_init)
         monkeypatch.setattr(convexcodes.topology, "_link_contractible", counting_link)
-        for code in (c24, c22, w3):
-            analyze(code)
-        for m in (6, 9, 12):
-            decide(NeuralCode(collapse_family(m)))
-        assert links and structures
-        assert len(packs) == len(structures)
+        c24 = parse_code(C24_TEXT).codewords
+        split = c24 | {fs("89"), frozenset({9, 10}), fs("9")}
+        makers = {
+            "C22": lambda: parse_code(C22_TEXT),
+            "C24": lambda: parse_code(C24_TEXT),
+            "W3": lambda: parse_code(W3_TEXT),
+            # a split nerve: C24's four facets and a path of two more
+            "split": lambda: NeuralCode(split),
+            # cones on C24 and on the split code: a new neuron in every
+            # word, the empty one included so that it is no local obstruction
+            "coned": lambda: NeuralCode({w | {7} for w in c24}),
+            "coned split": lambda: NeuralCode({w | {20} for w in split}),
+        }
+        derived = Counter()  # name -> structures beyond the call's own
+        for name, make in makers.items():
+            for call in (decide, analyze):
+                code = make()
+                structures.clear()
+                with counting_packs() as counts:
+                    call(code)
+                assert counts["pack"] == 1, (name, call.__name__)
+                derived[name] += len(structures) - 1
+        assert links
+        assert derived["split"] >= 4 and derived["coned"] >= 2 and derived["coned split"] >= 2

@@ -29,7 +29,6 @@ from convexcodes.codes import (
     _Packing,
     _profile_cells,
     max_intersection_faces,
-    relabel_word,
     sort_words,
 )
 from convexcodes.topology import CodeStructure
@@ -224,7 +223,7 @@ class TestSprocketEquivariance:
             p = tuple(perm)
             mapped_code = relabel(c24, p)
             mapped_cand = SprocketCandidate(
-                *(relabel_word(w, p) for w in base)
+                *(frozenset(p[i - 1] for i in w) for w in base)
             )
             assert is_sprocket(mapped_code, mapped_cand) == is_sprocket(c24, base)
 
